@@ -11,7 +11,7 @@ import argparse
 
 from sbmlab.bath import BathSpec, DiscretizationSpec, discretize, prefactor
 from sbmlab.fockspace import enumerate_basis
-from sbmlab.sectors import ModelParams, Sector, assemble_sector, ground_state
+from sbmlab.sectors import ModelParams, solve_sectors
 
 
 def run() -> None:
@@ -31,8 +31,7 @@ def run() -> None:
     for N in range(args.n_max_modes + 1):
         bath = discretize(spec, DiscretizationSpec(Lambda=args.Lambda, N=N))
         enumeration = enumerate_basis(bath.mode_count, args.n_max)
-        even = ground_state(assemble_sector(bath, params, enumeration, Sector.EVEN))
-        odd = ground_state(assemble_sector(bath, params, enumeration, Sector.ODD))
+        even, odd = solve_sectors(bath, params, enumeration)
         gap = odd.energy - even.energy
         print(
             f"{N:>3} {bath.mode_count:>5} {even.energy:>14.8f} {odd.energy:>14.8f} "

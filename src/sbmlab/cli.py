@@ -42,7 +42,7 @@ from .oracle import (
     sector_blocks,
     unitary_U,
 )
-from .sectors import Sector, assemble_sector, ground_state
+from .sectors import GroundStateResult, solve_sectors
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -270,8 +270,9 @@ _ROW_FIELDS = (
 class ResultRow:
     """One sweep point, self-describing: inputs echoed next to outputs.
 
-    wall_time is carried here for the manifest but never enters the CSV
-    body, which must be byte-reproducible.
+    wall_time and solvers (per sector: path, iterations, residual) are
+    carried here for the manifest but never enter the CSV body, which must
+    be byte-reproducible.
     """
 
     index: int
@@ -297,6 +298,7 @@ class ResultRow:
     residual_minus: float
     status: str
     wall_time: float
+    solvers: dict
 
     def cells(self) -> list[str]:
         out = []
@@ -310,6 +312,15 @@ class ResultRow:
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in _ROW_FIELDS}
+
+
+def _solver_record(result: GroundStateResult) -> dict:
+    return {
+        "path": result.path,
+        "iterations": result.iterations,
+        "residual": result.residual,
+        "converged": True,
+    }
 
 
 def sweep_point(task: tuple[int, RunConfig]) -> ResultRow:
@@ -336,15 +347,8 @@ def sweep_point(task: tuple[int, RunConfig]) -> ResultRow:
         sum_q_squared=sum_q_squared(bath),
     )
     try:
-        even = ground_state(
-            assemble_sector(bath, cfg.model, enumeration, Sector.EVEN),
-            cfg.solver.tol,
-            cfg.solver.max_iter,
-        )
-        odd = ground_state(
-            assemble_sector(bath, cfg.model, enumeration, Sector.ODD),
-            cfg.solver.tol,
-            cfg.solver.max_iter,
+        even, odd = solve_sectors(
+            bath, cfg.model, enumeration, cfg.solver.tol, cfg.solver.max_iter
         )
         gap = odd.energy - even.energy
         parity = 1 if gap > 0 else (-1 if gap < 0 else 0)
@@ -358,9 +362,12 @@ def sweep_point(task: tuple[int, RunConfig]) -> ResultRow:
             residual_minus=odd.residual,
             status="ok",
             wall_time=time.perf_counter() - started,
+            solvers={"even": _solver_record(even), "odd": _solver_record(odd)},
         )
     except SolverError as exc:
         nan = float("nan")
+        failed = dict(exc.diagnostics)
+        sector = failed.pop("sector", "unknown")
         return ResultRow(
             **echo,
             E_plus0=nan,
@@ -371,6 +378,7 @@ def sweep_point(task: tuple[int, RunConfig]) -> ResultRow:
             residual_minus=nan,
             status=f"solver-error: {exc}",
             wall_time=time.perf_counter() - started,
+            solvers={sector: {**failed, "converged": False}},
         )
 
 
@@ -420,6 +428,7 @@ def cmd_gap_sweep(args) -> int:
             "files": files,
             "row_checksums": row_checksums,
             "row_wall_times": [row.wall_time for row in rows],
+            "row_solvers": [row.solvers for row in rows],
             "wall_time_seconds": time.perf_counter() - started,
         },
     )
@@ -557,15 +566,8 @@ def cmd_magnetization_scan(args) -> int:
             raise ConfigError(
                 "theta mode requires epsilon = 0; use --epsilon-steps to scan epsilon"
             )
-        even = ground_state(
-            assemble_sector(bath, cfg.model, enumeration, Sector.EVEN),
-            cfg.solver.tol,
-            cfg.solver.max_iter,
-        )
-        odd = ground_state(
-            assemble_sector(bath, cfg.model, enumeration, Sector.ODD),
-            cfg.solver.tol,
-            cfg.solver.max_iter,
+        even, odd = solve_sectors(
+            bath, cfg.model, enumeration, cfg.solver.tol, cfg.solver.max_iter
         )
         overlap = parity_overlap(even, odd)
         thetas = np.linspace(0.0, math.pi, args.theta_steps)

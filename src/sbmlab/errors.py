@@ -18,7 +18,15 @@ class CapacityError(SbmlabError):
 
 
 class SolverError(SbmlabError):
-    """Eigensolver failed to reach the requested residual (exit code 4)."""
+    """Eigensolver failed to reach the requested residual (exit code 4).
+
+    diagnostics holds what the solver knew when it gave up (sector, path,
+    iterations, best residual), for run manifests.
+    """
+
+    def __init__(self, message: str, diagnostics: dict | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 class AccuracyError(SbmlabError):

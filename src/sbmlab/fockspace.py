@@ -36,6 +36,14 @@ N_MAX_CAP = 60
 
 MAX_BASIS_DIM = 2_000_000
 
+# largest D table (dim**2 float64 entries) dmn_table allocates; a basis well
+# inside MAX_BASIS_DIM can still ask for terabytes here
+MAX_TABLE_BYTES = 4 * 2**30
+
+# rows of D finished per pass in dmn_table, which bounds its temporaries
+# to a few block-sized gathers
+_TABLE_ROW_BLOCK = 64
+
 # switch from exact integer factorials to log-gamma evaluation
 _EXACT_SUM_LIMIT = 30
 
@@ -202,17 +210,35 @@ def d0n_closed(bath: DiscretizedBath, n: MultiIndex) -> float:
 
 
 def dmn_table(bath: DiscretizedBath, basis: BasisEnumeration) -> np.ndarray:
-    """Full D_{m,n} matrix over an enumeration, assembled mode by mode."""
+    """Full D_{m,n} matrix over an enumeration, assembled mode by mode.
+
+    Each entry is prefactor * L^(0) * L^(1) * ... multiplied in mode order.
+    Rows are filled in blocks of _TABLE_ROW_BLOCK, so apart from the result
+    only block-sized temporaries are allocated.  Raises CapacityError before
+    allocating when the table would exceed MAX_TABLE_BYTES.
+    """
     if basis.mode_count != bath.mode_count:
         raise ValueError(
             f"enumeration mode count {basis.mode_count} does not match "
             f"bath mode count {bath.mode_count}"
         )
+    dim = basis.dim
+    if dim * dim * 8 > MAX_TABLE_BYTES:
+        raise CapacityError(
+            f"the D table of basis dimension {dim} needs {dim * dim * 8} bytes, "
+            f"above the cap MAX_TABLE_BYTES = {MAX_TABLE_BYTES}"
+        )
     occ = basis.occupation_array()
-    out = np.full((basis.dim, basis.dim), prefactor(bath))
-    for k, qk in enumerate(bath.q):
-        table = lmn_table(qk, basis.n_max + 1)
-        out *= table[occ[:, k][:, None], occ[:, k][None, :]]
+    # row m of columns[k] is L_{m, n_k}(q_k) for every state n of the basis
+    columns = [lmn_table(qk, basis.n_max + 1)[:, occ[:, k]] for k, qk in enumerate(bath.q)]
+    polaron = prefactor(bath)
+    out = np.empty((dim, dim))
+    for start in range(0, dim, _TABLE_ROW_BLOCK):
+        rows = slice(start, start + _TABLE_ROW_BLOCK)
+        block = out[rows]
+        block.fill(polaron)
+        for k, gathered in enumerate(columns):
+            block *= gathered[occ[rows, k]]
     return out
 
 

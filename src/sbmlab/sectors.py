@@ -17,18 +17,23 @@ exchanges the two matrices exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import SolverError
 from sbmlab.fockspace import BasisEnumeration, dmn_table
 
 DENSE_CUTOFF = 512
+
+# search-space size at which the Davidson solver restarts from its Ritz vector
+_DAVIDSON_RESTART = 40
+
+# smallest |diag - theta| the Davidson preconditioner divides by; on a
+# Lambda = 2 grid boson energies coincide exactly, so diag - theta can be 0
+_MIN_DENOMINATOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -55,13 +60,36 @@ class Sector(Enum):
 
 @dataclass(frozen=True, eq=False)
 class SectorMatrix:
+    """One sector as the operator diag(diagonal) + coupling * table.
+
+    diagonal and table (the D matrix) are shared with the other sector and
+    never written to; coupling is tunneling_sign * delta / 2.
+    """
+
     sector: Sector
     enumeration: BasisEnumeration
-    entries: np.ndarray
+    diagonal: np.ndarray
+    table: np.ndarray
+    coupling: float
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.diagonal.shape[0]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense matrix, a new array on every access.
+
+        D is scaled first and the diagonal added after.  The dense solves,
+        and so the CSV bytes of every dense row, depend on this order.
+        """
+        entries = self.coupling * self.table
+        entries[np.diag_indices_from(entries)] += self.diagonal
+        return entries
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Matrix-vector product without forming the dense matrix."""
+        return self.diagonal * x + self.coupling * (self.table @ x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,15 +99,17 @@ class GroundStateResult:
     residual: float
     sector: Sector
     iterations: int
+    path: str  # "dense" or "davidson"
 
 
-def assemble_sector(
-    bath: DiscretizedBath,
-    params: ModelParams,
-    enumeration: BasisEnumeration,
-    sector: Sector,
-) -> SectorMatrix:
-    """diag(sum omega(n - q**2)) -+ (delta/2) D over the enumeration."""
+def _sector_pair(
+    bath: DiscretizedBath, params: ModelParams, enumeration: BasisEnumeration
+) -> dict[Sector, SectorMatrix]:
+    """Both sector operators over one diagonal sum omega (n - q**2) and one D table.
+
+    dmn_table raises CapacityError before allocating a table that would
+    not fit fockspace.MAX_TABLE_BYTES.
+    """
     if params.epsilon != 0.0:
         raise ValueError(
             "sector decomposition requires epsilon = 0; "
@@ -90,95 +120,85 @@ def assemble_sector(
             f"enumeration mode count {enumeration.mode_count} does not match "
             f"bath mode count {bath.mode_count}"
         )
+    table = dmn_table(bath, enumeration)
     omega = np.asarray(bath.omega)
     q = np.asarray(bath.q)
     diagonal = enumeration.occupation_array() @ omega - float(omega @ (q * q))
-    entries = sector.tunneling_sign * (params.delta / 2.0) * dmn_table(bath, enumeration)
-    entries[np.diag_indices_from(entries)] += diagonal
-    return SectorMatrix(sector=sector, enumeration=enumeration, entries=entries)
+    return {
+        sector: SectorMatrix(
+            sector=sector,
+            enumeration=enumeration,
+            diagonal=diagonal,
+            table=table,
+            coupling=sector.tunneling_sign * (params.delta / 2.0),
+        )
+        for sector in Sector
+    }
 
 
-def _lowest_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray]:
-    vals, vecs = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-    return float(vals[0]), vecs[:, 0]
+def assemble_sector(
+    bath: DiscretizedBath,
+    params: ModelParams,
+    enumeration: BasisEnumeration,
+    sector: Sector,
+) -> SectorMatrix:
+    """diag(sum omega(n - q**2)) -+ (delta/2) D over the enumeration."""
+    return _sector_pair(bath, params, enumeration)[sector]
 
 
-def _fresh_direction(V: np.ndarray, start: int) -> np.ndarray | None:
-    """First coordinate vector with a usable component outside span(V rows)."""
-    n = V.shape[1]
-    for idx in range(n):
-        w = np.zeros(n)
-        w[(start + idx) % n] = 1.0
-        w -= (V @ w) @ V
-        norm = np.linalg.norm(w)
-        if norm > 1e-6:
-            return w / norm
-    return None
-
-
-def _lanczos_lowest(
-    H: np.ndarray, tol: float, max_iter: int
+def _davidson_lowest(
+    matrix: SectorMatrix, tol: float, max_iter: int
 ) -> tuple[float, np.ndarray, int, float]:
-    """Lowest eigenpair by Lanczos with full reorthogonalization.
+    """Lowest eigenpair by Davidson's method (J. Comput. Phys. 17, 87, 1975).
 
-    Deterministic all-ones start vector; the Ritz residual is verified by
-    an explicit matrix-vector product before convergence is declared.
+    Starts from the coordinate vector of the smallest diagonal entry and
+    grows the search space by the residual preconditioned with
+    (diag - theta)^-1, one operator application per iteration.  A full
+    search space restarts from the current Ritz vector.  Convergence is
+    declared, and a residual reported, only from an explicit ||Hx - theta x||.
+    Returns (energy, vector, iterations, residual) of the first pair within
+    tol, or of the best pair found when max_iter runs out or the search
+    space cannot grow.
     """
-    n = H.shape[0]
-    kmax = max(1, min(n, max_iter))
-    V = np.empty((kmax, n))
-    alphas = np.empty(kmax)
-    betas = np.empty(max(kmax - 1, 1))
-    v = np.ones(n) / math.sqrt(n)
-    V[0] = v
-    w = H @ v
-    alphas[0] = v @ w
-    w = w - alphas[0] * v
-    best: tuple[float, np.ndarray, int, float] | None = None
-    for k in range(1, kmax + 1):
-        theta, y = _lowest_ritz(alphas[:k], betas[: k - 1])
-        x = y @ V[:k]
+    diag = matrix.diagonal + matrix.coupling * np.diagonal(matrix.table)
+    n = diag.size
+    V = np.zeros((_DAVIDSON_RESTART, n))
+    HV = np.empty((_DAVIDSON_RESTART, n))
+    V[0, np.argmin(diag)] = 1.0
+    HV[0] = matrix.apply(V[0])
+    size = 1
+    best: tuple[float, float, np.ndarray] | None = None
+    for iteration in range(1, max(1, max_iter) + 1):
+        vals, vecs = np.linalg.eigh(V[:size] @ HV[:size].T)
+        theta, y = float(vals[0]), vecs[:, 0]
+        x = y @ V[:size]
         x /= np.linalg.norm(x)
-        residual = float(np.linalg.norm(H @ x - theta * x))
-        if best is None or residual < best[3]:
-            best = (theta, x, k, residual)
-        if residual <= tol:
-            return theta, x, k, residual
-        if k == kmax:
+        r = y @ HV[:size] - theta * x
+        if np.linalg.norm(r) <= tol:
+            r = matrix.apply(x) - theta * x
+        r_norm = float(np.linalg.norm(r))
+        if best is None or r_norm < best[0]:
+            best = (r_norm, theta, x)
+        if best[0] <= tol or iteration == max_iter:
             break
-        beta = float(np.linalg.norm(w))
-        scale = float(np.abs(alphas[:k]).max())
-        if beta <= 1e-13 * max(1.0, scale):
-            # Krylov space became invariant without containing the target;
-            # continue from a deterministic fresh direction
-            fresh = _fresh_direction(V[:k], k)
-            if fresh is None:
-                break
-            v_next = fresh
-            beta = 0.0
-        else:
-            v_next = w / beta
-            for _ in range(2):
-                v_next -= (V[:k] @ v_next) @ V[:k]
-            norm = np.linalg.norm(v_next)
-            if norm <= 1e-10:
-                fresh = _fresh_direction(V[:k], k)
-                if fresh is None:
-                    break
-                v_next = fresh
-                beta = 0.0
-            else:
-                v_next = v_next / norm
-        V[k] = v_next
-        betas[k - 1] = beta
-        w = H @ v_next
-        alphas[k] = v_next @ w
-        w = w - alphas[k] * v_next - beta * V[k - 1]
-    assert best is not None
-    raise SolverError(
-        f"Lanczos did not reach residual {tol} within {kmax} iterations; "
-        f"best residual {best[3]:.3e} at energy {best[0]:.12g}"
-    )
+        if size == _DAVIDSON_RESTART:
+            V[0], HV[0], size = x, matrix.apply(x), 1
+        denominator = diag - theta
+        small = np.abs(denominator) < _MIN_DENOMINATOR
+        denominator[small] = np.copysign(_MIN_DENOMINATOR, denominator[small])
+        t = r / denominator
+        scale = np.linalg.norm(t)
+        for _ in range(2):
+            t -= (V[:size] @ t) @ V[:size]
+        norm = np.linalg.norm(t)
+        if norm <= 1e-8 * scale:
+            break  # the correction lies in the search space, which cannot grow
+        V[size] = t / norm
+        HV[size] = matrix.apply(V[size])
+        size += 1
+    _, energy, vector = best
+    residual = float(np.linalg.norm(matrix.apply(vector) - energy * vector))
+    return energy, vector, iteration, residual
 
 
 def ground_state(
@@ -186,25 +206,33 @@ def ground_state(
 ) -> GroundStateResult:
     """Lowest eigenpair of a sector matrix.
 
-    Dense diagonalization below DENSE_CUTOFF, Lanczos above.  Either way
+    Dense diagonalization up to DENSE_CUTOFF, Davidson above.  Either way
     the residual is recomputed explicitly and must meet tol, the vector is
     normalized, and the vacuum coefficient is made nonnegative.
     """
-    H = matrix.entries
-    dim = H.shape[0]
-    if dim <= DENSE_CUTOFF:
+    if matrix.dim <= DENSE_CUTOFF:
+        path = "dense"
+        H = matrix.entries
         vals, vecs = np.linalg.eigh(H)
         energy = float(vals[0])
         vector = vecs[:, 0]
         iterations = 0
         residual = float(np.linalg.norm(H @ vector - energy * vector))
-        if residual > tol:
-            raise SolverError(
-                f"dense path residual {residual:.3e} exceeds tol {tol}; "
-                "the matrix is likely ill-conditioned"
-            )
     else:
-        energy, vector, iterations, residual = _lanczos_lowest(H, tol, max_iter)
+        path = "davidson"
+        energy, vector, iterations, residual = _davidson_lowest(matrix, tol, max_iter)
+    if not residual <= tol:
+        raise SolverError(
+            f"{path} solve of the {matrix.sector.value} sector did not reach residual "
+            f"{tol} ({iterations} iterations); best residual {residual:.3e} "
+            f"at energy {energy:.12g}",
+            diagnostics={
+                "sector": matrix.sector.value,
+                "path": path,
+                "iterations": iterations,
+                "residual": residual,
+            },
+        )
     vector = vector / np.linalg.norm(vector)
     nonzero = np.nonzero(vector)[0]
     if vector[0] < 0.0 or (vector[0] == 0.0 and nonzero.size and vector[nonzero[0]] < 0.0):
@@ -215,6 +243,22 @@ def ground_state(
         residual=residual,
         sector=matrix.sector,
         iterations=iterations,
+        path=path,
+    )
+
+
+def solve_sectors(
+    bath: DiscretizedBath,
+    params: ModelParams,
+    enumeration: BasisEnumeration,
+    tol: float = 1e-10,
+    max_iter: int = 500,
+) -> tuple[GroundStateResult, GroundStateResult]:
+    """(even, odd) ground states from one shared diagonal and one D table."""
+    pair = _sector_pair(bath, params, enumeration)
+    return (
+        ground_state(pair[Sector.EVEN], tol, max_iter),
+        ground_state(pair[Sector.ODD], tol, max_iter),
     )
 
 
@@ -228,6 +272,5 @@ def sector_gap(
     """E_odd - E_even from two independent ground-state solves."""
     if params.delta == 0.0:
         raise ValueError("sector gap is undefined at delta = 0")
-    even = ground_state(assemble_sector(bath, params, enumeration, Sector.EVEN), tol, max_iter)
-    odd = ground_state(assemble_sector(bath, params, enumeration, Sector.ODD), tol, max_iter)
+    even, odd = solve_sectors(bath, params, enumeration, tol, max_iter)
     return odd.energy - even.energy

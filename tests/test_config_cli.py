@@ -275,6 +275,18 @@ def test_gap_sweep_manifest_checksums(tmp_path):
     ]
     assert manifest["config"]["bath"]["s"] == 0.5
     assert len(manifest["row_wall_times"]) == len(lines)
+    # dim 70 <= DENSE_CUTOFF: both sectors take the dense path
+    header = body.decode().splitlines()[0].split(",")
+    assert len(manifest["row_solvers"]) == len(lines)
+    for line, solvers in zip(lines, manifest["row_solvers"]):
+        cells = line.split(",")
+        for sector, column in (("even", "residual_plus"), ("odd", "residual_minus")):
+            assert solvers[sector] == {
+                "path": "dense",
+                "iterations": 0,
+                "residual": float(cells[header.index(column)]),
+                "converged": True,
+            }
 
 
 def test_gap_sweep_json_format_matches_csv(tmp_path):
@@ -316,6 +328,14 @@ def test_gap_sweep_capacity_exit(tmp_path):
     assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(tmp_path)]) == 3
 
 
+def test_gap_sweep_oversize_table_exits_capacity(tmp_path):
+    # 20 modes at n_max 6: dim 230230 passes MAX_BASIS_DIM, its D table does not
+    data = deep({"discretization": {"N": 19}, "truncation": {"n_max": 6}})
+    out = tmp_path / "big"
+    assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(out)]) == 3
+    assert not (out / "gap_sweep.csv").exists()
+
+
 def test_gap_sweep_records_solver_failure_in_row(tmp_path):
     # dim 528 > dense cutoff, so the iterative path runs; one iteration
     # cannot reach tol and the row must say so without aborting the sweep
@@ -332,6 +352,13 @@ def test_gap_sweep_records_solver_failure_in_row(tmp_path):
     header, body = read_csv(out / "gap_sweep.csv")
     assert body[0][header.index("status")].startswith("solver-error")
     assert body[0][header.index("gap")] == "nan"
+    # the even sector fails first, so the odd one is never attempted
+    manifest = json.loads((out / "gap_sweep_manifest.json").read_text())
+    (solvers,) = manifest["row_solvers"]
+    assert list(solvers) == ["even"]
+    failed = solvers["even"]
+    assert (failed["path"], failed["iterations"], failed["converged"]) == ("davidson", 1, False)
+    assert failed["residual"] > 1e-10
 
 
 # -------------------------------------------------------------- oracle-check

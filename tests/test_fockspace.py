@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sbmlab.bath import DiscretizedBath, prefactor
 from sbmlab.errors import AccuracyError, CapacityError
 from sbmlab.fockspace import (
+    _TABLE_ROW_BLOCK,
     dmn,
     dmn_table,
     d0n_closed,
@@ -185,6 +186,32 @@ def test_dmn_table_matches_pairwise_values():
     for i, m in enumerate(basis):
         for j, n in enumerate(basis):
             assert table[i, j] == pytest.approx(dmn(bath, m, n), rel=1e-12, abs=1e-15)
+
+
+def whole_matrix_dmn_table(bath, basis):
+    """Reference D: one dim x dim product, mode by mode in the same order."""
+    occ = basis.occupation_array()
+    out = np.full((basis.dim, basis.dim), prefactor(bath))
+    for k, qk in enumerate(bath.q):
+        table = lmn_table(qk, basis.n_max + 1)
+        out *= table[occ[:, k][:, None], occ[:, k][None, :]]
+    return out
+
+
+@pytest.mark.parametrize(
+    "omegas,lams,n_max",
+    [
+        ((1.0,), (0.7,), 40),  # dim 41, one partial block
+        ((1.0, 0.5, 0.25), (0.45, 0.15, 0.1), 7),  # dim 120
+        ((1.0, 0.5, 0.25, 0.125), (0.52, 0.21, 0.1, 0.04), 8),  # dim 495
+        ((1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125), (0.3,) * 6, 5),  # dim 462
+    ],
+)
+def test_dmn_table_row_blocks_equal_whole_matrix_product(omegas, lams, n_max):
+    bath = DiscretizedBath.from_modes(omegas, lams)
+    basis = enumerate_basis(len(omegas), n_max)
+    assert basis.dim % _TABLE_ROW_BLOCK != 0
+    assert np.array_equal(dmn_table(bath, basis), whole_matrix_dmn_table(bath, basis))
 
 
 def test_dmn_validation():

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize, prefactor
-from sbmlab.errors import SolverError
-from sbmlab.fockspace import enumerate_basis, parity_phase
+from sbmlab.errors import CapacityError, SolverError
+from sbmlab.fockspace import dmn_table, enumerate_basis, parity_phase
 from sbmlab.sectors import (
     DENSE_CUTOFF,
     ModelParams,
@@ -14,6 +16,7 @@ from sbmlab.sectors import (
     assemble_sector,
     ground_state,
     sector_gap,
+    solve_sectors,
 )
 
 
@@ -148,6 +151,70 @@ def test_lanczos_iteration_budget_enforced():
     matrix = assemble_sector(bath, ModelParams(0.4), basis, Sector.EVEN)
     with pytest.raises(SolverError, match="residual"):
         ground_state(matrix, tol=1e-13, max_iter=3)
+
+
+def log_grid_bath(s, alpha, modes):
+    spec = BathSpec(s=s, alpha=alpha, omega_c=1.0, omega1=2.0 ** -modes)
+    return discretize(spec, DiscretizationSpec(Lambda=2.0, N=modes - 1))
+
+
+def test_davidson_matches_dense_eigh_at_weak_coupling():
+    # alpha = 0.02 leaves the displaced basis least diagonal
+    bath = log_grid_bath(0.5, 0.02, 7)
+    basis = enumerate_basis(7, 5)
+    assert basis.dim == 792 > DENSE_CUTOFF
+    params = ModelParams(0.5)
+    for result in solve_sectors(bath, params, basis):
+        assert result.path == "davidson" and result.iterations > 0
+        entries = assemble_sector(bath, params, basis, result.sector).entries
+        reference = scipy.linalg.eigh(entries, eigvals_only=True, subset_by_index=[0, 0])[0]
+        assert abs(result.energy - reference) <= 1e-12
+        assert result.residual <= 1e-10
+
+
+def test_davidson_converges_at_thirteen_modes():
+    # dim 2380 with a polaron factor near 1e-14: the two sectors are
+    # degenerate to rounding, and the solve must still meet tol
+    bath = log_grid_bath(0.5, 0.2, 13)
+    basis = enumerate_basis(13, 4)
+    assert basis.dim == 2380
+    even, odd = solve_sectors(bath, ModelParams(0.5), basis, tol=1e-10, max_iter=500)
+    assert even.residual <= 1e-10 and odd.residual <= 1e-10
+    assert (even.sector, odd.sector) == (Sector.EVEN, Sector.ODD)
+
+
+def test_solve_sectors_dense_path_bit_identical_to_per_sector_solves():
+    bath = DiscretizedBath.from_modes((1.0, 0.4, 0.16), (0.45, 0.3, 0.2))
+    basis = enumerate_basis(3, 9)
+    assert basis.dim <= DENSE_CUTOFF
+    params = ModelParams(0.6)
+    for result in solve_sectors(bath, params, basis):
+        matrix = assemble_sector(bath, params, basis, result.sector)
+        alone = ground_state(matrix)
+        assert result.path == alone.path == "dense"
+        assert result.energy == alone.energy
+        assert np.array_equal(result.coefficients, alone.coefficients)
+        # the dense matrix is D scaled first, then the diagonal added
+        omega, q = np.asarray(bath.omega), np.asarray(bath.q)
+        expected = result.sector.tunneling_sign * (params.delta / 2.0) * dmn_table(bath, basis)
+        diagonal = basis.occupation_array() @ omega - float(omega @ (q * q))
+        expected[np.diag_indices_from(expected)] += diagonal
+        assert np.array_equal(matrix.entries, expected)
+
+
+def test_solve_sectors_refuses_oversize_table_before_allocating():
+    # dim 230230: a 424 GB D table, inside MAX_BASIS_DIM but not MAX_TABLE_BYTES
+    bath = log_grid_bath(0.5, 0.2, 20)
+    basis = enumerate_basis(20, 6)
+    assert basis.dim == 230230
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="MAX_TABLE_BYTES"):
+            solve_sectors(bath, ModelParams(0.5), basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_variational_monotonicity_in_nmax():
