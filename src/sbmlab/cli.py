@@ -33,13 +33,13 @@ from .oracle import (
     MIXED,
     assemble_full,
     dense_spectrum,
-    ground_parity,
     ground_sigma_z,
     magnetization,
     parity_commutator_norm,
     parity_matrix,
     parity_overlap,
     sector_blocks,
+    spectrum_parity,
     unitary_U,
 )
 from .sectors import GroundStateResult, solve_sectors
@@ -49,12 +49,6 @@ EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_SOLVER = 4
-
-_CONVENTION_FLAGS = {
-    "paper-quarter": Convention.PAPER_QUARTER,
-    "mean-omega": Convention.MEAN_OMEGA,
-}
-
 
 def _fmt(value: float) -> str:
     return "%.17g" % value
@@ -113,7 +107,7 @@ def _load_run_config(args) -> RunConfig:
         cfg = dataclasses.replace(
             cfg,
             discretization=dataclasses.replace(
-                cfg.discretization, convention=_CONVENTION_FLAGS[override]
+                cfg.discretization, convention=Convention(override)
             ),
         )
     return cfg
@@ -496,14 +490,16 @@ def cmd_oracle_check(args) -> int:
     if not broken:
         even_block, odd_block, off_norm = sector_blocks(model)
         record("off-diagonal block norm", _fmt(off_norm), off_norm < 1e-12)
-        dense_vals, _ = dense_spectrum(model)
+    # one eigendecomposition serves the partition check and the parity label
+    dense_vals, dense_vecs = dense_spectrum(model)
+    if not broken:
         union = np.sort(
             np.concatenate([np.linalg.eigvalsh(even_block), np.linalg.eigvalsh(odd_block)])
         )
         partition = float(np.abs(dense_vals - union).max())
         record("spectrum partition max deviation", _fmt(partition), partition < 1e-9)
 
-    label = ground_parity(model)
+    label = spectrum_parity(model, dense_vals, dense_vecs)
     lines.append(f"ground parity: {'mixed' if label == MIXED else ('+1' if label > 0 else '-1')}")
     if not broken:
         checks.append(label != MIXED)
@@ -665,7 +661,7 @@ def _add_config(parser):
     parser.add_argument("--config", required=True, help="YAML run configuration")
     parser.add_argument(
         "--convention",
-        choices=sorted(_CONVENTION_FLAGS),
+        choices=sorted(c.value for c in Convention),
         default=None,
         help="override the discretization convention from the config",
     )

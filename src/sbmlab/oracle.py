@@ -40,6 +40,9 @@ DENSE_DIM_CAP = 2000
 # ground_parity returns +1, -1, or this marker when |<Pi>| is not close to 1
 MIXED = 0
 
+# a dense ground-state gap below this is a truncation pathology, not physics
+GAP_FLOOR = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class FullModel:
@@ -151,16 +154,21 @@ def dense_spectrum(model: FullModel) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(model.hamiltonian)
 
 
-def ground_parity(model: FullModel, gap_floor: float = 1e-12) -> int:
+def ground_parity(model: FullModel) -> int:
     """Parity label of the dense ground state: +1, -1, or MIXED.
 
     MIXED (|<Pi>| not within 1e-8 of 1) must never occur at epsilon = 0
     with delta != 0; it is the expected outcome once epsilon breaks the
-    symmetry.  A dense gap below gap_floor signals a truncation pathology
+    symmetry.  A dense gap below GAP_FLOOR signals a truncation pathology
     rather than physics and raises AccuracyError.
     """
     vals, vecs = dense_spectrum(model)
-    if vals[1] - vals[0] < gap_floor:
+    return spectrum_parity(model, vals, vecs)
+
+
+def spectrum_parity(model: FullModel, vals: np.ndarray, vecs: np.ndarray) -> int:
+    """ground_parity from an eigendecomposition the caller already holds."""
+    if vals[1] - vals[0] < GAP_FLOOR:
         raise AccuracyError(
             f"dense ground state numerically degenerate: gap {vals[1] - vals[0]:.3e}"
         )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -98,6 +99,12 @@ def test_parse_rejections(data, needle):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(data)
     assert needle in str(excinfo.value)
+
+
+@pytest.mark.parametrize("value", [1, ["mean-omega"], None])
+def test_parse_rejects_non_string_convention(value):
+    with pytest.raises(ConfigError, match="discretization.convention: expected one of"):
+        parse_config(deep({"discretization": {"convention": value}}))
 
 
 def test_model_missing_delta():
@@ -409,6 +416,24 @@ def test_oracle_check_broken_parity(tmp_path, capsys):
     assert "ground parity: mixed" in report
 
 
+def test_oracle_check_diagonalises_once(tmp_path, monkeypatch, capsys):
+    import sbmlab.cli
+    import sbmlab.oracle
+
+    calls = []
+    real = sbmlab.oracle.dense_spectrum
+
+    def counted(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(sbmlab.cli, "dense_spectrum", counted)
+    monkeypatch.setattr(sbmlab.oracle, "dense_spectrum", counted)
+    assert main(["oracle-check", "--config", write_config(tmp_path, deep({}))]) == 0
+    assert "ground parity: +1" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_oracle_check_capacity(tmp_path):
     data = deep({"truncation": {"n_max": 40}})  # C(44,4) far beyond the dense cap
     assert main(["oracle-check", "--config", write_config(tmp_path, data)]) == 3
@@ -455,6 +480,51 @@ def test_verify_appendix_usage_errors(capsys):
     assert main(["verify-appendix", "--N", "--n-max", "1"]) == 2
     assert main(["verify-appendix", "--N", "1"]) == 2
     capsys.readouterr()
+
+
+# sha256 of every report file; the N=5, n_max=7 pair is also pinned in
+# perfbench/reference.json
+APPENDIX_SHA256 = {
+    "appendix_N1_nmax1.json": "aa43c18b3108d4609e82540c6fbfab571352c41679cca75d7c19d6e54efa0578",
+    "appendix_N1_nmax1.txt": "0bd75f3946f36ff7142d124b27f9bc859b86fe361bd68607a8faf8dc3560a935",
+    "appendix_N1_nmax2.json": "194c0ba993a6374586ec402b50a03c7011cccc2ca23f2e90566aa9053726e3ca",
+    "appendix_N1_nmax2.txt": "a8f85a77a8be6dd86753d7edff232165b91960962824201dd92cfbdaae168f06",
+    "appendix_N1_nmax3.json": "f813d0c494e054b9a73127ee26fb678cc276a391645580aae404b77a060f1885",
+    "appendix_N1_nmax3.txt": "536ba245bb07d47f097c1c112ff865afd3c469d665ae66d6937ad63e7b184a35",
+    "appendix_N1_nmax4.json": "9323b48855162bed27bc31b20ac4cf3b7417c99c8b3212c5ea4db4f1a309f083",
+    "appendix_N1_nmax4.txt": "7773d3e7548c2b99f2dee44f9c9faa5a335434036094be6ceea0806c6eb4c947",
+    "appendix_N2_nmax1.json": "f287f7ca4baf4300f37e0defdb775591d66ed954014c93370ff068c72df22ca2",
+    "appendix_N2_nmax1.txt": "077e9fd0f3ba6e582ff8e8dd81fbb2abc7ec9ae0f5c4ab776f3985629a888fc9",
+    "appendix_N2_nmax2.json": "cab0c3e7fac60c4ba41a3ab0af47acd4249a55e7828095600d877205db78e7f0",
+    "appendix_N2_nmax2.txt": "b6d28547fc206f96eac4b555a132335a70ff79b819bd47fb262113f2f99e45ad",
+    "appendix_N2_nmax3.json": "adacbe70516ebd6cbd083176705c4d867ff964187b390bb555c6452ac0b9ba02",
+    "appendix_N2_nmax3.txt": "cb63b5c20e5343fd8469e81e02dd09462faab4e27c08087309143178c6ee35f9",
+    "appendix_N2_nmax4.json": "1055a46ff43b6175f913e0458d302a6e82c46782649c86ed377264a611e2181b",
+    "appendix_N2_nmax4.txt": "ae50e42f25d136b36ef2a601c2b7a6dbf16ee06d6f3ac315644967923c60b385",
+    "appendix_N3_nmax1.json": "298bceaba987ae1ebd4c353586903524d19ec9a5184572e865a670bcf0e11784",
+    "appendix_N3_nmax1.txt": "105037359fba1351ed782bbaad20182e4a51dcce5694013ebe481e5f742ad1ee",
+    "appendix_N3_nmax2.json": "6b3b5c4ea064bb54850d4cfa165a8642f9e0ae4e5ef5c5762a9701c1202514b4",
+    "appendix_N3_nmax2.txt": "0dccf8c73d127131e15618a198f3dfe2a46d86f1657feba77a69f50ed31a9c66",
+    "appendix_N3_nmax3.json": "982148d9fa17496f31c4c93c7c7d699efefb36936bb445099a0a9ab47098c8f0",
+    "appendix_N3_nmax3.txt": "5a799bbb3639c0445d550699d63495781d7cff32076e88bbf3f63930df10d9ee",
+    "appendix_N3_nmax4.json": "0957f76797c06b4505646609e76c19dc56b7afc19482735184d9dee3b096d867",
+    "appendix_N3_nmax4.txt": "ad7cc02575d19199099e7673f97123fd072ceca54c4281863b7f3167d7e84ae7",
+    "appendix_N5_nmax7.json": "28a61d0ab82d9cf21247ad28f094f31487396608837f7af3f883081e94d3c1a9",
+    "appendix_N5_nmax7.txt": "8fee95ab4903d6d9d6e975c72ef0bd776555ae7ab8b48b3a85937de1cb06a71f",
+}
+
+
+def test_verify_appendix_report_bytes(tmp_path, capsys):
+    out = tmp_path / "proofs"
+    grid = ["--N", "1", "2", "3", "--n-max", "1", "2", "3", "4"]
+    assert main(["verify-appendix", *grid, "--out", str(out)]) == 0
+    assert main(["verify-appendix", "--N", "5", "--n-max", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.glob("appendix_*")
+    }
+    assert written == APPENDIX_SHA256
 
 
 def test_verify_appendix_capacity():
