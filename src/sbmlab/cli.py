@@ -36,11 +36,10 @@ from .oracle import (
     ground_sigma_z,
     magnetization,
     parity_commutator_norm,
-    parity_matrix,
     parity_overlap,
+    rotation_defects,
     sector_blocks,
     spectrum_parity,
-    unitary_U,
 )
 from .sectors import GroundStateResult, solve_sectors
 
@@ -478,13 +477,8 @@ def cmd_oracle_check(args) -> int:
     else:
         record("commutator norm", _fmt(commutator), commutator < 1e-12)
 
-    U = unitary_U(enumeration)
-    unitarity = float(np.linalg.norm(U @ U.T - np.eye(U.shape[0]), 2))
+    unitarity, parity_defect = rotation_defects(enumeration)
     record("rotation unitarity defect", _fmt(unitarity), unitarity < 1e-14)
-
-    rotated_parity = U @ parity_matrix(enumeration) @ U.T
-    sz = np.diag(np.concatenate([np.ones(enumeration.dim), -np.ones(enumeration.dim)]))
-    parity_defect = float(np.abs(rotated_parity - sz).max())
     record("rotated parity vs sigma_z block form", _fmt(parity_defect), parity_defect < 1e-14)
 
     if not broken:
@@ -569,6 +563,11 @@ def cmd_verify_appendix(args) -> int:
 
 def cmd_magnetization_scan(args) -> int:
     started = time.perf_counter()
+    for flag, steps in (("--theta-steps", args.theta_steps), ("--epsilon-steps", args.epsilon_steps)):
+        if steps is not None and steps < 2:
+            raise ConfigError(f"{flag} must be >= 2, got {steps}")
+    if not (math.isfinite(args.epsilon_max) and args.epsilon_max > 0.0):
+        raise ConfigError(f"--epsilon-max must be finite and > 0, got {args.epsilon_max}")
     cfg = _load_run_config(args)
     bath = discretize(cfg.bath, cfg.discretization)
     enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)

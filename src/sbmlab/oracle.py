@@ -1,20 +1,27 @@
 """Dense full-space cross-checks in the spin (x) Fock product basis.
 
-Everything here is brute force on purpose: the Hamiltonian
+The Hamiltonian stays brute force on purpose:
 
     H = (epsilon/2) sigma_z - (delta/2) sigma_x
         + sum_k omega_k a'_k a_k + sum_k lambda_k (a'_k + a_k) sigma_z
 
 is assembled as a dense symmetric matrix over the undisplaced number
-basis (spin-up block first) and diagonalized completely.  The parity
-operator Pi = sigma_x (x) exp(i pi sum a'a) commutes with H exactly when
-epsilon = 0, and the rotation U of the 2x2 block form
+basis (spin-up block first), and `dense_spectrum` diagonalizes it
+completely.  The parity operator Pi = sigma_x (x) exp(i pi sum a'a)
+commutes with H exactly when epsilon = 0, and the rotation U of the 2x2
+block form
 
     U = (1/sqrt 2) [[I, P], [-P, I]],   P = diag boson parity
 
 block-diagonalizes the truncated H exactly: the boson-number-parity
 grading survives truncation, so the off-diagonal blocks of U H U' vanish
 to rounding, not merely to truncation accuracy.
+
+Pi and U hold at most two nonzeros per row, so every product with them
+runs on sparse arrays; only H, the commutator [H, Pi] and U H U' are
+dense.  A spectral norm comes from the top eigenvalue of A'A, and the
+ground state of a biased H from a one-eigenpair solve, never from an SVD
+or a full spectrum.
 
 The displaced-basis sector matrices of :mod:`sbmlab.sectors` span a
 different truncated subspace than the blocks above, so their spectra
@@ -29,6 +36,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
 
 from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError, CapacityError
@@ -110,27 +119,51 @@ def _boson_parity_diagonal(enumeration: BasisEnumeration) -> np.ndarray:
     return np.array([float(parity_phase(n)) for n in enumeration])
 
 
+def _sparse_parity(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
+    P = scipy.sparse.diags_array(_boson_parity_diagonal(enumeration))
+    return scipy.sparse.block_array([[None, P], [P, None]], format="csr")
+
+
+def _sparse_U(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
+    P = scipy.sparse.diags_array(_boson_parity_diagonal(enumeration))
+    eye = scipy.sparse.eye_array(enumeration.dim)
+    return scipy.sparse.block_array([[eye, P], [-P, eye]], format="csr") / math.sqrt(2.0)
+
+
+def _sparse_sigma_z(dim: int) -> scipy.sparse.dia_array:
+    return scipy.sparse.diags_array(np.concatenate([np.ones(dim), -np.ones(dim)]))
+
+
 def parity_matrix(enumeration: BasisEnumeration) -> np.ndarray:
     """Pi = sigma_x (x) diag((-1)**total). Involutory and symmetric."""
-    dim = enumeration.dim
-    phases = np.diag(_boson_parity_diagonal(enumeration))
-    Pi = np.zeros((2 * dim, 2 * dim))
-    Pi[:dim, dim:] = phases
-    Pi[dim:, :dim] = phases
-    return Pi
+    return _sparse_parity(enumeration).toarray()
 
 
 def unitary_U(enumeration: BasisEnumeration) -> np.ndarray:
     """Block rotation (1/sqrt 2) [[I, P], [-P, I]] used to decouple the sectors."""
+    return _sparse_U(enumeration).toarray()
+
+
+def spectral_norm(A: np.ndarray) -> float:
+    """Largest singular value of A, as sqrt of the top eigenvalue of A'A.
+
+    One symmetric eigensolve for a single eigenvalue replaces the full SVD
+    of np.linalg.norm(A, 2); the zero matrix gives exactly 0.0.
+    """
+    n = A.shape[1]
+    top = scipy.linalg.eigvalsh(A.T @ A, subset_by_index=[n - 1, n - 1])[0]
+    return math.sqrt(max(0.0, float(top)))
+
+
+def rotation_defects(enumeration: BasisEnumeration) -> tuple[float, float]:
+    """(spectral norm of U U' - I, max |U Pi U' - sigma_z (x) I|); both rounding noise."""
+    U = _sparse_U(enumeration)
     dim = enumeration.dim
-    P = np.diag(_boson_parity_diagonal(enumeration))
-    eye = np.eye(dim)
-    U = np.empty((2 * dim, 2 * dim))
-    U[:dim, :dim] = eye
-    U[:dim, dim:] = P
-    U[dim:, :dim] = -P
-    U[dim:, dim:] = eye
-    return U / math.sqrt(2.0)
+    identity = scipy.sparse.eye_array(2 * dim, format="csr")
+    unitarity = spectral_norm((U @ U.T - identity).toarray())
+    rotated_parity = U @ _sparse_parity(enumeration) @ U.T - _sparse_sigma_z(dim)
+    parity_defect = float(abs(rotated_parity).max())
+    return unitarity, parity_defect
 
 
 def sector_blocks(model: FullModel) -> tuple[np.ndarray, np.ndarray, float]:
@@ -140,7 +173,7 @@ def sector_blocks(model: FullModel) -> tuple[np.ndarray, np.ndarray, float]:
     block is the even-parity Hamiltonian in the undisplaced basis and the
     lower block the odd one.
     """
-    U = unitary_U(model.enumeration)
+    U = _sparse_U(model.enumeration)
     rotated = U @ model.hamiltonian @ U.T
     dim = model.enumeration.dim
     upper = rotated[:dim, :dim]
@@ -172,8 +205,10 @@ def spectrum_parity(model: FullModel, vals: np.ndarray, vecs: np.ndarray) -> int
         raise AccuracyError(
             f"dense ground state numerically degenerate: gap {vals[1] - vals[0]:.3e}"
         )
-    psi = vecs[:, 0]
-    expectation = float(psi @ parity_matrix(model.enumeration) @ psi)
+    dim = model.enumeration.dim
+    up, down = vecs[:dim, 0], vecs[dim:, 0]
+    # <psi|Pi|psi> = 2 <up|P|down> for Pi = sigma_x (x) P
+    expectation = 2.0 * float((up * _boson_parity_diagonal(model.enumeration)) @ down)
     if expectation > 1.0 - 1e-8:
         return 1
     if expectation < -(1.0 - 1e-8):
@@ -182,8 +217,8 @@ def spectrum_parity(model: FullModel, vals: np.ndarray, vecs: np.ndarray) -> int
 
 
 def ground_sigma_z(model: FullModel) -> float:
-    """<sigma_z> of the dense ground state."""
-    vals, vecs = dense_spectrum(model)
+    """<sigma_z> of the dense ground state, from a solve for the lowest eigenpair only."""
+    _, vecs = scipy.linalg.eigh(model.hamiltonian, subset_by_index=[0, 0])
     psi = vecs[:, 0]
     dim = model.enumeration.dim
     return float(psi[:dim] @ psi[:dim] - psi[dim:] @ psi[dim:])
@@ -191,9 +226,9 @@ def ground_sigma_z(model: FullModel) -> float:
 
 def parity_commutator_norm(model: FullModel) -> float:
     """Spectral norm of [H, Pi]; equals |epsilon| exactly."""
-    Pi = parity_matrix(model.enumeration)
+    Pi = _sparse_parity(model.enumeration)
     H = model.hamiltonian
-    return float(np.linalg.norm(H @ Pi - Pi @ H, 2))
+    return spectral_norm(H @ Pi - Pi @ H)
 
 
 def parity_overlap(plus: GroundStateResult, minus: GroundStateResult) -> float:
@@ -228,9 +263,6 @@ def frozen_spin_check(bath: DiscretizedBath, enumeration: BasisEnumeration) -> f
     vanishes identically rather than to rounding.
     """
     model = assemble_full(ModelParams(delta=0.0, epsilon=0.0), bath, enumeration)
-    dim = enumeration.dim
-    sz = np.zeros((2 * dim, 2 * dim))
-    sz[:dim, :dim] = np.eye(dim)
-    sz[dim:, dim:] = -np.eye(dim)
+    sz = _sparse_sigma_z(enumeration.dim)
     H = model.hamiltonian
-    return float(np.linalg.norm(H @ sz - sz @ H, 2))
+    return spectral_norm(H @ sz - sz @ H)

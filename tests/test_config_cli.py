@@ -9,6 +9,9 @@ from sbmlab.bath import Convention, beta0, discretize
 from sbmlab.cli import main
 from sbmlab.config import RunConfig, Sweep, load_config, parse_config
 from sbmlab.errors import ConfigError
+from sbmlab.fockspace import enumerate_basis
+from sbmlab.oracle import assemble_full
+from sbmlab.sectors import ModelParams
 
 BASE = {
     "model": {"delta": 0.4},
@@ -434,6 +437,47 @@ def test_oracle_check_diagonalises_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+# sha256 of oracle_check.txt.  The two Fock-dim-462 reports (6 modes,
+# n_max 5) are hashed at the commit before the oracle took its norms from a
+# symmetric eigensolve and its U and Pi products from sparse arrays.  The
+# two small configs are hashed after it: before, the dense U products left
+# fused-multiply-add residues of 2.2e-17 that moved three rounding-level
+# lines of the epsilon = 0 report (unitarity defect 2.4441574809578874e-16,
+# off-diagonal block norm 4.1168440912929528e-16, partition deviation
+# 2.55351295663786e-15) and the unitarity line of the epsilon = 0.25 one
+# (2.4441574809578864e-16); the sparse products give 2.2204460492503131e-16,
+# 0 and 3.1086244689504383e-15, far inside every check's threshold.
+ORACLE_SHA256 = [
+    ({}, "fcfb5a3e07b72af912836082c675ad4eaa909bc08644a36d43db0f032e25de6a"),
+    (
+        {"model": {"epsilon": 0.25}, "truncation": {"n_max": 3}},
+        "8160e6a40d5aea7fc95544b8fd4fe6d938cf3720605d1d5f92fb1b8673c796df",
+    ),
+    (
+        {"discretization": {"Lambda": 2.0, "N": 5}, "truncation": {"n_max": 5}},
+        "05a67f752642d914d9e2d4da4a8fce51da32f46308809ccd77fbcb12a45cdc35",
+    ),
+    (
+        {
+            "model": {"epsilon": 0.25},
+            "discretization": {"Lambda": 2.0, "N": 5},
+            "truncation": {"n_max": 5},
+        },
+        "8160e6a40d5aea7fc95544b8fd4fe6d938cf3720605d1d5f92fb1b8673c796df",
+    ),
+]
+
+
+@pytest.mark.parametrize("overrides, sha256", ORACLE_SHA256)
+def test_oracle_check_report_bytes(tmp_path, capsys, overrides, sha256):
+    out = tmp_path / "oc"
+    assert main(
+        ["oracle-check", "--config", write_config(tmp_path, deep(overrides)), "--out", str(out)]
+    ) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((out / "oracle_check.txt").read_bytes()).hexdigest() == sha256
+
+
 def test_oracle_check_capacity(tmp_path):
     data = deep({"truncation": {"n_max": 40}})  # C(44,4) far beyond the dense cap
     assert main(["oracle-check", "--config", write_config(tmp_path, data)]) == 3
@@ -571,6 +615,58 @@ def test_magnetization_epsilon_mode_antisymmetric(tmp_path):
     assert abs(values[3]) < 1e-10  # grid midpoint is epsilon = 0
     for left, right in zip(values[:3], values[:3:-1]):
         assert left == pytest.approx(-right, abs=1e-10)
+
+
+def test_magnetization_epsilon_mode_matches_full_eigh(tmp_path, monkeypatch):
+    import sbmlab.cli
+    import sbmlab.oracle
+
+    calls = []
+    real = sbmlab.oracle.dense_spectrum
+
+    def counted(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(sbmlab.cli, "dense_spectrum", counted)
+    monkeypatch.setattr(sbmlab.oracle, "dense_spectrum", counted)
+    out = tmp_path / "mge"
+    path = write_config(tmp_path, deep({"truncation": {"n_max": 3}}))
+    argv = ["magnetization-scan", "--config", path, "--out", str(out), "--epsilon-steps", "11"]
+    assert main(argv) == 0
+    assert calls == []
+
+    cfg = load_config(path)
+    bath = discretize(cfg.bath, cfg.discretization)
+    basis = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
+    _, body = read_csv(out / "magnetization_epsilon.csv")
+    assert len(body) == 11
+    for eps, sigma_z in body:
+        model = assemble_full(ModelParams(cfg.model.delta, float(eps)), bath, basis)
+        psi = np.linalg.eigh(model.hamiltonian)[1][:, 0]
+        reference = psi[: basis.dim] @ psi[: basis.dim] - psi[basis.dim :] @ psi[basis.dim :]
+        assert abs(float(sigma_z) - reference) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--epsilon-steps", "0"], "--epsilon-steps"),
+        (["--epsilon-steps", "1"], "--epsilon-steps"),
+        (["--theta-steps", "0"], "--theta-steps"),
+        (["--theta-steps", "1"], "--theta-steps"),
+        (["--epsilon-steps", "5", "--epsilon-max", "-0.5"], "--epsilon-max"),
+        (["--epsilon-steps", "5", "--epsilon-max", "0"], "--epsilon-max"),
+        (["--epsilon-steps", "5", "--epsilon-max", "nan"], "--epsilon-max"),
+        (["--epsilon-steps", "5", "--epsilon-max", "inf"], "--epsilon-max"),
+    ],
+)
+def test_magnetization_scan_rejects_bad_grid_flags(tmp_path, capsys, flags, flag):
+    out = tmp_path / "mg"
+    argv = ["magnetization-scan", "--config", write_config(tmp_path, deep({})), "--out", str(out)]
+    assert main(argv + flags) == 2
+    assert f"config error: {flag} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_magnetization_theta_mode_rejects_epsilon(tmp_path):

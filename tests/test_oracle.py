@@ -18,6 +18,7 @@ from sbmlab.oracle import (
     parity_matrix,
     parity_overlap,
     sector_blocks,
+    spectral_norm,
     unitary_U,
 )
 from sbmlab.sectors import ModelParams, Sector, assemble_sector, ground_state
@@ -325,3 +326,36 @@ def test_tunneling_breaks_sigma_z_conservation():
     H = model.hamiltonian
     norm = np.linalg.norm(H @ sz - sz @ H, 2)
     assert norm == pytest.approx(0.5, rel=1e-12)
+
+
+# ---------------------------------------------------------------- spectral norm
+
+
+def _norm_cases(rng, n):
+    G = rng.standard_normal((n, n))
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    yield "general", G
+    yield "symmetric", G + G.T
+    yield "antisymmetric", G - G.T
+    yield "rank-1", np.outer(u, v)
+    yield "scaled 1e-16", 1e-16 * G
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 100, 300])
+def test_spectral_norm_matches_svd(n):
+    rng = np.random.default_rng(n)
+    for kind, A in _norm_cases(rng, n):
+        reference = np.linalg.norm(A, 2)
+        if reference == 0.0:  # the 1 x 1 antisymmetric case
+            assert spectral_norm(A) == 0.0, kind
+        else:
+            assert abs(spectral_norm(A) - reference) <= 1e-13 * reference, kind
+    for shape in ((n, 3), (3, n)):
+        A = rng.standard_normal(shape)
+        assert abs(spectral_norm(A) - np.linalg.norm(A, 2)) <= 1e-13 * np.linalg.norm(A, 2)
+
+
+def test_spectral_norm_of_zero_is_exactly_zero():
+    for n in (1, 5, 64):
+        value = spectral_norm(np.zeros((n, n)))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
