@@ -525,11 +525,13 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_verify_appendix(args) -> int:
+    # every report first, so a size refused with CapacityError leaves no directory
+    reports = [constant_term_contradiction(N, n_max) for N, n_max in product(args.N, args.n_max)]
     os.makedirs(args.out, exist_ok=True)
     files = {}
     all_hold = True
-    for N, n_max in product(args.N, args.n_max):
-        report = constant_term_contradiction(N, n_max)
+    for report in reports:
+        N, n_max = report.N, report.n_max
         all_hold = all_hold and report.holds
         stem = f"appendix_N{N}_nmax{n_max}"
         files[f"{stem}.txt"] = _write_bytes(

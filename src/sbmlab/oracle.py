@@ -119,12 +119,14 @@ def _boson_parity_diagonal(enumeration: BasisEnumeration) -> np.ndarray:
     return np.array([float(parity_phase(n)) for n in enumeration])
 
 
-def _sparse_parity(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
+def parity_matrix(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
+    """Pi = sigma_x (x) diag((-1)**total), sparse. Involutory and symmetric."""
     P = scipy.sparse.diags_array(_boson_parity_diagonal(enumeration))
     return scipy.sparse.block_array([[None, P], [P, None]], format="csr")
 
 
-def _sparse_U(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
+def unitary_U(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
+    """Block rotation (1/sqrt 2) [[I, P], [-P, I]] used to decouple the sectors, sparse."""
     P = scipy.sparse.diags_array(_boson_parity_diagonal(enumeration))
     eye = scipy.sparse.eye_array(enumeration.dim)
     return scipy.sparse.block_array([[eye, P], [-P, eye]], format="csr") / math.sqrt(2.0)
@@ -132,16 +134,6 @@ def _sparse_U(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
 
 def _sparse_sigma_z(dim: int) -> scipy.sparse.dia_array:
     return scipy.sparse.diags_array(np.concatenate([np.ones(dim), -np.ones(dim)]))
-
-
-def parity_matrix(enumeration: BasisEnumeration) -> np.ndarray:
-    """Pi = sigma_x (x) diag((-1)**total). Involutory and symmetric."""
-    return _sparse_parity(enumeration).toarray()
-
-
-def unitary_U(enumeration: BasisEnumeration) -> np.ndarray:
-    """Block rotation (1/sqrt 2) [[I, P], [-P, I]] used to decouple the sectors."""
-    return _sparse_U(enumeration).toarray()
 
 
 def spectral_norm(A: np.ndarray) -> float:
@@ -157,11 +149,11 @@ def spectral_norm(A: np.ndarray) -> float:
 
 def rotation_defects(enumeration: BasisEnumeration) -> tuple[float, float]:
     """(spectral norm of U U' - I, max |U Pi U' - sigma_z (x) I|); both rounding noise."""
-    U = _sparse_U(enumeration)
+    U = unitary_U(enumeration)
     dim = enumeration.dim
     identity = scipy.sparse.eye_array(2 * dim, format="csr")
     unitarity = spectral_norm((U @ U.T - identity).toarray())
-    rotated_parity = U @ _sparse_parity(enumeration) @ U.T - _sparse_sigma_z(dim)
+    rotated_parity = U @ parity_matrix(enumeration) @ U.T - _sparse_sigma_z(dim)
     parity_defect = float(abs(rotated_parity).max())
     return unitarity, parity_defect
 
@@ -173,7 +165,7 @@ def sector_blocks(model: FullModel) -> tuple[np.ndarray, np.ndarray, float]:
     block is the even-parity Hamiltonian in the undisplaced basis and the
     lower block the odd one.
     """
-    U = _sparse_U(model.enumeration)
+    U = unitary_U(model.enumeration)
     rotated = U @ model.hamiltonian @ U.T
     dim = model.enumeration.dim
     upper = rotated[:dim, :dim]
@@ -226,7 +218,7 @@ def ground_sigma_z(model: FullModel) -> float:
 
 def parity_commutator_norm(model: FullModel) -> float:
     """Spectral norm of [H, Pi]; equals |epsilon| exactly."""
-    Pi = _sparse_parity(model.enumeration)
+    Pi = parity_matrix(model.enumeration)
     H = model.hamiltonian
     return spectral_norm(H @ Pi - Pi @ H)
 

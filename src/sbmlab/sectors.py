@@ -3,28 +3,32 @@
 At zero local field the model splits into two decoupled blocks labelled by
 the parity of sigma_x together with the total boson number.  In the
 displaced basis D(-q)|n> both blocks have the same diagonal,
-sum_k omega_k (n_k - q_k**2), and a dense tunneling block proportional to
-the displaced parity table D_{m,n}:
+sum_k omega_k (n_k - q_k**2), and a tunneling block proportional to the
+displaced parity operator D = exp(-2 sum q**2) * Dt (fockspace):
 
     even block:  diag - (delta/2) D
     odd block:   diag + (delta/2) D
 
 The odd block is represented in the boson-parity-rotated basis, under
 which it differs from the even block only by the sign of the tunneling
-term.  Both sectors therefore share a single D table, and negating delta
-exchanges the two matrices exactly.
+term.  Both sectors therefore share one diagonal and one DisplacedParity,
+Dt = P E' P E P from the lowering series E, and negating delta exchanges
+the two matrices exactly.  Davidson applies Dt as two sparse products;
+the dense path forms it once per pair.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.sparse
 
-from sbmlab.bath import DiscretizedBath
-from sbmlab.errors import SolverError
-from sbmlab.fockspace import BasisEnumeration, dmn_table
+from sbmlab.bath import DiscretizedBath, prefactor
+from sbmlab.errors import AccuracyError, SolverError
+from sbmlab.fockspace import BasisEnumeration, lowering_series
 
 DENSE_CUTOFF = 512
 
@@ -59,17 +63,55 @@ class Sector(Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class SectorMatrix:
-    """One sector as the operator diag(diagonal) + coupling * table.
+class DisplacedParity:
+    """Dt = P E' P E P, shared by the two sectors of a pair.
 
-    diagonal and table (the D matrix) are shared with the other sector and
-    never written to; coupling is tunneling_sign * delta / 2.
+    lowering is the series E of fockspace.lowering_series and parity the
+    diagonal of the boson parity P; neither is written to.
+    """
+
+    lowering: scipy.sparse.csr_array
+    parity: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Dt x as two sparse products."""
+        p, E = self.parity, self.lowering
+        return p * (E.T @ (p * (E @ (p * x))))
+
+    def diagonal(self) -> np.ndarray:
+        """diag(Dt) = (E o E)' P."""
+        return self.lowering.power(2).T @ self.parity
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        """Dt as a dense array, formed on first use and kept; never write to it.
+
+        One sparse x dense product (P E') (P E P), with the signs put on the
+        entries of E, which leaves the result exactly symmetric.
+        """
+        E, p = self.lowering, self.parity
+        column_sign = p[E.indices]
+        row_sign = np.repeat(p, np.diff(E.indptr))
+        left = scipy.sparse.csr_array((E.data * column_sign, E.indices, E.indptr), shape=E.shape)
+        right = scipy.sparse.csr_array(
+            (E.data * (row_sign * column_sign), E.indices, E.indptr), shape=E.shape
+        )
+        return left.T @ right.toarray()
+
+
+@dataclass(frozen=True, eq=False)
+class SectorMatrix:
+    """One sector as the operator diag(diagonal) + coupling * Dt.
+
+    diagonal and displaced_parity are shared with the other sector and
+    never written to; coupling is tunneling_sign * (delta/2) * polaron
+    factor.
     """
 
     sector: Sector
     enumeration: BasisEnumeration
     diagonal: np.ndarray
-    table: np.ndarray
+    displaced_parity: DisplacedParity
     coupling: float
 
     @property
@@ -80,16 +122,16 @@ class SectorMatrix:
     def entries(self) -> np.ndarray:
         """The dense matrix, a new array on every access.
 
-        D is scaled first and the diagonal added after.  The dense solves,
+        Dt is scaled first and the diagonal added after.  The dense solves,
         and so the CSV bytes of every dense row, depend on this order.
         """
-        entries = self.coupling * self.table
+        entries = self.coupling * self.displaced_parity.dense
         entries[np.diag_indices_from(entries)] += self.diagonal
         return entries
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product without forming the dense matrix."""
-        return self.diagonal * x + self.coupling * (self.table @ x)
+        return self.diagonal * x + self.coupling * self.displaced_parity.apply(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,13 +144,30 @@ class GroundStateResult:
     path: str  # "dense" or "davidson"
 
 
+def _polaron_double(bath: DiscretizedBath) -> float:
+    """The polaron factor as a double, which every D entry is scaled by.
+
+    Raises AccuracyError where prefactor() has no normal double to give
+    (it returns a Decimal there): a factor flushed to 0.0, or to a subnormal
+    with few digits left, would make the two sectors identical and their
+    gap a rounding artifact.
+    """
+    value = prefactor(bath)
+    if not isinstance(value, float):
+        raise AccuracyError(
+            f"polaron factor {value:.3e} is below the normal double range; "
+            "D cannot be formed in double precision"
+        )
+    return value
+
+
 def _sector_pair(
     bath: DiscretizedBath, params: ModelParams, enumeration: BasisEnumeration
 ) -> dict[Sector, SectorMatrix]:
-    """Both sector operators over one diagonal sum omega (n - q**2) and one D table.
+    """Both sector operators over one diagonal sum omega (n - q**2) and one lowering series.
 
-    dmn_table raises CapacityError before allocating a table that would
-    not fit fockspace.MAX_TABLE_BYTES.
+    lowering_series raises CapacityError before allocating a series that
+    would not fit fockspace.MAX_OPERATOR_BYTES.
     """
     if params.epsilon != 0.0:
         raise ValueError(
@@ -120,17 +179,20 @@ def _sector_pair(
             f"enumeration mode count {enumeration.mode_count} does not match "
             f"bath mode count {bath.mode_count}"
         )
-    table = dmn_table(bath, enumeration)
+    lowering = lowering_series(enumeration, bath.q)
+    polaron = _polaron_double(bath)
+    occ = enumeration.occupation_array()
     omega = np.asarray(bath.omega)
     q = np.asarray(bath.q)
-    diagonal = enumeration.occupation_array() @ omega - float(omega @ (q * q))
+    diagonal = occ @ omega - float(omega @ (q * q))
+    displaced_parity = DisplacedParity(lowering, 1.0 - 2.0 * (occ.sum(axis=1) % 2))
     return {
         sector: SectorMatrix(
             sector=sector,
             enumeration=enumeration,
             diagonal=diagonal,
-            table=table,
-            coupling=sector.tunneling_sign * (params.delta / 2.0),
+            displaced_parity=displaced_parity,
+            coupling=sector.tunneling_sign * (params.delta / 2.0) * polaron,
         )
         for sector in Sector
     }
@@ -160,7 +222,7 @@ def _davidson_lowest(
     tol, or of the best pair found when max_iter runs out or the search
     space cannot grow.
     """
-    diag = matrix.diagonal + matrix.coupling * np.diagonal(matrix.table)
+    diag = matrix.diagonal + matrix.coupling * matrix.displaced_parity.diagonal()
     n = diag.size
     V = np.zeros((_DAVIDSON_RESTART, n))
     HV = np.empty((_DAVIDSON_RESTART, n))
@@ -254,23 +316,10 @@ def solve_sectors(
     tol: float = 1e-10,
     max_iter: int = 500,
 ) -> tuple[GroundStateResult, GroundStateResult]:
-    """(even, odd) ground states from one shared diagonal and one D table."""
+    """(even, odd) ground states from one shared diagonal and one lowering series."""
     pair = _sector_pair(bath, params, enumeration)
     return (
         ground_state(pair[Sector.EVEN], tol, max_iter),
         ground_state(pair[Sector.ODD], tol, max_iter),
     )
 
-
-def sector_gap(
-    bath: DiscretizedBath,
-    params: ModelParams,
-    enumeration: BasisEnumeration,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> float:
-    """E_odd - E_even from two independent ground-state solves."""
-    if params.delta == 0.0:
-        raise ValueError("sector gap is undefined at delta = 0")
-    even, odd = solve_sectors(bath, params, enumeration, tol, max_iter)
-    return odd.energy - even.energy

@@ -289,12 +289,12 @@ def test_criterion_06_parity_algebra():
     biased = assemble_full(ModelParams(delta=0.6, epsilon=0.37), bath, enumeration)
     commutator_eps = parity_commutator_norm(biased)
 
-    U = unitary_U(enumeration)
+    U = unitary_U(enumeration).toarray()
     unitarity = float(np.linalg.norm(U @ U.T - np.eye(U.shape[0]), 2))
     _, _, off_norm = sector_blocks(symmetric)
     dim = enumeration.dim
     sz = np.diag(np.concatenate([np.ones(dim), -np.ones(dim)]))
-    parity_defect = float(np.abs(U @ parity_matrix(enumeration) @ U.T - sz).max())
+    parity_defect = float(np.abs(U @ parity_matrix(enumeration).toarray() @ U.T - sz).max())
 
     ok = (
         commutator0 < 1e-12

@@ -338,9 +338,10 @@ def test_gap_sweep_capacity_exit(tmp_path):
     assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(tmp_path)]) == 3
 
 
-def test_gap_sweep_oversize_table_exits_capacity(tmp_path):
-    # 20 modes at n_max 6: dim 230230 passes MAX_BASIS_DIM, its D table does not
-    data = deep({"discretization": {"N": 19}, "truncation": {"n_max": 6}})
+def test_gap_sweep_oversize_operator_exits_capacity(tmp_path):
+    # 4 modes at n_max 35: dim 82251 passes MAX_BASIS_DIM, its lowering
+    # series (1.4e8 entries) does not pass MAX_OPERATOR_BYTES
+    data = deep({"discretization": {"N": 3}, "truncation": {"n_max": 35}})
     out = tmp_path / "big"
     assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(out)]) == 3
     assert not (out / "gap_sweep.csv").exists()
@@ -571,8 +572,14 @@ def test_verify_appendix_report_bytes(tmp_path, capsys):
     assert written == APPENDIX_SHA256
 
 
-def test_verify_appendix_capacity():
-    assert main(["verify-appendix", "--N", "6", "--n-max", "20", "--out", "unused"]) == 3
+def test_verify_appendix_capacity(tmp_path):
+    out = tmp_path / "unused"
+    assert main(["verify-appendix", "--N", "6", "--n-max", "20", "--out", str(out)]) == 3
+    assert not out.exists()
+    # a refused size anywhere in the grid refuses the whole run up front
+    grid = ["--N", "1", "6", "--n-max", "2", "20"]
+    assert main(["verify-appendix", *grid, "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 # -------------------------------------------------------- magnetization-scan

@@ -6,23 +6,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize, prefactor
+from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize
 from sbmlab.errors import AccuracyError, CapacityError
 from sbmlab.fockspace import (
-    _TABLE_ROW_BLOCK,
-    dmn,
-    dmn_table,
-    d0n_closed,
+    N_MAX_CAP,
     displacement_matrix,
     enumerate_basis,
-    lmn_single,
-    lmn_table,
+    lowering_series,
     parity_phase,
 )
+from sbmlab.nondegeneracy import lmn_exact
+from sbmlab.sectors import DisplacedParity, ModelParams, Sector, assemble_sector, solve_sectors
+
+
+def dense_dt(q, basis):
+    """Dt = P E' P E P in dense matrices, P = diag((-1)**|n|)."""
+    E = lowering_series(basis, q).toarray()
+    P = np.diag([float(parity_phase(n)) for n in basis])
+    return P @ E.T @ P @ E @ P
 
 
 def single_mode(q, omega=1.0):
     return DiscretizedBath.from_modes((omega,), (q * omega,))
+
+
+def single_mode_dt(q, n_max):
+    return dense_dt([q], enumerate_basis(1, n_max))
+
+
+def exact_l(m, n, q):
+    """L_{m,n}(q) from exact rational arithmetic, rounded once."""
+    rational, radicand = lmn_exact(m, n, Fraction(q))
+    return float(rational) * math.sqrt(radicand)
 
 
 # ---------------------------------------------------------------- enumeration
@@ -75,127 +90,113 @@ def test_enumeration_capacity_and_validation():
         enumerate_basis(1, 3).multi_index_of(4)
 
 
-# ---------------------------------------------------------------- lmn_single
+@given(mode_count=st.integers(1, 6), n_max=st.integers(0, 6))
+@settings(max_examples=30)
+def test_rank_is_the_enumeration_index(mode_count, n_max):
+    basis = enumerate_basis(mode_count, n_max)
+    assert np.array_equal(basis.rank(basis.occupation_array()), np.arange(basis.dim))
+
+
+def test_rank_at_thirty_modes():
+    # a base-(n_max + 1) key would need 5**30 > 2**63 here
+    basis = enumerate_basis(30, 4)
+    ranks = basis.rank(basis.occupation_array())
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == [basis.index_of(state) for state in basis]
+
+
+# ---------------------------------------------------------------- L_{m,n}: one-mode Dt
 
 
 @pytest.mark.parametrize("q", [-1.3, 0.0, 0.2, 1.7])
 def test_lmn_vacuum_element(q):
-    assert lmn_single(0, 0, q) == 1.0
+    assert single_mode_dt(q, 4)[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_lmn_first_row_closed_form(n):
     q = 0.37
     expected = (2 * q) ** n / math.sqrt(math.factorial(n))
-    assert lmn_single(0, n, q) == pytest.approx(expected, rel=1e-13)
+    assert single_mode_dt(q, 8)[0, n] == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("q", [-0.8, 0.1, 0.5, 1.2])
 def test_lmn_one_one(q):
-    assert lmn_single(1, 1, q) == pytest.approx(4 * q * q - 1, rel=1e-13, abs=1e-14)
+    assert single_mode_dt(q, 3)[1, 1] == pytest.approx(4 * q * q - 1, rel=1e-13, abs=1e-14)
 
 
 def test_lmn_zero_displacement_is_signed_kronecker():
-    # at q=0 only the j=min(m,n) term of a diagonal element survives,
-    # carrying the boson-parity sign (-1)**n
-    for m in range(6):
-        for n in range(6):
-            expected = float((-1) ** n) if m == n else 0.0
-            assert lmn_single(m, n, 0.0) == expected
+    # at q = 0 the lowering series is the identity, so Dt is the boson
+    # parity (-1)**n on the diagonal
+    expected = np.diag((-1.0) ** np.arange(6))
+    assert np.array_equal(single_mode_dt(0.0, 5), expected)
 
 
-@given(
-    m=st.integers(0, 12),
-    n=st.integers(0, 12),
-    q=st.floats(-2.0, 2.0),
-)
+@given(q=st.floats(-2.0, 2.0))
 @settings(max_examples=80)
-def test_lmn_symmetry_and_reflection(m, n, q):
-    val = lmn_single(m, n, q)
-    assert lmn_single(n, m, q) == val
-    mirrored = lmn_single(m, n, -q)
-    assert mirrored == pytest.approx((-1.0) ** (m + n) * val, rel=1e-12, abs=1e-12)
+def test_lmn_symmetry_and_reflection(q):
+    forward = single_mode_dt(q, 12)
+    assert np.array_equal(forward, forward.T)
+    occupation = np.arange(13)
+    signs = (-1.0) ** (occupation[:, None] + occupation[None, :])
+    assert single_mode_dt(-q, 12) == pytest.approx(signs * forward, rel=1e-12, abs=1e-12)
 
 
-def test_lmn_log_path_against_exact_rational_sum():
-    # m+n > 30 exercises the log-gamma branch; rebuild the sum with
-    # Fraction coefficients and a single float square root
+def test_lmn_high_occupation_against_exact_rational_sum():
+    # m + n = 32: a 13-term alternating sum
     m, n, q = 20, 12, 0.73
-    x = Fraction(2 * 73, 100)
-    acc = Fraction(0)
-    for j in range(min(m, n) + 1):
-        num = (-1) ** j * x ** (m + n - 2 * j)
-        den = (
-            math.factorial(m - j) * math.factorial(n - j) * math.factorial(j)
-        )
-        acc += Fraction(num, den)
-    expected = float(acc) * math.sqrt(math.factorial(m) * math.factorial(n))
-    assert lmn_single(m, n, q) == pytest.approx(expected, rel=1e-10)
+    assert single_mode_dt(q, 20)[m, n] == pytest.approx(exact_l(m, n, q), rel=1e-10)
 
 
 def test_lmn_validation():
-    with pytest.raises(ValueError):
-        lmn_single(-1, 0, 0.5)
+    # occupations above N_MAX_CAP never reach the operator
     with pytest.raises(CapacityError):
-        lmn_single(61, 0, 0.5)
+        enumerate_basis(1, N_MAX_CAP + 1)
 
 
 def test_lmn_table_matches_singles():
     q = 0.44
-    table = lmn_table(q, 7)
+    table = single_mode_dt(q, 6)
     for m in range(7):
         for n in range(7):
-            assert table[m, n] == lmn_single(m, n, q)
+            assert table[m, n] == pytest.approx(exact_l(m, n, q), rel=1e-13, abs=1e-15)
 
 
-# ---------------------------------------------------------------- dmn / d0n
+# ---------------------------------------------------------------- D_{m,n}: several modes
 
 
 def test_dmn_zero_coupling_is_signed_diagonal():
-    bath = DiscretizedBath.from_modes((1.0, 0.5), (0.0, 0.0))
     basis = enumerate_basis(2, 3)
-    for m in basis:
-        for n in basis:
-            expected = float(parity_phase(n)) if m == n else 0.0
-            assert dmn(bath, m, n) == expected
+    expected = np.diag([float(parity_phase(n)) for n in basis])
+    assert np.array_equal(dense_dt((0.0, 0.0), basis), expected)
 
 
 def test_dmn_single_mode_vacuum():
+    # the sector matrix scales Dt by the polaron factor: D_00 = exp(-2 q**2)
     q = 0.63
-    assert dmn(single_mode(q), (0,), (0,)) == pytest.approx(
-        math.exp(-2 * q * q), rel=1e-14
-    )
+    matrix = assemble_sector(single_mode(q), ModelParams(-2.0), enumerate_basis(1, 0), Sector.EVEN)
+    assert matrix.entries[0, 0] + q * q == pytest.approx(math.exp(-2 * q * q), rel=1e-14)
 
 
 def test_dmn_single_mode_node():
     # 4q^2 - 1 vanishes at q = 1/2
-    assert dmn(single_mode(0.5), (1,), (1,)) == 0.0
+    assert single_mode_dt(0.5, 4)[1, 1] == 0.0
 
 
 def test_dmn_symmetric_on_small_enumeration():
-    bath = DiscretizedBath.from_modes((1.0, 0.4, 0.16), (0.45, 0.3, 0.05))
-    basis = enumerate_basis(3, 7)  # dim 120 <= 200
-    table = dmn_table(bath, basis)
-    assert np.array_equal(table, table.T)
+    basis = enumerate_basis(3, 7)  # dim 120
+    dt = dense_dt((0.45, 0.75, 0.3125), basis)
+    assert np.array_equal(dt, dt.T)
 
 
 def test_dmn_table_matches_pairwise_values():
-    bath = DiscretizedBath.from_modes((1.0, 0.3), (0.52, 0.21))
+    q = (0.52, 0.7)
     basis = enumerate_basis(2, 4)
-    table = dmn_table(bath, basis)
+    dt = dense_dt(q, basis)
     for i, m in enumerate(basis):
         for j, n in enumerate(basis):
-            assert table[i, j] == pytest.approx(dmn(bath, m, n), rel=1e-12, abs=1e-15)
-
-
-def whole_matrix_dmn_table(bath, basis):
-    """Reference D: one dim x dim product, mode by mode in the same order."""
-    occ = basis.occupation_array()
-    out = np.full((basis.dim, basis.dim), prefactor(bath))
-    for k, qk in enumerate(bath.q):
-        table = lmn_table(qk, basis.n_max + 1)
-        out *= table[occ[:, k][:, None], occ[:, k][None, :]]
-    return out
+            expected = exact_l(m[0], n[0], q[0]) * exact_l(m[1], n[1], q[1])
+            assert dt[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -208,19 +209,35 @@ def whole_matrix_dmn_table(bath, basis):
     ],
 )
 def test_dmn_table_row_blocks_equal_whole_matrix_product(omegas, lams, n_max):
-    bath = DiscretizedBath.from_modes(omegas, lams)
-    basis = enumerate_basis(len(omegas), n_max)
-    assert basis.dim % _TABLE_ROW_BLOCK != 0
-    assert np.array_equal(dmn_table(bath, basis), whole_matrix_dmn_table(bath, basis))
+    # rows of Dt from the matrix-free product, 64 at a time, are the rows of
+    # the dense Dt exactly, and that is the mode-by-mode product of the
+    # single-mode tables up to summation order
+    def operator(q, basis):
+        parity = np.array([float(parity_phase(n)) for n in basis])
+        return DisplacedParity(lowering_series(basis, q), parity)
+
+    q = [lam / omega for omega, lam in zip(omegas, lams)]
+    basis = enumerate_basis(len(q), n_max)
+    dt = operator(q, basis)
+    unit = np.eye(basis.dim)
+    for start in range(0, basis.dim, 64):
+        rows = np.array([dt.apply(e) for e in unit[start : start + 64]])
+        assert np.array_equal(rows, dt.dense[start : start + 64])
+    occ = basis.occupation_array()
+    whole = np.ones((basis.dim, basis.dim))
+    for k, qk in enumerate(q):
+        single = operator([qk], enumerate_basis(1, n_max)).dense
+        whole *= single[occ[:, k][:, None], occ[:, k][None, :]]
+    assert np.abs(dt.dense - whole).max() <= 1e-13 * np.abs(whole).max()
 
 
 def test_dmn_validation():
+    for mode_count, n_max in ((1, 6), (3, 4), (5, 3)):
+        basis = enumerate_basis(mode_count, n_max)
+        series = lowering_series(basis, [0.3] * mode_count)
+        assert series.nnz == math.comb(n_max + 2 * mode_count, 2 * mode_count)
     with pytest.raises(ValueError):
-        dmn(single_mode(0.3), (0, 0), (0,))
-    with pytest.raises(ValueError):
-        dmn(single_mode(0.3), (-1,), (0,))
-    with pytest.raises(ValueError):
-        dmn_table(single_mode(0.3), enumerate_basis(2, 2))
+        lowering_series(enumerate_basis(2, 2), [0.3])
 
 
 def test_underflowed_prefactor_refuses_d():
@@ -229,39 +246,37 @@ def test_underflowed_prefactor_refuses_d():
     spec = BathSpec(s=0.125, alpha=1.0, omega_c=1.0, omega1=1e-4)
     bath = discretize(spec, DiscretizationSpec(2.0, 10))
     basis = enumerate_basis(bath.mode_count, 1)
-    vacuum = (0,) * bath.mode_count
     with pytest.raises(AccuracyError):
-        dmn_table(bath, basis)
+        assemble_sector(bath, ModelParams(0.5), basis, Sector.EVEN)
     with pytest.raises(AccuracyError):
-        dmn(bath, vacuum, vacuum)
-    with pytest.raises(AccuracyError):
-        d0n_closed(bath, vacuum)
+        solve_sectors(bath, ModelParams(0.5), basis)
 
 
 def test_subnormal_prefactor_refuses_d():
     # exp(-710) is a subnormal double
     bath = single_mode(math.sqrt(355.0))
     with pytest.raises(AccuracyError):
-        dmn_table(bath, enumerate_basis(1, 2))
+        assemble_sector(bath, ModelParams(0.5), enumerate_basis(1, 2), Sector.ODD)
+
+
+# ---------------------------------------------------------------- D_{0,n}: the vacuum row
 
 
 def test_d0n_vacuum_is_prefactor():
-    bath = DiscretizedBath.from_modes((1.0, 0.5), (0.3, 0.25))
-    assert d0n_closed(bath, (0, 0)) == prefactor(bath)
+    # Dt_00 = 1 exactly, so D_00 is the polaron factor itself
+    assert dense_dt((0.3, 0.5), enumerate_basis(2, 3))[0, 0] == 1.0
 
 
 def test_d0n_reference_value():
-    bath = single_mode(1.0)
-    assert d0n_closed(bath, (2,)) == pytest.approx(
-        math.exp(-2) * 4 / math.sqrt(2), rel=1e-14
-    )
-    assert d0n_closed(bath, (2,)) == pytest.approx(0.38282, rel=1e-4)
+    assert single_mode_dt(1.0, 3)[0, 2] == pytest.approx(4 / math.sqrt(2), rel=1e-14)
+    # with the polaron factor: D_02 = exp(-2) 4 / sqrt(2)
+    assert math.exp(-2) * single_mode_dt(1.0, 3)[0, 2] == pytest.approx(0.38282, rel=1e-4)
 
 
 def test_d0n_silent_mode_occupied():
-    bath = DiscretizedBath.from_modes((1.0, 0.5), (0.3, 0.0))
-    assert d0n_closed(bath, (0, 1)) == 0.0
-    assert dmn(bath, (0, 0), (0, 1)) == 0.0
+    basis = enumerate_basis(2, 2)
+    dt = dense_dt((0.3, 0.0), basis)
+    assert dt[0, basis.index_of((0, 1))] == 0.0
 
 
 @given(
@@ -271,12 +286,13 @@ def test_d0n_silent_mode_occupied():
 )
 @settings(max_examples=60)
 def test_d0n_matches_dmn_row(q1, q2, data):
-    bath = DiscretizedBath.from_modes((1.0, 0.5), (q1 * 1.0, q2 * 0.5))
     basis = enumerate_basis(2, 6)
     n = data.draw(st.sampled_from(basis.states))
-    zero = (0, 0)
-    assert d0n_closed(bath, n) == pytest.approx(
-        dmn(bath, zero, n), rel=1e-12, abs=1e-250
+    closed = 1.0
+    for nk, qk in zip(n, (q1, q2)):
+        closed *= (2.0 * qk) ** nk / math.sqrt(math.factorial(nk))
+    assert dense_dt((q1, q2), basis)[0, basis.index_of(n)] == pytest.approx(
+        closed, rel=1e-12, abs=1e-250
     )
 
 
@@ -327,14 +343,12 @@ def test_parity_sandwich_oracle(q):
     # displaced parity overlap as D(q) (-1)^p D(q)^T in the number basis
     top = 10
     big = top + 31
-    bath = single_mode(q)
     block = displacement_matrix(q, big, checked_columns=top + 1)
     sandwich = block @ np.diag((-1.0) ** np.arange(big)) @ block.T
+    d = math.exp(-2 * q * q) * single_mode_dt(q, top)
     for m in range(top + 1):
         for n in range(top + 1):
-            assert sandwich[m, n] == pytest.approx(
-                dmn(bath, (m,), (n,)), rel=1e-8, abs=1e-8
-            )
+            assert sandwich[m, n] == pytest.approx(d[m, n], rel=1e-8, abs=1e-8)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.85])
@@ -342,12 +356,12 @@ def test_double_displacement_oracle(q):
     # equivalent route: D_{m,n} = (-1)^n <m|exp(2q(a'-a))|n>
     top = 10
     big = top + 41
-    bath = single_mode(q)
     block = displacement_matrix(2 * q, big, checked_columns=top + 1)
+    d = math.exp(-2 * q * q) * single_mode_dt(q, top)
     for m in range(top + 1):
         for n in range(top + 1):
             expected = (-1.0) ** n * block[m, n]
-            assert dmn(bath, (m,), (n,)) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+            assert d[m, n] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 # ---------------------------------------------------------------- parity phase

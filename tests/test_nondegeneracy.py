@@ -2,10 +2,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sbmlab.errors import CapacityError
-from sbmlab.fockspace import lmn_single
+from sbmlab.fockspace import enumerate_basis, lowering_series
 from sbmlab.nondegeneracy import (
     ProofReport,
     closed_form_square_check,
@@ -130,15 +131,16 @@ def test_lmn_exact_vacuum_row_closed_form():
 
 @pytest.mark.parametrize("q", [Fraction(1, 4), Fraction(-2, 3), Fraction(7, 5)])
 def test_lmn_exact_matches_floating_point(q):
-    # 1e-10: the float path's alternating sum loses digits to cancellation
-    # once (2q)^(m+n) dwarfs the result, e.g. m=n=12 at q=7/5
+    # 1e-10: the float operator's alternating sums lose digits to
+    # cancellation once (2q)^(m+n) dwarfs the result, e.g. m=n=12 at q=7/5
+    E = lowering_series(enumerate_basis(1, 12), [float(q)]).toarray()
+    P = np.diag((-1.0) ** np.arange(13))
+    dt = P @ E.T @ P @ E @ P
     for m in range(0, 13, 3):
         for n in range(0, 13, 4):
             rational, radicand = lmn_exact(m, n, q)
             exact_value = float(rational) * math.sqrt(radicand)
-            assert lmn_single(m, n, float(q)) == pytest.approx(
-                exact_value, rel=1e-10, abs=1e-18
-            )
+            assert dt[m, n] == pytest.approx(exact_value, rel=1e-10, abs=1e-18)
 
 
 def test_lmn_exact_validation():

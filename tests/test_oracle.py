@@ -75,7 +75,7 @@ def test_cross_module_ground_energy():
 
 def test_parity_involutory():
     basis = enumerate_basis(2, 4)
-    Pi = parity_matrix(basis)
+    Pi = parity_matrix(basis).toarray()
     assert np.array_equal(Pi, Pi.T)
     assert np.array_equal(Pi @ Pi, np.eye(2 * basis.dim))
 
@@ -84,7 +84,7 @@ def test_parity_commutes_at_zero_field():
     bath = DiscretizedBath.from_modes((1.0, 0.4), (0.35, 0.2))
     basis = enumerate_basis(2, 6)
     model = assemble_full(ModelParams(delta=0.7), bath, basis)
-    Pi = parity_matrix(basis)
+    Pi = parity_matrix(basis).toarray()
     H = model.hamiltonian
     assert np.linalg.norm(H @ Pi - Pi @ H) < 1e-13
 
@@ -102,14 +102,14 @@ def test_parity_breaking_norm_equals_epsilon(epsilon):
 
 def test_unitary_access_is_unitary():
     basis = enumerate_basis(2, 5)
-    U = unitary_U(basis)
+    U = unitary_U(basis).toarray()
     assert np.abs(U @ U.T - np.eye(2 * basis.dim)).max() < 1e-14
 
 
 def test_rotation_transports_parity_to_sigma_z():
     basis = enumerate_basis(2, 5)
-    U = unitary_U(basis)
-    Pi = parity_matrix(basis)
+    U = unitary_U(basis).toarray()
+    Pi = parity_matrix(basis).toarray()
     dim = basis.dim
     sigma_z = np.diag(np.concatenate([np.ones(dim), -np.ones(dim)]))
     assert np.abs(U @ Pi @ U.T - sigma_z).max() < 1e-14
@@ -140,7 +140,7 @@ def test_every_nondegenerate_eigenvector_has_definite_parity():
     basis = enumerate_basis(2, 7)
     model = assemble_full(ModelParams(delta=0.5), bath, basis)
     vals, vecs = dense_spectrum(model)
-    Pi = parity_matrix(basis)
+    Pi = parity_matrix(basis).toarray()
     gaps = np.diff(vals)
     for i in range(len(vals)):
         isolated = (i == 0 or gaps[i - 1] > 1e-8) and (i == len(vals) - 1 or gaps[i] > 1e-8)

@@ -7,7 +7,7 @@ import scipy.linalg
 
 from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize, prefactor
 from sbmlab.errors import CapacityError, SolverError
-from sbmlab.fockspace import dmn_table, enumerate_basis, parity_phase
+from sbmlab.fockspace import enumerate_basis, lowering_series, parity_phase
 from sbmlab.sectors import (
     DENSE_CUTOFF,
     ModelParams,
@@ -15,7 +15,6 @@ from sbmlab.sectors import (
     SectorMatrix,
     assemble_sector,
     ground_state,
-    sector_gap,
     solve_sectors,
 )
 
@@ -194,27 +193,51 @@ def test_solve_sectors_dense_path_bit_identical_to_per_sector_solves():
         assert result.path == alone.path == "dense"
         assert result.energy == alone.energy
         assert np.array_equal(result.coefficients, alone.coefficients)
-        # the dense matrix is D scaled first, then the diagonal added
+        entries = matrix.entries
+        assert np.array_equal(entries, entries.T)
+        # the dense matrix is diag -+ (delta/2) * prefactor * P E' P E P
         omega, q = np.asarray(bath.omega), np.asarray(bath.q)
-        expected = result.sector.tunneling_sign * (params.delta / 2.0) * dmn_table(bath, basis)
-        diagonal = basis.occupation_array() @ omega - float(omega @ (q * q))
-        expected[np.diag_indices_from(expected)] += diagonal
-        assert np.array_equal(matrix.entries, expected)
+        E = lowering_series(basis, bath.q).toarray()
+        P = np.diag([float(parity_phase(n)) for n in basis])
+        expected = result.sector.tunneling_sign * (params.delta / 2.0) * prefactor(bath) * (
+            P @ E.T @ P @ E @ P
+        )
+        expected += np.diag(basis.occupation_array() @ omega - float(omega @ (q * q)))
+        assert np.abs(entries - expected).max() <= 1e-15 * np.abs(expected).max()
+        x = np.random.default_rng(3).standard_normal(basis.dim)
+        assert np.abs(matrix.apply(x) - entries @ x).max() <= 1e-13 * np.abs(entries @ x).max()
 
 
-def test_solve_sectors_refuses_oversize_table_before_allocating():
-    # dim 230230: a 424 GB D table, inside MAX_BASIS_DIM but not MAX_TABLE_BYTES
-    bath = log_grid_bath(0.5, 0.2, 20)
-    basis = enumerate_basis(20, 6)
-    assert basis.dim == 230230
+def test_solve_sectors_refuses_oversize_operator_before_allocating():
+    # dim 82251 inside MAX_BASIS_DIM, but C(43, 8) = 1.4e8 lowering entries
+    # are far over MAX_OPERATOR_BYTES
+    bath = log_grid_bath(0.5, 0.2, 4)
+    basis = enumerate_basis(4, 35)
+    assert basis.dim == 82251
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError, match="MAX_TABLE_BYTES"):
+        with pytest.raises(CapacityError, match="MAX_OPERATOR_BYTES"):
             solve_sectors(bath, ModelParams(0.5), basis)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_twenty_mode_pair_solves():
+    # dim 53130: its D table would need 22.6 GB; the lowering series holds
+    # C(45, 40) = 1221759 entries
+    bath = log_grid_bath(0.5, 0.01, 20)
+    basis = enumerate_basis(20, 5)
+    assert basis.dim == 53130
+    even, odd = solve_sectors(bath, ModelParams(0.5), basis)
+    assert even.path == odd.path == "davidson"
+    assert even.residual <= 1e-10 and odd.residual <= 1e-10
+    assert odd.energy - even.energy > 0.0
+    # variational: the smaller basis cannot go lower
+    smaller = solve_sectors(bath, ModelParams(0.5), enumerate_basis(20, 4))
+    assert even.energy <= smaller[0].energy + 1e-12
+    assert odd.energy <= smaller[1].energy + 1e-12
 
 
 def test_variational_monotonicity_in_nmax():
@@ -252,23 +275,23 @@ def test_delta_negation_swaps_sectors_exactly():
 # ---------------------------------------------------------------- sector gap
 
 
+def odd_minus_even(*args, **kwargs):
+    even, odd = solve_sectors(*args, **kwargs)
+    return odd.energy - even.energy
+
+
 def test_gap_zero_coupling_is_delta():
     bath = silent_bath(1.0, 0.5)
     basis = enumerate_basis(2, 4)
-    assert sector_gap(bath, ModelParams(0.3), basis) == pytest.approx(0.3, abs=1e-14)
+    assert odd_minus_even(bath, ModelParams(0.3), basis) == pytest.approx(0.3, abs=1e-14)
 
 
 def test_gap_negates_with_delta():
     bath = DiscretizedBath.from_modes((1.0, 0.4), (0.3, 0.2))
     basis = enumerate_basis(2, 6)
-    forward = sector_gap(bath, ModelParams(0.45), basis)
-    backward = sector_gap(bath, ModelParams(-0.45), basis)
+    forward = odd_minus_even(bath, ModelParams(0.45), basis)
+    backward = odd_minus_even(bath, ModelParams(-0.45), basis)
     assert backward == pytest.approx(-forward, rel=1e-12)
-
-
-def test_gap_requires_nonzero_delta():
-    with pytest.raises(ValueError):
-        sector_gap(single_mode(0.3), ModelParams(0.0), enumerate_basis(1, 4))
 
 
 def test_gap_positive_and_shrinking_with_mode_count():
@@ -279,7 +302,7 @@ def test_gap_positive_and_shrinking_with_mode_count():
     for N in range(5):
         bath = discretize(spec, DiscretizationSpec(Lambda=2.0, N=N))
         basis = enumerate_basis(bath.mode_count, 6)
-        gaps.append(sector_gap(bath, params, basis))
+        gaps.append(odd_minus_even(bath, params, basis))
     assert all(g > 0 for g in gaps)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
@@ -308,5 +331,5 @@ def test_gap_tracks_prefactor_at_weak_tunneling():
     bath = DiscretizedBath.from_modes((1.0, 0.5), (0.3, 0.1))
     basis = enumerate_basis(2, 8)
     delta = 1e-6
-    gap = sector_gap(bath, ModelParams(delta), basis, tol=1e-12)
-    assert gap / delta == pytest.approx(prefactor(bath), rel=1e-4)
+    splitting = odd_minus_even(bath, ModelParams(delta), basis, tol=1e-12)
+    assert splitting / delta == pytest.approx(prefactor(bath), rel=1e-4)
