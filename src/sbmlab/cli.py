@@ -233,37 +233,12 @@ def cmd_fig1(args) -> int:
 
 # -------------------------------------------------------------- gap-sweep
 
-_ROW_FIELDS = (
-    "index",
-    "delta",
-    "epsilon",
-    "s",
-    "alpha",
-    "omega_c",
-    "omega1",
-    "Lambda",
-    "N",
-    "convention",
-    "n_max",
-    "tol",
-    "max_iter",
-    "E_plus0",
-    "E_minus0",
-    "gap",
-    "prefactor",
-    "sum_q_squared",
-    "ground_parity",
-    "residual_plus",
-    "residual_minus",
-    "status",
-)
-
 
 @dataclass(frozen=True)
 class ResultRow:
     """One sweep point, self-describing: inputs echoed next to outputs.
 
-    wall_time and solvers (per sector: path, iterations, residual) are
+    wall_time and solvers (per sector: iterations, residual) are
     carried here for the manifest but never enter the CSV body, which must
     be byte-reproducible.
     """
@@ -307,9 +282,16 @@ class ResultRow:
         return {name: getattr(self, name) for name in _ROW_FIELDS}
 
 
+# the CSV columns: every field except the two the manifest carries
+_ROW_FIELDS = tuple(
+    field.name
+    for field in dataclasses.fields(ResultRow)
+    if field.name not in ("wall_time", "solvers")
+)
+
+
 def _solver_record(result: GroundStateResult) -> dict:
     return {
-        "path": result.path,
         "iterations": result.iterations,
         "residual": result.residual,
         "converged": True,

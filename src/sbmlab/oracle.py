@@ -19,9 +19,10 @@ to rounding, not merely to truncation accuracy.
 
 Pi and U hold at most two nonzeros per row, so every product with them
 runs on sparse arrays; only H, the commutator [H, Pi] and U H U' are
-dense.  A spectral norm comes from the top eigenvalue of A'A, and the
-ground state of a biased H from a one-eigenpair solve, never from an SVD
-or a full spectrum.
+dense.  A spectral norm comes from the top eigenvalue of A'A, the
+unitarity defect from a bound on the sparse U U' - I, and the ground
+state of a biased H from a one-eigenpair solve, never from an SVD or a
+full spectrum.
 
 The displaced-basis sector matrices of :mod:`sbmlab.sectors` span a
 different truncated subspace than the blocks above, so their spectra
@@ -148,11 +149,17 @@ def spectral_norm(A: np.ndarray) -> float:
 
 
 def rotation_defects(enumeration: BasisEnumeration) -> tuple[float, float]:
-    """(spectral norm of U U' - I, max |U Pi U' - sigma_z (x) I|); both rounding noise."""
+    """(bound on the spectral norm of U U' - I, max |U Pi U' - sigma_z (x) I|).
+
+    Both are rounding noise.  The first is the Hoelder bound
+    sqrt(||A||_1 ||A||_inf) >= ||A||_2 of the sparse A = U U' - I (largest
+    column and row sums of |A|), so the check it feeds can only be stricter
+    than one on the spectral norm.
+    """
     U = unitary_U(enumeration)
     dim = enumeration.dim
-    identity = scipy.sparse.eye_array(2 * dim, format="csr")
-    unitarity = spectral_norm((U @ U.T - identity).toarray())
+    defect = abs(U @ U.T - scipy.sparse.eye_array(2 * dim, format="csr"))
+    unitarity = math.sqrt(float(defect.sum(axis=0).max() * defect.sum(axis=1).max()))
     rotated_parity = U @ parity_matrix(enumeration) @ U.T - _sparse_sigma_z(dim)
     parity_defect = float(abs(rotated_parity).max())
     return unitarity, parity_defect

@@ -13,13 +13,16 @@ The odd block is represented in the boson-parity-rotated basis, under
 which it differs from the even block only by the sign of the tunneling
 term.  Both sectors therefore share one diagonal and one DisplacedParity,
 Dt = P E' P E P from the lowering series E, and negating delta exchanges
-the two matrices exactly.  Davidson applies Dt as two sparse products;
-the dense path forms it once per pair.
+the two matrices exactly.
+
+Every sector, whatever its size, is solved by one thick-restart Davidson
+iteration that applies Dt as two sparse products; no solve forms a dense
+matrix.  The dense forms (SectorMatrix.entries, DisplacedParity.dense)
+are references for tests and benchmarks only.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,9 +33,8 @@ from sbmlab.bath import DiscretizedBath, prefactor
 from sbmlab.errors import AccuracyError, SolverError
 from sbmlab.fockspace import BasisEnumeration, lowering_series
 
-DENSE_CUTOFF = 512
-
-# search-space size at which the Davidson solver restarts from its Ritz vector
+# search-space size at which the Davidson solver restarts from its lowest
+# half of Ritz vectors
 _DAVIDSON_RESTART = 40
 
 # smallest |diag - theta| the Davidson preconditioner divides by; on a
@@ -82,9 +84,9 @@ class DisplacedParity:
         """diag(Dt) = (E o E)' P."""
         return self.lowering.power(2).T @ self.parity
 
-    @functools.cached_property
+    @property
     def dense(self) -> np.ndarray:
-        """Dt as a dense array, formed on first use and kept; never write to it.
+        """Dt as a new dense array, a reference that no solve uses.
 
         One sparse x dense product (P E') (P E P), with the signs put on the
         entries of E, which leaves the result exactly symmetric.
@@ -122,8 +124,8 @@ class SectorMatrix:
     def entries(self) -> np.ndarray:
         """The dense matrix, a new array on every access.
 
-        Dt is scaled first and the diagonal added after.  The dense solves,
-        and so the CSV bytes of every dense row, depend on this order.
+        A reference for tests and benchmarks; no solve uses it.  Dt is
+        scaled first and the diagonal added after.
         """
         entries = self.coupling * self.displaced_parity.dense
         entries[np.diag_indices_from(entries)] += self.diagonal
@@ -141,7 +143,6 @@ class GroundStateResult:
     residual: float
     sector: Sector
     iterations: int
-    path: str  # "dense" or "davidson"
 
 
 def _polaron_double(bath: DiscretizedBath) -> float:
@@ -215,23 +216,29 @@ def _davidson_lowest(
 
     Starts from the coordinate vector of the smallest diagonal entry and
     grows the search space by the residual preconditioned with
-    (diag - theta)^-1, one operator application per iteration.  A full
-    search space restarts from the current Ritz vector.  Convergence is
-    declared, and a residual reported, only from an explicit ||Hx - theta x||.
-    Returns (energy, vector, iterations, residual) of the first pair within
-    tol, or of the best pair found when max_iter runs out or the search
-    space cannot grow.
+    (diag - theta)^-1, one operator application per iteration.  The
+    projected matrix V H V' gains one row and column per new vector.  A
+    full search space restarts thick (Stathopoulos, Saad & Wu, SIAM J. Sci.
+    Comput. 19, 227, 1998): it keeps its lowest half of Ritz vectors and
+    their images, so no operator application is repeated and nearly
+    degenerate low eigenvalues stay resolved.  Convergence is declared, and
+    a residual reported, only from an explicit ||Hx - theta x||.  Returns
+    (energy, vector, iterations, residual) of the first pair within tol, or
+    of the best pair found when max_iter runs out or the search space
+    cannot grow.
     """
     diag = matrix.diagonal + matrix.coupling * matrix.displaced_parity.diagonal()
     n = diag.size
     V = np.zeros((_DAVIDSON_RESTART, n))
     HV = np.empty((_DAVIDSON_RESTART, n))
+    G = np.empty((_DAVIDSON_RESTART, _DAVIDSON_RESTART))
     V[0, np.argmin(diag)] = 1.0
     HV[0] = matrix.apply(V[0])
+    G[0, 0] = V[0] @ HV[0]
     size = 1
     best: tuple[float, float, np.ndarray] | None = None
     for iteration in range(1, max(1, max_iter) + 1):
-        vals, vecs = np.linalg.eigh(V[:size] @ HV[:size].T)
+        vals, vecs = np.linalg.eigh(G[:size, :size])
         theta, y = float(vals[0]), vecs[:, 0]
         x = y @ V[:size]
         x /= np.linalg.norm(x)
@@ -244,7 +251,11 @@ def _davidson_lowest(
         if best[0] <= tol or iteration == max_iter:
             break
         if size == _DAVIDSON_RESTART:
-            V[0], HV[0], size = x, matrix.apply(x), 1
+            keep = size // 2
+            V[:keep] = vecs[:, :keep].T @ V[:size]
+            HV[:keep] = vecs[:, :keep].T @ HV[:size]
+            G[:keep, :keep] = np.diag(vals[:keep])
+            size = keep
         denominator = diag - theta
         small = np.abs(denominator) < _MIN_DENOMINATOR
         denominator[small] = np.copysign(_MIN_DENOMINATOR, denominator[small])
@@ -257,6 +268,7 @@ def _davidson_lowest(
             break  # the correction lies in the search space, which cannot grow
         V[size] = t / norm
         HV[size] = matrix.apply(V[size])
+        G[size, : size + 1] = G[: size + 1, size] = V[: size + 1] @ HV[size]
         size += 1
     _, energy, vector = best
     residual = float(np.linalg.norm(matrix.apply(vector) - energy * vector))
@@ -266,31 +278,20 @@ def _davidson_lowest(
 def ground_state(
     matrix: SectorMatrix, tol: float = 1e-10, max_iter: int = 500
 ) -> GroundStateResult:
-    """Lowest eigenpair of a sector matrix.
+    """Lowest eigenpair of a sector matrix by Davidson iteration, at any size.
 
-    Dense diagonalization up to DENSE_CUTOFF, Davidson above.  Either way
-    the residual is recomputed explicitly and must meet tol, the vector is
-    normalized, and the vacuum coefficient is made nonnegative.
+    The residual is recomputed explicitly and must meet tol within max_iter
+    iterations, the vector is normalized, and the vacuum coefficient is
+    made nonnegative.
     """
-    if matrix.dim <= DENSE_CUTOFF:
-        path = "dense"
-        H = matrix.entries
-        vals, vecs = np.linalg.eigh(H)
-        energy = float(vals[0])
-        vector = vecs[:, 0]
-        iterations = 0
-        residual = float(np.linalg.norm(H @ vector - energy * vector))
-    else:
-        path = "davidson"
-        energy, vector, iterations, residual = _davidson_lowest(matrix, tol, max_iter)
+    energy, vector, iterations, residual = _davidson_lowest(matrix, tol, max_iter)
     if not residual <= tol:
         raise SolverError(
-            f"{path} solve of the {matrix.sector.value} sector did not reach residual "
+            f"davidson solve of the {matrix.sector.value} sector did not reach residual "
             f"{tol} ({iterations} iterations); best residual {residual:.3e} "
             f"at energy {energy:.12g}",
             diagnostics={
                 "sector": matrix.sector.value,
-                "path": path,
                 "iterations": iterations,
                 "residual": residual,
             },
@@ -305,7 +306,6 @@ def ground_state(
         residual=residual,
         sector=matrix.sector,
         iterations=iterations,
-        path=path,
     )
 
 

@@ -270,6 +270,34 @@ def test_gap_sweep_rerun_and_workers_byte_identical(tmp_path):
     assert bodies[0] == bodies[1] == bodies[2]
 
 
+def test_gap_sweep_alpha_scan_bytes_independent_of_blas_threads(tmp_path):
+    # the example config (dim 462) run at one and at two OpenBLAS threads,
+    # each in a fresh interpreter, since the count is read at import
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    config = root / "scripts" / "configs" / "alpha_scan.yaml"
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
+        argv = ["gap-sweep", "--config", str(config), "--out", str(out)]
+        code = "import sys; from sbmlab.cli import main; sys.exit(main(sys.argv[1:]))"
+        subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=env,
+            check=True,
+            capture_output=True,
+            timeout=300,
+        )
+        bodies.append((out / "gap_sweep.csv").read_bytes())
+    assert bodies[0] == bodies[1]
+
+
 def test_gap_sweep_manifest_checksums(tmp_path):
     import hashlib
 
@@ -285,18 +313,19 @@ def test_gap_sweep_manifest_checksums(tmp_path):
     ]
     assert manifest["config"]["bath"]["s"] == 0.5
     assert len(manifest["row_wall_times"]) == len(lines)
-    # dim 70 <= DENSE_CUTOFF: both sectors take the dense path
+    # every sector is solved by Davidson; dim 70 converges within max_iter
     header = body.decode().splitlines()[0].split(",")
     assert len(manifest["row_solvers"]) == len(lines)
     for line, solvers in zip(lines, manifest["row_solvers"]):
         cells = line.split(",")
         for sector, column in (("even", "residual_plus"), ("odd", "residual_minus")):
-            assert solvers[sector] == {
-                "path": "dense",
-                "iterations": 0,
+            record = solvers[sector]
+            assert record == {
+                "iterations": record["iterations"],
                 "residual": float(cells[header.index(column)]),
                 "converged": True,
             }
+            assert 1 <= record["iterations"] <= manifest["config"]["solver"]["max_iter"]
 
 
 def test_gap_sweep_json_format_matches_csv(tmp_path):
@@ -348,8 +377,8 @@ def test_gap_sweep_oversize_operator_exits_capacity(tmp_path):
 
 
 def test_gap_sweep_records_solver_failure_in_row(tmp_path):
-    # dim 528 > dense cutoff, so the iterative path runs; one iteration
-    # cannot reach tol and the row must say so without aborting the sweep
+    # dim 528: one Davidson iteration cannot reach tol, and the row must say
+    # so without aborting the sweep
     data = deep(
         {
             "discretization": {"Lambda": 2.0, "N": 1},
@@ -368,7 +397,7 @@ def test_gap_sweep_records_solver_failure_in_row(tmp_path):
     (solvers,) = manifest["row_solvers"]
     assert list(solvers) == ["even"]
     failed = solvers["even"]
-    assert (failed["path"], failed["iterations"], failed["converged"]) == ("davidson", 1, False)
+    assert failed == {"iterations": 1, "residual": failed["residual"], "converged": False}
     assert failed["residual"] > 1e-10
 
 

@@ -17,6 +17,7 @@ from sbmlab.oracle import (
     parity_commutator_norm,
     parity_matrix,
     parity_overlap,
+    rotation_defects,
     sector_blocks,
     spectral_norm,
     unitary_U,
@@ -104,6 +105,23 @@ def test_unitary_access_is_unitary():
     basis = enumerate_basis(2, 5)
     U = unitary_U(basis).toarray()
     assert np.abs(U @ U.T - np.eye(2 * basis.dim)).max() < 1e-14
+
+
+def test_rotation_unitarity_defect_bounds_and_catches_a_perturbed_U(monkeypatch):
+    from sbmlab import oracle
+
+    basis = enumerate_basis(2, 5)
+    U = unitary_U(basis)
+    unitarity, parity_defect = rotation_defects(basis)
+    exact = np.linalg.norm((U @ U.T).toarray() - np.eye(2 * basis.dim), 2)
+    assert exact <= unitarity < 1e-14 and parity_defect < 1e-14
+    # one off-diagonal entry of 1e-9 must fail oracle-check's < 1e-14 check
+    perturbed = U.tolil()
+    perturbed[0, 1] += 1e-9
+    monkeypatch.setattr(oracle, "unitary_U", lambda enumeration: perturbed.tocsr())
+    unitarity, _ = rotation_defects(basis)
+    assert not unitarity < 1e-14
+    assert unitarity >= 1e-9 / math.sqrt(2)
 
 
 def test_rotation_transports_parity_to_sigma_z():

@@ -9,7 +9,7 @@ from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretiz
 from sbmlab.errors import CapacityError, SolverError
 from sbmlab.fockspace import enumerate_basis, lowering_series, parity_phase
 from sbmlab.sectors import (
-    DENSE_CUTOFF,
+    _DAVIDSON_RESTART,
     ModelParams,
     Sector,
     SectorMatrix,
@@ -133,8 +133,8 @@ def test_ground_state_normalization_residual_and_sign():
 
 
 def test_lanczos_path_matches_dense():
-    basis = enumerate_basis(2, 31)  # dim 528 > DENSE_CUTOFF
-    assert basis.dim > DENSE_CUTOFF
+    basis = enumerate_basis(2, 31)
+    assert basis.dim == 528
     bath = DiscretizedBath.from_modes((1.0, 0.4), (0.35, 0.2))
     matrix = assemble_sector(bath, ModelParams(0.4), basis, Sector.EVEN)
     result = ground_state(matrix, tol=1e-10)
@@ -161,10 +161,10 @@ def test_davidson_matches_dense_eigh_at_weak_coupling():
     # alpha = 0.02 leaves the displaced basis least diagonal
     bath = log_grid_bath(0.5, 0.02, 7)
     basis = enumerate_basis(7, 5)
-    assert basis.dim == 792 > DENSE_CUTOFF
+    assert basis.dim == 792
     params = ModelParams(0.5)
     for result in solve_sectors(bath, params, basis):
-        assert result.path == "davidson" and result.iterations > 0
+        assert result.iterations > 0
         entries = assemble_sector(bath, params, basis, result.sector).entries
         reference = scipy.linalg.eigh(entries, eigvals_only=True, subset_by_index=[0, 0])[0]
         assert abs(result.energy - reference) <= 1e-12
@@ -182,15 +182,55 @@ def test_davidson_converges_at_thirteen_modes():
     assert (even.sector, odd.sector) == (Sector.EVEN, Sector.ODD)
 
 
-def test_solve_sectors_dense_path_bit_identical_to_per_sector_solves():
+def test_davidson_resolves_clustered_low_spectrum():
+    # s = 1, alpha = 0.05 on 20 modes down to omega 2^-20: at n_max 3 the two
+    # lowest odd levels lie 2.4e-6 apart, which a restart from one Ritz
+    # vector cannot separate within 500 iterations
+    bath = log_grid_bath(1.0, 0.05, 20)
+    params = ModelParams(0.5)
+    iterations = []
+    for n_max in (2, 3):
+        basis = enumerate_basis(20, n_max)
+        for result in solve_sectors(bath, params, basis):
+            entries = assemble_sector(bath, params, basis, result.sector).entries
+            reference = scipy.linalg.eigh(entries, eigvals_only=True, subset_by_index=[0, 0])[0]
+            assert abs(result.energy - reference) <= 1e-12
+            iterations.append(result.iterations)
+    assert max(iterations) > _DAVIDSON_RESTART  # the thick restart ran
+    basis = enumerate_basis(20, 4)
+    assert basis.dim == 10626
+    larger = solve_sectors(bath, params, basis)
+    smaller = solve_sectors(bath, params, enumerate_basis(20, 3))
+    for big, small in zip(larger, smaller):
+        assert big.residual <= 1e-10
+        assert big.energy <= small.energy + 1e-12
+
+
+@pytest.mark.parametrize("n_max", range(7))
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_davidson_matches_eigvalsh_on_tiny_bases(modes, n_max):
+    # dims 1 to 84, including 1 (n_max 0) and 2 (one mode, n_max 1)
+    rng = np.random.default_rng(100 * modes + n_max)
+    bath = DiscretizedBath.from_modes(
+        tuple(np.sort(rng.uniform(0.05, 2.0, modes))[::-1]), tuple(rng.uniform(0.0, 0.8, modes))
+    )
+    basis = enumerate_basis(modes, n_max)
+    for delta in (0.0, 0.1, 0.7, -0.5, 3.0):
+        for sector in Sector:
+            matrix = assemble_sector(bath, ModelParams(delta), basis, sector)
+            result = ground_state(matrix)
+            assert abs(result.energy - np.linalg.eigvalsh(matrix.entries)[0]) <= 1e-12
+
+
+def test_solve_sectors_bit_identical_to_per_sector_solves():
     bath = DiscretizedBath.from_modes((1.0, 0.4, 0.16), (0.45, 0.3, 0.2))
     basis = enumerate_basis(3, 9)
-    assert basis.dim <= DENSE_CUTOFF
+    assert basis.dim == 220
     params = ModelParams(0.6)
     for result in solve_sectors(bath, params, basis):
         matrix = assemble_sector(bath, params, basis, result.sector)
         alone = ground_state(matrix)
-        assert result.path == alone.path == "dense"
+        assert result.iterations == alone.iterations
         assert result.energy == alone.energy
         assert np.array_equal(result.coefficients, alone.coefficients)
         entries = matrix.entries
@@ -231,7 +271,6 @@ def test_twenty_mode_pair_solves():
     basis = enumerate_basis(20, 5)
     assert basis.dim == 53130
     even, odd = solve_sectors(bath, ModelParams(0.5), basis)
-    assert even.path == odd.path == "davidson"
     assert even.residual <= 1e-10 and odd.residual <= 1e-10
     assert odd.energy - even.energy > 0.0
     # variational: the smaller basis cannot go lower
