@@ -16,7 +16,7 @@ import yaml
 
 from .bath import BathSpec, Convention, DiscretizationSpec
 from .errors import ConfigError
-from .sectors import ModelParams
+from .sectors import DEFAULT_MAX_ITER, DEFAULT_TOL, ModelParams
 
 SWEEPABLE = ("alpha", "s", "delta", "N", "n_max", "Lambda")
 _INTEGER_PARAMETERS = ("N", "n_max")
@@ -32,8 +32,8 @@ class Truncation:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    tol: float = 1e-10
-    max_iter: int = 500
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self) -> None:
         if not self.tol > 0:
@@ -228,8 +228,8 @@ def parse_config(data: dict) -> RunConfig:
         solver = _build(
             SolverSettings,
             "solver",
-            tol=_number(solver_data, "tol", "solver", default=1e-10),
-            max_iter=_integer(solver_data, "max_iter", "solver", default=500),
+            tol=_number(solver_data, "tol", "solver", default=solver.tol),
+            max_iter=_integer(solver_data, "max_iter", "solver", default=solver.max_iter),
         )
 
     sweep = None

@@ -20,8 +20,8 @@ class CapacityError(SbmlabError):
 class SolverError(SbmlabError):
     """Eigensolver failed to reach the requested residual (exit code 4).
 
-    diagnostics holds what the solver knew when it gave up (sector, path,
-    iterations, best residual), for run manifests.
+    diagnostics holds what the solver knew when it gave up (sector, iterations,
+    best residual), for run manifests.
     """
 
     def __init__(self, message: str, diagnostics: dict | None = None):

@@ -1,7 +1,10 @@
 """Occupation-number bookkeeping and the displaced parity operator.
 
 States of N+1 boson modes are labelled by multi-indices n = (n_0, ..., n_N)
-with a total-excitation cutoff sum(n) <= n_max.  The central object is the
+with a total-excitation cutoff sum(n) <= n_max.  BasisEnumeration holds them
+as one read-only occupation array ordered by the closed-form graded-lex
+rank.  Its ladder maps raising(k), n -> n + e_k, and its parity vector build
+E and P below and the dense oracle's coupling V.  The central object is the
 overlap table of the parity operator exp(i*pi*sum a'a) between displaced
 number states D(-q)|n>:
 
@@ -56,73 +59,64 @@ MAX_OPERATOR_BYTES = 2**30
 _ENTRY_BYTES = 12
 
 
-def _compositions(total: int, parts: int):
-    """All length-`parts` tuples of nonnegative ints summing to `total`, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 class BasisEnumeration:
     """Fixed bijection between multi-indices and dense indices 0..dim-1.
 
-    Ordering is graded lexicographic: states sort by total occupation first,
-    then lexicographically within each total.  The ordering is part of the
-    on-disk file format, so it must never change.
+    The states are one read-only dim x mode_count int64 occupation array.
+    Its order is graded lexicographic (total occupation first, then
+    lexicographic within each total), defined by the closed-form rank alone:
+    row i is the state whose rank is i.  The order is part of the on-disk
+    file format, so it must never change.
     """
 
-    def __init__(self, mode_count: int, n_max: int, max_dim: int = MAX_BASIS_DIM):
+    def __init__(self, mode_count: int, n_max: int):
         if mode_count < 1:
             raise ValueError(f"need at least one mode, got mode_count={mode_count}")
         if n_max < 0:
             raise ValueError(f"total occupation cutoff must be >= 0, got n_max={n_max}")
         if n_max > N_MAX_CAP:
-            raise CapacityError(
-                f"n_max={n_max} exceeds the supported cap {N_MAX_CAP}"
-            )
+            raise CapacityError(f"n_max={n_max} exceeds the supported cap {N_MAX_CAP}")
         dim = math.comb(n_max + mode_count, mode_count)
-        if dim > max_dim:
-            raise CapacityError(
-                f"basis dimension {dim} exceeds the configured maximum {max_dim}"
-            )
+        if dim > MAX_BASIS_DIM:
+            raise CapacityError(f"basis dimension {dim} exceeds the maximum {MAX_BASIS_DIM}")
         self.mode_count = mode_count
         self.n_max = n_max
-        self._states: tuple[MultiIndex, ...] = tuple(
-            state
-            for total in range(n_max + 1)
-            for state in _compositions(total, mode_count)
-        )
-        self._index: dict[MultiIndex, int] = {s: i for i, s in enumerate(self._states)}
-        assert len(self._states) == dim
+        self.dim = dim
         # _binomial[p, R] = C(R + p, p) for rank, each row the running sum of the last
         self._binomial = np.ones((mode_count + 1, n_max + 1), dtype=np.int64)
         for p in range(1, mode_count + 1):
             self._binomial[p] = np.cumsum(self._binomial[p - 1])
-
-    @property
-    def dim(self) -> int:
-        return len(self._states)
-
-    @property
-    def states(self) -> tuple[MultiIndex, ...]:
-        return self._states
+        # every state, one mode at a time: each row of total t takes 0..n_max - t;
+        # int8 holds any occupation up to N_MAX_CAP
+        occ = np.zeros((1, 0), dtype=np.int8)
+        totals = np.zeros(1, dtype=np.int64)
+        for _ in range(mode_count):
+            counts = n_max + 1 - totals
+            column = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            occ = np.column_stack((np.repeat(occ, counts, axis=0), column.astype(np.int8)))
+            totals = np.repeat(totals, counts) + column
+        self._occupations = np.empty((dim, mode_count), dtype=np.int64)
+        self._occupations[self.rank(occ)] = occ
+        self._occupations.flags.writeable = False
+        # read-only boson parity (-1)**sum(n) of every state, as float
+        self.parity = 1.0 - 2.0 * (self._occupations.sum(axis=1) % 2)
+        self.parity.flags.writeable = False
 
     def index_of(self, n: MultiIndex) -> int:
-        try:
-            return self._index[tuple(n)]
-        except KeyError:
+        occ = np.asarray(n)
+        if occ.shape != (self.mode_count,) or occ.dtype.kind not in "iu" or not (
+            occ.min() >= 0 and occ.sum() <= self.n_max
+        ):
             raise ValueError(
                 f"multi-index {tuple(n)} is not in the enumeration "
                 f"(mode_count={self.mode_count}, n_max={self.n_max})"
-            ) from None
+            )
+        return int(self.rank(occ[None, :])[0])
 
     def multi_index_of(self, i: int) -> MultiIndex:
-        if not 0 <= i < len(self._states):
-            raise ValueError(f"dense index {i} out of range 0..{len(self._states) - 1}")
-        return self._states[i]
+        if not 0 <= i < self.dim:
+            raise ValueError(f"dense index {i} out of range 0..{self.dim - 1}")
+        return tuple(self._occupations[i].tolist())
 
     def rank(self, occupations: np.ndarray) -> np.ndarray:
         """Dense indices of the rows of an integer occupation array, in closed form.
@@ -136,28 +130,44 @@ class BasisEnumeration:
         must be a state of this enumeration.
         """
         modes, binomial = self.mode_count, self._binomial
-        occ = np.asarray(occupations, dtype=np.int64)
-        remaining = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
-        lower_totals = np.concatenate(([0], binomial[modes, :-1]))
-        after = np.arange(modes - 1, 0, -1)
-        return lower_totals[remaining[:, 0]] + (
-            binomial[after, remaining[:, :-1]] - binomial[after, remaining[:, 1:]]
-        ).sum(axis=1)
+        occ = np.asarray(occupations)
+        remaining = occ.sum(axis=1, dtype=np.int64)
+        rank = np.concatenate(([0], binomial[modes, :-1]))[remaining]
+        for i in range(modes - 1):
+            after = remaining - occ[:, i]
+            rank += binomial[modes - 1 - i, remaining] - binomial[modes - 1 - i, after]
+            remaining = after
+        return rank
+
+    def raising(self, k: int) -> np.ndarray:
+        """int32 index of n + e_k for every state n, or -1 where it leaves the basis.
+
+        The rank of n - e_k over the states with n_k > 0, inverted; int32
+        holds every index below MAX_BASIS_DIM.
+        """
+        if not 0 <= k < self.mode_count:
+            raise ValueError(f"mode {k} out of range 0..{self.mode_count - 1}")
+        occupied = np.nonzero(self._occupations[:, k])[0]
+        lowered = self._occupations[occupied]
+        lowered[:, k] -= 1
+        raised = np.full(self.dim, -1, dtype=np.int32)
+        raised[self.rank(lowered)] = occupied
+        return raised
 
     def occupation_array(self) -> np.ndarray:
-        """dim x mode_count integer array of occupations, row i = multi_index_of(i)."""
-        return np.array(self._states, dtype=np.int64).reshape(self.dim, self.mode_count)
+        """The read-only dim x mode_count int64 occupations, row i = multi_index_of(i)."""
+        return self._occupations
 
     def __len__(self) -> int:
-        return len(self._states)
+        return self.dim
 
     def __iter__(self):
-        return iter(self._states)
+        return map(tuple, self._occupations.tolist())
 
 
-def enumerate_basis(mode_count: int, n_max: int, max_dim: int = MAX_BASIS_DIM) -> BasisEnumeration:
+def enumerate_basis(mode_count: int, n_max: int) -> BasisEnumeration:
     """Graded-lexicographic basis with dim = C(n_max + mode_count, mode_count)."""
-    return BasisEnumeration(mode_count, n_max, max_dim=max_dim)
+    return BasisEnumeration(mode_count, n_max)
 
 
 def lowering_series(enumeration: BasisEnumeration, q) -> scipy.sparse.csr_array:
@@ -165,8 +175,8 @@ def lowering_series(enumeration: BasisEnumeration, q) -> scipy.sparse.csr_array:
 
     The factor exp(-2 q_k a_k) of mode k holds, in the row of m, the entry
     (-2 q_k)**r sqrt((m_k + r)! / m_k!) / r! in the column of m + r e_k for
-    every r that stays in the basis; the ladder map (the rank of n - e_k,
-    inverted) steps from one column to the next.  The factors commute, and
+    every r that stays in the basis; the ladder map enumeration.raising(k)
+    steps from one column to the next.  The factors commute, and
     their product has at most C(n_max + 2M, 2M) entries for M modes: one
     per pair of a state and a lowering that fits in it.  Raises CapacityError,
     before allocating anything, when those entries would exceed
@@ -192,11 +202,7 @@ def lowering_series(enumeration: BasisEnumeration, q) -> scipy.sparse.csr_array:
     np.cumsum(n_max + 1 - occ.sum(axis=1), out=indptr[1:])
     series = None
     for k, qk in enumerate(q):
-        occupied = np.nonzero(occ[:, k])[0]
-        lowered = occ[occupied]
-        lowered[:, k] -= 1
-        raising = np.full(dim, -1, dtype=np.int32)
-        raising[enumeration.rank(lowered)] = occupied
+        raising = enumeration.raising(k)
         indices = np.empty(indptr[-1], dtype=np.int32)
         data = np.empty(indptr[-1])
         row = col = np.arange(dim, dtype=np.int32)

@@ -102,7 +102,7 @@ def _proof_basis(N: int, n_max: int):
     dim = math.comb(n_max + N, N)
     if dim > PROOF_DIM_CAP:
         raise CapacityError(f"proof enumeration dimension {dim} exceeds cap {PROOF_DIM_CAP}")
-    return enumerate_basis(N, n_max, max_dim=PROOF_DIM_CAP)
+    return enumerate_basis(N, n_max)
 
 
 def _expansion(basis) -> dict[MultiIndex, Fraction]:

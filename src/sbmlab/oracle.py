@@ -7,9 +7,11 @@ The Hamiltonian stays brute force on purpose:
 
 is assembled as a dense symmetric matrix over the undisplaced number
 basis (spin-up block first), and `dense_spectrum` diagonalizes it
-completely.  The parity operator Pi = sigma_x (x) exp(i pi sum a'a)
-commutes with H exactly when epsilon = 0, and the rotation U of the 2x2
-block form
+completely.  The coupling V comes from the enumeration's ladder maps
+`raising(k)` and the boson parity P below is its `parity` vector, the two
+maps the sector path builds E and P from.  The parity operator
+Pi = sigma_x (x) exp(i pi sum a'a) commutes with H exactly when
+epsilon = 0, and the rotation U of the 2x2 block form
 
     U = (1/sqrt 2) [[I, P], [-P, I]],   P = diag boson parity
 
@@ -42,7 +44,7 @@ import scipy.sparse
 
 from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError, CapacityError
-from sbmlab.fockspace import BasisEnumeration, parity_phase
+from sbmlab.fockspace import BasisEnumeration
 from sbmlab.sectors import GroundStateResult, ModelParams, Sector
 
 DENSE_DIM_CAP = 2000
@@ -67,25 +69,15 @@ class FullModel:
         return self.enumeration.dim
 
 
-def _boson_energy_diagonal(bath: DiscretizedBath, enumeration: BasisEnumeration) -> np.ndarray:
-    return enumeration.occupation_array() @ np.asarray(bath.omega)
-
-
 def _coupling_matrix(bath: DiscretizedBath, enumeration: BasisEnumeration) -> np.ndarray:
     """sum_k lambda_k (a'_k + a_k) truncated to the enumeration."""
-    dim = enumeration.dim
-    V = np.zeros((dim, dim))
-    for i, n in enumerate(enumeration):
-        total = sum(n)
-        if total == enumeration.n_max:
-            continue  # raising leaves the truncated space
-        for k, lam_k in enumerate(bath.lam):
-            raised = list(n)
-            raised[k] += 1
-            j = enumeration.index_of(tuple(raised))
-            element = lam_k * math.sqrt(n[k] + 1)
-            V[j, i] += element
-            V[i, j] += element
+    occ = enumeration.occupation_array()
+    V = np.zeros((enumeration.dim, enumeration.dim))
+    for k, lam_k in enumerate(bath.lam):
+        raised = enumeration.raising(k)
+        source = np.nonzero(raised >= 0)[0]  # -1 where n + e_k leaves the basis
+        target = raised[source]
+        V[target, source] = V[source, target] = lam_k * np.sqrt(occ[source, k] + 1.0)
     return V
 
 
@@ -104,7 +96,7 @@ def assemble_full(
             f"got {enumeration.dim}"
         )
     dim = enumeration.dim
-    boson = np.diag(_boson_energy_diagonal(bath, enumeration))
+    boson = np.diag(enumeration.occupation_array() @ np.asarray(bath.omega))
     V = _coupling_matrix(bath, enumeration)
     half_eps = params.epsilon / 2.0
     half_delta = params.delta / 2.0
@@ -116,19 +108,15 @@ def assemble_full(
     return FullModel(params=params, bath=bath, enumeration=enumeration, hamiltonian=H)
 
 
-def _boson_parity_diagonal(enumeration: BasisEnumeration) -> np.ndarray:
-    return np.array([float(parity_phase(n)) for n in enumeration])
-
-
 def parity_matrix(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
     """Pi = sigma_x (x) diag((-1)**total), sparse. Involutory and symmetric."""
-    P = scipy.sparse.diags_array(_boson_parity_diagonal(enumeration))
+    P = scipy.sparse.diags_array(enumeration.parity)
     return scipy.sparse.block_array([[None, P], [P, None]], format="csr")
 
 
 def unitary_U(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
     """Block rotation (1/sqrt 2) [[I, P], [-P, I]] used to decouple the sectors, sparse."""
-    P = scipy.sparse.diags_array(_boson_parity_diagonal(enumeration))
+    P = scipy.sparse.diags_array(enumeration.parity)
     eye = scipy.sparse.eye_array(enumeration.dim)
     return scipy.sparse.block_array([[eye, P], [-P, eye]], format="csr") / math.sqrt(2.0)
 
@@ -207,7 +195,7 @@ def spectrum_parity(model: FullModel, vals: np.ndarray, vecs: np.ndarray) -> int
     dim = model.enumeration.dim
     up, down = vecs[:dim, 0], vecs[dim:, 0]
     # <psi|Pi|psi> = 2 <up|P|down> for Pi = sigma_x (x) P
-    expectation = 2.0 * float((up * _boson_parity_diagonal(model.enumeration)) @ down)
+    expectation = 2.0 * float((up * model.enumeration.parity) @ down)
     if expectation > 1.0 - 1e-8:
         return 1
     if expectation < -(1.0 - 1e-8):

@@ -33,6 +33,10 @@ from sbmlab.bath import DiscretizedBath, prefactor
 from sbmlab.errors import AccuracyError, SolverError
 from sbmlab.fockspace import BasisEnumeration, lowering_series
 
+# residual tolerance and iteration budget of a solve; config.SolverSettings reads them
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITER = 500
+
 # search-space size at which the Davidson solver restarts from its lowest
 # half of Ritz vectors
 _DAVIDSON_RESTART = 40
@@ -182,11 +186,10 @@ def _sector_pair(
         )
     lowering = lowering_series(enumeration, bath.q)
     polaron = _polaron_double(bath)
-    occ = enumeration.occupation_array()
     omega = np.asarray(bath.omega)
     q = np.asarray(bath.q)
-    diagonal = occ @ omega - float(omega @ (q * q))
-    displaced_parity = DisplacedParity(lowering, 1.0 - 2.0 * (occ.sum(axis=1) % 2))
+    diagonal = enumeration.occupation_array() @ omega - float(omega @ (q * q))
+    displaced_parity = DisplacedParity(lowering, enumeration.parity)
     return {
         sector: SectorMatrix(
             sector=sector,
@@ -276,7 +279,7 @@ def _davidson_lowest(
 
 
 def ground_state(
-    matrix: SectorMatrix, tol: float = 1e-10, max_iter: int = 500
+    matrix: SectorMatrix, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> GroundStateResult:
     """Lowest eigenpair of a sector matrix by Davidson iteration, at any size.
 
@@ -313,8 +316,8 @@ def solve_sectors(
     bath: DiscretizedBath,
     params: ModelParams,
     enumeration: BasisEnumeration,
-    tol: float = 1e-10,
-    max_iter: int = 500,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[GroundStateResult, GroundStateResult]:
     """(even, odd) ground states from one shared diagonal and one lowering series."""
     pair = _sector_pair(bath, params, enumeration)

@@ -7,7 +7,7 @@ import pytest
 
 from sbmlab.bath import Convention, beta0, discretize
 from sbmlab.cli import main
-from sbmlab.config import RunConfig, Sweep, load_config, parse_config
+from sbmlab.config import RunConfig, SolverSettings, Sweep, load_config, parse_config
 from sbmlab.errors import ConfigError
 from sbmlab.fockspace import enumerate_basis
 from sbmlab.oracle import assemble_full
@@ -51,6 +51,12 @@ def test_parse_defaults():
     assert cfg.discretization.convention is Convention.PAPER_QUARTER
     assert cfg.bath.omega1 == pytest.approx(2.0**-4)  # grid lower edge
     assert cfg.sweep is None
+
+
+def test_parse_absent_or_empty_solver_gives_default_settings():
+    assert parse_config(deep({})).solver == SolverSettings()
+    assert parse_config(deep({"solver": {}})).solver == SolverSettings()
+    assert parse_config(deep({"solver": {"tol": 1e-8}})).solver == SolverSettings(tol=1e-8)
 
 
 def test_parse_explicit_fields():

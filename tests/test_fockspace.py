@@ -34,6 +34,21 @@ def single_mode_dt(q, n_max):
     return dense_dt([q], enumerate_basis(1, n_max))
 
 
+def compositions(total, parts):
+    """All length-`parts` tuples of nonnegative ints summing to `total`, lexicographic."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def graded_lex(mode_count, n_max):
+    """The graded-lex order built recursively, a reference independent of rank."""
+    return [state for total in range(n_max + 1) for state in compositions(total, mode_count)]
+
+
 def exact_l(m, n, q):
     """L_{m,n}(q) from exact rational arithmetic, rounded once."""
     rational, radicand = lmn_exact(m, n, Fraction(q))
@@ -90,19 +105,54 @@ def test_enumeration_capacity_and_validation():
         enumerate_basis(1, 3).multi_index_of(4)
 
 
+def test_index_of_rejects_states_outside_the_basis():
+    basis = enumerate_basis(2, 3)
+    for state in ((1,), (1, 1, 0), (-1, 2), (2, 2)):
+        with pytest.raises(ValueError):
+            basis.index_of(state)
+
+
+def test_basis_arrays_are_read_only():
+    basis = enumerate_basis(2, 3)
+    with pytest.raises(ValueError):
+        basis.occupation_array()[1, 0] = 5
+    with pytest.raises(ValueError):
+        basis.parity[0] = -1.0
+
+
 @given(mode_count=st.integers(1, 6), n_max=st.integers(0, 6))
 @settings(max_examples=30)
 def test_rank_is_the_enumeration_index(mode_count, n_max):
+    states = graded_lex(mode_count, n_max)
     basis = enumerate_basis(mode_count, n_max)
-    assert np.array_equal(basis.rank(basis.occupation_array()), np.arange(basis.dim))
+    assert list(basis) == states
+    occ = np.array(states, dtype=np.int64).reshape(len(states), mode_count)
+    assert np.array_equal(basis.occupation_array(), occ)
+    assert np.array_equal(basis.rank(occ), np.arange(basis.dim))
 
 
 def test_rank_at_thirty_modes():
     # a base-(n_max + 1) key would need 5**30 > 2**63 here
+    states = graded_lex(30, 4)
     basis = enumerate_basis(30, 4)
-    ranks = basis.rank(basis.occupation_array())
+    ranks = basis.rank(np.array(states))
     assert ranks.dtype == np.int64
-    assert ranks.tolist() == [basis.index_of(state) for state in basis]
+    assert np.array_equal(ranks, np.arange(len(states)))
+    assert list(basis) == states
+
+
+@given(mode_count=st.integers(1, 4), n_max=st.integers(0, 5))
+@settings(max_examples=30)
+def test_raising_and_parity_match_the_states(mode_count, n_max):
+    basis = enumerate_basis(mode_count, n_max)
+    states = list(basis)
+    index = {state: i for i, state in enumerate(states)}
+    for k in range(mode_count):
+        raised = [index.get(s[:k] + (s[k] + 1,) + s[k + 1 :], -1) for s in states]
+        assert basis.raising(k).tolist() == raised
+    assert basis.parity.tolist() == [float(parity_phase(s)) for s in states]
+    with pytest.raises(ValueError):
+        basis.raising(mode_count)
 
 
 # ---------------------------------------------------------------- L_{m,n}: one-mode Dt
@@ -287,7 +337,7 @@ def test_d0n_silent_mode_occupied():
 @settings(max_examples=60)
 def test_d0n_matches_dmn_row(q1, q2, data):
     basis = enumerate_basis(2, 6)
-    n = data.draw(st.sampled_from(basis.states))
+    n = data.draw(st.sampled_from(list(basis)))
     closed = 1.0
     for nk, qk in zip(n, (q1, q2)):
         closed *= (2.0 * qk) ** nk / math.sqrt(math.factorial(nk))

@@ -53,6 +53,22 @@ def test_assemble_polarized_spin_ladder():
     assert np.allclose(vals, expected, atol=1e-14)
 
 
+def test_coupling_matches_a_loop_over_states():
+    # V filled from the ladder maps equals a per-state loop over index_of
+    bath = DiscretizedBath.from_modes((1.0, 0.5, 0.25), (0.3, -0.2, 0.1))
+    basis = enumerate_basis(3, 4)
+    V = np.zeros((basis.dim, basis.dim))
+    for i, n in enumerate(basis):
+        if sum(n) == basis.n_max:
+            continue
+        for k, lam_k in enumerate(bath.lam):
+            j = basis.index_of(n[:k] + (n[k] + 1,) + n[k + 1 :])
+            V[i, j] = V[j, i] = lam_k * math.sqrt(n[k] + 1)
+    H = assemble_full(ModelParams(delta=0.0), bath, basis).hamiltonian
+    boson = np.diag([float(np.dot(n, bath.omega)) for n in basis])
+    assert np.array_equal(H[: basis.dim, : basis.dim], boson + V)
+
+
 def test_assemble_capacity_and_mode_mismatch():
     with pytest.raises(CapacityError):
         assemble_full(ModelParams(0.1), silent_bath(*([1.0 / (k + 1) for k in range(6)])), enumerate_basis(6, 8))
