@@ -1,10 +1,13 @@
 """Command-line surface: figure data, sweeps, invariant checks, proof reports.
 
-Persistence contract: CSV bodies use 17-significant-digit floats, '.' as
-the decimal separator, and '\\n' line endings, so re-running a command
-with the same inputs reproduces the files byte for byte regardless of
-worker count.  Timing never goes into a CSV body; it lives in the JSON
-manifest written next to each output, alongside a sha256 per file.
+Persistence contract: `_csv` renders every CSV body, with floats at 17
+significant digits, '.' as the decimal separator, other cells through
+`str`, and '\\n' line endings, so re-running a command with the same
+inputs reproduces the files byte for byte regardless of worker count.
+`_publish` is the one writer: it puts a command's files in its output
+directory next to a JSON manifest that names the command, the tool
+version and a sha256 per file.  Timing never goes into a CSV body; it
+lives in the manifest.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from itertools import product
 import numpy as np
 
 from . import __version__
-from .bath import Convention, beta2, discretize, log_prefactor, sum_q_squared
+from .bath import DiscretizedBath, beta2, discretize, log_prefactor, sum_q_squared
 from .config import RunConfig, load_config
 from .errors import AccuracyError, CapacityError, ConfigError, SolverError
-from .fockspace import enumerate_basis
+from .fockspace import BasisEnumeration, enumerate_basis
 from .nondegeneracy import constant_term_contradiction
 from .oracle import (
     MIXED,
@@ -57,88 +60,55 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_bytes(path: str, text: str) -> str:
-    data = text.encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return _sha256(data)
+def _csv(header, rows) -> str:
+    """One CSV body: floats through _fmt, every other cell through str."""
+    return "".join(
+        ",".join(_fmt(cell) if isinstance(cell, float) else str(cell) for cell in line) + "\n"
+        for line in [header, *rows]
+    )
+
+
+def _publish(out: str, manifest_name: str, command: str, context: dict, outputs: dict, **fields):
+    """Write each of outputs (file name -> text) into out, then the manifest.
+
+    The manifest is {"command", "tool", **context, "files", **fields},
+    where files maps each file name to the sha256 of its bytes.
+    """
+    os.makedirs(out, exist_ok=True)
+    files = {}
+    for name, text in outputs.items():
+        data = text.encode("utf-8")
+        with open(os.path.join(out, name), "wb") as handle:
+            handle.write(data)
+        files[name] = _sha256(data)
+    manifest = {
+        "command": command,
+        "tool": {"name": "sbmlab", "version": __version__},
+        **context,
+        "files": files,
+        **fields,
+    }
+    with open(os.path.join(out, manifest_name), "wb") as handle:
+        handle.write((json.dumps(manifest, indent=1) + "\n").encode("utf-8"))
 
 
 def _config_as_dict(cfg: RunConfig) -> dict:
-    return {
-        "model": {"delta": cfg.model.delta, "epsilon": cfg.model.epsilon},
-        "bath": {
-            "s": cfg.bath.s,
-            "alpha": cfg.bath.alpha,
-            "omega_c": cfg.bath.omega_c,
-            "omega1": cfg.bath.omega1,
-        },
-        "discretization": {
-            "Lambda": cfg.discretization.Lambda,
-            "N": cfg.discretization.N,
-            "convention": cfg.discretization.convention.value,
-        },
-        "truncation": {"n_max": cfg.truncation.n_max},
-        "solver": {"tol": cfg.solver.tol, "max_iter": cfg.solver.max_iter},
-        "sweep": None
-        if cfg.sweep is None
-        else {
-            "parameter": cfg.sweep.parameter,
-            "from": cfg.sweep.start,
-            "to": cfg.sweep.stop,
-            "steps": cfg.sweep.steps,
-            "scale": cfg.sweep.scale,
-        },
-    }
+    """The config in the config file's own groups and keys; an absent sweep is None."""
+    echo = dataclasses.asdict(cfg)
+    echo["discretization"]["convention"] = cfg.discretization.convention.value
+    if cfg.sweep is not None:
+        # Sweep.start and Sweep.stop are the file's "from" and "to"
+        names = {"start": "from", "stop": "to"}
+        echo["sweep"] = {names.get(key, key): value for key, value in echo["sweep"].items()}
+    return echo
 
 
-def _write_manifest(out_dir: str, name: str, payload: dict) -> str:
-    path = os.path.join(out_dir, name)
-    text = json.dumps(payload, indent=1, sort_keys=False) + "\n"
-    _write_bytes(path, text)
-    return path
-
-
-def _load_run_config(args) -> RunConfig:
-    cfg = load_config(args.config)
-    override = getattr(args, "convention", None)
-    if override is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            discretization=dataclasses.replace(
-                cfg.discretization, convention=Convention(override)
-            ),
-        )
-    return cfg
+def _model(cfg: RunConfig) -> tuple[DiscretizedBath, BasisEnumeration]:
+    bath = discretize(cfg.bath, cfg.discretization)
+    return bath, enumerate_basis(bath.mode_count, cfg.truncation.n_max)
 
 
 # ------------------------------------------------------------------- fig1
-
-_PLOT_SCRIPT = '''"""Plot the tail-sum divergence data produced alongside this script."""
-
-import csv
-import os
-import sys
-
-import matplotlib.pyplot as plt
-
-here = os.path.dirname(os.path.abspath(__file__))
-with open(os.path.join(here, "fig1_data.csv"), newline="") as handle:
-    rows = list(csv.reader(handle))
-
-header, body = rows[0], rows[1:]
-N = [int(r[0]) for r in body]
-plt.figure(figsize=(6, 4))
-for col, label in enumerate(header[1:], start=1):
-    plt.semilogy(N, [float(r[col]) for r in body], marker=".", label=label)
-plt.xlabel("number of retained modes N")
-plt.ylabel("tail sum beta2")
-plt.legend()
-plt.tight_layout()
-target = sys.argv[1] if len(sys.argv) > 1 else os.path.join(here, "fig1.png")
-plt.savefig(target, dpi=150)
-print("wrote", target)
-'''
 
 
 def _svg_line_plot(columns: dict[str, list[float]], n_values: list[int]) -> str:
@@ -195,38 +165,16 @@ def cmd_fig1(args) -> int:
     columns = {
         f"beta2_s{s}": [beta2(s, args.Lambda, N) for N in n_values] for s in s_list
     }
-    header = "N," + ",".join(columns)
-    lines = [header]
-    for row_index, N in enumerate(n_values):
-        cells = [str(N)] + [_fmt(vals[row_index]) for vals in columns.values()]
-        lines.append(",".join(cells))
-    body = "\n".join(lines) + "\n"
-
-    os.makedirs(args.out, exist_ok=True)
-    files = {}
-    data_path = os.path.join(args.out, "fig1_data.csv")
-    files["fig1_data.csv"] = _write_bytes(data_path, body)
-    files["fig1_plot.py"] = _write_bytes(os.path.join(args.out, "fig1_plot.py"), _PLOT_SCRIPT)
-    if args.svg:
-        files["fig1.svg"] = _write_bytes(
-            os.path.join(args.out, "fig1.svg"), _svg_line_plot(columns, n_values)
-        )
-    _write_manifest(
+    body = _csv(["N", *columns], zip(n_values, *columns.values()))
+    _publish(
         args.out,
         "fig1_manifest.json",
-        {
-            "command": "fig1",
-            "tool": {"name": "sbmlab", "version": __version__},
-            "parameters": {
-                "Lambda": args.Lambda,
-                "omega_c": args.omega_c,
-                "s_list": s_list,
-                "N_max": args.N_max,
-            },
-            "files": files,
-            "wall_time_seconds": time.perf_counter() - started,
-        },
+        "fig1",
+        {"parameters": {"Lambda": args.Lambda, "s_list": s_list, "N_max": args.N_max}},
+        {"fig1_data.csv": body, "fig1.svg": _svg_line_plot(columns, n_values)},
+        wall_time_seconds=time.perf_counter() - started,
     )
+    data_path = os.path.join(args.out, "fig1_data.csv")
     print(f"wrote {data_path} ({len(n_values)} rows, {len(s_list)} series)")
     return EXIT_OK
 
@@ -268,16 +216,6 @@ class ResultRow:
     wall_time: float
     solvers: dict
 
-    def cells(self) -> list[str]:
-        out = []
-        for name in _ROW_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, float):
-                out.append(_fmt(value))
-            else:
-                out.append(str(value))
-        return out
-
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in _ROW_FIELDS}
 
@@ -313,9 +251,32 @@ def sweep_point(task: tuple[int, RunConfig]) -> ResultRow:
     """Solve both sectors for one config; pure and order-independent."""
     index, cfg = task
     started = time.perf_counter()
-    bath = discretize(cfg.bath, cfg.discretization)
-    enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
-    echo = dict(
+    bath, enumeration = _model(cfg)
+    solvers = {}
+    try:
+        even, odd = solve_sectors(
+            bath, cfg.model, enumeration, cfg.solver.tol, cfg.solver.max_iter
+        )
+    except SolverError as exc:
+        diagnostics = dict(exc.diagnostics)
+        sector = diagnostics.pop("sector", "unknown")
+        result = dict(_NO_SOLUTION, status=f"solver-error: {exc}")
+        solvers = {sector: {**diagnostics, "converged": False}}
+    except AccuracyError as exc:
+        result = dict(_NO_SOLUTION, status=f"accuracy-error: {exc}")
+    else:
+        gap = odd.energy - even.energy
+        result = dict(
+            E_plus0=even.energy,
+            E_minus0=odd.energy,
+            gap=gap,
+            ground_parity=1 if gap > 0 else (-1 if gap < 0 else 0),
+            residual_plus=even.residual,
+            residual_minus=odd.residual,
+            status="ok",
+        )
+        solvers = {"even": _solver_record(even), "odd": _solver_record(odd)}
+    return ResultRow(
         index=index,
         delta=cfg.model.delta,
         epsilon=cfg.model.epsilon,
@@ -333,56 +294,26 @@ def sweep_point(task: tuple[int, RunConfig]) -> ResultRow:
         # double); solve_sectors refuses a point whose double is not normal
         prefactor=math.exp(log_prefactor(bath)),
         sum_q_squared=sum_q_squared(bath),
+        **result,
+        wall_time=time.perf_counter() - started,
+        solvers=solvers,
     )
-    try:
-        even, odd = solve_sectors(
-            bath, cfg.model, enumeration, cfg.solver.tol, cfg.solver.max_iter
-        )
-        gap = odd.energy - even.energy
-        parity = 1 if gap > 0 else (-1 if gap < 0 else 0)
-        return ResultRow(
-            **echo,
-            E_plus0=even.energy,
-            E_minus0=odd.energy,
-            gap=gap,
-            ground_parity=parity,
-            residual_plus=even.residual,
-            residual_minus=odd.residual,
-            status="ok",
-            wall_time=time.perf_counter() - started,
-            solvers={"even": _solver_record(even), "odd": _solver_record(odd)},
-        )
-    except SolverError as exc:
-        diagnostics = dict(exc.diagnostics)
-        sector = diagnostics.pop("sector", "unknown")
-        return ResultRow(
-            **echo,
-            **_NO_SOLUTION,
-            status=f"solver-error: {exc}",
-            wall_time=time.perf_counter() - started,
-            solvers={sector: {**diagnostics, "converged": False}},
-        )
-    except AccuracyError as exc:
-        return ResultRow(
-            **echo,
-            **_NO_SOLUTION,
-            status=f"accuracy-error: {exc}",
-            wall_time=time.perf_counter() - started,
-            solvers={},
-        )
 
 
 def _run_sweep(configs: list[RunConfig], workers: int) -> list[ResultRow]:
     tasks = list(enumerate(configs))
     if workers <= 1 or len(tasks) <= 1:
         return [sweep_point(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool starts every worker at once, so never more than there are points
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(sweep_point, tasks))
 
 
 def cmd_gap_sweep(args) -> int:
     started = time.perf_counter()
-    cfg = _load_run_config(args)
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    cfg = load_config(args.config)
     if cfg.model.epsilon != 0.0:
         raise ConfigError(
             "gap-sweep solves the two parity sectors, which requires epsilon = 0; "
@@ -390,37 +321,24 @@ def cmd_gap_sweep(args) -> int:
         )
     rows = _run_sweep(cfg.expand_sweep(), args.workers)
 
-    os.makedirs(args.out, exist_ok=True)
-    files = {}
     if args.format == "csv":
-        lines = [",".join(_ROW_FIELDS)]
-        lines.extend(",".join(row.cells()) for row in rows)
-        body = "\n".join(lines) + "\n"
         name = "gap_sweep.csv"
-        row_checksums = [_sha256(",".join(row.cells()).encode("utf-8")) for row in rows]
+        body = _csv(_ROW_FIELDS, [row.as_dict().values() for row in rows])
+        row_checksums = [_sha256(line.encode("utf-8")) for line in body.split("\n")[1:-1]]
     else:
-        payload = [row.as_dict() for row in rows]
-        body = json.dumps(payload, indent=1, sort_keys=False) + "\n"
         name = "gap_sweep.json"
-        row_checksums = [
-            _sha256(json.dumps(row.as_dict(), sort_keys=False).encode("utf-8"))
-            for row in rows
-        ]
-    files[name] = _write_bytes(os.path.join(args.out, name), body)
-    _write_manifest(
+        body = json.dumps([row.as_dict() for row in rows], indent=1) + "\n"
+        row_checksums = [_sha256(json.dumps(row.as_dict()).encode("utf-8")) for row in rows]
+    _publish(
         args.out,
         "gap_sweep_manifest.json",
-        {
-            "command": "gap-sweep",
-            "tool": {"name": "sbmlab", "version": __version__},
-            "config": _config_as_dict(cfg),
-            "workers": args.workers,
-            "files": files,
-            "row_checksums": row_checksums,
-            "row_wall_times": [row.wall_time for row in rows],
-            "row_solvers": [row.solvers for row in rows],
-            "wall_time_seconds": time.perf_counter() - started,
-        },
+        "gap-sweep",
+        {"config": _config_as_dict(cfg), "workers": args.workers},
+        {name: body},
+        row_checksums=row_checksums,
+        row_wall_times=[row.wall_time for row in rows],
+        row_solvers=[row.solvers for row in rows],
+        wall_time_seconds=time.perf_counter() - started,
     )
     failures = [row.status for row in rows if row.status != "ok"]
     print(f"wrote {os.path.join(args.out, name)} ({len(rows)} rows, {len(failures)} failed)")
@@ -433,9 +351,8 @@ def cmd_gap_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    cfg = _load_run_config(args)
-    bath = discretize(cfg.bath, cfg.discretization)
-    enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
+    cfg = load_config(args.config)
+    bath, enumeration = _model(cfg)
     model = assemble_full(cfg.model, bath, enumeration)
     eps = cfg.model.epsilon
 
@@ -487,18 +404,13 @@ def cmd_oracle_check(args) -> int:
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        checksum = _write_bytes(os.path.join(args.out, "oracle_check.txt"), report)
-        _write_manifest(
+        _publish(
             args.out,
             "oracle_check_manifest.json",
-            {
-                "command": "oracle-check",
-                "tool": {"name": "sbmlab", "version": __version__},
-                "config": _config_as_dict(cfg),
-                "files": {"oracle_check.txt": checksum},
-                "passed": passed,
-            },
+            "oracle-check",
+            {"config": _config_as_dict(cfg)},
+            {"oracle_check.txt": report},
+            passed=passed,
         )
     return EXIT_OK if passed else EXIT_INVARIANT
 
@@ -509,36 +421,26 @@ def cmd_oracle_check(args) -> int:
 def cmd_verify_appendix(args) -> int:
     # every report first, so a size refused with CapacityError leaves no directory
     reports = [constant_term_contradiction(N, n_max) for N, n_max in product(args.N, args.n_max)]
-    os.makedirs(args.out, exist_ok=True)
-    files = {}
-    all_hold = True
+    outputs = {}
     for report in reports:
-        N, n_max = report.N, report.n_max
-        all_hold = all_hold and report.holds
-        stem = f"appendix_N{N}_nmax{n_max}"
-        files[f"{stem}.txt"] = _write_bytes(
-            os.path.join(args.out, f"{stem}.txt"), report.to_text() + "\n"
-        )
-        files[f"{stem}.json"] = _write_bytes(
-            os.path.join(args.out, f"{stem}.json"),
-            json.dumps(report.to_json_dict(), indent=1) + "\n",
-        )
-        verdict = "holds" if report.holds else "FAILS"
-        print(
-            f"N={N} n_max={n_max}: {verdict} "
-            f"(monomials={report.monomial_count}, witness 2 != 0)"
-        )
-    _write_manifest(
+        stem = f"appendix_N{report.N}_nmax{report.n_max}"
+        outputs[f"{stem}.txt"] = report.to_text() + "\n"
+        outputs[f"{stem}.json"] = json.dumps(report.to_json_dict(), indent=1) + "\n"
+    all_hold = all(report.holds for report in reports)
+    _publish(
         args.out,
         "verify_appendix_manifest.json",
-        {
-            "command": "verify-appendix",
-            "tool": {"name": "sbmlab", "version": __version__},
-            "parameters": {"N": args.N, "n_max": args.n_max},
-            "files": files,
-            "all_hold": all_hold,
-        },
+        "verify-appendix",
+        {"parameters": {"N": args.N, "n_max": args.n_max}},
+        outputs,
+        all_hold=all_hold,
     )
+    for report in reports:
+        verdict = "holds" if report.holds else "FAILS"
+        print(
+            f"N={report.N} n_max={report.n_max}: {verdict} "
+            f"(monomials={report.monomial_count}, witness 2 != 0)"
+        )
     return EXIT_OK if all_hold else EXIT_INVARIANT
 
 
@@ -552,9 +454,8 @@ def cmd_magnetization_scan(args) -> int:
             raise ConfigError(f"{flag} must be >= 2, got {steps}")
     if not (math.isfinite(args.epsilon_max) and args.epsilon_max > 0.0):
         raise ConfigError(f"--epsilon-max must be finite and > 0, got {args.epsilon_max}")
-    cfg = _load_run_config(args)
-    bath = discretize(cfg.bath, cfg.discretization)
-    enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
+    cfg = load_config(args.config)
+    bath, enumeration = _model(cfg)
 
     if args.epsilon_steps is None:
         # theta mode: mixing-angle scan of the epsilon = 0 sector solution
@@ -565,41 +466,31 @@ def cmd_magnetization_scan(args) -> int:
         even, odd = solve_sectors(
             bath, cfg.model, enumeration, cfg.solver.tol, cfg.solver.max_iter
         )
-        overlap = parity_overlap(even, odd)
         thetas = np.linspace(0.0, math.pi, args.theta_steps)
-        lines = ["theta,magnetization"]
-        lines.extend(
-            f"{_fmt(theta)},{_fmt(magnetization(theta, even, odd))}" for theta in thetas
-        )
+        header = ["theta", "magnetization"]
+        rows = [(theta, magnetization(theta, even, odd)) for theta in thetas]
         name = "magnetization_theta.csv"
-        extra = {"mode": "theta", "overlap": overlap}
+        extra = {"mode": "theta", "overlap": parity_overlap(even, odd)}
     else:
         grid = np.linspace(-args.epsilon_max, args.epsilon_max, args.epsilon_steps)
-        lines = ["epsilon,sigma_z"]
-        for eps in grid:
-            model = assemble_full(
-                dataclasses.replace(cfg.model, epsilon=float(eps)), bath, enumeration
-            )
-            lines.append(f"{_fmt(float(eps))},{_fmt(ground_sigma_z(model))}")
+        header = ["epsilon", "sigma_z"]
+        rows = []
+        for eps in map(float, grid):
+            model = assemble_full(dataclasses.replace(cfg.model, epsilon=eps), bath, enumeration)
+            rows.append((eps, ground_sigma_z(model)))
         name = "magnetization_epsilon.csv"
         extra = {"mode": "epsilon", "epsilon_max": args.epsilon_max}
 
-    body = "\n".join(lines) + "\n"
-    os.makedirs(args.out, exist_ok=True)
-    checksum = _write_bytes(os.path.join(args.out, name), body)
-    _write_manifest(
+    _publish(
         args.out,
         "magnetization_manifest.json",
-        {
-            "command": "magnetization-scan",
-            "tool": {"name": "sbmlab", "version": __version__},
-            "config": _config_as_dict(cfg),
-            "files": {name: checksum},
-            "wall_time_seconds": time.perf_counter() - started,
-            **extra,
-        },
+        "magnetization-scan",
+        {"config": _config_as_dict(cfg)},
+        {name: _csv(header, rows)},
+        wall_time_seconds=time.perf_counter() - started,
+        **extra,
     )
-    print(f"wrote {os.path.join(args.out, name)} ({len(lines) - 1} rows)")
+    print(f"wrote {os.path.join(args.out, name)} ({len(rows)} rows)")
     return EXIT_OK
 
 
@@ -607,27 +498,17 @@ def cmd_magnetization_scan(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config)
     bath = discretize(cfg.bath, cfg.discretization)
-    lines = ["k,omega,lam,q"]
-    lines.extend(
-        f"{k},{_fmt(w)},{_fmt(l)},{_fmt(q)}"
-        for k, (w, l, q) in enumerate(zip(bath.omega, bath.lam, bath.q))
-    )
-    body = "\n".join(lines) + "\n"
-    os.makedirs(args.out, exist_ok=True)
-    checksum = _write_bytes(os.path.join(args.out, "modes.csv"), body)
-    _write_manifest(
+    rows = [(k, *mode) for k, mode in enumerate(zip(bath.omega, bath.lam, bath.q))]
+    _publish(
         args.out,
         "discretize_manifest.json",
-        {
-            "command": "discretize",
-            "tool": {"name": "sbmlab", "version": __version__},
-            "config": _config_as_dict(cfg),
-            "files": {"modes.csv": checksum},
-            "sum_q_squared": sum_q_squared(bath),
-            "prefactor": math.exp(log_prefactor(bath)),
-        },
+        "discretize",
+        {"config": _config_as_dict(cfg)},
+        {"modes.csv": _csv(["k", "omega", "lam", "q"], rows)},
+        sum_q_squared=sum_q_squared(bath),
+        prefactor=math.exp(log_prefactor(bath)),
     )
     print(f"wrote {os.path.join(args.out, 'modes.csv')} ({bath.mode_count} modes)")
     return EXIT_OK
@@ -642,12 +523,6 @@ def _add_out(parser, default="."):
 
 def _add_config(parser):
     parser.add_argument("--config", required=True, help="YAML run configuration")
-    parser.add_argument(
-        "--convention",
-        choices=sorted(c.value for c in Convention),
-        default=None,
-        help="override the discretization convention from the config",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -658,14 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sbmlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fig1", help="tail-sum divergence data over mode count")
+    p = sub.add_parser("fig1", help="tail-sum divergence data and its SVG plot over mode count")
     p.add_argument("--Lambda", type=float, default=2.0)
-    p.add_argument("--omega-c", dest="omega_c", type=float, default=1.0)
     p.add_argument(
         "--s", type=float, action="append", default=None, help="spectral exponent (repeatable)"
     )
     p.add_argument("--N-max", dest="N_max", type=int, default=40)
-    p.add_argument("--svg", action="store_true", help="also write a minimal SVG plot")
     _add_out(p)
     p.set_defaults(handler=cmd_fig1)
 

@@ -115,7 +115,6 @@ class SectorMatrix:
     """
 
     sector: Sector
-    enumeration: BasisEnumeration
     diagonal: np.ndarray
     displaced_parity: DisplacedParity
     coupling: float
@@ -193,7 +192,6 @@ def _sector_pair(
     return {
         sector: SectorMatrix(
             sector=sector,
-            enumeration=enumeration,
             diagonal=diagonal,
             displaced_parity=displaced_parity,
             coupling=sector.tunneling_sign * (params.delta / 2.0) * polaron,

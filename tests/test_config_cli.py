@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from sbmlab.bath import Convention, beta0, discretize
-from sbmlab.cli import main
+from sbmlab import __version__
+from sbmlab.cli import _config_as_dict, build_parser, main
 from sbmlab.config import RunConfig, SolverSettings, Sweep, load_config, parse_config
 from sbmlab.errors import ConfigError
 from sbmlab.fockspace import enumerate_basis
@@ -136,6 +137,21 @@ def test_load_config_reports_yaml_and_io_errors(tmp_path):
         load_config(str(empty))
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"sweep": {"parameter": "Lambda", "from": 1.5, "to": 3.0, "steps": 4, "scale": "log"}},
+        {"discretization": {"convention": "mean-omega"}, "model": {"epsilon": 0.1}},
+        {"solver": {"max_iter": 40}, "bath": {"omega1": 1e-3}},
+    ],
+)
+def test_manifest_config_echo_parses_back_to_the_config(overrides):
+    cfg = parse_config(deep(overrides))
+    echo = json.loads(json.dumps(_config_as_dict(cfg)))
+    assert parse_config({group: v for group, v in echo.items() if v is not None}) == cfg
+
+
 # -------------------------------------------------------------------- sweeps
 
 
@@ -197,14 +213,14 @@ def test_fig1_default_output(tmp_path):
     assert np.abs(second).max() < 1e-15
     sub = [float(r[1]) for r in body]
     assert all(b > a for a, b in zip(sub, sub[1:]))
-    assert (out / "fig1_plot.py").exists()
+    assert (out / "fig1.svg").exists()
     manifest = json.loads((out / "fig1_manifest.json").read_text())
-    assert set(manifest["files"]) == {"fig1_data.csv", "fig1_plot.py"}
+    assert set(manifest["files"]) == {"fig1_data.csv", "fig1.svg"}
 
 
 def test_fig1_single_row_and_svg(tmp_path):
     out = tmp_path / "fig0"
-    assert main(["fig1", "--out", str(out), "--N-max", "0", "--svg"]) == 0
+    assert main(["fig1", "--out", str(out), "--N-max", "0"]) == 0
     header, body = read_csv(out / "fig1_data.csv")
     assert len(body) == 1
     assert float(body[0][1]) == pytest.approx(beta0(0.1, 2.0) / 4.0, rel=1e-15)
@@ -348,15 +364,12 @@ def test_gap_sweep_json_format_matches_csv(tmp_path):
 
 
 def test_gap_sweep_convention_override_changes_q(tmp_path):
-    path = write_config(tmp_path, deep({}))
+    path_a = write_config(tmp_path, deep({}), "pq.yaml")
+    mean_omega = deep({"discretization": {"convention": "mean-omega"}})
+    path_b = write_config(tmp_path, mean_omega, "mo.yaml")
     out_a, out_b = tmp_path / "pq", tmp_path / "mo"
-    assert main(["gap-sweep", "--config", path, "--out", str(out_a)]) == 0
-    assert (
-        main(
-            ["gap-sweep", "--config", path, "--out", str(out_b), "--convention", "mean-omega"]
-        )
-        == 0
-    )
+    assert main(["gap-sweep", "--config", path_a, "--out", str(out_a)]) == 0
+    assert main(["gap-sweep", "--config", path_b, "--out", str(out_b)]) == 0
     header, body_a = read_csv(out_a / "gap_sweep.csv")
     _, body_b = read_csv(out_b / "gap_sweep.csv")
     qq = header.index("sum_q_squared")
@@ -366,6 +379,52 @@ def test_gap_sweep_convention_override_changes_q(tmp_path):
 def test_gap_sweep_rejects_epsilon(tmp_path):
     data = deep({"model": {"epsilon": 0.2}})
     assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_gap_sweep_rejects_workers_below_one(tmp_path, capsys, workers):
+    out = tmp_path / "w"
+    argv = ["gap-sweep", "--config", write_config(tmp_path, deep({})), "--out", str(out)]
+    assert main(argv + ["--workers", workers]) == 2
+    assert "config error: --workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gap_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
+    # the executor forks every worker at its first submit, so the pool
+    # size must be capped by the sweep; this fake starts no process
+    import sbmlab.cli
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sbmlab.cli, "ProcessPoolExecutor", RecordingPool)
+    data = deep({"sweep": {"parameter": "alpha", "from": 0.0, "to": 0.4, "steps": 3}})
+    path = write_config(tmp_path, data)
+    bodies = []
+    for workers in ("1", "5000", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["gap-sweep", "--config", path, "--out", str(out), "--workers", workers]) == 0
+        bodies.append((out / "gap_sweep.csv").read_bytes())
+    assert sizes == [3, 2]
+    assert bodies[0] == bodies[1] == bodies[2]
+    # a single point is solved in this process whatever --workers says
+    single = write_config(tmp_path, deep({}), "single.yaml")
+    argv = ["gap-sweep", "--config", single, "--out", str(tmp_path / "one"), "--workers", "5000"]
+    assert main(argv) == 0
+    assert sizes == [3, 2]
 
 
 def test_gap_sweep_capacity_exit(tmp_path):
@@ -733,6 +792,80 @@ def test_discretize_dump_matches_library(tmp_path):
         assert float(row[1]) == bath.omega[k]
         assert float(row[2]) == bath.lam[k]
         assert float(row[3]) == bath.q[k]
+
+
+# -------------------------------------------------------------- output files
+
+
+def _command_argv(command: str, tmp_path, out) -> list[str]:
+    config = ["--config", write_config(tmp_path, deep({}))]
+    return {
+        "fig1": ["fig1", "--N-max", "3"],
+        "gap-sweep": ["gap-sweep", *config],
+        "oracle-check": ["oracle-check", *config],
+        "verify-appendix": ["verify-appendix", "--N", "1", "2", "--n-max", "2"],
+        "magnetization-scan": ["magnetization-scan", *config, "--theta-steps", "3"],
+        "discretize": ["discretize", *config],
+    }[command] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize(
+    "command, manifest_name",
+    [
+        ("fig1", "fig1_manifest.json"),
+        ("gap-sweep", "gap_sweep_manifest.json"),
+        ("oracle-check", "oracle_check_manifest.json"),
+        ("verify-appendix", "verify_appendix_manifest.json"),
+        ("magnetization-scan", "magnetization_manifest.json"),
+        ("discretize", "discretize_manifest.json"),
+    ],
+)
+def test_every_command_writes_its_files_and_a_manifest_of_them(
+    tmp_path, capsys, command, manifest_name
+):
+    out = tmp_path / "out"
+    assert main(_command_argv(command, tmp_path, out)) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / manifest_name).read_text(encoding="utf-8"))
+    assert manifest["command"] == command
+    assert manifest["tool"] == {"name": "sbmlab", "version": __version__}
+    assert list(manifest)[:2] == ["command", "tool"]
+    assert manifest["files"]
+    for name, sha256 in manifest["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha256
+    written = sorted(path.name for path in out.iterdir())
+    assert written == sorted([*manifest["files"], manifest_name])
+
+
+def test_parser_flags_per_subcommand():
+    import argparse
+
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: sorted(
+            option
+            for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        )
+        for name, sub in subcommands.choices.items()
+    }
+    assert flags == {
+        "fig1": ["--Lambda", "--N-max", "--out", "--s"],
+        "gap-sweep": ["--config", "--format", "--out", "--workers"],
+        "oracle-check": ["--config", "--out"],
+        "verify-appendix": ["--N", "--n-max", "--out"],
+        "magnetization-scan": [
+            "--config",
+            "--epsilon-max",
+            "--epsilon-steps",
+            "--out",
+            "--theta-steps",
+        ],
+        "discretize": ["--config", "--out"],
+    }
+    assert sum(map(len, flags.values())) == 20
 
 
 # ------------------------------------------------------------------ scripts
