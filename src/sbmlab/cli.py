@@ -36,13 +36,13 @@ from .oracle import (
     MIXED,
     assemble_full,
     dense_spectrum,
+    ground_parity,
     ground_sigma_z,
     magnetization,
     parity_commutator_norm,
     parity_overlap,
     rotation_defects,
     sector_blocks,
-    spectrum_parity,
 )
 from .sectors import GroundStateResult, solve_sectors
 
@@ -154,17 +154,37 @@ def _svg_line_plot(columns: dict[str, list[float]], n_values: list[int]) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _beta2_column(s: float, Lambda: float, n_values: list[int]) -> list[float]:
+    """beta2 over n_values; ConfigError at the first N where it leaves the double range.
+
+    For s < 1 beta2 grows geometrically in N, so every N below that one is finite.
+    """
+    column = []
+    for N in n_values:
+        try:
+            value = beta2(s, Lambda, N)
+        except OverflowError:  # math.expm1 past exp(709.78)
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"beta2 at s={s}, Lambda={Lambda} overflows a double at N={N}; "
+                f"the largest --N-max with a finite beta2 is {N - 1}"
+            )
+        column.append(value)
+    return column
+
+
 def cmd_fig1(args) -> int:
     started = time.perf_counter()
     if args.N_max < 0:
         raise ConfigError(f"--N-max must be >= 0, got {args.N_max}")
-    if args.Lambda <= 1:
-        raise ConfigError(f"--Lambda must exceed 1, got {args.Lambda}")
+    if not (math.isfinite(args.Lambda) and args.Lambda > 1):
+        raise ConfigError(f"--Lambda must be finite and exceed 1, got {args.Lambda}")
     s_list = args.s if args.s else [0.1, 1.0]
+    if not all(math.isfinite(s) and s > 0 for s in s_list):
+        raise ConfigError(f"--s must be finite and > 0, got {s_list}")
     n_values = list(range(args.N_max + 1))
-    columns = {
-        f"beta2_s{s}": [beta2(s, args.Lambda, N) for N in n_values] for s in s_list
-    }
+    columns = {f"beta2_s{s}": _beta2_column(s, args.Lambda, n_values) for s in s_list}
     body = _csv(["N", *columns], zip(n_values, *columns.values()))
     _publish(
         args.out,
@@ -383,16 +403,14 @@ def cmd_oracle_check(args) -> int:
     if not broken:
         even_block, odd_block, off_norm = sector_blocks(model)
         record("off-diagonal block norm", _fmt(off_norm), off_norm < 1e-12)
-    # one eigendecomposition serves the partition check and the parity label
-    dense_vals, dense_vecs = dense_spectrum(model)
-    if not broken:
         union = np.sort(
             np.concatenate([np.linalg.eigvalsh(even_block), np.linalg.eigvalsh(odd_block)])
         )
-        partition = float(np.abs(dense_vals - union).max())
+        del even_block, odd_block  # free two dim^2 blocks before the full solve
+        partition = float(np.abs(dense_spectrum(model) - union).max())
         record("spectrum partition max deviation", _fmt(partition), partition < 1e-9)
 
-    label = spectrum_parity(model, dense_vals, dense_vecs)
+    label = ground_parity(model)
     lines.append(f"ground parity: {'mixed' if label == MIXED else ('+1' if label > 0 else '-1')}")
     if not broken:
         checks.append(label != MIXED)

@@ -1,13 +1,13 @@
-"""Dense full-space cross-checks in the spin (x) Fock product basis.
+"""Full-space cross-checks in the spin (x) Fock product basis.
 
 The Hamiltonian stays brute force on purpose:
 
     H = (epsilon/2) sigma_z - (delta/2) sigma_x
         + sum_k omega_k a'_k a_k + sum_k lambda_k (a'_k + a_k) sigma_z
 
-is assembled as a dense symmetric matrix over the undisplaced number
-basis (spin-up block first), and `dense_spectrum` diagonalizes it
-completely.  The coupling V comes from the enumeration's ladder maps
+is assembled over the undisplaced number basis (spin-up block first) as
+one sparse CSR array, and its spectrum comes from a dense solve of the
+whole H.  The coupling V comes from the enumeration's ladder maps
 `raising(k)` and the boson parity P below is its `parity` vector, the two
 maps the sector path builds E and P from.  The parity operator
 Pi = sigma_x (x) exp(i pi sum a'a) commutes with H exactly when
@@ -19,12 +19,17 @@ block-diagonalizes the truncated H exactly: the boson-number-parity
 grading survives truncation, so the off-diagonal blocks of U H U' vanish
 to rounding, not merely to truncation accuracy.
 
-Pi and U hold at most two nonzeros per row, so every product with them
-runs on sparse arrays; only H, the commutator [H, Pi] and U H U' are
-dense.  A spectral norm comes from the top eigenvalue of A'A, the
-unitarity defect from a bound on the sparse U U' - I, and the ground
-state of a biased H from a one-eigenpair solve, never from an SVD or a
-full spectrum.
+H, Pi, U and every product of them stay sparse.  Only LAPACK inputs are
+dense, and each LAPACK call computes only what its check reads: the
+eigenvalues of H for the spectrum partition (`dense_spectrum`), its two
+lowest eigenpairs for the gap floor and the parity label (`ground_pair`),
+its lowest eigenpair for a biased <sigma_z> (`ground_sigma_z`), and the
+eigenvalues of the two dim x dim blocks of U H U' (`sector_blocks`).  A
+spectral norm is exact without a solve where its elementwise lower bound
+meets its Hoelder upper bound, as for every commutator checked here: they
+are zero, or, for [H, Pi] at epsilon != 0, have one entry per row and
+column.  Otherwise it falls back to the top eigenvalue of A'A.  The
+unitarity defect is a bound on the sparse U U' - I.
 
 The displaced-basis sector matrices of :mod:`sbmlab.sectors` span a
 different truncated subspace than the blocks above, so their spectra
@@ -61,7 +66,7 @@ class FullModel:
     params: ModelParams
     bath: DiscretizedBath
     enumeration: BasisEnumeration
-    hamiltonian: np.ndarray
+    hamiltonian: scipy.sparse.csr_array
 
     @property
     def dim(self) -> int:
@@ -69,22 +74,28 @@ class FullModel:
         return self.enumeration.dim
 
 
-def _coupling_matrix(bath: DiscretizedBath, enumeration: BasisEnumeration) -> np.ndarray:
-    """sum_k lambda_k (a'_k + a_k) truncated to the enumeration."""
+def _coupling_matrix(
+    bath: DiscretizedBath, enumeration: BasisEnumeration
+) -> scipy.sparse.csr_array:
+    """sum_k lambda_k (a'_k + a_k) truncated to the enumeration, sparse."""
     occ = enumeration.occupation_array()
-    V = np.zeros((enumeration.dim, enumeration.dim))
+    rows, cols, values = [], [], []
     for k, lam_k in enumerate(bath.lam):
         raised = enumeration.raising(k)
         source = np.nonzero(raised >= 0)[0]  # -1 where n + e_k leaves the basis
         target = raised[source]
-        V[target, source] = V[source, target] = lam_k * np.sqrt(occ[source, k] + 1.0)
-    return V
+        value = lam_k * np.sqrt(occ[source, k] + 1.0)
+        rows += [target, source]
+        cols += [source, target]
+        values += [value, value]
+    coo = (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols)))
+    return scipy.sparse.csr_array(coo, shape=(enumeration.dim, enumeration.dim))
 
 
 def assemble_full(
     params: ModelParams, bath: DiscretizedBath, enumeration: BasisEnumeration
 ) -> FullModel:
-    """Dense H over spin (x) Fock, spin-up block first."""
+    """H over spin (x) Fock as one CSR array, spin-up block first."""
     if enumeration.mode_count != bath.mode_count:
         raise ValueError(
             f"enumeration mode count {enumeration.mode_count} does not match "
@@ -95,16 +106,17 @@ def assemble_full(
             f"dense path caps at Fock dimension {DENSE_DIM_CAP}, "
             f"got {enumeration.dim}"
         )
-    dim = enumeration.dim
-    boson = np.diag(enumeration.occupation_array() @ np.asarray(bath.omega))
+    boson = enumeration.occupation_array() @ np.asarray(bath.omega)
     V = _coupling_matrix(bath, enumeration)
     half_eps = params.epsilon / 2.0
-    half_delta = params.delta / 2.0
-    H = np.zeros((2 * dim, 2 * dim))
-    H[:dim, :dim] = boson + V + half_eps * np.eye(dim)
-    H[dim:, dim:] = boson - V - half_eps * np.eye(dim)
-    H[:dim, dim:] = -half_delta * np.eye(dim)
-    H[dim:, :dim] = -half_delta * np.eye(dim)
+    tunneling = -params.delta / 2.0 * scipy.sparse.eye_array(enumeration.dim)
+    H = scipy.sparse.block_array(
+        [
+            [scipy.sparse.diags_array(boson + half_eps) + V, tunneling],
+            [tunneling, scipy.sparse.diags_array(boson - half_eps) - V],
+        ],
+        format="csr",
+    )
     return FullModel(params=params, bath=bath, enumeration=enumeration, hamiltonian=H)
 
 
@@ -125,14 +137,31 @@ def _sparse_sigma_z(dim: int) -> scipy.sparse.dia_array:
     return scipy.sparse.diags_array(np.concatenate([np.ones(dim), -np.ones(dim)]))
 
 
-def spectral_norm(A: np.ndarray) -> float:
-    """Largest singular value of A, as sqrt of the top eigenvalue of A'A.
+def _lapack_input(A: scipy.sparse.sparray) -> np.ndarray:
+    """A as a dense Fortran-ordered array that LAPACK may overwrite without a copy."""
+    return A.toarray(order="F")
 
-    One symmetric eigensolve for a single eigenvalue replaces the full SVD
-    of np.linalg.norm(A, 2); the zero matrix gives exactly 0.0.
+
+def spectral_norm(A: np.ndarray | scipy.sparse.sparray) -> float:
+    """Largest singular value of a dense or sparse A.
+
+    max |a_ij| <= ||A||_2 <= sqrt(||A||_1 ||A||_inf), so where the two
+    bounds meet their common value is the norm, with no solve; that covers
+    the zero matrix (+0.0) and any matrix with at most one nonzero per row
+    and column (a scaled signed permutation).  Otherwise the
+    norm is the sqrt of the top eigenvalue of A'A, from one symmetric
+    eigensolve for that eigenvalue alone instead of a full SVD.
     """
+    magnitude = abs(A)
+    lower = float(magnitude.max())
+    upper = math.sqrt(float(magnitude.sum(axis=0).max()) * float(magnitude.sum(axis=1).max()))
+    if upper <= lower:
+        return lower
+    gram = A.T @ A
+    if scipy.sparse.issparse(gram):
+        gram = _lapack_input(gram)
     n = A.shape[1]
-    top = scipy.linalg.eigvalsh(A.T @ A, subset_by_index=[n - 1, n - 1])[0]
+    top = scipy.linalg.eigvalsh(gram, subset_by_index=[n - 1, n - 1], overwrite_a=True)[0]
     return math.sqrt(max(0.0, float(top)))
 
 
@@ -154,24 +183,36 @@ def rotation_defects(enumeration: BasisEnumeration) -> tuple[float, float]:
 
 
 def sector_blocks(model: FullModel) -> tuple[np.ndarray, np.ndarray, float]:
-    """(upper, lower, off-diagonal norm) of U H U'.
+    """(upper, lower, off-diagonal Frobenius norm) of U H U'.
 
     With epsilon = 0 the off-diagonal norm is rounding noise; the upper
     block is the even-parity Hamiltonian in the undisplaced basis and the
-    lower block the odd one.
+    lower block the odd one.  The product stays sparse; only the two
+    diagonal blocks, which eigvalsh needs, are returned dense.
     """
     U = unitary_U(model.enumeration)
     rotated = U @ model.hamiltonian @ U.T
     dim = model.enumeration.dim
-    upper = rotated[:dim, :dim]
-    lower = rotated[dim:, dim:]
-    off = float(np.linalg.norm(rotated[:dim, dim:]))
+    upper = rotated[:dim, :dim].toarray()
+    lower = rotated[dim:, dim:].toarray()
+    off = float(np.linalg.norm(rotated[:dim, dim:].data))
     return upper, lower, off
 
 
-def dense_spectrum(model: FullModel) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of the dense Hamiltonian."""
-    return np.linalg.eigh(model.hamiltonian)
+def dense_spectrum(model: FullModel) -> np.ndarray:
+    """Every eigenvalue of H, ascending, from one values-only symmetric solve.
+
+    The 'evd' driver reduces to tridiagonal form and runs the root-free QR
+    iteration (LAPACK dsterf), the same path as numpy's eigvalsh.
+    """
+    return scipy.linalg.eigvalsh(_lapack_input(model.hamiltonian), overwrite_a=True, driver="evd")
+
+
+def ground_pair(model: FullModel) -> tuple[np.ndarray, np.ndarray]:
+    """The two lowest eigenvalues of H and their eigenvectors (as columns), for ground_parity."""
+    return scipy.linalg.eigh(
+        _lapack_input(model.hamiltonian), subset_by_index=[0, 1], overwrite_a=True
+    )
 
 
 def ground_parity(model: FullModel) -> int:
@@ -182,12 +223,7 @@ def ground_parity(model: FullModel) -> int:
     symmetry.  A dense gap below GAP_FLOOR signals a truncation pathology
     rather than physics and raises AccuracyError.
     """
-    vals, vecs = dense_spectrum(model)
-    return spectrum_parity(model, vals, vecs)
-
-
-def spectrum_parity(model: FullModel, vals: np.ndarray, vecs: np.ndarray) -> int:
-    """ground_parity from an eigendecomposition the caller already holds."""
+    vals, vecs = ground_pair(model)
     if vals[1] - vals[0] < GAP_FLOOR:
         raise AccuracyError(
             f"dense ground state numerically degenerate: gap {vals[1] - vals[0]:.3e}"
@@ -205,14 +241,20 @@ def spectrum_parity(model: FullModel, vals: np.ndarray, vecs: np.ndarray) -> int
 
 def ground_sigma_z(model: FullModel) -> float:
     """<sigma_z> of the dense ground state, from a solve for the lowest eigenpair only."""
-    _, vecs = scipy.linalg.eigh(model.hamiltonian, subset_by_index=[0, 0])
+    _, vecs = scipy.linalg.eigh(
+        _lapack_input(model.hamiltonian), subset_by_index=[0, 0], overwrite_a=True
+    )
     psi = vecs[:, 0]
     dim = model.enumeration.dim
     return float(psi[:dim] @ psi[:dim] - psi[dim:] @ psi[dim:])
 
 
 def parity_commutator_norm(model: FullModel) -> float:
-    """Spectral norm of [H, Pi]; equals |epsilon| exactly."""
+    """Spectral norm of [H, Pi]: |epsilon| up to the rounding of the diagonal of H.
+
+    The commutator is the monomial matrix with entries
+    +-[(b_n + epsilon/2) - (b_n - epsilon/2)], b_n the boson energy of state n.
+    """
     Pi = parity_matrix(model.enumeration)
     H = model.hamiltonian
     return spectral_norm(H @ Pi - Pi @ H)

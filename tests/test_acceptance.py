@@ -323,7 +323,7 @@ def test_criterion_07_spectrum_partition():
         enumeration = enumerate_basis(mode_count, n_max)
         assert 2 * enumeration.dim <= 400
         model = assemble_full(ModelParams(delta=0.7), bath, enumeration)
-        dense = np.linalg.eigvalsh(model.hamiltonian)
+        dense = np.linalg.eigvalsh(model.hamiltonian.toarray())
         even_block, odd_block, _ = sector_blocks(model)
         union = np.sort(
             np.concatenate([np.linalg.eigvalsh(even_block), np.linalg.eigvalsh(odd_block)])
@@ -336,7 +336,7 @@ def test_criterion_07_spectrum_partition():
     bath = discretize(spec, DiscretizationSpec(Lambda=2.0, N=1))
     enumeration = enumerate_basis(2, 12)
     model = assemble_full(ModelParams(delta=0.4), bath, enumeration)
-    dense = np.linalg.eigvalsh(model.hamiltonian)
+    dense = np.linalg.eigvalsh(model.hamiltonian.toarray())
     even, odd, _ = _solve_gap(bath, 0.4, 2, 12)
     low = np.sort([even.energy, odd.energy])
     worst_low = float(np.abs(dense[:2] - low).max())

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,25 @@ def write_config(tmp_path, data: dict, name="run.yaml") -> str:
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
     return str(path)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_fresh(code: str, *args: str, threads: str = "1") -> subprocess.CompletedProcess:
+    """Run python -c code in a fresh interpreter on this checkout's src at a
+    fixed OpenBLAS thread count (the count is read when numpy is imported)."""
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def run_cli(argv: list[str], threads: str = "1") -> int:
+    """main(argv) in a fresh interpreter; its exit code."""
+    code = "import sys; from sbmlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    return run_fresh(code, *argv, threads=threads).returncode
 
 
 # ------------------------------------------------------------------ parsing
@@ -233,6 +256,35 @@ def test_fig1_rejects_bad_flags(tmp_path):
     assert main(["fig1", "--out", str(tmp_path), "--N-max", "-3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags", [["--Lambda", "inf"], ["--Lambda", "nan"], ["--s", "nan"], ["--s", "inf"]]
+)
+def test_fig1_rejects_non_finite_flags(tmp_path, capsys, flags):
+    out = tmp_path / "f"
+    assert main(["fig1", "--out", str(out), *flags]) == 2
+    assert not out.exists()
+    assert f"config error: {flags[0]} must be finite" in capsys.readouterr().err
+
+
+def test_fig1_beta2_overflow_is_a_config_error(tmp_path, capsys):
+    # s = 0.1: beta2 grows like 2**(0.9 N) and leaves the double range near N = 1137
+    import re
+
+    out = tmp_path / "f"
+    assert main(["fig1", "--out", str(out), "--N-max", "2000"]) == 2
+    assert not out.exists()
+    message = capsys.readouterr().err
+    assert message.startswith("config error: beta2 at s=0.1, Lambda=2.0 overflows")
+    largest = int(re.search(r"largest --N-max with a finite beta2 is (\d+)", message).group(1))
+    assert 1000 < largest < 2000
+    assert main(["fig1", "--out", str(out), "--N-max", str(largest)]) == 0
+    _, body = read_csv(out / "fig1_data.csv")
+    assert len(body) == largest + 1
+    assert all(math.isfinite(float(cell)) for row in body for cell in row)
+    assert main(["fig1", "--out", str(tmp_path / "g"), "--N-max", str(largest + 1)]) == 2
+    assert not (tmp_path / "g").exists()
+
+
 # ----------------------------------------------------------------- gap-sweep
 
 
@@ -293,31 +345,28 @@ def test_gap_sweep_rerun_and_workers_byte_identical(tmp_path):
 
 
 def test_gap_sweep_alpha_scan_bytes_independent_of_blas_threads(tmp_path):
-    # the example config (dim 462) run at one and at two OpenBLAS threads,
-    # each in a fresh interpreter, since the count is read at import
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
-    config = root / "scripts" / "configs" / "alpha_scan.yaml"
-    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    # the example config (dim 462) run at one and at two OpenBLAS threads
+    config = ROOT / "scripts" / "configs" / "alpha_scan.yaml"
     bodies = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
         argv = ["gap-sweep", "--config", str(config), "--out", str(out)]
-        code = "import sys; from sbmlab.cli import main; sys.exit(main(sys.argv[1:]))"
-        subprocess.run(
-            [sys.executable, "-c", code, *argv],
-            env=env,
-            check=True,
-            capture_output=True,
-            timeout=300,
-        )
+        assert run_cli(argv, threads=threads) == 0
         bodies.append((out / "gap_sweep.csv").read_bytes())
     assert bodies[0] == bodies[1]
+
+
+def test_cli_import_loads_no_sparse_linalg_or_csgraph():
+    # each costs resident memory and import time on every workload
+    # (scipy.sparse.linalg alone about 1.3 MiB); the oracle needs neither
+    code = (
+        "import sys, sbmlab.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.sparse.linalg', 'scipy.sparse.csgraph'))))"
+    )
+    result = run_fresh(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_gap_sweep_manifest_checksums(tmp_path):
@@ -518,39 +567,51 @@ def test_oracle_check_diagonalises_once(tmp_path, monkeypatch, capsys):
     import sbmlab.cli
     import sbmlab.oracle
 
-    calls = []
-    real = sbmlab.oracle.dense_spectrum
+    calls = {"dense_spectrum": [], "ground_pair": []}
+    for name, record in calls.items():
+        real = getattr(sbmlab.oracle, name)
 
-    def counted(model):
-        calls.append(model)
-        return real(model)
+        def counted(model, real=real, record=record):
+            record.append(model)
+            return real(model)
 
-    monkeypatch.setattr(sbmlab.cli, "dense_spectrum", counted)
-    monkeypatch.setattr(sbmlab.oracle, "dense_spectrum", counted)
+        monkeypatch.setattr(sbmlab.oracle, name, counted)
+        if hasattr(sbmlab.cli, name):
+            monkeypatch.setattr(sbmlab.cli, name, counted)
     assert main(["oracle-check", "--config", write_config(tmp_path, deep({}))]) == 0
     assert "ground parity: +1" in capsys.readouterr().out
-    assert len(calls) == 1
+    # one values-only solve for the partition, one two-eigenpair solve for the label
+    assert len(calls["dense_spectrum"]) == 1
+    assert len(calls["ground_pair"]) == 1
 
 
-# sha256 of oracle_check.txt.  The two Fock-dim-462 reports (6 modes,
-# n_max 5) are hashed at the commit before the oracle took its norms from a
-# symmetric eigensolve and its U and Pi products from sparse arrays.  The
-# two small configs are hashed after it: before, the dense U products left
-# fused-multiply-add residues of 2.2e-17 that moved three rounding-level
-# lines of the epsilon = 0 report (unitarity defect 2.4441574809578874e-16,
-# off-diagonal block norm 4.1168440912929528e-16, partition deviation
-# 2.55351295663786e-15) and the unitarity line of the epsilon = 0.25 one
-# (2.4441574809578864e-16); the sparse products give 2.2204460492503131e-16,
-# 0 and 3.1086244689504383e-15, far inside every check's threshold.
+# sha256 of oracle_check.txt, each report written by a fresh interpreter at
+# one OpenBLAS thread: the partition line's last digits depend on how BLAS
+# splits the sums of the tridiagonal reduction over threads.
+# - The two epsilon = 0.25 reports: the Fock-dim-462 one is hashed at the
+#   commit before the oracle took its norms from a symmetric eigensolve and
+#   its U and Pi products from sparse arrays, the small one after it (the
+#   dense U products had left a unitarity defect of 2.4441574809578864e-16,
+#   the sparse ones give 2.2204460492503131e-16).
+# - The two epsilon = 0 reports are hashed after the partition check took
+#   the spectrum of H from a values-only eigvalsh instead of a full eigh.
+#   Only the partition line moved: 3.1086244689504383e-15 ->
+#   3.9968028886505635e-15 at Fock dim 70 and 6.2172489379008766e-15 ->
+#   1.1546319456101628e-14 at Fock dim 462, far below the check's 1e-9.
+#   (At Fock dim 70 the sparse U products had earlier removed the dense
+#   products' fused-multiply-add residues: unitarity 2.4441574809578874e-16
+#   -> 2.2204460492503131e-16, off-diagonal block norm
+#   4.1168440912929528e-16 -> 0, partition 2.55351295663786e-15 ->
+#   3.1086244689504383e-15.)
 ORACLE_SHA256 = [
-    ({}, "fcfb5a3e07b72af912836082c675ad4eaa909bc08644a36d43db0f032e25de6a"),
+    ({}, "7a0f3433931fce2fa65fbf303795b0927dedfaa76eaad820ef50a73c6d74269f"),
     (
         {"model": {"epsilon": 0.25}, "truncation": {"n_max": 3}},
         "8160e6a40d5aea7fc95544b8fd4fe6d938cf3720605d1d5f92fb1b8673c796df",
     ),
     (
         {"discretization": {"Lambda": 2.0, "N": 5}, "truncation": {"n_max": 5}},
-        "05a67f752642d914d9e2d4da4a8fce51da32f46308809ccd77fbcb12a45cdc35",
+        "43a13bea45f00e45957da322c14ce6001cbdbbb5ba0935c93af7030d5cf60168",
     ),
     (
         {
@@ -564,13 +625,31 @@ ORACLE_SHA256 = [
 
 
 @pytest.mark.parametrize("overrides, sha256", ORACLE_SHA256)
-def test_oracle_check_report_bytes(tmp_path, capsys, overrides, sha256):
+def test_oracle_check_report_bytes(tmp_path, overrides, sha256):
     out = tmp_path / "oc"
-    assert main(
-        ["oracle-check", "--config", write_config(tmp_path, deep(overrides)), "--out", str(out)]
-    ) == 0
-    capsys.readouterr()
+    argv = ["oracle-check", "--config", write_config(tmp_path, deep(overrides)), "--out", str(out)]
+    assert run_cli(argv) == 0
     assert hashlib.sha256((out / "oracle_check.txt").read_bytes()).hexdigest() == sha256
+
+
+def test_oracle_check_memory_stays_below_two_dense_hamiltonians(tmp_path, capsys):
+    # Fock dim 462: H is sparse and only one LAPACK input at a time is dense,
+    # so the traced peak stays near one dense 924 x 924 H (1.15x measured;
+    # 4.1x when H, its eigenvectors and the commutator were dense).  A second
+    # dense H or a full eigendecomposition (2.0x) breaks the bound.
+    import tracemalloc
+
+    data = deep({"discretization": {"Lambda": 2.0, "N": 5}, "truncation": {"n_max": 5}})
+    path = write_config(tmp_path, data)
+    dense_bytes = (2 * 462) ** 2 * 8
+    tracemalloc.start()
+    try:
+        assert main(["oracle-check", "--config", path]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "result: pass" in capsys.readouterr().out
+    assert peak < 2 * dense_bytes
 
 
 def test_oracle_check_capacity(tmp_path):
@@ -744,7 +823,7 @@ def test_magnetization_epsilon_mode_matches_full_eigh(tmp_path, monkeypatch):
     assert len(body) == 11
     for eps, sigma_z in body:
         model = assemble_full(ModelParams(cfg.model.delta, float(eps)), bath, basis)
-        psi = np.linalg.eigh(model.hamiltonian)[1][:, 0]
+        psi = np.linalg.eigh(model.hamiltonian.toarray())[1][:, 0]
         reference = psi[: basis.dim] @ psi[: basis.dim] - psi[basis.dim :] @ psi[basis.dim :]
         assert abs(float(sigma_z) - reference) <= 1e-12
 

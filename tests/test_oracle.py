@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError, CapacityError
@@ -11,6 +13,7 @@ from sbmlab.oracle import (
     assemble_full,
     dense_spectrum,
     frozen_spin_check,
+    ground_pair,
     ground_parity,
     ground_sigma_z,
     magnetization,
@@ -37,10 +40,10 @@ def silent_bath(*omegas):
 
 
 def test_assemble_decoupled_spin():
-    model = assemble_full(ModelParams(delta=1.0), silent_bath(1.0), enumerate_basis(1, 1))
-    assert model.hamiltonian.shape == (4, 4)
-    assert np.array_equal(model.hamiltonian, model.hamiltonian.T)
-    vals = np.linalg.eigvalsh(model.hamiltonian)
+    H = assemble_full(ModelParams(delta=1.0), silent_bath(1.0), enumerate_basis(1, 1)).hamiltonian
+    assert H.shape == (4, 4)
+    assert np.array_equal(H.toarray(), H.T.toarray())
+    vals = np.linalg.eigvalsh(H.toarray())
     assert vals[0] == pytest.approx(-0.5, abs=1e-14)
 
 
@@ -48,7 +51,7 @@ def test_assemble_polarized_spin_ladder():
     omega = 0.9
     basis = enumerate_basis(1, 4)
     model = assemble_full(ModelParams(delta=0.0, epsilon=1.0), silent_bath(omega), basis)
-    vals = np.linalg.eigvalsh(model.hamiltonian)
+    vals = np.linalg.eigvalsh(model.hamiltonian.toarray())
     expected = sorted(omega * n[0] + sign * 0.5 for n in basis for sign in (+1, -1))
     assert np.allclose(vals, expected, atol=1e-14)
 
@@ -64,9 +67,30 @@ def test_coupling_matches_a_loop_over_states():
         for k, lam_k in enumerate(bath.lam):
             j = basis.index_of(n[:k] + (n[k] + 1,) + n[k + 1 :])
             V[i, j] = V[j, i] = lam_k * math.sqrt(n[k] + 1)
-    H = assemble_full(ModelParams(delta=0.0), bath, basis).hamiltonian
+    H = assemble_full(ModelParams(delta=0.0), bath, basis).hamiltonian.toarray()
     boson = np.diag([float(np.dot(n, bath.omega)) for n in basis])
     assert np.array_equal(H[: basis.dim, : basis.dim], boson + V)
+
+
+def test_hamiltonian_is_one_csr_array_matching_a_dense_build():
+    # the textbook dense assembly, spin-up block first
+    bath = DiscretizedBath.from_modes((1.0, 0.45), (0.3, -0.2))
+    basis = enumerate_basis(2, 5)
+    dim = basis.dim
+    boson = np.diag([float(np.dot(n, bath.omega)) for n in basis])
+    # V as checked against a loop over states in the test above
+    V = assemble_full(ModelParams(0.0), bath, basis).hamiltonian.toarray()[:dim, :dim] - boson
+    for delta, epsilon in ((0.6, 0.0), (-0.3, 0.25), (0.0, 0.0)):
+        H = assemble_full(ModelParams(delta, epsilon), bath, basis).hamiltonian
+        assert isinstance(H, scipy.sparse.csr_array)
+        assert H.nnz < (2 * dim) ** 2 / 4
+        reference = np.block(
+            [
+                [boson + V + epsilon / 2 * np.eye(dim), -delta / 2 * np.eye(dim)],
+                [-delta / 2 * np.eye(dim), boson - V - epsilon / 2 * np.eye(dim)],
+            ]
+        )
+        assert np.array_equal(H.toarray(), reference)
 
 
 def test_assemble_capacity_and_mode_mismatch():
@@ -81,7 +105,7 @@ def test_cross_module_ground_energy():
     basis = enumerate_basis(1, 14)
     bath = single_mode(0.3)
     params = ModelParams(delta=0.2)
-    dense = np.linalg.eigvalsh(assemble_full(params, bath, basis).hamiltonian)[0]
+    dense = np.linalg.eigvalsh(assemble_full(params, bath, basis).hamiltonian.toarray())[0]
     even = ground_state(assemble_sector(bath, params, basis, Sector.EVEN)).energy
     odd = ground_state(assemble_sector(bath, params, basis, Sector.ODD)).energy
     assert min(even, odd) == pytest.approx(dense, abs=1e-9)
@@ -102,7 +126,7 @@ def test_parity_commutes_at_zero_field():
     basis = enumerate_basis(2, 6)
     model = assemble_full(ModelParams(delta=0.7), bath, basis)
     Pi = parity_matrix(basis).toarray()
-    H = model.hamiltonian
+    H = model.hamiltonian.toarray()
     assert np.linalg.norm(H @ Pi - Pi @ H) < 1e-13
 
 
@@ -164,7 +188,7 @@ def test_rotation_block_diagonalizes_exactly(omegas, lams, n_max):
     upper, lower, off = sector_blocks(model)
     assert off < 1e-12
     union = np.sort(np.concatenate([np.linalg.eigvalsh(upper), np.linalg.eigvalsh(lower)]))
-    dense = np.linalg.eigvalsh(model.hamiltonian)
+    dense = np.linalg.eigvalsh(model.hamiltonian.toarray())
     # exact spectrum partition: the rotation is unitary on the truncated space
     assert np.abs(union - dense).max() < 1e-9
 
@@ -173,7 +197,7 @@ def test_every_nondegenerate_eigenvector_has_definite_parity():
     bath = DiscretizedBath.from_modes((1.0, 0.37), (0.4, 0.15))
     basis = enumerate_basis(2, 7)
     model = assemble_full(ModelParams(delta=0.5), bath, basis)
-    vals, vecs = dense_spectrum(model)
+    vals, vecs = np.linalg.eigh(model.hamiltonian.toarray())
     Pi = parity_matrix(basis).toarray()
     gaps = np.diff(vals)
     for i in range(len(vals)):
@@ -182,6 +206,20 @@ def test_every_nondegenerate_eigenvector_has_definite_parity():
             continue
         expectation = vecs[:, i] @ Pi @ vecs[:, i]
         assert abs(expectation) > 1 - 1e-8
+
+
+def test_dense_spectrum_and_ground_pair_match_a_full_eigh():
+    bath = DiscretizedBath.from_modes((1.0, 0.37), (0.4, 0.15))
+    basis = enumerate_basis(2, 7)
+    for params in (ModelParams(delta=0.5), ModelParams(delta=0.5, epsilon=0.05)):
+        model = assemble_full(params, bath, basis)
+        vals, vecs = np.linalg.eigh(model.hamiltonian.toarray())
+        assert np.abs(dense_spectrum(model) - vals).max() < 1e-12
+        pair_vals, pair_vecs = ground_pair(model)
+        assert pair_vals.shape == (2,) and pair_vecs.shape == (2 * basis.dim, 2)
+        assert np.abs(pair_vals - vals[:2]).max() < 1e-12
+        for i in range(2):
+            assert abs(abs(pair_vecs[:, i] @ vecs[:, i]) - 1.0) < 1e-10
 
 
 def test_displaced_sector_spectra_match_dense_at_low_end():
@@ -202,7 +240,7 @@ def test_displaced_sector_spectra_match_dense_at_low_end():
     at_14, at_16 = union_bottom(14), union_bottom(16)
     assert np.abs(at_14 - at_16).max() < 1e-10  # converged
     dense = np.linalg.eigvalsh(
-        assemble_full(params, bath, enumerate_basis(1, 14)).hamiltonian
+        assemble_full(params, bath, enumerate_basis(1, 14)).hamiltonian.toarray()
     )[:low]
     assert np.abs(at_14 - dense).max() < 1e-9
 
@@ -357,7 +395,7 @@ def test_tunneling_breaks_sigma_z_conservation():
     model = assemble_full(ModelParams(delta=0.5), bath, basis)
     dim = basis.dim
     sz = np.diag(np.concatenate([np.ones(dim), -np.ones(dim)]))
-    H = model.hamiltonian
+    H = model.hamiltonian.toarray()
     norm = np.linalg.norm(H @ sz - sz @ H, 2)
     assert norm == pytest.approx(0.5, rel=1e-12)
 
@@ -393,3 +431,63 @@ def test_spectral_norm_of_zero_is_exactly_zero():
     for n in (1, 5, 64):
         value = spectral_norm(np.zeros((n, n)))
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_spectral_norm_of_sparse_input_equals_the_dense_result():
+    rng = np.random.default_rng(17)
+    cases = [(kind, A) for n in (1, 2, 7, 40) for kind, A in _norm_cases(rng, n)]
+    mostly_zero = rng.standard_normal((60, 25)) * (rng.random((60, 25)) < 0.1)
+    cases += [("sparse 60 x 25", mostly_zero), ("sparse 25 x 60", mostly_zero.T)]
+    for kind, A in cases:
+        dense = spectral_norm(A)
+        sparse = spectral_norm(scipy.sparse.csr_array(A))
+        reference = np.linalg.norm(A, 2)
+        assert abs(sparse - dense) <= 1e-13 * reference, kind
+        assert abs(sparse - reference) <= 1e-13 * reference, kind
+
+
+@pytest.fixture
+def no_eigensolve(monkeypatch):
+    """Make any symmetric eigensolve fail: the exact cases must need none."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectral_norm ran an eigensolve")
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", refuse)
+
+
+def test_spectral_norm_of_sparse_zero_is_exactly_zero(no_eigensolve):
+    stored_zeros = scipy.sparse.csr_array(
+        (np.array([0.0, -0.0, 0.0]), (np.array([0, 1, 3]), np.array([2, 0, 3]))), shape=(4, 4)
+    )
+    signed_zeros = -np.zeros((3, 5))
+    for A in (scipy.sparse.csr_array((6, 6)), stored_zeros, signed_zeros):
+        value = spectral_norm(A)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_spectral_norm_of_a_scaled_signed_permutation_is_its_largest_entry(no_eigensolve):
+    # |c| times an orthogonal matrix: both bounds meet at |c|, bit for bit
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 7, 100):
+        for c in (1.0, 0.37, -3.1e-7, 2.5e12, float(rng.uniform(-5.0, 5.0))):
+            A = np.zeros((n, n))
+            A[np.arange(n), rng.permutation(n)] = c * rng.choice([-1.0, 1.0], n)
+            for form in (A, scipy.sparse.csr_array(A)):
+                assert spectral_norm(form) == abs(c), (n, c)
+
+
+def test_oracle_commutator_norms_are_exact_without_an_eigensolve(no_eigensolve):
+    # [H, Pi] has one entry per row and column, (b_n + eps/2) - (b_n - eps/2)
+    # up to sign: its norm is its largest entry, |eps| up to the rounding of
+    # the boson energy b_n.  [H', sigma_z] vanishes identically at delta = 0.
+    bath = DiscretizedBath.from_modes((1.0, 0.4), (0.35, 0.2))
+    basis = enumerate_basis(2, 6)
+    Pi = parity_matrix(basis).toarray()
+    for epsilon in (0.0, 0.25, -1e-3):
+        model = assemble_full(ModelParams(delta=0.7, epsilon=epsilon), bath, basis)
+        H = model.hamiltonian.toarray()
+        norm = parity_commutator_norm(model)
+        assert norm == np.abs(H @ Pi - Pi @ H).max()
+        assert norm == pytest.approx(abs(epsilon), rel=1e-12)
+    assert frozen_spin_check(bath, basis) == 0.0
