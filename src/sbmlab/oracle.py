@@ -142,19 +142,24 @@ def _lapack_input(A: scipy.sparse.sparray) -> np.ndarray:
     return A.toarray(order="F")
 
 
+def _hoelder_bound(magnitude: np.ndarray | scipy.sparse.sparray) -> float:
+    """sqrt(||A||_1 ||A||_inf) >= ||A||_2 from |A|: its largest column and row sums."""
+    return math.sqrt(float(magnitude.sum(axis=0).max()) * float(magnitude.sum(axis=1).max()))
+
+
 def spectral_norm(A: np.ndarray | scipy.sparse.sparray) -> float:
     """Largest singular value of a dense or sparse A.
 
     max |a_ij| <= ||A||_2 <= sqrt(||A||_1 ||A||_inf), so where the two
     bounds meet their common value is the norm, with no solve; that covers
     the zero matrix (+0.0) and any matrix with at most one nonzero per row
-    and column (a scaled signed permutation).  Otherwise the
-    norm is the sqrt of the top eigenvalue of A'A, from one symmetric
-    eigensolve for that eigenvalue alone instead of a full SVD.
+    and column (a scaled signed permutation).  Otherwise the norm is the
+    sqrt of the top eigenvalue of A'A, from one symmetric eigensolve for
+    that eigenvalue alone instead of a full SVD.
     """
     magnitude = abs(A)
     lower = float(magnitude.max())
-    upper = math.sqrt(float(magnitude.sum(axis=0).max()) * float(magnitude.sum(axis=1).max()))
+    upper = _hoelder_bound(magnitude)
     if upper <= lower:
         return lower
     gram = A.T @ A
@@ -168,15 +173,13 @@ def spectral_norm(A: np.ndarray | scipy.sparse.sparray) -> float:
 def rotation_defects(enumeration: BasisEnumeration) -> tuple[float, float]:
     """(bound on the spectral norm of U U' - I, max |U Pi U' - sigma_z (x) I|).
 
-    Both are rounding noise.  The first is the Hoelder bound
-    sqrt(||A||_1 ||A||_inf) >= ||A||_2 of the sparse A = U U' - I (largest
-    column and row sums of |A|), so the check it feeds can only be stricter
-    than one on the spectral norm.
+    Both are rounding noise.  The first is the Hoelder bound on the norm of
+    the sparse A = U U' - I, so the check it feeds can only be stricter than
+    one on the spectral norm.
     """
     U = unitary_U(enumeration)
     dim = enumeration.dim
-    defect = abs(U @ U.T - scipy.sparse.eye_array(2 * dim, format="csr"))
-    unitarity = math.sqrt(float(defect.sum(axis=0).max() * defect.sum(axis=1).max()))
+    unitarity = _hoelder_bound(abs(U @ U.T - scipy.sparse.eye_array(2 * dim, format="csr")))
     rotated_parity = U @ parity_matrix(enumeration) @ U.T - _sparse_sigma_z(dim)
     parity_defect = float(abs(rotated_parity).max())
     return unitarity, parity_defect
