@@ -20,18 +20,10 @@ checks and exists whenever the required powers of Lambda are rational.
 
 from __future__ import annotations
 
-import decimal
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-
-from sbmlab.errors import AccuracyError
-
-# significant digits of a prefactor returned as a Decimal: enough to round
-# trip a double
-_PREFACTOR_DIGITS = 17
 
 
 class Convention(Enum):
@@ -288,32 +280,10 @@ def sum_q_squared(bath: DiscretizedBath) -> float:
 
 
 def log_prefactor(bath: DiscretizedBath) -> float:
-    """Natural logarithm of the polaron factor, -2 sum_k q_k**2; exact in double."""
-    return -2.0 * sum_q_squared(bath)
+    """Natural logarithm of the polaron factor exp(-2 sum_k q_k**2); exact in double.
 
-
-def prefactor(bath: DiscretizedBath) -> float | decimal.Decimal:
-    """Tunneling reduction factor exp(-2 sum_k q_k**2); in (0, 1], and 1 iff all q vanish.
-
-    Returns math.exp(log_prefactor(bath)) as a float while that is a normal
-    double.  Below sys.float_info.min the float would lose digits or read
-    0.0, so the true value is returned as a Decimal (17 digits, exponent
-    down to decimal.MIN_EMIN), which compares exactly with floats.  Raises
-    AccuracyError when sum_k q_k**2 is not finite or the factor lies below
-    even that range (|log_prefactor| above about 2.3e18).  Code that needs
-    the factor on a log scale should use log_prefactor.
+    The factor itself leaves the double range (math.exp of this reads 0.0
+    once sum q**2 passes about 372), so it is carried as its logarithm:
+    <= 0, and 0 iff all q vanish.
     """
-    log_value = log_prefactor(bath)
-    value = math.exp(log_value)
-    if value >= sys.float_info.min:
-        return value
-    if not math.isfinite(log_value):
-        raise AccuracyError(f"polaron factor exp({log_value}) is not a finite exponent")
-    context = decimal.Context(prec=_PREFACTOR_DIGITS, Emin=decimal.MIN_EMIN)
-    exact = decimal.Decimal(log_value).exp(context)
-    if not exact.is_normal(context):
-        raise AccuracyError(
-            f"polaron factor exp({log_value}) is below the range of Decimal "
-            f"(exponent {decimal.MIN_EMIN})"
-        )
-    return exact
+    return -2.0 * sum_q_squared(bath)

@@ -113,11 +113,6 @@ class BasisEnumeration:
             )
         return int(self.rank(occ[None, :])[0])
 
-    def multi_index_of(self, i: int) -> MultiIndex:
-        if not 0 <= i < self.dim:
-            raise ValueError(f"dense index {i} out of range 0..{self.dim - 1}")
-        return tuple(self._occupations[i].tolist())
-
     def rank(self, occupations: np.ndarray) -> np.ndarray:
         """Dense indices of the rows of an integer occupation array, in closed form.
 
@@ -155,7 +150,7 @@ class BasisEnumeration:
         return raised
 
     def occupation_array(self) -> np.ndarray:
-        """The read-only dim x mode_count int64 occupations, row i = multi_index_of(i)."""
+        """The read-only dim x mode_count int64 occupations; row i is the state of rank i."""
         return self._occupations
 
     def __len__(self) -> int:

@@ -115,34 +115,22 @@ def _expansion(basis) -> dict[MultiIndex, Fraction]:
     return {n: Fraction(2 ** sum(n)) for n in basis}
 
 
-def _independence_verdict(terms: dict[MultiIndex, Fraction], dim: int) -> str:
-    # one key per stored monomial: dim keys from dim occupation vectors mean
-    # no two collide, and each carries its own unknown with a nonzero weight
-    return "holds" if len(terms) == dim and all(terms.values()) else "fails"
-
-
-def monomial_independence_check(N: int, n_max: int) -> str:
-    """Certify that occupation vectors map injectively onto monomials.
-
-    Builds sum_n c_n (2q)^n as a map from multi-index to weight and checks
-    that every occupation vector keeps its own monomial with a nonzero
-    rational weight.  Together these force all c_n = 0 when the expansion
-    vanishes identically.
-    """
-    basis = _proof_basis(N, n_max)
-    return _independence_verdict(_expansion(basis), basis.dim)
-
-
 def constant_term_contradiction(N: int, n_max: int) -> ProofReport:
-    """Compare the constant terms of both vacuum-row expansions.
+    """Both cases of the argument over one expansion.
 
-    The left side is 2 plus the odd-sector expansion, the right side is
-    minus the even-sector expansion, both summed over n != 0; a polynomial
-    identity between them would need equal constant terms, but these are
-    2 and 0 exactly.
+    Case 1 (monomial independence) holds when every occupation vector keeps
+    its own monomial with a nonzero rational weight, which forces all
+    c_n = 0 when the expansion vanishes identically.  Case 2 compares the
+    constant terms of both vacuum-row expansions.  The left side is 2 plus
+    the odd-sector expansion, the right side is minus the even-sector
+    expansion, both summed over n != 0; a polynomial identity between them
+    would need equal constant terms, but these are 2 and 0 exactly.
     """
     basis = _proof_basis(N, n_max)
     terms = _expansion(basis)
+    # one key per stored monomial: dim keys from dim occupation vectors mean
+    # no two collide, and each carries its own unknown with a nonzero weight
+    independent = len(terms) == basis.dim and all(terms.values())
     vacuum = (0,) * N
     # both sums skip c_0, so an unknown could reach a constant term only
     # through another key of degree zero; the weights multiply unknowns and
@@ -152,7 +140,7 @@ def constant_term_contradiction(N: int, n_max: int) -> ProofReport:
     return ProofReport(
         N=N,
         n_max=n_max,
-        case1_verdict=_independence_verdict(terms, basis.dim),
+        case1_verdict="holds" if independent else "fails",
         case2_verdict=case2,
         witness=(Fraction(2), Fraction(0)),
         monomial_count=basis.dim,

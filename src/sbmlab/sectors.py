@@ -23,13 +23,15 @@ are references for tests and benchmarks only.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.sparse
 
-from sbmlab.bath import DiscretizedBath, prefactor
+from sbmlab.bath import DiscretizedBath, log_prefactor
 from sbmlab.errors import AccuracyError, SolverError
 from sbmlab.fockspace import BasisEnumeration, lowering_series
 
@@ -149,18 +151,19 @@ class GroundStateResult:
 
 
 def _polaron_double(bath: DiscretizedBath) -> float:
-    """The polaron factor as a double, which every D entry is scaled by.
+    """The polaron factor exp(log_prefactor) as a double, which every D entry is scaled by.
 
-    Raises AccuracyError where prefactor() has no normal double to give
-    (it returns a Decimal there): a factor flushed to 0.0, or to a subnormal
+    Raises AccuracyError unless that double is normal (>= sys.float_info.min,
+    which also rules out NaN): a factor flushed to 0.0, or to a subnormal
     with few digits left, would make the two sectors identical and their
-    gap a rounding artifact.
+    gap a rounding artifact.  The message names the factor by its log.
     """
-    value = prefactor(bath)
-    if not isinstance(value, float):
+    log_value = log_prefactor(bath)
+    value = math.exp(log_value)
+    if not value >= sys.float_info.min:
         raise AccuracyError(
-            f"polaron factor {value:.3e} is below the normal double range; "
-            "D cannot be formed in double precision"
+            f"polaron factor exp({log_value:.6g}) = 10^{log_value / math.log(10):.2f} "
+            "is below the normal double range; D cannot be formed in double precision"
         )
     return value
 
@@ -170,8 +173,10 @@ def _sector_pair(
 ) -> dict[Sector, SectorMatrix]:
     """Both sector operators over one diagonal sum omega (n - q**2) and one lowering series.
 
-    lowering_series raises CapacityError before allocating a series that
-    would not fit fockspace.MAX_OPERATOR_BYTES.
+    The polaron factor is checked first, so a point that no basis can solve
+    in double precision raises AccuracyError before E is built, also where
+    E would be over fockspace.MAX_OPERATOR_BYTES.  Otherwise lowering_series
+    raises CapacityError before allocating a series over that cap.
     """
     if params.epsilon != 0.0:
         raise ValueError(
@@ -183,8 +188,8 @@ def _sector_pair(
             f"enumeration mode count {enumeration.mode_count} does not match "
             f"bath mode count {bath.mode_count}"
         )
-    lowering = lowering_series(enumeration, bath.q)
     polaron = _polaron_double(bath)
+    lowering = lowering_series(enumeration, bath.q)
     omega = np.asarray(bath.omega)
     q = np.asarray(bath.q)
     diagonal = enumeration.occupation_array() @ omega - float(omega @ (q * q))

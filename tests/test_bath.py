@@ -1,5 +1,5 @@
 import math
-from decimal import Decimal
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -20,12 +20,12 @@ from sbmlab.bath import (
     beta2_exact,
     discretize,
     log_prefactor,
-    prefactor,
     spectral_density,
     sum_q_squared,
     sum_q_squared_continuous,
 )
 from sbmlab.errors import AccuracyError
+from sbmlab.sectors import _polaron_double
 
 
 def make_spec(s=1.0, alpha=0.1, omega_c=1.0, omega1=1e-4):
@@ -246,7 +246,7 @@ def test_discretize_zero_coupling():
     bath = discretize(spec, DiscretizationSpec(Lambda=2.0, N=4))
     assert bath.lam == (0.0,) * 5
     assert bath.q == (0.0,) * 5
-    assert prefactor(bath) == 1.0
+    assert log_prefactor(bath) == 0.0
 
 
 def test_conventions_differ_by_factor_two_in_q():
@@ -291,16 +291,16 @@ def test_divergence_for_small_s_and_convergence_above_one():
 
 def test_prefactor_trivial_points():
     silent = DiscretizedBath.from_modes((1.0, 0.5), (0.0, 0.0))
-    assert prefactor(silent) == 1.0
+    assert log_prefactor(silent) == 0.0
     single = DiscretizedBath.from_modes((1.0,), (1.0,))
-    assert prefactor(single) == pytest.approx(math.exp(-2.0), rel=1e-15)
+    assert log_prefactor(single) == -2.0
 
 
 def test_prefactor_decreasing_in_mode_count():
     spec = make_spec(s=0.1, alpha=0.1)
-    values = [prefactor(discretize(spec, DiscretizationSpec(2.0, N))) for N in range(12)]
+    values = [log_prefactor(discretize(spec, DiscretizationSpec(2.0, N))) for N in range(12)]
     assert all(b < a for a, b in zip(values, values[1:]))
-    assert all(0.0 < v <= 1.0 for v in values)
+    assert values[0] < 0.0
 
 
 @given(
@@ -310,20 +310,20 @@ def test_prefactor_decreasing_in_mode_count():
 )
 @settings(max_examples=40)
 def test_prefactor_in_unit_interval(s, alpha, N):
+    # exp(-2 sum q**2) in (0, 1] is log_prefactor <= 0, and 1 iff alpha = 0
     bath = discretize(make_spec(s=s, alpha=alpha), DiscretizationSpec(2.0, N))
-    p = prefactor(bath)
-    assert 0.0 < p <= 1.0
+    value = log_prefactor(bath)
     if alpha == 0.0:
-        assert p == 1.0
+        assert value == 0.0
     else:
-        assert p < 1.0
+        assert value < 0.0
 
 
 @pytest.mark.parametrize("s,alpha,N", [(0.5, 0.2, 3), (0.1, 0.3, 11), (1.0, 1e-6, 0), (3.0, 1.0, 12)])
 def test_prefactor_in_double_range_is_the_float_exp(s, alpha, N):
     bath = discretize(make_spec(s=s, alpha=alpha), DiscretizationSpec(2.0, N))
-    p = prefactor(bath)
-    assert type(p) is float
+    p = _polaron_double(bath)
+    assert p >= sys.float_info.min
     assert p.hex() == math.exp(-2.0 * sum_q_squared(bath)).hex()
 
 
@@ -331,32 +331,35 @@ def test_prefactor_below_double_range_matches_mpmath():
     # sum q**2 = 400.76 here: exp(-2 sum q**2) is 8e-349, which a double flushes to 0
     bath = discretize(make_spec(s=0.125, alpha=1.0), DiscretizationSpec(2.0, 10))
     total = sum_q_squared(bath)
+    assert total == pytest.approx(400.76, abs=0.005)
     assert log_prefactor(bath) == -2.0 * total
     assert math.exp(log_prefactor(bath)) == 0.0
-    p = prefactor(bath)
-    assert isinstance(p, Decimal)
     with mpmath.workdps(50):
-        exact = mpmath.exp(-2 * mpmath.mpf(total))
-        assert abs(mpmath.mpf(str(p)) / exact - 1) < 1e-15
+        exact = mpmath.log10(mpmath.exp(-2 * mpmath.mpf(total)))
+        assert abs(log_prefactor(bath) / math.log(10) / exact - 1) < 1e-15
+    assert float(exact) == pytest.approx(-348.10, abs=0.005)
+    with pytest.raises(AccuracyError, match=r"10\^-348.10 is below the normal double range"):
+        _polaron_double(bath)
 
 
 def test_prefactor_subnormal_double_is_not_returned():
     # exp(-710) is a subnormal double with about 13 significant bits missing
     bath = DiscretizedBath.from_modes((1.0,), (math.sqrt(355.0),))
-    p = prefactor(bath)
-    assert isinstance(p, Decimal)
-    with mpmath.workdps(50):
-        exact = mpmath.exp(-2 * mpmath.mpf(sum_q_squared(bath)))
-        assert abs(mpmath.mpf(str(p)) / exact - 1) < 1e-15
+    assert log_prefactor(bath) == pytest.approx(-710.0, rel=1e-15)
+    assert 0.0 < math.exp(log_prefactor(bath)) < sys.float_info.min
+    with pytest.raises(AccuracyError, match=r"exp\(-710\)"):
+        _polaron_double(bath)
 
 
-def test_prefactor_beyond_decimal_range_raises():
-    # |log_prefactor| = 2e18 still fits Decimal's exponent range, 8e18 does not
-    assert 0.0 < prefactor(DiscretizedBath.from_modes((1.0,), (1e9,))) < 1e-300
-    with pytest.raises(AccuracyError):
-        prefactor(DiscretizedBath.from_modes((1.0,), (2e9,)))
-    with pytest.raises(AccuracyError):
-        prefactor(DiscretizedBath.from_modes((1.0,), (math.inf,)))
+def test_prefactor_without_finite_exponent_raises():
+    # |log_prefactor| = 2e18 and 8e18 are finite logs whose factor is 0.0;
+    # an infinite q gives -inf and a NaN q gives NaN, refused the same way
+    for q in (1e9, 2e9, math.inf, math.nan):
+        bath = DiscretizedBath.from_modes((1.0,), (q,))
+        with pytest.raises(AccuracyError):
+            _polaron_double(bath)
+    assert log_prefactor(DiscretizedBath.from_modes((1.0,), (2e9,))) == -8e18
+    assert log_prefactor(DiscretizedBath.from_modes((1.0,), (math.inf,))) == -math.inf
 
 
 # ---------------------------------------------------------------- validation

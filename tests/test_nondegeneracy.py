@@ -12,7 +12,6 @@ from sbmlab.nondegeneracy import (
     closed_form_square_check,
     constant_term_contradiction,
     lmn_exact,
-    monomial_independence_check,
 )
 
 # ---------------------------------------------------------------- case 1
@@ -20,16 +19,16 @@ from sbmlab.nondegeneracy import (
 
 @pytest.mark.parametrize("N,n_max", [(1, 4), (2, 3), (3, 4)])
 def test_monomial_independence_holds(N, n_max):
-    assert monomial_independence_check(N, n_max) == "holds"
+    assert constant_term_contradiction(N, n_max).case1_verdict == "holds"
 
 
 def test_monomial_independence_capacity_and_validation():
     with pytest.raises(CapacityError):
-        monomial_independence_check(6, 20)  # C(26,6) = 230230 monomials
+        constant_term_contradiction(6, 20)  # C(26,6) = 230230 monomials
     with pytest.raises(ValueError):
-        monomial_independence_check(0, 3)
+        constant_term_contradiction(0, 3)
     with pytest.raises(ValueError):
-        monomial_independence_check(1, 0)
+        constant_term_contradiction(1, 0)
 
 
 # ---------------------------------------------------------------- case 2

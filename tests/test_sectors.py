@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize, prefactor
-from sbmlab.errors import CapacityError, SolverError
+from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize, log_prefactor
+from sbmlab.errors import AccuracyError, CapacityError, SolverError
 from sbmlab.fockspace import enumerate_basis, lowering_series, parity_phase
 from sbmlab.sectors import (
     _DAVIDSON_RESTART,
@@ -239,7 +239,8 @@ def test_solve_sectors_bit_identical_to_per_sector_solves():
         omega, q = np.asarray(bath.omega), np.asarray(bath.q)
         E = lowering_series(basis, bath.q).toarray()
         P = np.diag([float(parity_phase(n)) for n in basis])
-        expected = result.sector.tunneling_sign * (params.delta / 2.0) * prefactor(bath) * (
+        factor = math.exp(log_prefactor(bath))
+        expected = result.sector.tunneling_sign * (params.delta / 2.0) * factor * (
             P @ E.T @ P @ E @ P
         )
         expected += np.diag(basis.occupation_array() @ omega - float(omega @ (q * q)))
@@ -257,6 +258,28 @@ def test_solve_sectors_refuses_oversize_operator_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="MAX_OPERATOR_BYTES"):
+            solve_sectors(bath, ModelParams(0.5), basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_refused_point_never_builds_the_lowering_series(monkeypatch):
+    # 20 modes at n_max 6 (dim 230 230): log10 of the polaron factor is
+    # -33 746, so the point is refused before E (9.4e6 entries) is built
+    bath = discretize(BathSpec(0.1, 0.3, 1.0, 1e-6), DiscretizationSpec(2.0, 19))
+    basis = enumerate_basis(20, 6)
+    assert basis.dim == 230230
+    assert log_prefactor(bath) / math.log(10) == pytest.approx(-33745.68, abs=0.01)
+
+    def no_lowering_series(*args):
+        raise AssertionError("lowering_series was called for a refused point")
+
+    monkeypatch.setattr("sbmlab.sectors.lowering_series", no_lowering_series)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AccuracyError, match="10\\^-33745.68"):
             solve_sectors(bath, ModelParams(0.5), basis)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -371,4 +394,4 @@ def test_gap_tracks_prefactor_at_weak_tunneling():
     basis = enumerate_basis(2, 8)
     delta = 1e-6
     splitting = odd_minus_even(bath, ModelParams(delta), basis, tol=1e-12)
-    assert splitting / delta == pytest.approx(prefactor(bath), rel=1e-4)
+    assert splitting / delta == pytest.approx(math.exp(log_prefactor(bath)), rel=1e-4)
