@@ -28,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from .bath import DiscretizedBath, beta2, discretize, log_prefactor, sum_q_squared
-from .config import RunConfig, load_config
+from .config import RunConfig, file_key, load_config
 from .errors import AccuracyError, CapacityError, ConfigError, SolverError
-from .fockspace import BasisEnumeration, enumerate_basis
+from .fockspace import enumerate_basis
 from .nondegeneracy import constant_term_contradiction
 from .oracle import (
     MIXED,
@@ -44,7 +44,7 @@ from .oracle import (
     rotation_defects,
     sector_blocks,
 )
-from .sectors import GroundStateResult, solve_sectors
+from .sectors import GroundStateResult, polaron_double, solve_sectors
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -97,15 +97,24 @@ def _config_as_dict(cfg: RunConfig) -> dict:
     echo = dataclasses.asdict(cfg)
     echo["discretization"]["convention"] = cfg.discretization.convention.value
     if cfg.sweep is not None:
-        # Sweep.start and Sweep.stop are the file's "from" and "to"
-        names = {"start": "from", "stop": "to"}
-        echo["sweep"] = {names.get(key, key): value for key, value in echo["sweep"].items()}
+        echo["sweep"] = {
+            file_key(field): getattr(cfg.sweep, field.name)
+            for field in dataclasses.fields(cfg.sweep)
+        }
     return echo
 
 
-def _model(cfg: RunConfig) -> tuple[DiscretizedBath, BasisEnumeration]:
-    bath = discretize(cfg.bath, cfg.discretization)
-    return bath, enumerate_basis(bath.mode_count, cfg.truncation.n_max)
+def _solve_sectors(
+    cfg: RunConfig, bath: DiscretizedBath
+) -> tuple[GroundStateResult, GroundStateResult]:
+    """(even, odd) ground states at cfg.
+
+    AccuracyError comes before the basis is enumerated when no basis can
+    solve the point in double precision, also over fockspace.MAX_BASIS_DIM.
+    """
+    polaron_double(bath)
+    enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
+    return solve_sectors(bath, cfg.model, enumeration, cfg.solver.tol, cfg.solver.max_iter)
 
 
 # ------------------------------------------------------------------- fig1
@@ -206,24 +215,15 @@ def cmd_fig1(args) -> int:
 class ResultRow:
     """One sweep point, self-describing: inputs echoed next to outputs.
 
-    wall_time and solvers (per sector: iterations, residual) are
-    carried here for the manifest but never enter the CSV body, which must
-    be byte-reproducible.
+    inputs is the point's config as the manifest echoes it, flattened to
+    one cell per field of every group but the sweep, in file order.
+    wall_time and solvers (per sector: iterations, residual) are carried
+    here for the manifest but never enter the CSV body, which must be
+    byte-reproducible.
     """
 
     index: int
-    delta: float
-    epsilon: float
-    s: float
-    alpha: float
-    omega_c: float
-    omega1: float
-    Lambda: float
-    N: int
-    convention: str
-    n_max: int
-    tol: float
-    max_iter: int
+    inputs: dict
     E_plus0: float
     E_minus0: float
     gap: float
@@ -237,15 +237,13 @@ class ResultRow:
     solvers: dict
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _ROW_FIELDS}
-
-
-# the CSV columns: every field except the two the manifest carries
-_ROW_FIELDS = tuple(
-    field.name
-    for field in dataclasses.fields(ResultRow)
-    if field.name not in ("wall_time", "solvers")
-)
+        """The CSV cells by column: index, the inputs, then the results."""
+        results = {
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(self)
+            if field.name not in ("index", "inputs", "wall_time", "solvers")
+        }
+        return {"index": self.index, **self.inputs, **results}
 
 
 def _solver_record(result: GroundStateResult) -> dict:
@@ -271,12 +269,10 @@ def sweep_point(task: tuple[int, RunConfig]) -> ResultRow:
     """Solve both sectors for one config; pure and order-independent."""
     index, cfg = task
     started = time.perf_counter()
-    bath, enumeration = _model(cfg)
+    bath = discretize(cfg.bath, cfg.discretization)
     solvers = {}
     try:
-        even, odd = solve_sectors(
-            bath, cfg.model, enumeration, cfg.solver.tol, cfg.solver.max_iter
-        )
+        even, odd = _solve_sectors(cfg, bath)
     except SolverError as exc:
         diagnostics = dict(exc.diagnostics)
         sector = diagnostics.pop("sector", "unknown")
@@ -296,20 +292,11 @@ def sweep_point(task: tuple[int, RunConfig]) -> ResultRow:
             status="ok",
         )
         solvers = {"even": _solver_record(even), "odd": _solver_record(odd)}
+    groups = _config_as_dict(cfg)
+    del groups["sweep"]
     return ResultRow(
         index=index,
-        delta=cfg.model.delta,
-        epsilon=cfg.model.epsilon,
-        s=cfg.bath.s,
-        alpha=cfg.bath.alpha,
-        omega_c=cfg.bath.omega_c,
-        omega1=cfg.bath.omega1,
-        Lambda=cfg.discretization.Lambda,
-        N=cfg.discretization.N,
-        convention=cfg.discretization.convention.value,
-        n_max=cfg.truncation.n_max,
-        tol=cfg.solver.tol,
-        max_iter=cfg.solver.max_iter,
+        inputs={key: value for group in groups.values() for key, value in group.items()},
         # a float cell in every row (0 once the factor underflows the
         # double); solve_sectors refuses a point whose double is not normal
         prefactor=math.exp(log_prefactor(bath)),
@@ -343,7 +330,8 @@ def cmd_gap_sweep(args) -> int:
 
     if args.format == "csv":
         name = "gap_sweep.csv"
-        body = _csv(_ROW_FIELDS, [row.as_dict().values() for row in rows])
+        cells = [row.as_dict() for row in rows]
+        body = _csv(list(cells[0]), [row.values() for row in cells])
         row_checksums = [_sha256(line.encode("utf-8")) for line in body.split("\n")[1:-1]]
     else:
         name = "gap_sweep.json"
@@ -372,7 +360,8 @@ def cmd_gap_sweep(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     cfg = load_config(args.config)
-    bath, enumeration = _model(cfg)
+    bath = discretize(cfg.bath, cfg.discretization)
+    enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
     model = assemble_full(cfg.model, bath, enumeration)
     eps = cfg.model.epsilon
 
@@ -473,7 +462,7 @@ def cmd_magnetization_scan(args) -> int:
     if not (math.isfinite(args.epsilon_max) and args.epsilon_max > 0.0):
         raise ConfigError(f"--epsilon-max must be finite and > 0, got {args.epsilon_max}")
     cfg = load_config(args.config)
-    bath, enumeration = _model(cfg)
+    bath = discretize(cfg.bath, cfg.discretization)
 
     if args.epsilon_steps is None:
         # theta mode: mixing-angle scan of the epsilon = 0 sector solution
@@ -481,15 +470,14 @@ def cmd_magnetization_scan(args) -> int:
             raise ConfigError(
                 "theta mode requires epsilon = 0; use --epsilon-steps to scan epsilon"
             )
-        even, odd = solve_sectors(
-            bath, cfg.model, enumeration, cfg.solver.tol, cfg.solver.max_iter
-        )
+        even, odd = _solve_sectors(cfg, bath)
         thetas = np.linspace(0.0, math.pi, args.theta_steps)
         header = ["theta", "magnetization"]
         rows = [(theta, magnetization(theta, even, odd)) for theta in thetas]
         name = "magnetization_theta.csv"
         extra = {"mode": "theta", "overlap": parity_overlap(even, odd)}
     else:
+        enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
         grid = np.linspace(-args.epsilon_max, args.epsilon_max, args.epsilon_steps)
         header = ["epsilon", "sigma_z"]
         rows = []

@@ -1,7 +1,10 @@
 """Run configuration: strict YAML parsing and sweep expansion.
 
 A run file has up to six groups: model, bath, discretization, truncation,
-solver, sweep.  Unknown keys anywhere are hard errors, because a silently
+solver, sweep, the fields of RunConfig.  A group's keys are the fields of
+its dataclass, in field order, each checked against the field's annotated
+type; only Sweep.start and Sweep.stop are spelled differently in the file
+(file_key).  Unknown keys anywhere are hard errors, because a silently
 ignored typo in a physics parameter is worse than a crash.  All numeric
 constraints of the underlying domain types are enforced here, at parse
 time, with the offending field path in the message.
@@ -10,16 +13,30 @@ time, with the offending field path in the message.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
+from enum import Enum
 
 import yaml
 
-from .bath import BathSpec, Convention, DiscretizationSpec
+from .bath import BathSpec, DiscretizationSpec
 from .errors import ConfigError
 from .sectors import DEFAULT_MAX_ITER, DEFAULT_TOL, ModelParams
 
 SWEEPABLE = ("alpha", "s", "delta", "N", "n_max", "Lambda")
-_INTEGER_PARAMETERS = ("N", "n_max")
+
+
+def _check_sweepable(parameter: str) -> None:
+    if parameter not in SWEEPABLE:
+        raise ValueError(
+            f"sweep parameter must be one of {', '.join(SWEEPABLE)}, got '{parameter}'"
+        )
+
+
+def file_key(field: dataclasses.Field) -> str:
+    """The config-file key of a group field: its metadata "key", else its name."""
+    return field.metadata.get("key", field.name)
+
 
 @dataclass(frozen=True)
 class Truncation:
@@ -47,24 +64,23 @@ class Sweep:
     """One-parameter scan; 'start'/'stop' carry the file's 'from'/'to'."""
 
     parameter: str
-    start: float
-    stop: float
+    start: float = dataclasses.field(metadata={"key": "from"})
+    stop: float = dataclasses.field(metadata={"key": "to"})
     steps: int
     scale: str = "linear"
 
     def __post_init__(self) -> None:
-        if self.parameter not in SWEEPABLE:
-            raise ValueError(
-                f"sweep parameter must be one of {', '.join(SWEEPABLE)}, got '{self.parameter}'"
-            )
+        _check_sweepable(self.parameter)
         if not isinstance(self.steps, int) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps}")
         if self.scale not in ("linear", "log"):
             raise ValueError(f"scale must be 'linear' or 'log', got '{self.scale}'")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
             raise ValueError("log scale requires positive endpoints")
+        self.values()
 
     def values(self) -> list[float]:
+        """The grid; an integer parameter's values must round exactly."""
         if self.steps == 1:
             grid = [float(self.start)]
         elif self.scale == "linear":
@@ -73,14 +89,11 @@ class Sweep:
         else:
             ratio = (self.stop / self.start) ** (1.0 / (self.steps - 1))
             grid = [self.start * ratio**i for i in range(self.steps)]
-        if self.parameter in _INTEGER_PARAMETERS:
-            rounded = [round(v) for v in grid]
-            for v, r in zip(grid, rounded):
-                if abs(v - r) > 1e-9:
-                    raise ValueError(
-                        f"sweep over {self.parameter} produced non-integer value {v}"
-                    )
-            return [float(r) for r in rounded]
+        if _SWEPT[self.parameter][1] is int:
+            for v in grid:
+                if abs(v - round(v)) > 1e-9:
+                    raise ValueError(f"sweep over {self.parameter} produced non-integer value {v}")
+            grid = [float(round(v)) for v in grid]
         return grid
 
 
@@ -94,24 +107,11 @@ class RunConfig:
     sweep: Sweep | None = None
 
     def with_value(self, parameter: str, value: float) -> "RunConfig":
-        """Copy of this config with one sweepable parameter replaced."""
-        if parameter == "alpha":
-            return dataclasses.replace(self, bath=dataclasses.replace(self.bath, alpha=value))
-        if parameter == "s":
-            return dataclasses.replace(self, bath=dataclasses.replace(self.bath, s=value))
-        if parameter == "delta":
-            return dataclasses.replace(self, model=dataclasses.replace(self.model, delta=value))
-        if parameter == "N":
-            return dataclasses.replace(
-                self, discretization=dataclasses.replace(self.discretization, N=int(value))
-            )
-        if parameter == "n_max":
-            return dataclasses.replace(self, truncation=Truncation(n_max=int(value)))
-        if parameter == "Lambda":
-            return dataclasses.replace(
-                self, discretization=dataclasses.replace(self.discretization, Lambda=value)
-            )
-        raise ValueError(f"sweep parameter must be one of {', '.join(SWEEPABLE)}, got '{parameter}'")
+        """Copy of this config with one sweepable parameter replaced, cast to its field's type."""
+        _check_sweepable(parameter)
+        group, kind = _SWEPT[parameter]
+        spec = dataclasses.replace(getattr(self, group), **{parameter: kind(value)})
+        return dataclasses.replace(self, **{group: spec})
 
     def expand_sweep(self) -> list["RunConfig"]:
         """One config per sweep point, in sweep order; [self] when no sweep."""
@@ -120,46 +120,69 @@ class RunConfig:
         return [self.with_value(self.sweep.parameter, v) for v in self.sweep.values()]
 
 
-def _require_mapping(data, path: str) -> dict:
+# each sweepable parameter -> (the RunConfig group that holds it, its type)
+_SWEPT = {
+    name: (group, kind)
+    for group, cls in typing.get_type_hints(RunConfig).items()
+    if dataclasses.is_dataclass(cls)  # the sweep group, Sweep | None, holds none
+    for name, kind in typing.get_type_hints(cls).items()
+    if name in SWEEPABLE
+}
+
+
+def _require_mapping(data, path: str) -> None:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
-    return data
 
 
 def _reject_unknown(data: dict, allowed: tuple[str, ...], path: str) -> None:
     unknown = [k for k in data if k not in allowed]
     if unknown:
-        where = path or "top level"
         raise ConfigError(
-            f"unknown key '{unknown[0]}' in {where}; expected one of: {', '.join(allowed)}"
+            f"unknown key '{unknown[0]}' in {path}; expected one of: {', '.join(allowed)}"
         )
 
 
-def _number(data: dict, key: str, path: str, default=None):
-    if key not in data:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}: required field is missing")
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+# a field's annotated type -> the YAML values it accepts and their name in errors
+_ACCEPTS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
 
 
-def _integer(data: dict, key: str, path: str, default=None):
-    if key not in data:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}: required field is missing")
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-    return value
+def _typed(kind: type, value, where: str):
+    """value as a field of type kind: a number as float, an enum by its value."""
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            names = ", ".join(sorted(member.value for member in kind))
+            raise ConfigError(f"{where}: expected one of {names}, got {value!r}") from None
+    accepted, name = _ACCEPTS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where}: expected {name}, got {value!r}")
+    return float(value) if kind is float else value
 
 
-def _build(factory, path: str, **kwargs):
+def _read_group(cls, data, path: str, **defaults):
+    """Build the group dataclass cls from its mapping in the config file.
+
+    The allowed keys, their order and their types are the fields of cls.
+    A missing key takes defaults[name](fields read so far) where given,
+    else the field's own default, and is an error where it has neither.
+    """
+    _require_mapping(data, path)
+    fields = dataclasses.fields(cls)
+    _reject_unknown(data, tuple(map(file_key, fields)), path)
+    types = typing.get_type_hints(cls)
+    values = {}
+    for field in fields:
+        key = file_key(field)
+        if key in data:
+            values[field.name] = _typed(types[field.name], data[key], f"{path}.{key}")
+        elif field.name in defaults:
+            values[field.name] = defaults[field.name](values)
+        elif field.default is dataclasses.MISSING:
+            raise ConfigError(f"{path}.{key}: required field is missing")
     try:
-        return factory(**kwargs)
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -167,102 +190,28 @@ def _build(factory, path: str, **kwargs):
 def parse_config(data: dict) -> RunConfig:
     """Validate a parsed mapping and build the immutable run description."""
     _require_mapping(data, "top level")
-    _reject_unknown(
-        data, ("model", "bath", "discretization", "truncation", "solver", "sweep"), ""
-    )
-    for group in ("model", "bath", "discretization", "truncation"):
-        if group not in data:
-            raise ConfigError(f"{group}: required group is missing")
+    groups = dataclasses.fields(RunConfig)
+    _reject_unknown(data, tuple(group.name for group in groups), "top level")
+    for group in groups:
+        if group.default is dataclasses.MISSING and group.name not in data:
+            raise ConfigError(f"{group.name}: required group is missing")
 
-    model_data = _require_mapping(data["model"], "model")
-    _reject_unknown(model_data, ("delta", "epsilon"), "model")
-    model = _build(
-        ModelParams,
-        "model",
-        delta=_number(model_data, "delta", "model"),
-        epsilon=_number(model_data, "epsilon", "model", default=0.0),
-    )
-
-    disc_data = _require_mapping(data["discretization"], "discretization")
-    _reject_unknown(disc_data, ("Lambda", "N", "convention"), "discretization")
-    convention_name = disc_data.get("convention", "paper-quarter")
-    try:
-        convention = Convention(convention_name)
-    except ValueError:
-        raise ConfigError(
-            f"discretization.convention: expected one of "
-            f"{', '.join(sorted(c.value for c in Convention))}, got {convention_name!r}"
-        ) from None
-    discretization = _build(
-        DiscretizationSpec,
-        "discretization",
-        Lambda=_number(disc_data, "Lambda", "discretization"),
-        N=_integer(disc_data, "N", "discretization"),
-        convention=convention,
-    )
-
-    bath_data = _require_mapping(data["bath"], "bath")
-    _reject_unknown(bath_data, ("s", "alpha", "omega_c", "omega1"), "bath")
-    omega_c = _number(bath_data, "omega_c", "bath")
+    model = _read_group(ModelParams, data["model"], "model")
+    discretization = _read_group(DiscretizationSpec, data["discretization"], "discretization")
     # default infrared cutoff: the lower edge of the retained grid
-    omega1_default = omega_c * discretization.Lambda ** -(discretization.N + 1)
-    bath = _build(
+    bath = _read_group(
         BathSpec,
+        data["bath"],
         "bath",
-        s=_number(bath_data, "s", "bath"),
-        alpha=_number(bath_data, "alpha", "bath"),
-        omega_c=omega_c,
-        omega1=_number(bath_data, "omega1", "bath", default=omega1_default),
+        omega1=lambda read: read["omega_c"] * discretization.Lambda ** -(discretization.N + 1),
     )
-
-    trunc_data = _require_mapping(data["truncation"], "truncation")
-    _reject_unknown(trunc_data, ("n_max",), "truncation")
-    truncation = _build(
-        Truncation, "truncation", n_max=_integer(trunc_data, "n_max", "truncation")
-    )
-
-    solver = SolverSettings()
-    if "solver" in data:
-        solver_data = _require_mapping(data["solver"], "solver")
-        _reject_unknown(solver_data, ("tol", "max_iter"), "solver")
-        solver = _build(
-            SolverSettings,
-            "solver",
-            tol=_number(solver_data, "tol", "solver", default=solver.tol),
-            max_iter=_integer(solver_data, "max_iter", "solver", default=solver.max_iter),
-        )
-
-    sweep = None
-    if "sweep" in data:
-        sweep_data = _require_mapping(data["sweep"], "sweep")
-        _reject_unknown(sweep_data, ("parameter", "from", "to", "steps", "scale"), "sweep")
-        parameter = sweep_data.get("parameter")
-        if not isinstance(parameter, str):
-            raise ConfigError(f"sweep.parameter: expected a string, got {parameter!r}")
-        scale = sweep_data.get("scale", "linear")
-        if not isinstance(scale, str):
-            raise ConfigError(f"sweep.scale: expected a string, got {scale!r}")
-        sweep = _build(
-            Sweep,
-            "sweep",
-            parameter=parameter,
-            start=_number(sweep_data, "from", "sweep"),
-            stop=_number(sweep_data, "to", "sweep"),
-            steps=_integer(sweep_data, "steps", "sweep"),
-            scale=scale,
-        )
-        try:
-            sweep.values()
-        except ValueError as exc:
-            raise ConfigError(f"sweep: {exc}") from exc
-
     return RunConfig(
         model=model,
         bath=bath,
         discretization=discretization,
-        truncation=truncation,
-        solver=solver,
-        sweep=sweep,
+        truncation=_read_group(Truncation, data["truncation"], "truncation"),
+        solver=_read_group(SolverSettings, data.get("solver", {}), "solver"),
+        sweep=_read_group(Sweep, data["sweep"], "sweep") if "sweep" in data else None,
     )
 
 

@@ -111,14 +111,15 @@ class DisplacedParity:
 class SectorMatrix:
     """One sector as the operator diag(diagonal) + coupling * Dt.
 
-    diagonal and displaced_parity are shared with the other sector and
-    never written to; coupling is tunneling_sign * (delta/2) * polaron
-    factor.
+    diagonal, displaced_parity and displaced_diagonal, diag(Dt), are shared
+    with the other sector and never written to; coupling is
+    tunneling_sign * (delta/2) * polaron factor.
     """
 
     sector: Sector
     diagonal: np.ndarray
     displaced_parity: DisplacedParity
+    displaced_diagonal: np.ndarray
     coupling: float
 
     @property
@@ -150,7 +151,7 @@ class GroundStateResult:
     iterations: int
 
 
-def _polaron_double(bath: DiscretizedBath) -> float:
+def polaron_double(bath: DiscretizedBath) -> float:
     """The polaron factor exp(log_prefactor) as a double, which every D entry is scaled by.
 
     Raises AccuracyError unless that double is normal (>= sys.float_info.min,
@@ -176,7 +177,9 @@ def _sector_pair(
     The polaron factor is checked first, so a point that no basis can solve
     in double precision raises AccuracyError before E is built, also where
     E would be over fockspace.MAX_OPERATOR_BYTES.  Otherwise lowering_series
-    raises CapacityError before allocating a series over that cap.
+    raises CapacityError before allocating a series over that cap.  diag(Dt),
+    the Davidson preconditioner's share of Dt, is taken once for the pair,
+    because each DisplacedParity.diagonal call makes a squared copy of E.
     """
     if params.epsilon != 0.0:
         raise ValueError(
@@ -188,17 +191,19 @@ def _sector_pair(
             f"enumeration mode count {enumeration.mode_count} does not match "
             f"bath mode count {bath.mode_count}"
         )
-    polaron = _polaron_double(bath)
+    polaron = polaron_double(bath)
     lowering = lowering_series(enumeration, bath.q)
     omega = np.asarray(bath.omega)
     q = np.asarray(bath.q)
     diagonal = enumeration.occupation_array() @ omega - float(omega @ (q * q))
     displaced_parity = DisplacedParity(lowering, enumeration.parity)
+    displaced_diagonal = displaced_parity.diagonal()
     return {
         sector: SectorMatrix(
             sector=sector,
             diagonal=diagonal,
             displaced_parity=displaced_parity,
+            displaced_diagonal=displaced_diagonal,
             coupling=sector.tunneling_sign * (params.delta / 2.0) * polaron,
         )
         for sector in Sector
@@ -233,7 +238,7 @@ def _davidson_lowest(
     of the best pair found when max_iter runs out or the search space
     cannot grow.
     """
-    diag = matrix.diagonal + matrix.coupling * matrix.displaced_parity.diagonal()
+    diag = matrix.diagonal + matrix.coupling * matrix.displaced_diagonal
     n = diag.size
     V = np.zeros((_DAVIDSON_RESTART, n))
     HV = np.empty((_DAVIDSON_RESTART, n))

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from helpers import parity_phase
+
 from sbmlab.bath import (
     BathSpec,
     Convention,
@@ -26,7 +28,7 @@ from sbmlab.bath import (
     sum_q_squared,
 )
 from sbmlab.cli import main
-from sbmlab.fockspace import enumerate_basis, parity_phase
+from sbmlab.fockspace import enumerate_basis
 from sbmlab.oracle import (
     assemble_full,
     frozen_spin_check,

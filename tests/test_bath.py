@@ -25,7 +25,7 @@ from sbmlab.bath import (
     sum_q_squared_continuous,
 )
 from sbmlab.errors import AccuracyError
-from sbmlab.sectors import _polaron_double
+from sbmlab.sectors import polaron_double
 
 
 def make_spec(s=1.0, alpha=0.1, omega_c=1.0, omega1=1e-4):
@@ -322,7 +322,7 @@ def test_prefactor_in_unit_interval(s, alpha, N):
 @pytest.mark.parametrize("s,alpha,N", [(0.5, 0.2, 3), (0.1, 0.3, 11), (1.0, 1e-6, 0), (3.0, 1.0, 12)])
 def test_prefactor_in_double_range_is_the_float_exp(s, alpha, N):
     bath = discretize(make_spec(s=s, alpha=alpha), DiscretizationSpec(2.0, N))
-    p = _polaron_double(bath)
+    p = polaron_double(bath)
     assert p >= sys.float_info.min
     assert p.hex() == math.exp(-2.0 * sum_q_squared(bath)).hex()
 
@@ -339,7 +339,7 @@ def test_prefactor_below_double_range_matches_mpmath():
         assert abs(log_prefactor(bath) / math.log(10) / exact - 1) < 1e-15
     assert float(exact) == pytest.approx(-348.10, abs=0.005)
     with pytest.raises(AccuracyError, match=r"10\^-348.10 is below the normal double range"):
-        _polaron_double(bath)
+        polaron_double(bath)
 
 
 def test_prefactor_subnormal_double_is_not_returned():
@@ -348,7 +348,7 @@ def test_prefactor_subnormal_double_is_not_returned():
     assert log_prefactor(bath) == pytest.approx(-710.0, rel=1e-15)
     assert 0.0 < math.exp(log_prefactor(bath)) < sys.float_info.min
     with pytest.raises(AccuracyError, match=r"exp\(-710\)"):
-        _polaron_double(bath)
+        polaron_double(bath)
 
 
 def test_prefactor_without_finite_exponent_raises():
@@ -357,7 +357,7 @@ def test_prefactor_without_finite_exponent_raises():
     for q in (1e9, 2e9, math.inf, math.nan):
         bath = DiscretizedBath.from_modes((1.0,), (q,))
         with pytest.raises(AccuracyError):
-            _polaron_double(bath)
+            polaron_double(bath)
     assert log_prefactor(DiscretizedBath.from_modes((1.0,), (2e9,))) == -8e18
     assert log_prefactor(DiscretizedBath.from_modes((1.0,), (math.inf,))) == -math.inf
 

@@ -126,6 +126,10 @@ def test_parse_explicit_fields():
             deep({"sweep": {"parameter": "N", "from": 1, "to": 2, "steps": 3}}),
             "non-integer value",
         ),
+        (
+            deep({"sweep": {"from": 0, "to": 1, "steps": 2}}),
+            "sweep.parameter: required field is missing",
+        ),
     ],
 )
 def test_parse_rejections(data, needle):
@@ -138,6 +142,34 @@ def test_parse_rejections(data, needle):
 def test_parse_rejects_non_string_convention(value):
     with pytest.raises(ConfigError, match="discretization.convention: expected one of"):
         parse_config(deep({"discretization": {"convention": value}}))
+
+
+# each group's config keys, in order: the fields of its dataclass
+CONFIG_KEYS = {
+    "model": ["delta", "epsilon"],
+    "bath": ["s", "alpha", "omega_c", "omega1"],
+    "discretization": ["Lambda", "N", "convention"],
+    "truncation": ["n_max"],
+    "solver": ["tol", "max_iter"],
+    "sweep": ["parameter", "from", "to", "steps", "scale"],
+}
+
+
+def test_config_keys_per_group():
+    # a new field of a group dataclass is a new config key, manifest echo
+    # key and gap_sweep.csv column, so it must not arrive unnoticed
+    sweep = {"parameter": "alpha", "from": 0.1, "to": 0.2, "steps": 2}
+    for group, keys in {"": list(CONFIG_KEYS), **CONFIG_KEYS}.items():
+        data = deep({"sweep": sweep})
+        target = data.setdefault(group, {}) if group else data
+        target["unknown"] = 1
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(data)
+        assert str(excinfo.value) == (
+            f"unknown key 'unknown' in {group or 'top level'}; expected one of: {', '.join(keys)}"
+        )
+    echo = _config_as_dict(parse_config(deep({"sweep": sweep})))
+    assert {group: list(values) for group, values in echo.items()} == CONFIG_KEYS
 
 
 def test_model_missing_delta():
@@ -202,10 +234,26 @@ def test_expand_sweep_replaces_each_parameter():
         data = deep({"sweep": {"parameter": parameter, "from": 1.25, "to": 1.5, "steps": 2}})
         points = parse_config(data).expand_sweep()
         assert [getter(c) for c in points] == [1.25, 1.5]
-    data = deep({"sweep": {"parameter": "n_max", "from": 2, "to": 4, "steps": 3}})
-    points = parse_config(data).expand_sweep()
-    assert [c.truncation.n_max for c in points] == [2, 3, 4]
-    assert all(isinstance(c.truncation.n_max, int) for c in points)
+    for parameter, getter in [
+        ("N", lambda c: c.discretization.N),
+        ("n_max", lambda c: c.truncation.n_max),
+    ]:
+        data = deep({"sweep": {"parameter": parameter, "from": 2, "to": 4, "steps": 3}})
+        points = parse_config(data).expand_sweep()
+        assert [getter(c) for c in points] == [2, 3, 4]
+        assert all(type(getter(c)) is int for c in points)
+
+
+@pytest.mark.parametrize("parameter", ["omega_c", "tol"])
+def test_fields_outside_sweepable_are_refused_as_sweep_parameters(parameter):
+    message = f"sweep parameter must be one of alpha, s, delta, N, n_max, Lambda, got '{parameter}'"
+    data = deep({"sweep": {"parameter": parameter, "from": 0.5, "to": 1.0, "steps": 2}})
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(data)
+    assert str(excinfo.value) == f"sweep: {message}"
+    with pytest.raises(ValueError) as excinfo:
+        parse_config(deep({})).with_value(parameter, 0.5)
+    assert str(excinfo.value) == message
 
 
 def test_expand_without_sweep_is_identity():
@@ -399,6 +447,34 @@ def test_gap_sweep_manifest_checksums(tmp_path):
             assert 1 <= record["iterations"] <= manifest["config"]["solver"]["max_iter"]
 
 
+# gap_sweep.csv columns: index, the config echo (every group field but the
+# sweep's), then the results
+GAP_SWEEP_COLUMNS = (
+    "index",
+    "delta",
+    "epsilon",
+    "s",
+    "alpha",
+    "omega_c",
+    "omega1",
+    "Lambda",
+    "N",
+    "convention",
+    "n_max",
+    "tol",
+    "max_iter",
+    "E_plus0",
+    "E_minus0",
+    "gap",
+    "prefactor",
+    "sum_q_squared",
+    "ground_parity",
+    "residual_plus",
+    "residual_minus",
+    "status",
+)
+
+
 def test_gap_sweep_json_format_matches_csv(tmp_path):
     data = deep({"sweep": {"parameter": "alpha", "from": 0.1, "to": 0.3, "steps": 2}})
     path = write_config(tmp_path, data)
@@ -407,6 +483,8 @@ def test_gap_sweep_json_format_matches_csv(tmp_path):
     assert main(["gap-sweep", "--config", path, "--out", str(out_json), "--format", "json"]) == 0
     header, body = read_csv(out_csv / "gap_sweep.csv")
     rows = json.loads((out_json / "gap_sweep.json").read_text())
+    assert tuple(header) == GAP_SWEEP_COLUMNS
+    assert all(tuple(row) == GAP_SWEEP_COLUMNS for row in rows)
     for csv_row, json_row in zip(body, rows):
         assert float(csv_row[header.index("gap")]) == json_row["gap"]
         assert csv_row[header.index("status")] == json_row["status"]
@@ -501,6 +579,39 @@ def test_gap_sweep_underflow_over_operator_cap_is_an_accuracy_row(tmp_path):
     assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(out)]) == 1
     header, body = read_csv(out / "gap_sweep.csv")
     assert body[0][header.index("status")].startswith("accuracy-error: ")
+
+
+def test_underflowed_point_is_refused_before_its_basis_is_enumerated(
+    tmp_path, monkeypatch, capsys
+):
+    # 20 modes at s 0.1, alpha 0.3: log10 of the polaron factor is -33 746.
+    # gap-sweep and the theta scan refuse the point before enumerating its
+    # basis (dim 230 230 at n_max 6), also at n_max 8, where the basis
+    # (dim 3.1e6) is over MAX_BASIS_DIM: no basis can solve the point in
+    # double precision, so it is an accuracy refusal (exit 1), not exit 3
+    def no_basis(*args):
+        raise AssertionError("enumerate_basis was called for a refused point")
+
+    monkeypatch.setattr("sbmlab.cli.enumerate_basis", no_basis)
+    for n_max in (6, 8):
+        data = deep(
+            {
+                "bath": {"s": 0.1, "alpha": 0.3},
+                "discretization": {"N": 19},
+                "truncation": {"n_max": n_max},
+            }
+        )
+        path = write_config(tmp_path, data, f"nmax{n_max}.yaml")
+        out = tmp_path / f"sweep{n_max}"
+        assert main(["gap-sweep", "--config", path, "--out", str(out)]) == 1
+        header, body = read_csv(out / "gap_sweep.csv")
+        status = body[0][header.index("status")]
+        assert status.startswith("accuracy-error: polaron factor exp(")
+        assert "= 10^-33745.68 is below the normal double range" in status
+        capsys.readouterr()
+        argv = ["magnetization-scan", "--config", path, "--out", str(tmp_path / f"m{n_max}")]
+        assert main(argv) == 1
+        assert "invariant failure: polaron factor exp(" in capsys.readouterr().err
 
 
 def test_gap_sweep_records_solver_failure_in_row(tmp_path):

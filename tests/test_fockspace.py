@@ -6,15 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import displacement_matrix, parity_phase
+
 from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize
 from sbmlab.errors import AccuracyError, CapacityError
-from sbmlab.fockspace import (
-    N_MAX_CAP,
-    displacement_matrix,
-    enumerate_basis,
-    lowering_series,
-    parity_phase,
-)
+from sbmlab.fockspace import N_MAX_CAP, enumerate_basis, lowering_series
 from sbmlab.nondegeneracy import lmn_exact
 from sbmlab.sectors import DisplacedParity, ModelParams, Sector, assemble_sector, solve_sectors
 

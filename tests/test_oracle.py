@@ -5,9 +5,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from helpers import displacement_matrix
+
 from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError, CapacityError
-from sbmlab.fockspace import displacement_matrix, enumerate_basis
+from sbmlab.fockspace import enumerate_basis
 from sbmlab.oracle import (
     MIXED,
     assemble_full,

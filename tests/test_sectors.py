@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from helpers import parity_phase
+
 from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize, log_prefactor
 from sbmlab.errors import AccuracyError, CapacityError, SolverError
-from sbmlab.fockspace import enumerate_basis, lowering_series, parity_phase
+from sbmlab.fockspace import enumerate_basis, lowering_series
 from sbmlab.sectors import (
     _DAVIDSON_RESTART,
+    DisplacedParity,
     ModelParams,
     Sector,
     SectorMatrix,
@@ -247,6 +250,23 @@ def test_solve_sectors_bit_identical_to_per_sector_solves():
         assert np.abs(entries - expected).max() <= 1e-15 * np.abs(expected).max()
         x = np.random.default_rng(3).standard_normal(basis.dim)
         assert np.abs(matrix.apply(x) - entries @ x).max() <= 1e-13 * np.abs(entries @ x).max()
+
+
+def test_solve_sectors_takes_the_displaced_diagonal_once(monkeypatch):
+    # each DisplacedParity.diagonal call squares a copy of E (about 107 MiB
+    # at 20 modes, n_max 6), and both sectors share the one result
+    calls = []
+    diagonal = DisplacedParity.diagonal
+
+    def counted(self):
+        calls.append(self)
+        return diagonal(self)
+
+    monkeypatch.setattr(DisplacedParity, "diagonal", counted)
+    bath = DiscretizedBath.from_modes((1.0, 0.4, 0.16), (0.45, 0.3, 0.2))
+    even, odd = solve_sectors(bath, ModelParams(0.6), enumerate_basis(3, 9))
+    assert len(calls) == 1
+    assert even.residual <= 1e-10 and odd.residual <= 1e-10
 
 
 def test_solve_sectors_refuses_oversize_operator_before_allocating():
