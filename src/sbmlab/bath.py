@@ -51,13 +51,11 @@ class BathSpec:
     s: spectral exponent (s < 1 sub-ohmic, s = 1 ohmic, s > 1 super-ohmic)
     alpha: dimensionless dissipation strength, >= 0
     omega_c: hard upper cutoff, > 0
-    omega1: infrared cutoff used by the continuum integrals, 0 < omega1 < omega_c
     """
 
     s: float
     alpha: float
     omega_c: float
-    omega1: float
 
     def __post_init__(self) -> None:
         if not self.s > 0:
@@ -66,10 +64,6 @@ class BathSpec:
             raise ValueError(f"dissipation strength must be >= 0, got alpha={self.alpha}")
         if not self.omega_c > 0:
             raise ValueError(f"cutoff must be positive, got omega_c={self.omega_c}")
-        if not 0 < self.omega1 < self.omega_c:
-            raise ValueError(
-                f"infrared cutoff must satisfy 0 < omega1 < omega_c, got omega1={self.omega1}"
-            )
 
 
 @dataclass(frozen=True)
@@ -128,28 +122,32 @@ def spectral_density(spec: BathSpec, omega: float) -> float:
     return 2.0 * math.pi * spec.alpha * spec.omega_c ** (1.0 - spec.s) * omega**spec.s
 
 
-def beta1(spec: BathSpec) -> float:
+def beta1(spec: BathSpec, omega1: float) -> float:
     """Infrared integral controlling the continuum displacement sum.
 
     Equals integral of omega_c**(1-s)*omega**(s-2) d omega over
-    [omega1, omega_c].  Within the s != 1 expression
+    [omega1, omega_c], 0 < omega1 < omega_c.  Within the s != 1 expression
     [1 - (omega_c/omega1)**(1-s)]/(s - 1) this is evaluated through expm1
     so the s -> 1 limit ln(omega_c/omega1) is approached smoothly.  For
     s > 1 the integral converges as omega1 -> 0; once omega1 drops below
     1e-12*omega_c the limit value 1/(s-1) is returned outright.
     """
+    if not 0 < omega1 < spec.omega_c:
+        raise ValueError(
+            f"infrared cutoff must satisfy 0 < omega1 < omega_c, got omega1={omega1}"
+        )
     s = spec.s
-    log_ratio = math.log(spec.omega_c / spec.omega1)
+    log_ratio = math.log(spec.omega_c / omega1)
     if s == 1.0:
         return log_ratio
-    if s > 1.0 and spec.omega1 <= 1e-12 * spec.omega_c:
+    if s > 1.0 and omega1 <= 1e-12 * spec.omega_c:
         return 1.0 / (s - 1.0)
     return -math.expm1((1.0 - s) * log_ratio) / (s - 1.0)
 
 
-def sum_q_squared_continuous(spec: BathSpec) -> float:
-    """Continuum limit of sum_k q_k**2, equal to 2*alpha*beta1."""
-    return 2.0 * spec.alpha * beta1(spec)
+def sum_q_squared_continuous(spec: BathSpec, omega1: float) -> float:
+    """Continuum limit of sum_k q_k**2 above the infrared cutoff omega1: 2*alpha*beta1."""
+    return 2.0 * spec.alpha * beta1(spec, omega1)
 
 
 def beta0(s: float, Lambda: float) -> float:

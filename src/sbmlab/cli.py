@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .bath import DiscretizedBath, beta2, discretize, log_prefactor, sum_q_squared
-from .config import RunConfig, file_key, load_config
+from .config import RunConfig, config_as_dict, load_config
 from .errors import AccuracyError, CapacityError, ConfigError, SolverError
 from .fockspace import enumerate_basis
 from .nondegeneracy import constant_term_contradiction
@@ -92,16 +92,10 @@ def _publish(out: str, manifest_name: str, command: str, context: dict, outputs:
         handle.write((json.dumps(manifest, indent=1) + "\n").encode("utf-8"))
 
 
-def _config_as_dict(cfg: RunConfig) -> dict:
-    """The config in the config file's own groups and keys; an absent sweep is None."""
-    echo = dataclasses.asdict(cfg)
-    echo["discretization"]["convention"] = cfg.discretization.convention.value
-    if cfg.sweep is not None:
-        echo["sweep"] = {
-            file_key(field): getattr(cfg.sweep, field.name)
-            for field in dataclasses.fields(cfg.sweep)
-        }
-    return echo
+def _require_distinct(flag: str, values: list) -> None:
+    """A list flag names each value once: every value is one output series or file set."""
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{flag} repeats a value, got {values}")
 
 
 def _solve_sectors(
@@ -192,6 +186,7 @@ def cmd_fig1(args) -> int:
     s_list = args.s if args.s else [0.1, 1.0]
     if not all(math.isfinite(s) and s > 0 for s in s_list):
         raise ConfigError(f"--s must be finite and > 0, got {s_list}")
+    _require_distinct("--s", s_list)
     n_values = list(range(args.N_max + 1))
     columns = {f"beta2_s{s}": _beta2_column(s, args.Lambda, n_values) for s in s_list}
     body = _csv(["N", *columns], zip(n_values, *columns.values()))
@@ -292,7 +287,7 @@ def sweep_point(task: tuple[int, RunConfig]) -> ResultRow:
             status="ok",
         )
         solvers = {"even": _solver_record(even), "odd": _solver_record(odd)}
-    groups = _config_as_dict(cfg)
+    groups = config_as_dict(cfg)
     del groups["sweep"]
     return ResultRow(
         index=index,
@@ -341,7 +336,7 @@ def cmd_gap_sweep(args) -> int:
         args.out,
         "gap_sweep_manifest.json",
         "gap-sweep",
-        {"config": _config_as_dict(cfg), "workers": args.workers},
+        {"config": config_as_dict(cfg), "workers": args.workers},
         {name: body},
         row_checksums=row_checksums,
         row_wall_times=[row.wall_time for row in rows],
@@ -415,7 +410,7 @@ def cmd_oracle_check(args) -> int:
             args.out,
             "oracle_check_manifest.json",
             "oracle-check",
-            {"config": _config_as_dict(cfg)},
+            {"config": config_as_dict(cfg)},
             {"oracle_check.txt": report},
             passed=passed,
         )
@@ -426,6 +421,8 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_verify_appendix(args) -> int:
+    _require_distinct("--N", args.N)
+    _require_distinct("--n-max", args.n_max)
     # every report first, so a size refused with CapacityError leaves no directory
     reports = [constant_term_contradiction(N, n_max) for N, n_max in product(args.N, args.n_max)]
     outputs = {}
@@ -491,7 +488,7 @@ def cmd_magnetization_scan(args) -> int:
         args.out,
         "magnetization_manifest.json",
         "magnetization-scan",
-        {"config": _config_as_dict(cfg)},
+        {"config": config_as_dict(cfg)},
         {name: _csv(header, rows)},
         wall_time_seconds=time.perf_counter() - started,
         **extra,
@@ -511,7 +508,7 @@ def cmd_discretize(args) -> int:
         args.out,
         "discretize_manifest.json",
         "discretize",
-        {"config": _config_as_dict(cfg)},
+        {"config": config_as_dict(cfg)},
         {"modes.csv": _csv(["k", "omega", "lam", "q"], rows)},
         sum_q_squared=sum_q_squared(bath),
         prefactor=math.exp(log_prefactor(bath)),

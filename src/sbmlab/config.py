@@ -1,18 +1,20 @@
-"""Run configuration: strict YAML parsing and sweep expansion.
+"""Run configuration: strict YAML parsing, sweep expansion and the echo.
 
 A run file has up to six groups: model, bath, discretization, truncation,
 solver, sweep, the fields of RunConfig.  A group's keys are the fields of
 its dataclass, in field order, each checked against the field's annotated
 type; only Sweep.start and Sweep.stop are spelled differently in the file
-(file_key).  Unknown keys anywhere are hard errors, because a silently
-ignored typo in a physics parameter is worse than a crash.  All numeric
-constraints of the underlying domain types are enforced here, at parse
-time, with the offending field path in the message.
+(_file_key).  Unknown keys and non-finite numbers are hard errors,
+because a silently ignored typo in a physics parameter is worse than a
+crash.  All numeric constraints of the underlying domain types are
+enforced here, at parse time, with the offending field path in the
+message.  config_as_dict writes a config back in the same keys.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +35,7 @@ def _check_sweepable(parameter: str) -> None:
         )
 
 
-def file_key(field: dataclasses.Field) -> str:
+def _file_key(field: dataclasses.Field) -> str:
     """The config-file key of a group field: its metadata "key", else its name."""
     return field.metadata.get("key", field.name)
 
@@ -120,11 +122,16 @@ class RunConfig:
         return [self.with_value(self.sweep.parameter, v) for v in self.sweep.values()]
 
 
+# each RunConfig group -> its dataclass (Sweep for the optional sweep)
+_GROUPS = {
+    group: cls if dataclasses.is_dataclass(cls) else typing.get_args(cls)[0]
+    for group, cls in typing.get_type_hints(RunConfig).items()
+}
+
 # each sweepable parameter -> (the RunConfig group that holds it, its type)
 _SWEPT = {
     name: (group, kind)
-    for group, cls in typing.get_type_hints(RunConfig).items()
-    if dataclasses.is_dataclass(cls)  # the sweep group, Sweep | None, holds none
+    for group, cls in _GROUPS.items()
     for name, kind in typing.get_type_hints(cls).items()
     if name in SWEEPABLE
 }
@@ -158,27 +165,26 @@ def _typed(kind: type, value, where: str):
     accepted, name = _ACCEPTS[kind]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where}: expected {name}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return float(value) if kind is float else value
 
 
-def _read_group(cls, data, path: str, **defaults):
+def _read_group(cls, data, path: str):
     """Build the group dataclass cls from its mapping in the config file.
 
     The allowed keys, their order and their types are the fields of cls.
-    A missing key takes defaults[name](fields read so far) where given,
-    else the field's own default, and is an error where it has neither.
+    A missing key takes the field's default, and is an error where it has none.
     """
     _require_mapping(data, path)
     fields = dataclasses.fields(cls)
-    _reject_unknown(data, tuple(map(file_key, fields)), path)
+    _reject_unknown(data, tuple(map(_file_key, fields)), path)
     types = typing.get_type_hints(cls)
     values = {}
     for field in fields:
-        key = file_key(field)
+        key = _file_key(field)
         if key in data:
             values[field.name] = _typed(types[field.name], data[key], f"{path}.{key}")
-        elif field.name in defaults:
-            values[field.name] = defaults[field.name](values)
         elif field.default is dataclasses.MISSING:
             raise ConfigError(f"{path}.{key}: required field is missing")
     try:
@@ -188,31 +194,30 @@ def _read_group(cls, data, path: str, **defaults):
 
 
 def parse_config(data: dict) -> RunConfig:
-    """Validate a parsed mapping and build the immutable run description."""
+    """Validate a parsed mapping and build the run description, group by group in field order."""
     _require_mapping(data, "top level")
     groups = dataclasses.fields(RunConfig)
     _reject_unknown(data, tuple(group.name for group in groups), "top level")
+    read = {}
     for group in groups:
-        if group.default is dataclasses.MISSING and group.name not in data:
+        if group.name in data:
+            read[group.name] = _read_group(_GROUPS[group.name], data[group.name], group.name)
+        elif group.default is dataclasses.MISSING:
             raise ConfigError(f"{group.name}: required group is missing")
+    return RunConfig(**read)
 
-    model = _read_group(ModelParams, data["model"], "model")
-    discretization = _read_group(DiscretizationSpec, data["discretization"], "discretization")
-    # default infrared cutoff: the lower edge of the retained grid
-    bath = _read_group(
-        BathSpec,
-        data["bath"],
-        "bath",
-        omega1=lambda read: read["omega_c"] * discretization.Lambda ** -(discretization.N + 1),
-    )
-    return RunConfig(
-        model=model,
-        bath=bath,
-        discretization=discretization,
-        truncation=_read_group(Truncation, data["truncation"], "truncation"),
-        solver=_read_group(SolverSettings, data.get("solver", {}), "solver"),
-        sweep=_read_group(Sweep, data["sweep"], "sweep") if "sweep" in data else None,
-    )
+
+def config_as_dict(cfg: RunConfig) -> dict:
+    """parse_config's inverse, echoed by every manifest: file keys, an enum by its value."""
+    echo = dict.fromkeys(_GROUPS)  # an absent sweep stays None
+    for group in _GROUPS:
+        spec = getattr(cfg, group)
+        if spec is not None:
+            echo[group] = {}
+            for field in dataclasses.fields(spec):
+                value = getattr(spec, field.name)
+                echo[group][_file_key(field)] = value.value if isinstance(value, Enum) else value
+    return echo
 
 
 def load_config(path: str) -> RunConfig:

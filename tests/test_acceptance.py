@@ -91,7 +91,7 @@ def random_suite():
         # in the worst corner (s=0.1, alpha=0.5, 6 modes); coarser grids push
         # the true gap below one ulp, where only the symbolic proof can decide
         Lambda = float(rng.choice([1.5, 2.0]))
-        spec = BathSpec(s=s, alpha=alpha, omega_c=1.0, omega1=1e-4)
+        spec = BathSpec(s=s, alpha=alpha, omega_c=1.0)
         bath = discretize(spec, DiscretizationSpec(Lambda=Lambda, N=mode_count - 1))
         even, odd, _ = _solve_gap(bath, delta, mode_count, n_max)
         points.append(
@@ -148,16 +148,16 @@ def test_criterion_02_tail_integral_vs_quadrature():
     worst = 0.0
     for s in (0.3, 0.5, 1.0, 1.5, 2.0):
         for ratio in (1e-2, 1e-4):
-            spec = BathSpec(s=s, alpha=0.2, omega_c=1.7, omega1=1.7 * ratio)
+            spec, omega1 = BathSpec(s=s, alpha=0.2, omega_c=1.7), 1.7 * ratio
             integral, _ = quad(
                 lambda w: spec.omega_c ** (1.0 - s) * w ** (s - 2.0),
-                spec.omega1,
+                omega1,
                 spec.omega_c,
                 epsabs=0.0,
                 epsrel=1e-12,
                 limit=400,
             )
-            worst = max(worst, abs(beta1(spec) - integral) / abs(integral))
+            worst = max(worst, abs(beta1(spec, omega1) - integral) / abs(integral))
     report(
         "criterion 2 closed form vs quadrature",
         worst < 1e-8,
@@ -173,7 +173,7 @@ def test_criterion_03_mode_sum_matches_tail_sum():
     alpha = 0.3
     for s in (0.1, 0.5, 1.0):
         for N in range(0, 51, 5):
-            spec = BathSpec(s=s, alpha=alpha, omega_c=1.0, omega1=1e-6)
+            spec = BathSpec(s=s, alpha=alpha, omega_c=1.0)
             bath = discretize(
                 spec, DiscretizationSpec(Lambda=2.0, N=N, convention=Convention.PAPER_QUARTER)
             )
@@ -213,7 +213,7 @@ def test_criterion_04_dense_oracle_agreement(random_suite):
     for p in points:
         if p.mode_count > 2 or compared >= 16:
             continue
-        spec = BathSpec(s=p.s, alpha=p.alpha, omega_c=1.0, omega1=1e-4)
+        spec = BathSpec(s=p.s, alpha=p.alpha, omega_c=1.0)
         bath = discretize(spec, DiscretizationSpec(Lambda=p.Lambda, N=p.mode_count - 1))
         params = ModelParams(delta=p.delta)
 
@@ -281,7 +281,7 @@ def test_criterion_05_mechanized_proof(tmp_path):
 
 
 def test_criterion_06_parity_algebra():
-    spec = BathSpec(s=0.5, alpha=0.25, omega_c=1.0, omega1=1e-3)
+    spec = BathSpec(s=0.5, alpha=0.25, omega_c=1.0)
     bath = discretize(spec, DiscretizationSpec(Lambda=2.0, N=1))
     enumeration = enumerate_basis(2, 6)
 
@@ -320,7 +320,7 @@ def test_criterion_06_parity_algebra():
 def test_criterion_07_spectrum_partition():
     worst_union = 0.0
     for mode_count, n_max, s, alpha in [(1, 12, 0.5, 0.3), (2, 8, 0.1, 0.2), (3, 5, 1.0, 0.15)]:
-        spec = BathSpec(s=s, alpha=alpha, omega_c=1.0, omega1=1e-3)
+        spec = BathSpec(s=s, alpha=alpha, omega_c=1.0)
         bath = discretize(spec, DiscretizationSpec(Lambda=2.0, N=mode_count - 1))
         enumeration = enumerate_basis(mode_count, n_max)
         assert 2 * enumeration.dim <= 400
@@ -334,7 +334,7 @@ def test_criterion_07_spectrum_partition():
 
     # low end of the displaced-basis sector solver against the same dense
     # spectrum, on a run where the occupation cutoff is converged
-    spec = BathSpec(s=1.0, alpha=0.05, omega_c=1.0, omega1=1e-3)
+    spec = BathSpec(s=1.0, alpha=0.05, omega_c=1.0)
     bath = discretize(spec, DiscretizationSpec(Lambda=2.0, N=1))
     enumeration = enumerate_basis(2, 12)
     model = assemble_full(ModelParams(delta=0.4), bath, enumeration)
@@ -356,7 +356,7 @@ def test_criterion_07_spectrum_partition():
 
 
 def test_criterion_08_magnetization():
-    spec = BathSpec(s=0.5, alpha=0.2, omega_c=1.0, omega1=1e-3)
+    spec = BathSpec(s=0.5, alpha=0.2, omega_c=1.0)
     bath = discretize(spec, DiscretizationSpec(Lambda=2.0, N=2))
     even, odd, enumeration = _solve_gap(bath, 0.4, 3, 4)
     worst_zero = max(
@@ -374,7 +374,7 @@ def test_criterion_08_magnetization():
         )
         worst_odd = max(worst_odd, abs(plus + minus))
 
-    free = BathSpec(s=0.5, alpha=0.0, omega_c=1.0, omega1=1e-3)
+    free = BathSpec(s=0.5, alpha=0.0, omega_c=1.0)
     free_bath = discretize(free, DiscretizationSpec(Lambda=2.0, N=2))
     worst_free = 0.0
     for eps in (-0.8, -0.3, 0.05, 0.6):
@@ -401,7 +401,7 @@ def test_criterion_09_variational_monotonicity(random_suite):
     for p in points:
         if p.mode_count > 3 or p.n_max > 5 or checked >= 20:
             continue
-        spec = BathSpec(s=p.s, alpha=p.alpha, omega_c=1.0, omega1=1e-4)
+        spec = BathSpec(s=p.s, alpha=p.alpha, omega_c=1.0)
         bath = discretize(spec, DiscretizationSpec(Lambda=p.Lambda, N=p.mode_count - 1))
         even_lo, odd_lo, _ = _solve_gap(bath, p.delta, p.mode_count, p.n_max)
         even_hi, odd_hi, _ = _solve_gap(bath, p.delta, p.mode_count, p.n_max + 1)

@@ -28,8 +28,8 @@ from sbmlab.errors import AccuracyError
 from sbmlab.sectors import polaron_double
 
 
-def make_spec(s=1.0, alpha=0.1, omega_c=1.0, omega1=1e-4):
-    return BathSpec(s=s, alpha=alpha, omega_c=omega_c, omega1=omega1)
+def make_spec(s=1.0, alpha=0.1, omega_c=1.0):
+    return BathSpec(s=s, alpha=alpha, omega_c=omega_c)
 
 
 # ---------------------------------------------------------------- spectral density
@@ -60,7 +60,7 @@ def test_spectral_density_domain(omega):
 def test_spectral_density_power_law_oracle(s, alpha, omega_c, x):
     # independent evaluation through exp/log instead of the ** operator
     omega = x * omega_c
-    spec = BathSpec(s=s, alpha=alpha, omega_c=omega_c, omega1=omega_c / 2)
+    spec = BathSpec(s=s, alpha=alpha, omega_c=omega_c)
     expected = 2 * math.pi * alpha * math.exp((1 - s) * math.log(omega_c) + s * math.log(omega))
     assert spectral_density(spec, omega) == pytest.approx(expected, rel=1e-10, abs=1e-300)
 
@@ -70,35 +70,43 @@ def test_spectral_density_power_law_oracle(s, alpha, omega_c, x):
 
 def test_beta1_superohmic_limit_value():
     # omega1 below the 1e-12*omega_c threshold returns the limit 1/(s-1)
-    assert beta1(make_spec(s=2.0, omega1=1e-13)) == 1.0
+    assert beta1(make_spec(s=2.0), 1e-13) == 1.0
 
 
 def test_beta1_ohmic_log():
-    spec = make_spec(s=1.0, omega_c=math.e, omega1=1.0)
-    assert beta1(spec) == pytest.approx(1.0, rel=1e-14)
+    spec = make_spec(s=1.0, omega_c=math.e)
+    assert beta1(spec, 1.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_beta1_subohmic_point():
-    assert beta1(make_spec(s=0.5, omega1=0.25)) == pytest.approx(2.0, rel=1e-14)
+    assert beta1(make_spec(s=0.5), 0.25) == pytest.approx(2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("omega1", [0.0, -1e-4, 1.0, 2.0])
+def test_beta1_rejects_cutoff_outside_band(omega1):
+    with pytest.raises(ValueError, match="infrared cutoff must satisfy 0 < omega1 < omega_c"):
+        beta1(make_spec(), omega1)
+    with pytest.raises(ValueError, match="infrared cutoff"):
+        sum_q_squared_continuous(make_spec(), omega1)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 1.5, 2.0])
 def test_sum_q_squared_continuous_quadrature_oracle(s):
-    spec = BathSpec(s=s, alpha=0.37, omega_c=1.7, omega1=0.017)
+    spec, omega1 = BathSpec(s=s, alpha=0.37, omega_c=1.7), 0.017
 
     def integrand(w):
         return spectral_density(spec, w) / (math.pi * w * w)
 
-    ref, err = quad(integrand, spec.omega1, spec.omega_c, epsabs=0.0, epsrel=1e-12, limit=400)
+    ref, err = quad(integrand, omega1, spec.omega_c, epsabs=0.0, epsrel=1e-12, limit=400)
     assert err < 1e-9 * abs(ref)
-    assert sum_q_squared_continuous(spec) == pytest.approx(ref, rel=1e-8)
+    assert sum_q_squared_continuous(spec, omega1) == pytest.approx(ref, rel=1e-8)
 
 
 def test_beta1_continuity_at_s1():
     delta = 1e-6
-    mid = beta1(make_spec(s=1.0))
-    lo = beta1(make_spec(s=1.0 - delta))
-    hi = beta1(make_spec(s=1.0 + delta))
+    mid = beta1(make_spec(s=1.0), 1e-4)
+    lo = beta1(make_spec(s=1.0 - delta), 1e-4)
+    hi = beta1(make_spec(s=1.0 + delta), 1e-4)
     assert lo == pytest.approx(mid, rel=1e-4)
     assert hi == pytest.approx(mid, rel=1e-4)
 
@@ -108,15 +116,14 @@ def test_beta1_continuity_at_s1():
     ratio=st.floats(1e-10, 1.0 - 1e-9),
 )
 def test_beta1_nonnegative(s, ratio):
-    spec = BathSpec(s=s, alpha=0.3, omega_c=1.0, omega1=ratio)
-    assert beta1(spec) >= 0.0
+    assert beta1(BathSpec(s=s, alpha=0.3, omega_c=1.0), ratio) >= 0.0
 
 
 def test_sum_q_squared_continuous_examples():
-    assert sum_q_squared_continuous(make_spec(alpha=0.0)) == 0.0
-    assert sum_q_squared_continuous(make_spec(s=2.0, alpha=0.5, omega1=1e-13)) == 1.0
-    nearly_empty = make_spec(s=0.5, alpha=1.0, omega1=1.0 - 1e-13)
-    assert abs(sum_q_squared_continuous(nearly_empty)) < 1e-9
+    assert sum_q_squared_continuous(make_spec(alpha=0.0), 1e-4) == 0.0
+    assert sum_q_squared_continuous(make_spec(s=2.0, alpha=0.5), 1e-13) == 1.0
+    nearly_empty = sum_q_squared_continuous(make_spec(s=0.5, alpha=1.0), 1.0 - 1e-13)
+    assert abs(nearly_empty) < 1e-9
 
 
 # ---------------------------------------------------------------- beta0 / beta2
@@ -273,9 +280,10 @@ def test_bin_integrals_against_quadrature():
 def test_mean_omega_tracks_continuum_integral():
     # with a fine grid the mean-omega mode sum approaches 2*alpha*beta1
     s, alpha, N, Lambda = 1.5, 0.3, 300, 1.05
-    spec = BathSpec(s=s, alpha=alpha, omega_c=1.0, omega1=Lambda ** (-(N + 1)))
+    spec = BathSpec(s=s, alpha=alpha, omega_c=1.0)
     bath = discretize(spec, DiscretizationSpec(Lambda, N, Convention.MEAN_OMEGA))
-    assert sum_q_squared(bath) == pytest.approx(sum_q_squared_continuous(spec), rel=0.02)
+    continuum = sum_q_squared_continuous(spec, Lambda ** (-(N + 1)))  # the grid's lower edge
+    assert sum_q_squared(bath) == pytest.approx(continuum, rel=0.02)
 
 
 def test_divergence_for_small_s_and_convergence_above_one():
@@ -367,15 +375,11 @@ def test_prefactor_without_finite_exponent_raises():
 
 def test_bathspec_validation():
     with pytest.raises(ValueError):
-        BathSpec(s=0.0, alpha=0.1, omega_c=1.0, omega1=1e-4)
+        BathSpec(s=0.0, alpha=0.1, omega_c=1.0)
     with pytest.raises(ValueError):
-        BathSpec(s=1.0, alpha=-0.1, omega_c=1.0, omega1=1e-4)
+        BathSpec(s=1.0, alpha=-0.1, omega_c=1.0)
     with pytest.raises(ValueError):
-        BathSpec(s=1.0, alpha=0.1, omega_c=0.0, omega1=1e-4)
-    with pytest.raises(ValueError):
-        BathSpec(s=1.0, alpha=0.1, omega_c=1.0, omega1=2.0)
-    with pytest.raises(ValueError):
-        BathSpec(s=1.0, alpha=0.1, omega_c=1.0, omega1=0.0)
+        BathSpec(s=1.0, alpha=0.1, omega_c=0.0)
 
 
 def test_discretization_spec_validation():

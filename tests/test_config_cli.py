@@ -11,8 +11,15 @@ import pytest
 
 from sbmlab.bath import Convention, beta0, discretize
 from sbmlab import __version__
-from sbmlab.cli import _config_as_dict, build_parser, main
-from sbmlab.config import RunConfig, SolverSettings, Sweep, load_config, parse_config
+from sbmlab.cli import build_parser, main
+from sbmlab.config import (
+    RunConfig,
+    SolverSettings,
+    Sweep,
+    config_as_dict,
+    load_config,
+    parse_config,
+)
 from sbmlab.errors import ConfigError
 from sbmlab.fockspace import enumerate_basis
 from sbmlab.oracle import assemble_full
@@ -46,6 +53,7 @@ def write_config(tmp_path, data: dict, name="run.yaml") -> str:
 
 
 ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.yaml"))
 
 
 def run_fresh(code: str, *args: str, threads: str = "1") -> subprocess.CompletedProcess:
@@ -73,7 +81,6 @@ def test_parse_defaults():
     assert cfg.solver.tol == 1e-10
     assert cfg.solver.max_iter == 500
     assert cfg.discretization.convention is Convention.PAPER_QUARTER
-    assert cfg.bath.omega1 == pytest.approx(2.0**-4)  # grid lower edge
     assert cfg.sweep is None
 
 
@@ -87,14 +94,12 @@ def test_parse_explicit_fields():
     data = deep(
         {
             "model": {"epsilon": 0.1},
-            "bath": {"omega1": 1e-3},
             "discretization": {"convention": "mean-omega"},
             "solver": {"tol": 1e-8, "max_iter": 50},
         }
     )
     cfg = parse_config(data)
     assert cfg.model.epsilon == 0.1
-    assert cfg.bath.omega1 == 1e-3
     assert cfg.discretization.convention is Convention.MEAN_OMEGA
     assert cfg.solver.tol == 1e-8 and cfg.solver.max_iter == 50
 
@@ -110,7 +115,10 @@ def test_parse_explicit_fields():
         (deep({"discretization": {"N": 2.5}}), "discretization.N: expected an integer"),
         (deep({"discretization": {"N": True}}), "discretization.N: expected an integer"),
         (deep({"bath": {"s": -1}}), "bath: spectral exponent must be positive"),
-        (deep({"bath": {"omega1": 5.0}}), "bath: infrared cutoff"),
+        (
+            deep({"bath": {"omega1": 5.0}}),
+            "unknown key 'omega1' in bath; expected one of: s, alpha, omega_c",
+        ),
         (deep({"truncation": {"n_max": 0}}), "truncation: occupation cutoff"),
         (deep({"discretization": {"convention": "thirds"}}), "discretization.convention"),
         (deep({"sweep": {"parameter": "alpha"}}), "sweep.from: required field is missing"),
@@ -130,6 +138,13 @@ def test_parse_explicit_fields():
             deep({"sweep": {"from": 0, "to": 1, "steps": 2}}),
             "sweep.parameter: required field is missing",
         ),
+        (deep({"model": {"delta": math.nan}}), "model.delta: expected a finite number, got nan"),
+        (deep({"bath": {"alpha": math.nan}}), "bath.alpha: expected a finite number, got nan"),
+        (deep({"bath": {"s": math.inf}}), "bath.s: expected a finite number, got inf"),
+        (
+            deep({"sweep": {"parameter": "alpha", "from": 0, "to": math.inf, "steps": 2}}),
+            "sweep.to: expected a finite number, got inf",
+        ),
     ],
 )
 def test_parse_rejections(data, needle):
@@ -147,7 +162,7 @@ def test_parse_rejects_non_string_convention(value):
 # each group's config keys, in order: the fields of its dataclass
 CONFIG_KEYS = {
     "model": ["delta", "epsilon"],
-    "bath": ["s", "alpha", "omega_c", "omega1"],
+    "bath": ["s", "alpha", "omega_c"],
     "discretization": ["Lambda", "N", "convention"],
     "truncation": ["n_max"],
     "solver": ["tol", "max_iter"],
@@ -168,7 +183,7 @@ def test_config_keys_per_group():
         assert str(excinfo.value) == (
             f"unknown key 'unknown' in {group or 'top level'}; expected one of: {', '.join(keys)}"
         )
-    echo = _config_as_dict(parse_config(deep({"sweep": sweep})))
+    echo = config_as_dict(parse_config(deep({"sweep": sweep})))
     assert {group: list(values) for group, values in echo.items()} == CONFIG_KEYS
 
 
@@ -198,12 +213,17 @@ def test_load_config_reports_yaml_and_io_errors(tmp_path):
         {},
         {"sweep": {"parameter": "Lambda", "from": 1.5, "to": 3.0, "steps": 4, "scale": "log"}},
         {"discretization": {"convention": "mean-omega"}, "model": {"epsilon": 0.1}},
-        {"solver": {"max_iter": 40}, "bath": {"omega1": 1e-3}},
+        {"solver": {"max_iter": 40}, "bath": {"omega_c": 2.0}},
+        # and each shipped config file as it stands
+        *(pytest.param(path, id=path.name) for path in CONFIGS),
     ],
 )
 def test_manifest_config_echo_parses_back_to_the_config(overrides):
-    cfg = parse_config(deep(overrides))
-    echo = json.loads(json.dumps(_config_as_dict(cfg)))
+    if isinstance(overrides, Path):
+        cfg = load_config(str(overrides))
+    else:
+        cfg = parse_config(deep(overrides))
+    echo = json.loads(json.dumps(config_as_dict(cfg)))
     assert parse_config({group: v for group, v in echo.items() if v is not None}) == cfg
 
 
@@ -312,6 +332,14 @@ def test_fig1_rejects_non_finite_flags(tmp_path, capsys, flags):
     assert main(["fig1", "--out", str(out), *flags]) == 2
     assert not out.exists()
     assert f"config error: {flags[0]} must be finite" in capsys.readouterr().err
+
+
+def test_fig1_rejects_a_repeated_exponent(tmp_path, capsys):
+    # one CSV column and one SVG line per distinct exponent
+    out = tmp_path / "f"
+    assert main(["fig1", "--out", str(out), "--s", "0.1", "--s", "0.10"]) == 2
+    assert not out.exists()
+    assert "config error: --s repeats a value, got [0.1, 0.1]" in capsys.readouterr().err
 
 
 def test_fig1_beta2_overflow_is_a_config_error(tmp_path, capsys):
@@ -456,7 +484,6 @@ GAP_SWEEP_COLUMNS = (
     "s",
     "alpha",
     "omega_c",
-    "omega1",
     "Lambda",
     "N",
     "convention",
@@ -501,6 +528,21 @@ def test_gap_sweep_convention_override_changes_q(tmp_path):
     _, body_b = read_csv(out_b / "gap_sweep.csv")
     qq = header.index("sum_q_squared")
     assert float(body_b[0][qq]) == pytest.approx(4 * float(body_a[0][qq]), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"model": {"delta": math.nan}}, "model.delta: expected a finite number, got nan"),
+        ({"bath": {"alpha": math.nan}}, "bath.alpha: expected a finite number, got nan"),
+    ],
+)
+def test_gap_sweep_rejects_non_finite_config_numbers(tmp_path, capsys, overrides, message):
+    out = tmp_path / "nan"
+    path = write_config(tmp_path, deep(overrides))
+    assert main(["gap-sweep", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_gap_sweep_rejects_epsilon(tmp_path):
@@ -867,6 +909,18 @@ def test_verify_appendix_report_bytes(tmp_path, capsys):
     assert written == APPENDIX_SHA256
 
 
+@pytest.mark.parametrize(
+    "grid, flag",
+    [(["--N", "2", "2", "--n-max", "3"], "--N"), (["--N", "2", "--n-max", "3", "1", "3"], "--n-max")],
+)
+def test_verify_appendix_rejects_a_repeated_size(tmp_path, capsys, grid, flag):
+    # one proof and one file set per distinct (N, n_max) pair
+    out = tmp_path / "p"
+    assert main(["verify-appendix", *grid, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"config error: {flag} repeats a value, got " in capsys.readouterr().err
+
+
 def test_verify_appendix_capacity(tmp_path):
     out = tmp_path / "unused"
     assert main(["verify-appendix", "--N", "6", "--n-max", "20", "--out", str(out)]) == 3
@@ -1071,11 +1125,10 @@ def test_parser_flags_per_subcommand():
 
 # ---------------------------------------------------------- shipped configs
 
-CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.yaml"))
 GAP_VS_MODES = ROOT / "scripts" / "configs" / "gap_vs_modes.yaml"
 
 # gap_sweep.csv of scripts/configs/gap_vs_modes.yaml at one OpenBLAS thread
-GAP_VS_MODES_SHA256 = "3ef6e42aab2a7f20de05ffccc363a16d3b790c4a47eeb8997be31b3856be1ebf"
+GAP_VS_MODES_SHA256 = "a9c667868d0d6a262df6528cf7e016eb2767981a43bd42a4d3244653b763600c"
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)

@@ -288,7 +288,7 @@ def test_dmn_validation():
 def test_underflowed_prefactor_refuses_d():
     # s = 0.125, alpha = 1, N = 10: exp(-2 sum q**2) = 8e-349 is 0.0 in double,
     # which would make D vanish and the two sectors coincide
-    spec = BathSpec(s=0.125, alpha=1.0, omega_c=1.0, omega1=1e-4)
+    spec = BathSpec(s=0.125, alpha=1.0, omega_c=1.0)
     bath = discretize(spec, DiscretizationSpec(2.0, 10))
     basis = enumerate_basis(bath.mode_count, 1)
     with pytest.raises(AccuracyError):

@@ -156,7 +156,7 @@ def test_lanczos_iteration_budget_enforced():
 
 
 def log_grid_bath(s, alpha, modes):
-    spec = BathSpec(s=s, alpha=alpha, omega_c=1.0, omega1=2.0 ** -modes)
+    spec = BathSpec(s=s, alpha=alpha, omega_c=1.0)
     return discretize(spec, DiscretizationSpec(Lambda=2.0, N=modes - 1))
 
 
@@ -288,7 +288,7 @@ def test_solve_sectors_refuses_oversize_operator_before_allocating():
 def test_refused_point_never_builds_the_lowering_series(monkeypatch):
     # 20 modes at n_max 6 (dim 230 230): log10 of the polaron factor is
     # -33 746, so the point is refused before E (9.4e6 entries) is built
-    bath = discretize(BathSpec(0.1, 0.3, 1.0, 1e-6), DiscretizationSpec(2.0, 19))
+    bath = discretize(BathSpec(0.1, 0.3, 1.0), DiscretizationSpec(2.0, 19))
     basis = enumerate_basis(20, 6)
     assert basis.dim == 230230
     assert log_prefactor(bath) / math.log(10) == pytest.approx(-33745.68, abs=0.01)
@@ -378,7 +378,7 @@ def test_gap_negates_with_delta():
 
 def test_gap_positive_and_shrinking_with_mode_count():
     # sub-ohmic bath: every added mode increases sum q**2 and squeezes the gap
-    spec = BathSpec(s=0.1, alpha=0.05, omega_c=1.0, omega1=1e-4)
+    spec = BathSpec(s=0.1, alpha=0.05, omega_c=1.0)
     params = ModelParams(0.1)
     gaps = []
     for N in range(5):
@@ -397,7 +397,7 @@ def test_gap_nondegenerate_random_suite():
         delta = rng.uniform(0.05, 1.0)
         N = int(rng.integers(0, 3))
         n_max = int(rng.integers(2, 7))
-        spec = BathSpec(s=float(s), alpha=float(alpha), omega_c=1.0, omega1=1e-4)
+        spec = BathSpec(s=float(s), alpha=float(alpha), omega_c=1.0)
         bath = discretize(spec, DiscretizationSpec(Lambda=2.0, N=N))
         basis = enumerate_basis(bath.mode_count, n_max)
         even = ground_state(assemble_sector(bath, ModelParams(delta), basis, Sector.EVEN))
