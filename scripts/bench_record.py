@@ -1,0 +1,70 @@
+"""Record the benchmark of one change as BENCH_<label>.json at the repo root.
+
+    python3 scripts/bench_record.py 14 --seed 0
+
+Runs the benchmark command of BENCHMARK.json (perfbench/run.py) once per
+workload at --trace 0 and once at --trace 1, each in a fresh interpreter
+from the repo root, and keeps the last two lines of its standard output:
+the environment record (core count, BLAS thread variables, numpy and
+scipy versions) and the result.  The --trace 0 result holds the
+end-to-end metrics, the --trace 1 result the per-layer ones.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run(command: list[str], workload: str, seed: int, seconds: float, trace: int) -> tuple:
+    """(environment, result) from one benchmark run: its last two JSON lines."""
+    argv = [*command, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"{' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
+    lines = done.stdout.strip().splitlines()
+    return json.loads(lines[-2])["environment"], json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("label", help="names the output file BENCH_<label>.json")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
+    args = parser.parse_args(argv)
+
+    command = [sys.executable if word == "python3" else word for word in benchmark["command"]]
+    environment, workloads = None, {}
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        record = {}
+        for trace, key in ((0, "end_to_end"), (1, "per_layer")):
+            environment, result = run(command, workload, args.seed, args.seconds, trace)
+            record[key] = {
+                "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+                **{field: result[field] for field in ("correct", "attempted", "failed")},
+            }
+        workloads[workload] = record
+        wall_s = record["end_to_end"]["metrics"]["wall_s"]
+        print(f"{workload}: wall_s {wall_s:.4f} s", file=sys.stderr)
+    out = ROOT / f"BENCH_{args.label}.json"
+    units = {m["name"]: m["unit"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
+    out.write_text(json.dumps({
+        "label": args.label,
+        "command": f"{' '.join(benchmark['command'])} --seed {args.seed} --seconds {args.seconds}",
+        "environment": environment,
+        "units": units,
+        "workloads": workloads,
+    }, indent=1) + "\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

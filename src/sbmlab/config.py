@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import reprlib
 import typing
 from dataclasses import dataclass
 from enum import Enum
@@ -165,9 +166,15 @@ def _typed(kind: type, value, where: str):
     accepted, name = _ACCEPTS[kind]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where}: expected {name}, got {value!r}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {reprlib.repr(value)}")
+    return number
 
 
 def _read_group(cls, data, path: str):

@@ -20,11 +20,14 @@ grading survives truncation, so the off-diagonal blocks of U H U' vanish
 to rounding, not merely to truncation accuracy.
 
 H, Pi, U and every product of them stay sparse.  Only LAPACK inputs are
-dense, and each LAPACK call computes only what its check reads: the
-eigenvalues of H for the spectrum partition (`dense_spectrum`), its two
-lowest eigenpairs for the gap floor and the parity label (`ground_pair`),
-its lowest eigenpair for a biased <sigma_z> (`ground_sigma_z`), and the
-eigenvalues of the two dim x dim blocks of U H U' (`sector_blocks`).  A
+dense, and each LAPACK call computes only what its check reads.  H is
+reduced to tridiagonal form once per model (`FullModel.tridiagonal`, one
+Householder reduction), and both the eigenvalues of H for the spectrum
+partition (`dense_spectrum`) and its two lowest eigenpairs for the gap
+floor and the parity label (`ground_pair`) come from that one reduction.
+A biased <sigma_z> needs one solve for the lowest eigenpair
+(`ground_sigma_z`), and the partition the eigenvalues of the two
+dim x dim blocks of U H U' (`sector_blocks`).  A
 spectral norm is exact without a solve where its elementwise lower bound
 meets its Hoelder upper bound, as for every commutator checked here: they
 are zero, or, for [H, Pi] at epsilon != 0, have one entry per row and
@@ -40,12 +43,15 @@ cutoff.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg import lapack
 
 from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError, CapacityError
@@ -61,6 +67,22 @@ MIXED = 0
 GAP_FLOOR = 1e-12
 
 
+class Tridiagonal(NamedTuple):
+    """sigma H = Q T Q' from one Householder reduction (LAPACK dsytrd, lower storage).
+
+    T has diagonal d and off-diagonal e.  Q, a product of n - 1 reflectors,
+    fixes the first coordinate; the reflectors are the (n-1) x (n-1) block
+    A(2:n, 1:n-1) of the reduced array in LAPACK's QR storage, with scale
+    factors tau.  sigma is 1 unless H lies outside LAPACK's safe range.
+    """
+
+    d: np.ndarray
+    e: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
+    sigma: float
+
+
 @dataclass(frozen=True, eq=False)
 class FullModel:
     params: ModelParams
@@ -72,6 +94,11 @@ class FullModel:
     def dim(self) -> int:
         """Fock-space dimension; the Hamiltonian is twice this size."""
         return self.enumeration.dim
+
+    @functools.cached_property
+    def tridiagonal(self) -> Tridiagonal:
+        """H reduced once, on first use, for dense_spectrum and ground_pair alike."""
+        return _reduce(self.hamiltonian)
 
 
 def _coupling_matrix(
@@ -202,20 +229,58 @@ def sector_blocks(model: FullModel) -> tuple[np.ndarray, np.ndarray, float]:
     return upper, lower, off
 
 
-def dense_spectrum(model: FullModel) -> np.ndarray:
-    """Every eigenvalue of H, ascending, from one values-only symmetric solve.
+def _reduce(H: scipy.sparse.sparray) -> Tridiagonal:
+    """One in-place dsytrd of the dense H, its reflector block compacted in the same buffer.
 
-    The 'evd' driver reduces to tridiagonal form and runs the root-free QR
-    iteration (LAPACK dsterf), the same path as numpy's eigvalsh.
+    As dsyevr does, H is first scaled so that max |H_ij| lies between
+    sqrt(safmin / eps) and min(sqrt(eps / safmin), safmin^(-1/4)); outside
+    that range bisection need not converge.  f2py would copy the strided
+    block A(2:n, 1:n-1) before dormqr reads it, a second dense n x n array.
+    Instead column j moves from flat offset j n + 1 to j (n - 1), in order
+    of j: no destination lies past its source.
     """
-    return scipy.linalg.eigvalsh(_lapack_input(model.hamiltonian), overwrite_a=True, driver="evd")
+    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    low, high = math.sqrt(tiny / eps), min(math.sqrt(eps / tiny), tiny**-0.25)
+    peak = float(abs(H).max())
+    sigma = min(max(peak, low), high) / peak if peak > 0.0 else 1.0
+    A = _lapack_input(H)
+    if sigma != 1.0:
+        A *= sigma
+    n = A.shape[0]
+    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+    c, d, e, tau, _ = lapack.dsytrd(A, lower=1, lwork=int(lwork), overwrite_a=1)
+    flat = c.ravel(order="F")
+    m = n - 1
+    for j in range(m):
+        flat[j * m : (j + 1) * m] = flat[j * n + 1 : (j + 1) * n]
+    return Tridiagonal(d, e, flat[: m * m].reshape((m, m), order="F"), tau, sigma)
+
+
+def dense_spectrum(model: FullModel) -> np.ndarray:
+    """Every eigenvalue of H, ascending, from the model's one tridiagonal reduction.
+
+    The root-free QR iteration (LAPACK dsterf) on T is the values-only
+    path of dsyevd, so this equals scipy.linalg.eigvalsh(H, driver="evd").
+    """
+    t = model.tridiagonal
+    return scipy.linalg.eigvalsh_tridiagonal(t.d, t.e, lapack_driver="sterf") * (1.0 / t.sigma)
 
 
 def ground_pair(model: FullModel) -> tuple[np.ndarray, np.ndarray]:
-    """The two lowest eigenvalues of H and their eigenvectors (as columns), for ground_parity."""
-    return scipy.linalg.eigh(
-        _lapack_input(model.hamiltonian), subset_by_index=[0, 1], overwrite_a=True
+    """The two lowest eigenvalues of H and their eigenvectors (as columns), for ground_parity.
+
+    They come from the model's one tridiagonal reduction as in dsyevr:
+    bisection and inverse iteration on T (dstebz, dstein), then Q applied
+    to the eigenvectors of T (dormqr, as dormtr does for lower storage).
+    """
+    t = model.tridiagonal
+    vals, vecs = scipy.linalg.eigh_tridiagonal(
+        t.d, t.e, select="i", select_range=(0, 1), lapack_driver="stebz"
     )
+    tail = vecs[1:]  # Q leaves the first row alone
+    work = lapack.dormqr("L", "N", t.reflectors, t.tau, tail, lwork=-1)[1]
+    vecs[1:] = lapack.dormqr("L", "N", t.reflectors, t.tau, tail, lwork=int(work[0]))[0]
+    return vals * (1.0 / t.sigma), vecs
 
 
 def ground_parity(model: FullModel) -> int:
@@ -224,13 +289,17 @@ def ground_parity(model: FullModel) -> int:
     MIXED (|<Pi>| not within 1e-8 of 1) must never occur at epsilon = 0
     with delta != 0; it is the expected outcome once epsilon breaks the
     symmetry.  A dense gap below GAP_FLOOR signals a truncation pathology
-    rather than physics and raises AccuracyError.
+    rather than physics and raises AccuracyError.  So does a gap below
+    n eps ||H||_inf, LAPACK's bound p(n) eps ||H|| on the rounding of each
+    computed eigenvalue with p(n) = n: at the oracle's sizes it is at most
+    a few GAP_FLOOR, and it rules where H has a large norm.
     """
     vals, vecs = ground_pair(model)
-    if vals[1] - vals[0] < GAP_FLOOR:
-        raise AccuracyError(
-            f"dense ground state numerically degenerate: gap {vals[1] - vals[0]:.3e}"
-        )
+    gap = vals[1] - vals[0]
+    H = model.hamiltonian
+    rounding = H.shape[0] * np.finfo(float).eps * float(abs(H).sum(axis=1).max())
+    if gap < max(GAP_FLOOR, rounding):
+        raise AccuracyError(f"dense ground state numerically degenerate: gap {gap:.3e}")
     dim = model.enumeration.dim
     up, down = vecs[:dim, 0], vecs[dim:, 0]
     # <psi|Pi|psi> = 2 <up|P|down> for Pi = sigma_x (x) P

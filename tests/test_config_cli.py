@@ -145,6 +145,7 @@ def test_parse_explicit_fields():
             deep({"sweep": {"parameter": "alpha", "from": 0, "to": math.inf, "steps": 2}}),
             "sweep.to: expected a finite number, got inf",
         ),
+        (deep({"model": {"delta": 10**400}}), "model.delta: expected a finite number"),
     ],
 )
 def test_parse_rejections(data, needle):
@@ -535,6 +536,10 @@ def test_gap_sweep_convention_override_changes_q(tmp_path):
     [
         ({"model": {"delta": math.nan}}, "model.delta: expected a finite number, got nan"),
         ({"bath": {"alpha": math.nan}}, "bath.alpha: expected a finite number, got nan"),
+        (
+            {"model": {"delta": 10**400}},  # float() of it overflows
+            "model.delta: expected a finite number, got 100000000000000000...0000000000000000000",
+        ),
     ],
 )
 def test_gap_sweep_rejects_non_finite_config_numbers(tmp_path, capsys, overrides, message):
@@ -729,24 +734,36 @@ def test_oracle_check_broken_parity(tmp_path, capsys):
     assert "ground parity: mixed" in report
 
 
-def test_oracle_check_diagonalises_once(tmp_path, monkeypatch, capsys):
-    import sbmlab.cli
-    import sbmlab.oracle
+def test_oracle_check_diagonalises_once(tmp_path, monkeypatch):
+    # one Householder reduction of H feeds both the spectrum partition and
+    # the ground pair, and no dense eigensolver sees H itself
+    import scipy.linalg
 
-    calls = []
-    for name in ("dense_spectrum", "ground_pair"):
-        real = getattr(sbmlab.oracle, name)
+    reductions, solves = [], []
+    real_dsytrd = scipy.linalg.lapack.dsytrd
 
-        def counted(model, real=real, name=name):
-            calls.append(name)
-            return real(model)
+    def dsytrd(a, *args, **kwargs):
+        reductions.append(a.shape)
+        return real_dsytrd(a, *args, **kwargs)
 
-        monkeypatch.setattr(sbmlab.oracle, name, counted)
-    monkeypatch.setattr(sbmlab.cli, "dense_spectrum", sbmlab.oracle.dense_spectrum)
-    assert main(["oracle-check", "--config", write_config(tmp_path, deep({}))]) == 0
-    assert "ground parity: +1" in capsys.readouterr().out
-    # one values-only solve for the partition, one two-eigenpair solve for the label
-    assert sorted(calls) == ["dense_spectrum", "ground_pair"]
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", dsytrd)
+    for module in (scipy.linalg, np.linalg):
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(module, name)
+
+            def counted(a, *args, real=real, **kwargs):
+                solves.append(a.shape)
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    H_shape = (2 * 70, 2 * 70)  # Fock dim C(8, 4) of the 4-mode base config at n_max 4
+    for epsilon in (0.0, 0.25):
+        reductions.clear()
+        solves.clear()
+        path = write_config(tmp_path, deep({"model": {"epsilon": epsilon}}))
+        assert main(["oracle-check", "--config", path]) == 0
+        assert reductions == [H_shape]
+        assert H_shape not in solves
 
 
 # sha256 of oracle_check.txt, each report written by a fresh interpreter at
@@ -796,14 +813,23 @@ def test_oracle_check_report_bytes(tmp_path, overrides, sha256):
     assert hashlib.sha256((out / "oracle_check.txt").read_bytes()).hexdigest() == sha256
 
 
-def test_oracle_check_memory_stays_below_two_dense_hamiltonians(tmp_path, capsys):
+@pytest.mark.parametrize("epsilon", [0.0, 0.25])
+def test_oracle_check_memory_stays_below_two_dense_hamiltonians(tmp_path, capsys, epsilon):
     # Fock dim 462: H is sparse and only one LAPACK input at a time is dense,
-    # so the traced peak stays near one dense 924 x 924 H (1.15x measured;
+    # so the traced peak stays near one dense 924 x 924 H (1.08x measured;
     # 4.1x when H, its eigenvectors and the commutator were dense).  A second
-    # dense H or a full eigendecomposition (2.0x) breaks the bound.
+    # dense H or a full eigendecomposition (2.0x) breaks the bound, and so
+    # would a copy of the reflector block of the one reduction of H, which
+    # at epsilon != 0 ground_parity alone pays for.
     import tracemalloc
 
-    data = deep({"discretization": {"Lambda": 2.0, "N": 5}, "truncation": {"n_max": 5}})
+    data = deep(
+        {
+            "model": {"epsilon": epsilon},
+            "discretization": {"Lambda": 2.0, "N": 5},
+            "truncation": {"n_max": 5},
+        }
+    )
     path = write_config(tmp_path, data)
     dense_bytes = (2 * 462) ** 2 * 8
     tracemalloc.start()
@@ -832,6 +858,18 @@ def test_oracle_check_degenerate_spectrum_is_invariant_failure(tmp_path):
         }
     )
     assert main(["oracle-check", "--config", write_config(tmp_path, data)]) == 1
+
+
+def test_oracle_check_unresolved_gap_at_huge_tunneling(tmp_path, capsys):
+    # delta = 1e160 puts H beyond LAPACK's safe range, so it is rescaled
+    # before its reduction, and leaves the O(1) gap far below the rounding
+    # of the two lowest eigenvalues: an invariant failure, not a solver one
+    data = deep(
+        {"model": {"delta": 1.0e160}, "discretization": {"N": 1}, "truncation": {"n_max": 3}}
+    )
+    assert main(["oracle-check", "--config", write_config(tmp_path, data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invariant failure: dense ground state numerically degenerate")
 
 
 # ----------------------------------------------------------- verify-appendix

@@ -211,17 +211,51 @@ def test_every_nondegenerate_eigenvector_has_definite_parity():
 
 
 def test_dense_spectrum_and_ground_pair_match_a_full_eigh():
-    bath = DiscretizedBath.from_modes((1.0, 0.37), (0.4, 0.15))
-    basis = enumerate_basis(2, 7)
-    for params in (ModelParams(delta=0.5), ModelParams(delta=0.5, epsilon=0.05)):
-        model = assemble_full(params, bath, basis)
-        vals, vecs = np.linalg.eigh(model.hamiltonian.toarray())
-        assert np.abs(dense_spectrum(model) - vals).max() < 1e-12
+    # Both come from one tridiagonal reduction of H.  dsterf on it is
+    # dsyevd's values-only path, so the spectrum is bit for bit that of
+    # eigvalsh(driver="evd"); the ground pair agrees with dsyevr's.  The
+    # 2 x 2 H (one mode, n_max 0) is reduced by a single reflector.
+    two_modes = DiscretizedBath.from_modes((1.0, 0.37), (0.4, 0.15))
+    cases = [
+        (single_mode(0.3), 0, ModelParams(delta=0.5), 1),
+        (single_mode(0.3), 0, ModelParams(delta=-0.5), -1),
+        (single_mode(0.3), 0, ModelParams(delta=0.5, epsilon=0.2), MIXED),
+        (two_modes, 7, ModelParams(delta=0.5), 1),
+        (two_modes, 7, ModelParams(delta=-0.5), -1),
+        (two_modes, 7, ModelParams(delta=0.5, epsilon=0.05), MIXED),
+    ]
+    for bath, n_max, params, label in cases:
+        model = assemble_full(params, bath, enumerate_basis(bath.mode_count, n_max))
+        H = model.hamiltonian.toarray()
+        vals, vecs = np.linalg.eigh(H)
+        spectrum = dense_spectrum(model)
+        assert np.abs(spectrum - vals).max() < 1e-12
+        assert np.array_equal(spectrum, scipy.linalg.eigvalsh(H, driver="evd"))
         pair_vals, pair_vecs = ground_pair(model)
-        assert pair_vals.shape == (2,) and pair_vecs.shape == (2 * basis.dim, 2)
+        assert pair_vals.shape == (2,) and pair_vecs.shape == (H.shape[0], 2)
         assert np.abs(pair_vals - vals[:2]).max() < 1e-12
         for i in range(2):
             assert abs(abs(pair_vecs[:, i] @ vecs[:, i]) - 1.0) < 1e-10
+        ref_vals, ref_vecs = scipy.linalg.eigh(H, subset_by_index=[0, 1])
+        assert np.abs(pair_vals - ref_vals).max() < 1e-12
+        assert np.all(np.abs(np.sum(pair_vecs * ref_vecs, axis=0)) >= 1.0 - 1e-10)
+        assert ground_parity(model) == label
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_reduction_rescales_h_outside_the_safe_range(scale):
+    # every entry of H scales with the energy unit, so its max lies outside
+    # the range where LAPACK's drivers run unscaled; unscaled, bisection
+    # does not converge at 1e160 and is off by the eigenvalues' size at 1e-160
+    bath = DiscretizedBath.from_modes((scale, 0.37 * scale), (0.4 * scale, 0.15 * scale))
+    model = assemble_full(ModelParams(delta=0.5 * scale), bath, enumerate_basis(2, 3))
+    H = model.hamiltonian.toarray()
+    reference = scipy.linalg.eigvalsh(H, driver="evd")
+    assert np.abs(dense_spectrum(model) - reference).max() < 1e-13 * scale
+    vals, vecs = ground_pair(model)
+    ref_vals, ref_vecs = scipy.linalg.eigh(H, subset_by_index=[0, 1])
+    assert np.abs(vals - ref_vals).max() < 1e-13 * scale
+    assert np.all(np.abs(np.sum(vecs * ref_vecs, axis=0)) >= 1.0 - 1e-10)
 
 
 def test_displaced_sector_spectra_match_dense_at_low_end():
