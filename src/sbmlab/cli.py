@@ -32,18 +32,6 @@ from .config import RunConfig, config_as_dict, load_config
 from .errors import AccuracyError, CapacityError, ConfigError, SolverError
 from .fockspace import enumerate_basis
 from .nondegeneracy import constant_term_contradiction
-from .oracle import (
-    MIXED,
-    assemble_full,
-    dense_spectrum,
-    ground_parity,
-    ground_sigma_z,
-    magnetization,
-    parity_commutator_norm,
-    parity_overlap,
-    rotation_defects,
-    sector_blocks,
-)
 from .sectors import GroundStateResult, polaron_double, solve_sectors
 
 EXIT_OK = 0
@@ -354,6 +342,18 @@ def cmd_gap_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    # imported here, not at module level: the dense oracle and scipy.linalg
+    # cost every other command's process about 8 MiB and its start-up time
+    from .oracle import (
+        MIXED,
+        assemble_full,
+        dense_spectrum,
+        ground_parity,
+        parity_commutator_norm,
+        rotation_defects,
+        sector_blocks,
+    )
+
     cfg = load_config(args.config)
     bath = discretize(cfg.bath, cfg.discretization)
     enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
@@ -452,6 +452,8 @@ def cmd_verify_appendix(args) -> int:
 
 
 def cmd_magnetization_scan(args) -> int:
+    from .oracle import assemble_full, ground_sigma_z, magnetization, parity_overlap
+
     started = time.perf_counter()
     for flag, steps in (("--theta-steps", args.theta_steps), ("--epsilon-steps", args.epsilon_steps)):
         if steps is not None and steps < 2:

@@ -63,7 +63,8 @@ DENSE_DIM_CAP = 2000
 # ground_parity returns +1, -1, or this marker when |<Pi>| is not close to 1
 MIXED = 0
 
-# a dense ground-state gap below this is a truncation pathology, not physics
+# a dense ground-state gap below this fraction of ||H||_inf is a truncation
+# pathology, not physics
 GAP_FLOOR = 1e-12
 
 
@@ -288,17 +289,17 @@ def ground_parity(model: FullModel) -> int:
 
     MIXED (|<Pi>| not within 1e-8 of 1) must never occur at epsilon = 0
     with delta != 0; it is the expected outcome once epsilon breaks the
-    symmetry.  A dense gap below GAP_FLOOR signals a truncation pathology
-    rather than physics and raises AccuracyError.  So does a gap below
-    n eps ||H||_inf, LAPACK's bound p(n) eps ||H|| on the rounding of each
-    computed eigenvalue with p(n) = n: at the oracle's sizes it is at most
-    a few GAP_FLOOR, and it rules where H has a large norm.
+    symmetry.  A dense gap below GAP_FLOOR ||H||_inf signals a truncation
+    pathology rather than physics and raises AccuracyError.  So does a gap
+    below n eps ||H||_inf, LAPACK's bound p(n) eps ||H|| on the rounding of
+    each computed eigenvalue with p(n) = n.  Both floors scale with H, so
+    the label does not depend on the energy unit.
     """
     vals, vecs = ground_pair(model)
     gap = vals[1] - vals[0]
     H = model.hamiltonian
-    rounding = H.shape[0] * np.finfo(float).eps * float(abs(H).sum(axis=1).max())
-    if gap < max(GAP_FLOOR, rounding):
+    norm = float(abs(H).sum(axis=1).max())
+    if gap < max(GAP_FLOOR, H.shape[0] * np.finfo(float).eps) * norm:
         raise AccuracyError(f"dense ground state numerically degenerate: gap {gap:.3e}")
     dim = model.enumeration.dim
     up, down = vecs[:dim, 0], vecs[dim:, 0]

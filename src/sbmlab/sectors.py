@@ -23,6 +23,7 @@ are references for tests and benchmarks only.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -81,10 +82,15 @@ class DisplacedParity:
     lowering: scipy.sparse.csr_array
     parity: np.ndarray
 
+    @functools.cached_property
+    def lowering_transposed(self) -> scipy.sparse.csc_array:
+        """E' as a CSC view over E's own arrays, built once on first use."""
+        return self.lowering.T
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Dt x as two sparse products."""
-        p, E = self.parity, self.lowering
-        return p * (E.T @ (p * (E @ (p * x))))
+        p = self.parity
+        return p * (self.lowering_transposed @ (p * (self.lowering @ (p * x))))
 
     def diagonal(self) -> np.ndarray:
         """diag(Dt) = (E o E)' P."""

@@ -446,6 +446,35 @@ def test_cli_import_loads_no_sparse_linalg_or_csgraph():
     assert result.stdout.strip() == "[]"
 
 
+def _modules_after_main(argv: list[str]) -> list[str]:
+    """Which of scipy.linalg and sbmlab.oracle a fresh main(argv) leaves loaded."""
+    code = (
+        "import json, sys; from sbmlab.cli import main; "
+        "assert main(sys.argv[1:]) == 0, 'exit code'; "
+        "print(json.dumps([m for m in ('scipy.linalg', 'sbmlab.oracle') if m in sys.modules]))"
+    )
+    result = run_fresh(code, *argv)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_gap_sweep_never_loads_the_dense_oracle(tmp_path):
+    # the oracle and scipy.linalg cost a sweep process about 8 MiB of
+    # resident memory and its start-up time, and no sweep calls them
+    path = write_config(tmp_path, deep({"truncation": {"n_max": 2}}))
+    argv = ["gap-sweep", "--config", path, "--out", str(tmp_path / "sweep")]
+    assert _modules_after_main(argv) == []
+
+
+def test_oracle_check_loads_the_dense_oracle(tmp_path):
+    # the counterpart of the test above: the module list it reads is live
+    path = write_config(tmp_path, deep({"truncation": {"n_max": 2}}))
+    assert _modules_after_main(["oracle-check", "--config", path]) == [
+        "scipy.linalg",
+        "sbmlab.oracle",
+    ]
+
+
 def test_gap_sweep_manifest_checksums(tmp_path):
     import hashlib
 
@@ -1022,7 +1051,6 @@ def test_magnetization_epsilon_mode_matches_full_eigh(tmp_path, monkeypatch):
         calls.append(model)
         return real(model)
 
-    monkeypatch.setattr(sbmlab.cli, "dense_spectrum", counted)
     monkeypatch.setattr(sbmlab.oracle, "dense_spectrum", counted)
     out = tmp_path / "mge"
     path = write_config(tmp_path, deep({"truncation": {"n_max": 3}}))

@@ -326,6 +326,15 @@ def test_ground_parity_mixed_at_broken_symmetry():
     assert ground_parity(model) == MIXED
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
+def test_ground_parity_label_does_not_depend_on_the_energy_unit(scale):
+    # the gap is 0.22 of the scale at every scale, so the floor that
+    # refuses a degenerate gap must scale with H too
+    bath = DiscretizedBath.from_modes((scale, 0.37 * scale), (0.4 * scale, 0.15 * scale))
+    model = assemble_full(ModelParams(delta=0.5 * scale), bath, enumerate_basis(2, 3))
+    assert ground_parity(model) == 1
+
+
 def test_ground_parity_degenerate_raises():
     # delta = 0, epsilon = 0: the two spin blocks are identical
     model = assemble_full(ModelParams(delta=0.0), silent_bath(1.0), enumerate_basis(1, 3))

@@ -252,6 +252,22 @@ def test_solve_sectors_bit_identical_to_per_sector_solves():
         assert np.abs(matrix.apply(x) - entries @ x).max() <= 1e-13 * np.abs(entries @ x).max()
 
 
+def test_displaced_parity_shares_one_transposed_view_of_e():
+    # apply reads E' on every Davidson step: one CSC view over E's own
+    # arrays, built once, and no copy of E
+    bath = DiscretizedBath.from_modes((1.0, 0.4, 0.16), (0.45, 0.3, 0.2))
+    basis = enumerate_basis(3, 9)
+    displaced = assemble_sector(bath, ModelParams(0.6), basis, Sector.EVEN).displaced_parity
+    E = displaced.lowering
+    view = displaced.lowering_transposed
+    assert displaced.lowering_transposed is view
+    assert np.shares_memory(view.data, E.data)
+    assert np.shares_memory(view.indices, E.indices)
+    x = np.random.default_rng(5).standard_normal(basis.dim)
+    reference = displaced.dense @ x
+    assert np.abs(displaced.apply(x) - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
 def test_solve_sectors_takes_the_displaced_diagonal_once(monkeypatch):
     # each DisplacedParity.diagonal call squares a copy of E (about 107 MiB
     # at 20 modes, n_max 6), and both sectors share the one result
