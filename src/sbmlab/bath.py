@@ -13,9 +13,8 @@ on 0 < omega < omega_c.  Two families of quantities live here:
   s < 1 and linearly for s = 1, so the discretized displacement sum
   inherits the continuum divergence.
 
-Both floating-point and exact Fraction evaluations of beta0/beta2 are
-provided; the exact path removes rounding ambiguity from acceptance-style
-checks and exists whenever the required powers of Lambda are rational.
+beta0 and beta2 are evaluated in floating point; the tests check them
+against the term-by-term sum in exact rationals and in 50-digit mpmath.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 
 class Convention(Enum):
@@ -145,11 +143,6 @@ def beta1(spec: BathSpec, omega1: float) -> float:
     return -math.expm1((1.0 - s) * log_ratio) / (s - 1.0)
 
 
-def sum_q_squared_continuous(spec: BathSpec, omega1: float) -> float:
-    """Continuum limit of sum_k q_k**2 above the infrared cutoff omega1: 2*alpha*beta1."""
-    return 2.0 * spec.alpha * beta1(spec, omega1)
-
-
 def beta0(s: float, Lambda: float) -> float:
     """Per-bin constant (s+2)**2 (1-Lambda**(-s-1))**3 / [(s+1)**3 (1-Lambda**(-s-2))**2]."""
     if not Lambda > 1:
@@ -175,70 +168,6 @@ def beta2(s: float, Lambda: float, N: int) -> float:
         return 0.25 * b0 * (N + 1)
     u = (1.0 - s) * math.log(Lambda)
     return 0.25 * b0 * math.expm1(u * (N + 1)) / math.expm1(u)
-
-
-def _int_root(x: int, r: int) -> int | None:
-    """Exact r-th root of a nonnegative integer, or None when inexact."""
-    if x < 0 or r < 1:
-        return None
-    if r == 1 or x in (0, 1):
-        return x
-    lo, hi = 0, 1 << (x.bit_length() // r + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**r < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**r == x else None
-
-
-def _exact_pow(base: Fraction, exponent: Fraction) -> Fraction | None:
-    """base**exponent as an exact Fraction, or None when the value is irrational."""
-    if base <= 0:
-        return None
-    exponent = Fraction(exponent)
-    p, r = exponent.numerator, exponent.denominator
-    if p < 0:
-        base, p = 1 / base, -p
-    t = base**p
-    num = _int_root(t.numerator, r)
-    den = _int_root(t.denominator, r)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def beta0_exact(s: Fraction, Lambda: Fraction) -> Fraction:
-    """Exact-rational beta0; raises ValueError when Lambda**(-s-1) is irrational."""
-    s = Fraction(s)
-    Lambda = Fraction(Lambda)
-    if not (Lambda > 1 and s > 0):
-        raise ValueError("beta0 requires Lambda > 1 and s > 0")
-    x1 = _exact_pow(Lambda, -(s + 1))
-    x2 = _exact_pow(Lambda, -(s + 2))
-    if x1 is None or x2 is None:
-        raise ValueError(
-            f"beta0 has no exact rational value at s={s}, Lambda={Lambda}"
-        )
-    return (s + 2) ** 2 * (1 - x1) ** 3 / ((s + 1) ** 3 * (1 - x2) ** 2)
-
-
-def beta2_exact(s: Fraction, Lambda: Fraction, N: int) -> Fraction:
-    """Exact-rational beta2; raises ValueError when the needed powers are irrational."""
-    s = Fraction(s)
-    Lambda = Fraction(Lambda)
-    if N < 0:
-        raise ValueError(f"mode index bound must be >= 0, got N={N}")
-    b0 = beta0_exact(s, Lambda)
-    if s == 1:
-        return b0 * (N + 1) / 4
-    y = _exact_pow(Lambda, 1 - s)
-    if y is None:
-        raise ValueError(
-            f"beta2 has no exact rational value at s={s}, Lambda={Lambda}"
-        )
-    return b0 * (y ** (N + 1) - 1) / (4 * (y - 1))
 
 
 def discretize(spec: BathSpec, disc: DiscretizationSpec) -> DiscretizedBath:

@@ -32,7 +32,14 @@ from .config import RunConfig, config_as_dict, load_config
 from .errors import AccuracyError, CapacityError, ConfigError, SolverError
 from .fockspace import enumerate_basis
 from .nondegeneracy import constant_term_contradiction
-from .sectors import GroundStateResult, polaron_double, solve_sectors
+from .sectors import (
+    GAP_FLOOR,
+    GroundStateResult,
+    magnetization,
+    parity_overlap,
+    polaron_double,
+    solve_sectors,
+)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -265,6 +272,14 @@ def sweep_point(task: tuple[int, RunConfig]) -> ResultRow:
         result = dict(_NO_SOLUTION, status=f"accuracy-error: {exc}")
     else:
         gap = odd.energy - even.energy
+        status = "ok"
+        # a difference of two energies cannot resolve a gap below their rounding
+        if not abs(gap) > GAP_FLOOR * max(abs(even.energy), abs(odd.energy)):
+            status = (
+                f"unresolved-gap: gap {gap:.3e} is below the rounding of the sector energies "
+                f"({GAP_FLOOR:g} of their size); polaron factor "
+                f"10^{log_prefactor(bath) / math.log(10):.2f}"
+            )
         result = dict(
             E_plus0=even.energy,
             E_minus0=odd.energy,
@@ -272,7 +287,7 @@ def sweep_point(task: tuple[int, RunConfig]) -> ResultRow:
             ground_parity=1 if gap > 0 else (-1 if gap < 0 else 0),
             residual_plus=even.residual,
             residual_minus=odd.residual,
-            status="ok",
+            status=status,
         )
         solvers = {"even": _solver_record(even), "odd": _solver_record(odd)}
     groups = config_as_dict(cfg)
@@ -452,8 +467,6 @@ def cmd_verify_appendix(args) -> int:
 
 
 def cmd_magnetization_scan(args) -> int:
-    from .oracle import assemble_full, ground_sigma_z, magnetization, parity_overlap
-
     started = time.perf_counter()
     for flag, steps in (("--theta-steps", args.theta_steps), ("--epsilon-steps", args.epsilon_steps)):
         if steps is not None and steps < 2:
@@ -476,6 +489,9 @@ def cmd_magnetization_scan(args) -> int:
         name = "magnetization_theta.csv"
         extra = {"mode": "theta", "overlap": parity_overlap(even, odd)}
     else:
+        # the bias scan alone needs the dense oracle and scipy.linalg
+        from .oracle import assemble_full, ground_sigma_z
+
         enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
         grid = np.linspace(-args.epsilon_max, args.epsilon_max, args.epsilon_steps)
         header = ["epsilon", "sigma_z"]

@@ -10,8 +10,8 @@ number states D(-q)|n>:
 
     D_{m,n} = exp(-2 sum_k q_k**2) * Dt_{m,n},   Dt_{m,n} = prod_k L_{m_k,n_k}(q_k)
 
-with the single-mode alternating sum (nondegeneracy.lmn_exact evaluates it
-in rational arithmetic)
+with the single-mode alternating sum (the tests' exact reference evaluates
+it in rational arithmetic)
 
     L_{m,n}(q) = sum_{j=0}^{min(m,n)} (-1)**j sqrt(m! n!) (2q)**(m+n-2j)
                  / ((m-j)! (n-j)! j!).
@@ -100,17 +100,6 @@ class BasisEnumeration:
         # read-only boson parity (-1)**sum(n) of every state, as float
         self.parity = 1.0 - 2.0 * (self._occupations.sum(axis=1) % 2)
         self.parity.flags.writeable = False
-
-    def index_of(self, n: MultiIndex) -> int:
-        occ = np.asarray(n)
-        if occ.shape != (self.mode_count,) or occ.dtype.kind not in "iu" or not (
-            occ.min() >= 0 and occ.sum() <= self.n_max
-        ):
-            raise ValueError(
-                f"multi-index {tuple(n)} is not in the enumeration "
-                f"(mode_count={self.mode_count}, n_max={self.n_max})"
-            )
-        return int(self.rank(occ[None, :])[0])
 
     def rank(self, occupations: np.ndarray) -> np.ndarray:
         """Dense indices of the rows of an integer occupation array, in closed form.

@@ -145,44 +145,3 @@ def constant_term_contradiction(N: int, n_max: int) -> ProofReport:
         witness=(Fraction(2), Fraction(0)),
         monomial_count=basis.dim,
     )
-
-
-def lmn_exact(m: int, n: int, q: Fraction) -> tuple[Fraction, int]:
-    """Single-mode overlap factor as (rational, radicand): L = rational * sqrt(radicand).
-
-    The alternating sum of the displaced overlap is rational once the
-    common sqrt(m! n!) is factored out; the radicand m!*n! is returned
-    unevaluated so the result stays exact.
-    """
-    if m < 0 or n < 0:
-        raise ValueError(f"occupation numbers must be >= 0, got ({m}, {n})")
-    q = Fraction(q)
-    x = 2 * q
-    acc = Fraction(0)
-    for j in range(min(m, n) + 1):
-        term = Fraction(
-            (-1) ** j,
-            math.factorial(m - j) * math.factorial(n - j) * math.factorial(j),
-        )
-        acc += term * x ** (m + n - 2 * j)
-    return acc, math.factorial(m) * math.factorial(n)
-
-
-def closed_form_square_check(n: MultiIndex, q_rational) -> str:
-    """Exactly verify L_{0,n}**2 == prod_k (2 q_k)**(2 n_k) / n_k!.
-
-    Squaring removes the formal sqrt(n!) unit, so both sides are plain
-    rationals and the comparison is exact.
-    """
-    q_values = [Fraction(v) for v in q_rational]
-    if len(n) != len(q_values):
-        raise ValueError(
-            f"occupation vector length {len(n)} does not match {len(q_values)} displacements"
-        )
-    left = Fraction(1)
-    right = Fraction(1)
-    for nk, qk in zip(n, q_values):
-        rational, radicand = lmn_exact(0, nk, qk)
-        left *= rational * rational * radicand
-        right *= (2 * qk) ** (2 * nk) / Fraction(math.factorial(nk))
-    return "holds" if left == right else "fails"

@@ -56,16 +56,12 @@ from scipy.linalg import lapack
 from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError, CapacityError
 from sbmlab.fockspace import BasisEnumeration
-from sbmlab.sectors import GroundStateResult, ModelParams, Sector
+from sbmlab.sectors import GAP_FLOOR, ModelParams
 
 DENSE_DIM_CAP = 2000
 
 # ground_parity returns +1, -1, or this marker when |<Pi>| is not close to 1
 MIXED = 0
-
-# a dense ground-state gap below this fraction of ||H||_inf is a truncation
-# pathology, not physics
-GAP_FLOOR = 1e-12
 
 
 class Tridiagonal(NamedTuple):
@@ -161,10 +157,6 @@ def unitary_U(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
     return scipy.sparse.block_array([[eye, P], [-P, eye]], format="csr") / math.sqrt(2.0)
 
 
-def _sparse_sigma_z(dim: int) -> scipy.sparse.dia_array:
-    return scipy.sparse.diags_array(np.concatenate([np.ones(dim), -np.ones(dim)]))
-
-
 def _lapack_input(A: scipy.sparse.sparray) -> np.ndarray:
     """A as a dense Fortran-ordered array that LAPACK may overwrite without a copy."""
     return A.toarray(order="F")
@@ -208,7 +200,8 @@ def rotation_defects(enumeration: BasisEnumeration) -> tuple[float, float]:
     U = unitary_U(enumeration)
     dim = enumeration.dim
     unitarity = _hoelder_bound(abs(U @ U.T - scipy.sparse.eye_array(2 * dim, format="csr")))
-    rotated_parity = U @ parity_matrix(enumeration) @ U.T - _sparse_sigma_z(dim)
+    sigma_z = scipy.sparse.diags_array(np.concatenate([np.ones(dim), -np.ones(dim)]))
+    rotated_parity = U @ parity_matrix(enumeration) @ U.T - sigma_z
     parity_defect = float(abs(rotated_parity).max())
     return unitarity, parity_defect
 
@@ -331,40 +324,3 @@ def parity_commutator_norm(model: FullModel) -> float:
     Pi = parity_matrix(model.enumeration)
     H = model.hamiltonian
     return spectral_norm(H @ Pi - Pi @ H)
-
-
-def parity_overlap(plus: GroundStateResult, minus: GroundStateResult) -> float:
-    """Boson-parity overlap between the two sector ground states.
-
-    In the displaced representation of the even sector and the rotated
-    displaced representation of the odd one, the operator insertion
-    exp(i pi sum a'a) is absorbed by the basis change and the overlap
-    collapses to the plain inner product of coefficient vectors.
-    """
-    if plus.sector is not Sector.EVEN or minus.sector is not Sector.ODD:
-        raise ValueError(
-            f"expected (even, odd) ground states, got ({plus.sector.value}, {minus.sector.value})"
-        )
-    if plus.coefficients.shape != minus.coefficients.shape:
-        raise ValueError(
-            "ground states live on different enumerations: "
-            f"{plus.coefficients.shape} vs {minus.coefficients.shape}"
-        )
-    return float(plus.coefficients @ minus.coefficients)
-
-
-def magnetization(theta: float, plus: GroundStateResult, minus: GroundStateResult) -> float:
-    """M(theta) = -sin(2 theta) * <even ground | boson parity | odd ground>."""
-    return -math.sin(2.0 * theta) * parity_overlap(plus, minus)
-
-
-def frozen_spin_check(bath: DiscretizedBath, enumeration: BasisEnumeration) -> float:
-    """Norm of [H', sigma_z (x) I] for the delta = 0 Hamiltonian; structurally zero.
-
-    With no tunneling both spin blocks are closed, so the commutator
-    vanishes identically rather than to rounding.
-    """
-    model = assemble_full(ModelParams(delta=0.0, epsilon=0.0), bath, enumeration)
-    sz = _sparse_sigma_z(enumeration.dim)
-    H = model.hamiltonian
-    return spectral_norm(H @ sz - sz @ H)

@@ -48,12 +48,17 @@ _DAVIDSON_RESTART = 40
 # Lambda = 2 grid boson energies coincide exactly, so diag - theta can be 0
 _MIN_DENOMINATOR = 1e-8
 
+# a gap below this fraction of its energy scale (the sector energies in a
+# sweep, ||H||_inf in the dense oracle) is rounding or a truncation
+# pathology, not physics
+GAP_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class ModelParams:
     """Spin parameters: tunneling delta and local field epsilon.
 
-    delta = 0 is allowed (used by frozen-spin cross-checks) but makes the
+    delta = 0 is allowed (the two spin blocks then decouple) but makes the
     sector gap meaningless; epsilon must vanish for the sector
     decomposition to exist at all.
     """
@@ -340,3 +345,27 @@ def solve_sectors(
         ground_state(pair[Sector.ODD], tol, max_iter),
     )
 
+
+def parity_overlap(plus: GroundStateResult, minus: GroundStateResult) -> float:
+    """Boson-parity overlap between the two sector ground states.
+
+    In the displaced representation of the even sector and the rotated
+    displaced representation of the odd one, the operator insertion
+    exp(i pi sum a'a) is absorbed by the basis change and the overlap
+    collapses to the plain inner product of coefficient vectors.
+    """
+    if plus.sector is not Sector.EVEN or minus.sector is not Sector.ODD:
+        raise ValueError(
+            f"expected (even, odd) ground states, got ({plus.sector.value}, {minus.sector.value})"
+        )
+    if plus.coefficients.shape != minus.coefficients.shape:
+        raise ValueError(
+            "ground states live on different enumerations: "
+            f"{plus.coefficients.shape} vs {minus.coefficients.shape}"
+        )
+    return float(plus.coefficients @ minus.coefficients)
+
+
+def magnetization(theta: float, plus: GroundStateResult, minus: GroundStateResult) -> float:
+    """M(theta) = -sin(2 theta) * <even ground | boson parity | odd ground>."""
+    return -math.sin(2.0 * theta) * parity_overlap(plus, minus)

@@ -1,16 +1,27 @@
-"""Reference operators for the tests, written the direct way.
+"""References that the tests compare the package against, written the direct way.
 
 parity_phase is the boson parity of one multi-index, and
 displacement_matrix the single-mode displacement operator as a dense
-matrix exponential.  The package needs neither.
+matrix exponential.  beta2_reference sums the discrete tail term by term
+in any number type, lmn_exact is the single-mode overlap factor in
+rational arithmetic, and frozen_spin_check the commutator of the
+delta = 0 Hamiltonian with sigma_z.  The package needs none of them.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
+import scipy.sparse
 from scipy.linalg import expm
 
+from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError
+from sbmlab.fockspace import BasisEnumeration
+from sbmlab.oracle import assemble_full, spectral_norm
+from sbmlab.sectors import ModelParams
 
 
 def parity_phase(n: tuple[int, ...]) -> int:
@@ -55,3 +66,51 @@ def displacement_matrix(
                 f"has norm {norms[bad[0]]:.12f} < 1 - 1e-8"
             )
     return block
+
+
+def beta2_reference(s, Lambda, N: int):
+    """(beta0/4) * sum_{k=0..N} Lambda**(k(1-s)), term by term in the number type of s and Lambda.
+
+    No expm1 and no closed-form geometric sum: with Fractions and an
+    integer s every power is rational and the value is exact, with
+    mpmath.mpf it is good to the working precision.  beta0 is
+    4 * beta2_reference(s, Lambda, 0).
+    """
+    x1 = Lambda ** (-s - 1)
+    x2 = Lambda ** (-s - 2)
+    beta0 = (s + 2) ** 2 * (1 - x1) ** 3 / ((s + 1) ** 3 * (1 - x2) ** 2)
+    return beta0 / 4 * sum(Lambda ** (k * (1 - s)) for k in range(N + 1))
+
+
+def lmn_exact(m: int, n: int, q: Fraction) -> tuple[Fraction, int]:
+    """Single-mode overlap factor as (rational, radicand): L = rational * sqrt(radicand).
+
+    The alternating sum of the displaced overlap is rational once the
+    common sqrt(m! n!) is factored out; the radicand m!*n! is returned
+    unevaluated so the result stays exact.
+    """
+    if m < 0 or n < 0:
+        raise ValueError(f"occupation numbers must be >= 0, got ({m}, {n})")
+    q = Fraction(q)
+    x = 2 * q
+    acc = Fraction(0)
+    for j in range(min(m, n) + 1):
+        term = Fraction(
+            (-1) ** j,
+            math.factorial(m - j) * math.factorial(n - j) * math.factorial(j),
+        )
+        acc += term * x ** (m + n - 2 * j)
+    return acc, math.factorial(m) * math.factorial(n)
+
+
+def frozen_spin_check(bath: DiscretizedBath, enumeration: BasisEnumeration) -> float:
+    """Norm of [H', sigma_z (x) I] for the delta = 0 Hamiltonian; structurally zero.
+
+    With no tunneling both spin blocks are closed, so the commutator
+    vanishes identically rather than to rounding.
+    """
+    model = assemble_full(ModelParams(delta=0.0, epsilon=0.0), bath, enumeration)
+    dim = enumeration.dim
+    sz = scipy.sparse.diags_array(np.concatenate([np.ones(dim), -np.ones(dim)]))
+    H = model.hamiltonian
+    return spectral_norm(H @ sz - sz @ H)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import parity_phase
+from helpers import beta2_reference, frozen_spin_check, parity_phase
 
 from sbmlab.bath import (
     BathSpec,
@@ -23,7 +23,6 @@ from sbmlab.bath import (
     DiscretizationSpec,
     beta1,
     beta2,
-    beta2_exact,
     discretize,
     sum_q_squared,
 )
@@ -31,15 +30,13 @@ from sbmlab.cli import main
 from sbmlab.fockspace import enumerate_basis
 from sbmlab.oracle import (
     assemble_full,
-    frozen_spin_check,
     ground_sigma_z,
-    magnetization,
     parity_commutator_norm,
     parity_matrix,
     sector_blocks,
     unitary_U,
 )
-from sbmlab.sectors import ModelParams, Sector, assemble_sector, ground_state
+from sbmlab.sectors import ModelParams, Sector, assemble_sector, ground_state, magnetization
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -127,7 +124,7 @@ def test_criterion_01_divergence_figure(tmp_path):
     ratio = sub[40] / sub[39]
     ratio_ok = abs(ratio - 2.0**0.9) < 1e-6
 
-    exact = [beta2_exact(Fraction(1), Fraction(2), N) for N in range(41)]
+    exact = [beta2_reference(Fraction(1), Fraction(2), N) for N in range(41)]
     second = {exact[n + 2] - 2 * exact[n + 1] + exact[n] for n in range(39)}
     affine_ok = second == {Fraction(0)}
 

@@ -8,21 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from helpers import beta2_reference
+
 from sbmlab.bath import (
     BathSpec,
     Convention,
     DiscretizationSpec,
     DiscretizedBath,
     beta0,
-    beta0_exact,
     beta1,
     beta2,
-    beta2_exact,
     discretize,
     log_prefactor,
     spectral_density,
     sum_q_squared,
-    sum_q_squared_continuous,
 )
 from sbmlab.errors import AccuracyError
 from sbmlab.sectors import polaron_double
@@ -86,8 +85,6 @@ def test_beta1_subohmic_point():
 def test_beta1_rejects_cutoff_outside_band(omega1):
     with pytest.raises(ValueError, match="infrared cutoff must satisfy 0 < omega1 < omega_c"):
         beta1(make_spec(), omega1)
-    with pytest.raises(ValueError, match="infrared cutoff"):
-        sum_q_squared_continuous(make_spec(), omega1)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 1.5, 2.0])
@@ -99,7 +96,7 @@ def test_sum_q_squared_continuous_quadrature_oracle(s):
 
     ref, err = quad(integrand, omega1, spec.omega_c, epsabs=0.0, epsrel=1e-12, limit=400)
     assert err < 1e-9 * abs(ref)
-    assert sum_q_squared_continuous(spec, omega1) == pytest.approx(ref, rel=1e-8)
+    assert 2 * spec.alpha * beta1(spec, omega1) == pytest.approx(ref, rel=1e-8)
 
 
 def test_beta1_continuity_at_s1():
@@ -120,6 +117,9 @@ def test_beta1_nonnegative(s, ratio):
 
 
 def test_sum_q_squared_continuous_examples():
+    def sum_q_squared_continuous(spec, omega1):
+        return 2 * spec.alpha * beta1(spec, omega1)
+
     assert sum_q_squared_continuous(make_spec(alpha=0.0), 1e-4) == 0.0
     assert sum_q_squared_continuous(make_spec(s=2.0, alpha=0.5), 1e-13) == 1.0
     nearly_empty = sum_q_squared_continuous(make_spec(s=0.5, alpha=1.0), 1.0 - 1e-13)
@@ -130,7 +130,7 @@ def test_sum_q_squared_continuous_examples():
 
 
 def test_beta0_exact_reference_point():
-    val = beta0_exact(Fraction(1), Fraction(2))
+    val = 4 * beta2_reference(Fraction(1), Fraction(2), 0)
     assert val == Fraction(243, 392)
     assert beta0(1.0, 2.0) == pytest.approx(float(val), rel=1e-15)
 
@@ -141,25 +141,21 @@ def test_beta0_large_lambda_limit():
 
 def test_beta0_high_precision_oracle_irrational_case():
     # s = 0.1 makes Lambda**(-s-1) irrational, so cross-check against mpmath
-    with pytest.raises(ValueError):
-        beta0_exact(Fraction(1, 10), Fraction(2))
     with mpmath.workdps(50):
-        s = mpmath.mpf(1) / 10
-        L = mpmath.mpf(2)
-        x1 = L ** (-s - 1)
-        x2 = L ** (-s - 2)
-        ref = (s + 2) ** 2 * (1 - x1) ** 3 / ((s + 1) ** 3 * (1 - x2) ** 2)
+        ref = 4 * beta2_reference(mpmath.mpf(1) / 10, mpmath.mpf(2), 0)
         assert beta0(0.1, 2.0) == pytest.approx(float(ref), rel=1e-12)
 
 
 def test_beta0_exact_fractional_exponent_case():
     # Lambda = 9/4 with s = 1/2 keeps every needed power rational
-    val = beta0_exact(Fraction(1, 2), Fraction(9, 4))
     x1 = Fraction(8, 27)
     x2 = Fraction(32, 243)
     expected = Fraction(25, 4) * (1 - x1) ** 3 / (Fraction(27, 8) * (1 - x2) ** 2)
-    assert val == expected
-    assert beta0(0.5, 2.25) == pytest.approx(float(val), rel=1e-13)
+    with mpmath.workdps(50):
+        val = 4 * beta2_reference(mpmath.mpf(1) / 2, mpmath.mpf(9) / 4, 0)
+        exact = mpmath.mpf(expected.numerator) / expected.denominator
+        assert abs(val / exact - 1) < mpmath.mpf(10) ** -45
+    assert beta0(0.5, 2.25) == pytest.approx(float(expected), rel=1e-13)
 
 
 def test_beta2_ohmic_reference_point():
@@ -195,18 +191,18 @@ def test_beta2_continuity_at_s1():
     ],
 )
 def test_beta2_exact_matches_float(s, Lambda, N):
-    exact = beta2_exact(s, Lambda, N)
+    with mpmath.workdps(50):
+        exact = beta2_reference(
+            mpmath.mpf(s.numerator) / s.denominator,
+            mpmath.mpf(Lambda.numerator) / Lambda.denominator,
+            N,
+        )
     approx = beta2(float(s), float(Lambda), N)
     assert approx == pytest.approx(float(exact), rel=1e-13)
 
 
-def test_beta2_exact_rejects_irrational_powers():
-    with pytest.raises(ValueError):
-        beta2_exact(Fraction(1, 10), Fraction(2), 3)
-
-
 def test_beta2_exact_affine_in_N_at_s1():
-    vals = [beta2_exact(Fraction(1), Fraction(2), N) for N in range(12)]
+    vals = [beta2_reference(Fraction(1), Fraction(2), N) for N in range(12)]
     second = [vals[k + 2] - 2 * vals[k + 1] + vals[k] for k in range(10)]
     assert all(d == Fraction(0) for d in second)
     assert vals[1] - vals[0] == Fraction(243, 392) / 4
@@ -282,7 +278,7 @@ def test_mean_omega_tracks_continuum_integral():
     s, alpha, N, Lambda = 1.5, 0.3, 300, 1.05
     spec = BathSpec(s=s, alpha=alpha, omega_c=1.0)
     bath = discretize(spec, DiscretizationSpec(Lambda, N, Convention.MEAN_OMEGA))
-    continuum = sum_q_squared_continuous(spec, Lambda ** (-(N + 1)))  # the grid's lower edge
+    continuum = 2 * alpha * beta1(spec, Lambda ** (-(N + 1)))  # the grid's lower edge
     assert sum_q_squared(bath) == pytest.approx(continuum, rel=0.02)
 
 

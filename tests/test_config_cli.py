@@ -466,6 +466,13 @@ def test_gap_sweep_never_loads_the_dense_oracle(tmp_path):
     assert _modules_after_main(argv) == []
 
 
+def test_magnetization_theta_scan_never_loads_the_dense_oracle(tmp_path):
+    # the theta mode reads only the sector solution; the bias scan needs the oracle
+    path = write_config(tmp_path, deep({"truncation": {"n_max": 2}}))
+    argv = ["magnetization-scan", "--config", path, "--out", str(tmp_path / "theta")]
+    assert _modules_after_main(argv) == []
+
+
 def test_oracle_check_loads_the_dense_oracle(tmp_path):
     # the counterpart of the test above: the module list it reads is live
     path = write_config(tmp_path, deep({"truncation": {"n_max": 2}}))
@@ -731,7 +738,8 @@ def test_gap_sweep_records_underflowed_prefactor_in_row(tmp_path):
     header, body = read_csv(out / "gap_sweep.csv")
     assert [row[header.index("N")] for row in body] == ["10", "11", "12"]
     statuses = [row[header.index("status")] for row in body]
-    assert statuses[:2] == ["ok", "ok"]
+    # both factors are in double range, but far below the rounding of the energies
+    assert all(status.startswith("unresolved-gap: ") for status in statuses[:2])
     assert statuses[2].startswith("accuracy-error: ")
     for column in ("E_plus0", "E_minus0", "gap"):
         assert body[2][header.index(column)] == "nan"
@@ -1194,7 +1202,7 @@ def test_parser_flags_per_subcommand():
 GAP_VS_MODES = ROOT / "scripts" / "configs" / "gap_vs_modes.yaml"
 
 # gap_sweep.csv of scripts/configs/gap_vs_modes.yaml at one OpenBLAS thread
-GAP_VS_MODES_SHA256 = "a9c667868d0d6a262df6528cf7e016eb2767981a43bd42a4d3244653b763600c"
+GAP_VS_MODES_SHA256 = "2df48b6f1ea3aa9ec1c8f2482f57771ead81950c9222bddbb155ce869b08bee8"
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
@@ -1207,7 +1215,8 @@ def test_shipped_config_loads_and_expands_its_sweep(path):
 
 def test_gap_vs_modes_config_bytes(tmp_path):
     out = tmp_path / "modes"
-    assert run_cli(["gap-sweep", "--config", str(GAP_VS_MODES), "--out", str(out)]) == 0
+    # rows N = 7 and 8 are unresolved-gap, so the sweep exits 1
+    assert run_cli(["gap-sweep", "--config", str(GAP_VS_MODES), "--out", str(out)]) == 1
     data = (out / "gap_sweep.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GAP_VS_MODES_SHA256
 
@@ -1222,7 +1231,16 @@ def test_gap_vs_modes_config_reports_underflowed_point_with_reason(tmp_path):
     assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(out)]) == 1
     header, body = read_csv(out / "gap_sweep.csv")
     statuses = [row[header.index("status")] for row in body]
-    assert statuses[:12] == ["ok"] * 12
+    assert statuses[:7] == ["ok"] * 7
+    # from N = 7 on the gap is below the rounding of the energies, and the
+    # reason names the factor by its log
+    for row, status in zip(body[7:12], statuses[7:12]):
+        log10_factor = -2.0 * float(row[header.index("sum_q_squared")]) / math.log(10)
+        assert status == (
+            f"unresolved-gap: gap 0.000e+00 is below the rounding of the sector energies "
+            f"(1e-12 of their size); polaron factor 10^{log10_factor:.2f}"
+        )
+        assert row[header.index("ground_parity")] == "0"
     last = body[12]
     assert last[header.index("N")] == "12"
     # the factor exp(-2 sum q**2) = 7.0e-429, named by its log in the reason

@@ -1,0 +1,69 @@
+"""Every name the package defines is used by the package, its scripts or its benchmark.
+
+A function, class or method that only the tests read belongs in
+tests/helpers.py as a reference, or nowhere.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sbmlab"
+USERS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+
+# library API with no caller in the package: the README documents both, and
+# acceptance criteria 2 and 3 check them against quadrature and the mode sum
+LIBRARY_API = {"bath.beta1", "bath.spectral_density"}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each module-level function, class and non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _mentions(tree: ast.Module):
+    """(name, node) for every Name, Attribute, import alias and string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node
+            if node.asname:
+                yield node.asname, node
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # perfbench/spans.py names the functions it wraps as strings
+            yield node.value, node
+
+
+def _unused_names() -> list[str]:
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for directory in USERS
+        for path in sorted(directory.glob("*.py"))
+    }
+    mentioned: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for name, node in _mentions(tree):
+            mentioned.setdefault(name, []).append(node)
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualname, definition in _definitions(trees[path]):
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(id(node) not in inside for node in mentioned.get(definition.name, [])):
+                unused.append(f"{path.stem}.{qualname}")
+    return unused
+
+
+def test_no_package_name_is_read_only_by_tests():
+    # equality, not inclusion: an allowlisted name that gains a caller leaves the list
+    assert set(_unused_names()) == LIBRARY_API

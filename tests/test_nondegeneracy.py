@@ -1,18 +1,14 @@
-import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from helpers import lmn_exact
+
 from sbmlab.errors import CapacityError
 from sbmlab.fockspace import enumerate_basis, lowering_series
-from sbmlab.nondegeneracy import (
-    ProofReport,
-    closed_form_square_check,
-    constant_term_contradiction,
-    lmn_exact,
-)
+from sbmlab.nondegeneracy import ProofReport, constant_term_contradiction
 
 # ---------------------------------------------------------------- case 1
 
@@ -88,44 +84,24 @@ def test_report_formats():
 # ---------------------------------------------------------------- squares
 
 
-def test_square_check_trivial_points():
-    assert closed_form_square_check((0,), [Fraction(7, 3)]) == "holds"
-    assert closed_form_square_check((2,), [Fraction(0)]) == "holds"
-
-
 def test_square_check_reference_value():
     # L_{0,3}(1/2) = (1/6) sqrt(6), so L^2 = 1/6
     rational, radicand = lmn_exact(0, 3, Fraction(1, 2))
     assert rational == Fraction(1, 6)
     assert radicand == 6
     assert rational * rational * radicand == Fraction(1, 6)
-    assert closed_form_square_check((3,), [Fraction(1, 2)]) == "holds"
-
-
-def test_square_check_multimode_and_permutations():
-    n = (2, 0, 3)
-    q = [Fraction(1, 3), Fraction(-1, 2), Fraction(2, 5)]
-    assert closed_form_square_check(n, q) == "holds"
-    for perm in itertools.permutations(range(3)):
-        permuted_n = tuple(n[i] for i in perm)
-        permuted_q = [q[i] for i in perm]
-        assert closed_form_square_check(permuted_n, permuted_q) == "holds"
-
-
-def test_square_check_validation():
-    with pytest.raises(ValueError):
-        closed_form_square_check((1, 2), [Fraction(1, 2)])
 
 
 # ---------------------------------------------------------------- exact vs float
 
 
 def test_lmn_exact_vacuum_row_closed_form():
-    q = Fraction(2, 7)
-    for n in range(8):
-        rational, radicand = lmn_exact(0, n, q)
-        assert rational == (2 * q) ** n / math.factorial(n)
-        assert radicand == math.factorial(n)
+    # L_{0,n} = (2q)**n / sqrt(n!), so L_{0,n}**2 = (2q)**(2n) / n!
+    for q in (Fraction(2, 7), Fraction(7, 3), Fraction(-1, 2), Fraction(0)):
+        for n in range(8):
+            rational, radicand = lmn_exact(0, n, q)
+            assert rational == (2 * q) ** n / math.factorial(n)
+            assert radicand == math.factorial(n)
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 4), Fraction(-2, 3), Fraction(7, 5)])

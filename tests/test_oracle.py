@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from helpers import displacement_matrix
+from helpers import displacement_matrix, frozen_spin_check
 
 from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError, CapacityError
@@ -14,20 +14,24 @@ from sbmlab.oracle import (
     MIXED,
     assemble_full,
     dense_spectrum,
-    frozen_spin_check,
     ground_pair,
     ground_parity,
     ground_sigma_z,
-    magnetization,
     parity_commutator_norm,
     parity_matrix,
-    parity_overlap,
     rotation_defects,
     sector_blocks,
     spectral_norm,
     unitary_U,
 )
-from sbmlab.sectors import ModelParams, Sector, assemble_sector, ground_state
+from sbmlab.sectors import (
+    ModelParams,
+    Sector,
+    assemble_sector,
+    ground_state,
+    magnetization,
+    parity_overlap,
+)
 
 
 def single_mode(q, omega=1.0):
@@ -59,15 +63,16 @@ def test_assemble_polarized_spin_ladder():
 
 
 def test_coupling_matches_a_loop_over_states():
-    # V filled from the ladder maps equals a per-state loop over index_of
+    # V filled from the ladder maps equals a per-state loop over a state -> index map
     bath = DiscretizedBath.from_modes((1.0, 0.5, 0.25), (0.3, -0.2, 0.1))
     basis = enumerate_basis(3, 4)
+    index = {state: i for i, state in enumerate(basis)}
     V = np.zeros((basis.dim, basis.dim))
     for i, n in enumerate(basis):
         if sum(n) == basis.n_max:
             continue
         for k, lam_k in enumerate(bath.lam):
-            j = basis.index_of(n[:k] + (n[k] + 1,) + n[k + 1 :])
+            j = index[n[:k] + (n[k] + 1,) + n[k + 1 :]]
             V[i, j] = V[j, i] = lam_k * math.sqrt(n[k] + 1)
     H = assemble_full(ModelParams(delta=0.0), bath, basis).hamiltonian.toarray()
     boson = np.diag([float(np.dot(n, bath.omega)) for n in basis])
