@@ -21,14 +21,13 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from . import __version__
 from .bath import DiscretizedBath, beta2, discretize, log_prefactor, sum_q_squared
-from .config import RunConfig, config_as_dict, load_config
+from .config import RunConfig, check_grid_points, config_as_dict, load_config
 from .errors import AccuracyError, CapacityError, ConfigError, SolverError
 from .fockspace import enumerate_basis
 from .nondegeneracy import constant_term_contradiction
@@ -176,6 +175,7 @@ def cmd_fig1(args) -> int:
     started = time.perf_counter()
     if args.N_max < 0:
         raise ConfigError(f"--N-max must be >= 0, got {args.N_max}")
+    check_grid_points("--N-max", args.N_max)
     if not (math.isfinite(args.Lambda) and args.Lambda > 1):
         raise ConfigError(f"--Lambda must be finite and exceed 1, got {args.Lambda}")
     s_list = args.s if args.s else [0.1, 1.0]
@@ -201,111 +201,64 @@ def cmd_fig1(args) -> int:
 # -------------------------------------------------------------- gap-sweep
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One sweep point, self-describing: inputs echoed next to outputs.
+def sweep_point(task: tuple[int, RunConfig]) -> tuple[dict, dict]:
+    """Solve both sectors for one config; pure and order-independent.
 
-    inputs is the point's config as the manifest echoes it, flattened to
-    one cell per field of every group but the sweep, in file order.
-    wall_time and solvers (per sector: iterations, residual) are carried
-    here for the manifest but never enter the CSV body, which must be
-    byte-reproducible.
+    Returns the row's cells in column order (the index, the config echo of
+    every group but the sweep, the results) and its manifest record
+    (wall_time and the solvers per sector), which never enters the CSV body.
     """
-
-    index: int
-    inputs: dict
-    E_plus0: float
-    E_minus0: float
-    gap: float
-    prefactor: float
-    sum_q_squared: float
-    ground_parity: int
-    residual_plus: float
-    residual_minus: float
-    status: str
-    wall_time: float
-    solvers: dict
-
-    def as_dict(self) -> dict:
-        """The CSV cells by column: index, the inputs, then the results."""
-        results = {
-            field.name: getattr(self, field.name)
-            for field in dataclasses.fields(self)
-            if field.name not in ("index", "inputs", "wall_time", "solvers")
-        }
-        return {"index": self.index, **self.inputs, **results}
-
-
-def _solver_record(result: GroundStateResult) -> dict:
-    return {
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "converged": True,
-    }
-
-
-# result cells of a sweep point that has no solution
-_NO_SOLUTION = dict(
-    E_plus0=math.nan,
-    E_minus0=math.nan,
-    gap=math.nan,
-    ground_parity=0,
-    residual_plus=math.nan,
-    residual_minus=math.nan,
-)
-
-
-def sweep_point(task: tuple[int, RunConfig]) -> ResultRow:
-    """Solve both sectors for one config; pure and order-independent."""
     index, cfg = task
     started = time.perf_counter()
     bath = discretize(cfg.bath, cfg.discretization)
+    even_energy = odd_energy = even_residual = odd_residual = math.nan
     solvers = {}
     try:
         even, odd = _solve_sectors(cfg, bath)
     except SolverError as exc:
         diagnostics = dict(exc.diagnostics)
         sector = diagnostics.pop("sector", "unknown")
-        result = dict(_NO_SOLUTION, status=f"solver-error: {exc}")
-        solvers = {sector: {**diagnostics, "converged": False}}
+        solvers[sector] = {**diagnostics, "converged": False}
+        status = f"solver-error: {exc}"
     except AccuracyError as exc:
-        result = dict(_NO_SOLUTION, status=f"accuracy-error: {exc}")
+        status = f"accuracy-error: {exc}"
     else:
-        gap = odd.energy - even.energy
+        even_energy, odd_energy = even.energy, odd.energy
+        even_residual, odd_residual = even.residual, odd.residual
+        solvers = {
+            sector: {"iterations": sol.iterations, "residual": sol.residual, "converged": True}
+            for sector, sol in (("even", even), ("odd", odd))
+        }
         status = "ok"
-        # a difference of two energies cannot resolve a gap below their rounding
-        if not abs(gap) > GAP_FLOOR * max(abs(even.energy), abs(odd.energy)):
-            status = (
-                f"unresolved-gap: gap {gap:.3e} is below the rounding of the sector energies "
-                f"({GAP_FLOOR:g} of their size); polaron factor "
-                f"10^{log_prefactor(bath) / math.log(10):.2f}"
-            )
-        result = dict(
-            E_plus0=even.energy,
-            E_minus0=odd.energy,
-            gap=gap,
-            ground_parity=1 if gap > 0 else (-1 if gap < 0 else 0),
-            residual_plus=even.residual,
-            residual_minus=odd.residual,
-            status=status,
+    gap = odd_energy - even_energy
+    # a difference of two energies cannot resolve a gap below their rounding
+    if status == "ok" and not abs(gap) > GAP_FLOOR * max(abs(even_energy), abs(odd_energy)):
+        status = (
+            f"unresolved-gap: gap {gap:.3e} is below the rounding of the sector energies "
+            f"({GAP_FLOOR:g} of their size); polaron factor "
+            f"10^{log_prefactor(bath) / math.log(10):.2f}"
         )
-        solvers = {"even": _solver_record(even), "odd": _solver_record(odd)}
-    groups = config_as_dict(cfg)
-    del groups["sweep"]
-    return ResultRow(
-        index=index,
-        inputs={key: value for group in groups.values() for key, value in group.items()},
+    cells = {"index": index}
+    for group, echo in config_as_dict(cfg).items():
+        if group != "sweep":
+            cells.update(echo)
+    cells.update(
+        E_plus0=even_energy,
+        E_minus0=odd_energy,
+        gap=gap,
         # a float cell in every row (0 once the factor underflows the
         # double); solve_sectors refuses a point whose double is not normal
         prefactor=math.exp(log_prefactor(bath)),
         sum_q_squared=sum_q_squared(bath),
-        **result,
-        wall_time=time.perf_counter() - started,
-        solvers=solvers,
+        ground_parity=(gap > 0) - (gap < 0),  # 0 for a NaN gap
+        residual_plus=even_residual,
+        residual_minus=odd_residual,
+        status=status,
     )
+    return cells, {"wall_time": time.perf_counter() - started, "solvers": solvers}
 
 
-def _run_sweep(configs: list[RunConfig], workers: int) -> list[ResultRow]:
+def _run_sweep(configs: list[RunConfig], workers: int) -> list[tuple[dict, dict]]:
     tasks = list(enumerate(configs))
     if workers <= 1 or len(tasks) <= 1:
         return [sweep_point(t) for t in tasks]
@@ -324,17 +277,18 @@ def cmd_gap_sweep(args) -> int:
             "gap-sweep solves the two parity sectors, which requires epsilon = 0; "
             f"got model.epsilon = {cfg.model.epsilon}"
         )
-    rows = _run_sweep(cfg.expand_sweep(), args.workers)
+    rows, records = zip(*_run_sweep(cfg.expand_sweep(), args.workers))
 
     if args.format == "csv":
         name = "gap_sweep.csv"
-        cells = [row.as_dict() for row in rows]
-        body = _csv(list(cells[0]), [row.values() for row in cells])
+        body = _csv(list(rows[0]), [row.values() for row in rows])
         row_checksums = [_sha256(line.encode("utf-8")) for line in body.split("\n")[1:-1]]
     else:
         name = "gap_sweep.json"
-        body = json.dumps([row.as_dict() for row in rows], indent=1) + "\n"
-        row_checksums = [_sha256(json.dumps(row.as_dict()).encode("utf-8")) for row in rows]
+        # a failed row's NaN cells (the only cells unequal to themselves) are null
+        rows = [{key: None if cell != cell else cell for key, cell in row.items()} for row in rows]
+        body = json.dumps(rows, indent=1, allow_nan=False) + "\n"
+        row_checksums = [_sha256(json.dumps(row, allow_nan=False).encode("utf-8")) for row in rows]
     _publish(
         args.out,
         "gap_sweep_manifest.json",
@@ -342,11 +296,11 @@ def cmd_gap_sweep(args) -> int:
         {"config": config_as_dict(cfg), "workers": args.workers},
         {name: body},
         row_checksums=row_checksums,
-        row_wall_times=[row.wall_time for row in rows],
-        row_solvers=[row.solvers for row in rows],
+        row_wall_times=[record["wall_time"] for record in records],
+        row_solvers=[record["solvers"] for record in records],
         wall_time_seconds=time.perf_counter() - started,
     )
-    failures = [row.status for row in rows if row.status != "ok"]
+    failures = [row["status"] for row in rows if row["status"] != "ok"]
     print(f"wrote {os.path.join(args.out, name)} ({len(rows)} rows, {len(failures)} failed)")
     if any(status.startswith("solver-error") for status in failures):
         return EXIT_SOLVER
@@ -469,8 +423,10 @@ def cmd_verify_appendix(args) -> int:
 def cmd_magnetization_scan(args) -> int:
     started = time.perf_counter()
     for flag, steps in (("--theta-steps", args.theta_steps), ("--epsilon-steps", args.epsilon_steps)):
-        if steps is not None and steps < 2:
-            raise ConfigError(f"{flag} must be >= 2, got {steps}")
+        if steps is not None:
+            if steps < 2:
+                raise ConfigError(f"{flag} must be >= 2, got {steps}")
+            check_grid_points(flag, steps)
     if not (math.isfinite(args.epsilon_max) and args.epsilon_max > 0.0):
         raise ConfigError(f"--epsilon-max must be finite and > 0, got {args.epsilon_max}")
     cfg = load_config(args.config)

@@ -23,10 +23,20 @@ from enum import Enum
 import yaml
 
 from .bath import BathSpec, DiscretizationSpec
-from .errors import ConfigError
+from .errors import CapacityError, ConfigError
 from .sectors import DEFAULT_MAX_ITER, DEFAULT_TOL, ModelParams
 
 SWEEPABLE = ("alpha", "s", "delta", "N", "n_max", "Lambda")
+
+# the most points of a grid that is built whole before its first point is
+# run: sweep.steps, and the --N-max, --theta-steps and --epsilon-steps flags
+MAX_GRID_POINTS = 10_000
+
+
+def check_grid_points(name: str, count: int) -> None:
+    """CapacityError, before any grid is built, when count is over MAX_GRID_POINTS."""
+    if count > MAX_GRID_POINTS:
+        raise CapacityError(f"{name} = {count} exceeds the maximum {MAX_GRID_POINTS}")
 
 
 def _check_sweepable(parameter: str) -> None:
@@ -76,6 +86,7 @@ class Sweep:
         _check_sweepable(self.parameter)
         if not isinstance(self.steps, int) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps}")
+        check_grid_points("sweep.steps", self.steps)
         if self.scale not in ("linear", "log"):
             raise ValueError(f"scale must be 'linear' or 'log', got '{self.scale}'")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):

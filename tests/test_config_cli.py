@@ -13,6 +13,7 @@ from sbmlab.bath import Convention, beta0, discretize
 from sbmlab import __version__
 from sbmlab.cli import build_parser, main
 from sbmlab.config import (
+    MAX_GRID_POINTS,
     RunConfig,
     SolverSettings,
     Sweep,
@@ -20,7 +21,7 @@ from sbmlab.config import (
     load_config,
     parse_config,
 )
-from sbmlab.errors import ConfigError
+from sbmlab.errors import CapacityError, ConfigError
 from sbmlab.fockspace import enumerate_basis
 from sbmlab.oracle import assemble_full
 from sbmlab.sectors import ModelParams
@@ -431,6 +432,7 @@ def test_gap_sweep_alpha_scan_bytes_independent_of_blas_threads(tmp_path):
         assert run_cli(argv, threads=threads) == 0
         bodies.append((out / "gap_sweep.csv").read_bytes())
     assert bodies[0] == bodies[1]
+    assert hashlib.sha256(bodies[0]).hexdigest() == ALPHA_SCAN_SHA256
 
 
 def test_cli_import_loads_no_sparse_linalg_or_csgraph():
@@ -746,6 +748,43 @@ def test_gap_sweep_records_underflowed_prefactor_in_row(tmp_path):
     assert body[2][header.index("prefactor")] == "0"
     manifest = json.loads((out / "gap_sweep_manifest.json").read_text())
     assert manifest["row_solvers"][2] == {}
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN and +-Infinity, which are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_gap_sweep_json_writes_missing_cells_as_null(tmp_path):
+    # row N = 12 is an accuracy-error: its energies, gap and residuals are
+    # NaN in the CSV and null in the JSON
+    data = deep(
+        {
+            "bath": {"s": 0.1, "alpha": 0.3},
+            "truncation": {"n_max": 1},
+            "sweep": {"parameter": "N", "from": 10, "to": 12, "steps": 3},
+        }
+    )
+    path = write_config(tmp_path, data)
+    out_csv, out_json = tmp_path / "csv", tmp_path / "json"
+    assert main(["gap-sweep", "--config", path, "--out", str(out_csv)]) == 1
+    assert main(["gap-sweep", "--config", path, "--out", str(out_json), "--format", "json"]) == 1
+    header, body = read_csv(out_csv / "gap_sweep.csv")
+    rows = _strict_json((out_json / "gap_sweep.json").read_text())
+    missing = ["E_plus0", "E_minus0", "gap", "residual_plus", "residual_minus"]
+    assert [column for column, cell in zip(header, body[2]) if cell == "nan"] == missing
+    assert [key for key, cell in rows[2].items() if cell is None] == missing
+    assert rows[2]["ground_parity"] == 0
+    assert rows[2]["status"].startswith("accuracy-error: ")
+    assert all(cell is not None for row in rows[:2] for cell in row.values())
+    manifest = _strict_json((out_json / "gap_sweep_manifest.json").read_text())
+    assert manifest["row_checksums"] == [
+        hashlib.sha256(json.dumps(row).encode()).hexdigest() for row in rows
+    ]
 
 
 # -------------------------------------------------------------- oracle-check
@@ -1203,6 +1242,11 @@ GAP_VS_MODES = ROOT / "scripts" / "configs" / "gap_vs_modes.yaml"
 
 # gap_sweep.csv of scripts/configs/gap_vs_modes.yaml at one OpenBLAS thread
 GAP_VS_MODES_SHA256 = "2df48b6f1ea3aa9ec1c8f2482f57771ead81950c9222bddbb155ce869b08bee8"
+# the same at sweep.to 12 and n_max 1, whose unresolved-gap and
+# accuracy-error rows (NaN cells) pin the failure branches of a sweep point
+GAP_VS_MODES_TO_12_SHA256 = "67f02fa68bdeb7024695c1bd37557c571dd631d5fc2e68c62fefa71f20e37895"
+# gap_sweep.csv of scripts/configs/alpha_scan.yaml at one OpenBLAS thread
+ALPHA_SCAN_SHA256 = "0152ba77b993950d895319872d9baee5f97a735fc0080fdc1c5200bfbadaa4c7"
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
@@ -1228,7 +1272,9 @@ def test_gap_vs_modes_config_reports_underflowed_point_with_reason(tmp_path):
     data["sweep"].update({"to": 12, "steps": 13})
     data["truncation"]["n_max"] = 1
     out = tmp_path / "modes"
-    assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(out)]) == 1
+    assert run_cli(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(out)]) == 1
+    sha256 = hashlib.sha256((out / "gap_sweep.csv").read_bytes()).hexdigest()
+    assert sha256 == GAP_VS_MODES_TO_12_SHA256
     header, body = read_csv(out / "gap_sweep.csv")
     statuses = [row[header.index("status")] for row in body]
     assert statuses[:7] == ["ok"] * 7
@@ -1251,3 +1297,61 @@ def test_gap_vs_modes_config_reports_underflowed_point_with_reason(tmp_path):
         "double range; D cannot be formed in double precision"
     )
     assert last[header.index("prefactor")] == "0"
+
+
+# ------------------------------------------------------------- count caps
+
+
+def _grid_argv(case: str, tmp_path, out) -> list[str]:
+    huge = str(10**15)  # a grid of this many points would not fit in memory
+    if case == "fig1":
+        return ["fig1", "--out", str(out), "--N-max", huge, "--s", "1.0"]
+    if case == "gap-sweep":
+        sweep = {"parameter": "alpha", "from": 0.0, "to": 0.5, "steps": int(huge)}
+        path = write_config(tmp_path, deep({"sweep": sweep}))
+        return ["gap-sweep", "--config", path, "--out", str(out)]
+    flag = {"theta": "--theta-steps", "epsilon": "--epsilon-steps"}[case]
+    path = write_config(tmp_path, deep({}))
+    return ["magnetization-scan", "--config", path, "--out", str(out), flag, huge]
+
+
+@pytest.mark.parametrize("case", ["fig1", "gap-sweep", "theta", "epsilon"])
+def test_grid_over_the_cap_is_refused_before_it_is_built(tmp_path, capsys, case):
+    import tracemalloc
+
+    out = tmp_path / "out"
+    argv = _grid_argv(case, tmp_path, out)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert f"exceeds the maximum {MAX_GRID_POINTS}" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 2**20
+
+
+def test_grid_of_max_grid_points_is_accepted(tmp_path):
+    assert len(Sweep("alpha", 0.0, 0.5, MAX_GRID_POINTS).values()) == MAX_GRID_POINTS
+    with pytest.raises(CapacityError, match=f"sweep.steps = {MAX_GRID_POINTS + 1} exceeds"):
+        Sweep("alpha", 0.0, 0.5, MAX_GRID_POINTS + 1)
+    out = tmp_path / "fig"
+    argv = ["fig1", "--out", str(out), "--N-max", str(MAX_GRID_POINTS), "--s", "1.0"]
+    assert main(argv) == 0
+    assert len(read_csv(out / "fig1_data.csv")[1]) == MAX_GRID_POINTS + 1
+
+
+# ------------------------------------------------------------------ version
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+def test_version_is_declared_once():
+    # pyproject.toml reads the version from sbmlab.__version__
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    path = ROOT / "pyproject.toml"
+    declared = read_configuration(path, expand=False)["project"]
+    assert "version" not in declared and declared["dynamic"] == ["version"]
+    assert read_configuration(path)["project"]["version"] == __version__
