@@ -260,10 +260,14 @@ def sweep_point(task: tuple[int, RunConfig]) -> tuple[dict, dict]:
 
 def _run_sweep(configs: list[RunConfig], workers: int) -> list[tuple[dict, dict]]:
     tasks = list(enumerate(configs))
-    if workers <= 1 or len(tasks) <= 1:
+    # the pool starts every worker at once, so never more than there are
+    # points or cores this process may run on
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    size = min(workers, len(tasks), cores)
+    if size <= 1:
         return [sweep_point(t) for t in tasks]
-    # the pool starts every worker at once, so never more than there are points
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(sweep_point, tasks))
 
 
@@ -430,14 +434,18 @@ def cmd_magnetization_scan(args) -> int:
     if not (math.isfinite(args.epsilon_max) and args.epsilon_max > 0.0):
         raise ConfigError(f"--epsilon-max must be finite and > 0, got {args.epsilon_max}")
     cfg = load_config(args.config)
+    if cfg.model.epsilon != 0.0:
+        # theta mode solves the parity sectors; epsilon mode sets epsilon itself
+        raise ConfigError(
+            "theta mode requires epsilon = 0; use --epsilon-steps to scan epsilon"
+            if args.epsilon_steps is None
+            else "epsilon mode takes epsilon from its grid; "
+            f"model.epsilon must be 0, got {cfg.model.epsilon}"
+        )
     bath = discretize(cfg.bath, cfg.discretization)
 
     if args.epsilon_steps is None:
         # theta mode: mixing-angle scan of the epsilon = 0 sector solution
-        if cfg.model.epsilon != 0.0:
-            raise ConfigError(
-                "theta mode requires epsilon = 0; use --epsilon-steps to scan epsilon"
-            )
         even, odd = _solve_sectors(cfg, bath)
         thetas = np.linspace(0.0, math.pi, args.theta_steps)
         header = ["theta", "magnetization"]

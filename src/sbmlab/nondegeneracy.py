@@ -30,7 +30,7 @@ No floating point enters this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from sbmlab.errors import CapacityError
@@ -79,19 +79,10 @@ class ProofReport:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "n_max": self.n_max,
-            "case1_verdict": self.case1_verdict,
-            "case2_verdict": self.case2_verdict,
-            "witness": {
-                "left_constant": str(self.witness[0]),
-                "right_constant": str(self.witness[1]),
-            },
-            "monomial_count": self.monomial_count,
-            "hypothesis": self.hypothesis,
-            "holds": self.holds,
-        }
+        """The fields in order, the witness as two strings, then holds."""
+        left, right = self.witness
+        witness = {"left_constant": str(left), "right_constant": str(right)}
+        return {**asdict(self), "witness": witness, "holds": self.holds}
 
 
 def _proof_basis(N: int, n_max: int):

@@ -22,17 +22,16 @@ to rounding, not merely to truncation accuracy.
 H, Pi, U and every product of them stay sparse.  Only LAPACK inputs are
 dense, and each LAPACK call computes only what its check reads.  H is
 reduced to tridiagonal form once per model (`FullModel.tridiagonal`, one
-Householder reduction), and both the eigenvalues of H for the spectrum
-partition (`dense_spectrum`) and its two lowest eigenpairs for the gap
-floor and the parity label (`ground_pair`) come from that one reduction.
-A biased <sigma_z> needs one solve for the lowest eigenpair
-(`ground_sigma_z`), and the partition the eigenvalues of the two
-dim x dim blocks of U H U' (`sector_blocks`).  A
-spectral norm is exact without a solve where its elementwise lower bound
-meets its Hoelder upper bound, as for every commutator checked here: they
-are zero, or, for [H, Pi] at epsilon != 0, have one entry per row and
-column.  Otherwise it falls back to the top eigenvalue of A'A.  The
-unitarity defect is a bound on the sparse U U' - I.
+Householder reduction).  That one reduction gives the eigenvalues of H for
+the spectrum partition (`dense_spectrum`) and its two lowest eigenpairs
+for the gap floor and the parity label (`ground_pair`), whose ground state
+also gives a biased <sigma_z> (`ground_sigma_z`).  The partition also
+needs the eigenvalues of the two dim x dim blocks of U H U'
+(`sector_blocks`).  A spectral norm is exact without a solve where its
+elementwise lower bound meets its Hoelder upper bound, as for every
+commutator checked here: they are zero, or, for [H, Pi] at epsilon != 0,
+have one entry per row and column.  Otherwise it falls back to the top
+eigenvalue of A'A.  The unitarity defect is a bound on the sparse U U' - I.
 
 The displaced-basis sector matrices of :mod:`sbmlab.sectors` span a
 different truncated subspace than the blocks above, so their spectra
@@ -82,15 +81,10 @@ class Tridiagonal(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class FullModel:
-    params: ModelParams
-    bath: DiscretizedBath
+    """H over spin (x) Fock, twice the enumeration's dimension, and its one reduction."""
+
     enumeration: BasisEnumeration
     hamiltonian: scipy.sparse.csr_array
-
-    @property
-    def dim(self) -> int:
-        """Fock-space dimension; the Hamiltonian is twice this size."""
-        return self.enumeration.dim
 
     @functools.cached_property
     def tridiagonal(self) -> Tridiagonal:
@@ -141,7 +135,7 @@ def assemble_full(
         ],
         format="csr",
     )
-    return FullModel(params=params, bath=bath, enumeration=enumeration, hamiltonian=H)
+    return FullModel(enumeration=enumeration, hamiltonian=H)
 
 
 def parity_matrix(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
@@ -306,11 +300,8 @@ def ground_parity(model: FullModel) -> int:
 
 
 def ground_sigma_z(model: FullModel) -> float:
-    """<sigma_z> of the dense ground state, from a solve for the lowest eigenpair only."""
-    _, vecs = scipy.linalg.eigh(
-        _lapack_input(model.hamiltonian), subset_by_index=[0, 0], overwrite_a=True
-    )
-    psi = vecs[:, 0]
+    """<sigma_z> of the dense ground state, the first vector of ground_pair."""
+    psi = ground_pair(model)[1][:, 0]
     dim = model.enumeration.dim
     return float(psi[:dim] @ psi[:dim] - psi[dim:] @ psi[dim:])
 

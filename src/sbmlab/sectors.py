@@ -97,8 +97,9 @@ class DisplacedParity:
         p = self.parity
         return p * (self.lowering_transposed @ (p * (self.lowering @ (p * x))))
 
+    @functools.cached_property
     def diagonal(self) -> np.ndarray:
-        """diag(Dt) = (E o E)' P."""
+        """diag(Dt) = (E o E)' P, taken once on first use: it squares a copy of E."""
         return self.lowering.power(2).T @ self.parity
 
     @property
@@ -122,20 +123,15 @@ class DisplacedParity:
 class SectorMatrix:
     """One sector as the operator diag(diagonal) + coupling * Dt.
 
-    diagonal, displaced_parity and displaced_diagonal, diag(Dt), are shared
-    with the other sector and never written to; coupling is
-    tunneling_sign * (delta/2) * polaron factor.
+    diagonal and displaced_parity are shared with the other sector and
+    never written to; coupling is tunneling_sign * (delta/2) * polaron
+    factor.
     """
 
     sector: Sector
     diagonal: np.ndarray
     displaced_parity: DisplacedParity
-    displaced_diagonal: np.ndarray
     coupling: float
-
-    @property
-    def dim(self) -> int:
-        return self.diagonal.shape[0]
 
     @property
     def entries(self) -> np.ndarray:
@@ -188,19 +184,13 @@ def _sector_pair(
     The polaron factor is checked first, so a point that no basis can solve
     in double precision raises AccuracyError before E is built, also where
     E would be over fockspace.MAX_OPERATOR_BYTES.  Otherwise lowering_series
-    raises CapacityError before allocating a series over that cap.  diag(Dt),
-    the Davidson preconditioner's share of Dt, is taken once for the pair,
-    because each DisplacedParity.diagonal call makes a squared copy of E.
+    raises CapacityError before allocating a series over that cap, and
+    ValueError when the bath and the enumeration differ in mode count.
     """
     if params.epsilon != 0.0:
         raise ValueError(
             "sector decomposition requires epsilon = 0; "
             f"got epsilon={params.epsilon} (use the dense oracle instead)"
-        )
-    if enumeration.mode_count != bath.mode_count:
-        raise ValueError(
-            f"enumeration mode count {enumeration.mode_count} does not match "
-            f"bath mode count {bath.mode_count}"
         )
     polaron = polaron_double(bath)
     lowering = lowering_series(enumeration, bath.q)
@@ -208,13 +198,11 @@ def _sector_pair(
     q = np.asarray(bath.q)
     diagonal = enumeration.occupation_array() @ omega - float(omega @ (q * q))
     displaced_parity = DisplacedParity(lowering, enumeration.parity)
-    displaced_diagonal = displaced_parity.diagonal()
     return {
         sector: SectorMatrix(
             sector=sector,
             diagonal=diagonal,
             displaced_parity=displaced_parity,
-            displaced_diagonal=displaced_diagonal,
             coupling=sector.tunneling_sign * (params.delta / 2.0) * polaron,
         )
         for sector in Sector
@@ -249,7 +237,7 @@ def _davidson_lowest(
     of the best pair found when max_iter runs out or the search space
     cannot grow.
     """
-    diag = matrix.diagonal + matrix.coupling * matrix.displaced_diagonal
+    diag = matrix.diagonal + matrix.coupling * matrix.displaced_parity.diagonal
     n = diag.size
     V = np.zeros((_DAVIDSON_RESTART, n))
     HV = np.empty((_DAVIDSON_RESTART, n))

@@ -604,7 +604,8 @@ def test_gap_sweep_rejects_workers_below_one(tmp_path, capsys, workers):
 
 def test_gap_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
     # the executor forks every worker at its first submit, so the pool
-    # size must be capped by the sweep; this fake starts no process
+    # size must be capped by the sweep and by the usable cores, here a
+    # fixed two; this fake starts no process
     import sbmlab.cli
 
     sizes = []
@@ -623,20 +624,29 @@ def test_gap_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(sbmlab.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     data = deep({"sweep": {"parameter": "alpha", "from": 0.0, "to": 0.4, "steps": 3}})
     path = write_config(tmp_path, data)
-    bodies = []
-    for workers in ("1", "5000", "2"):
-        out = tmp_path / f"w{workers}"
-        assert main(["gap-sweep", "--config", path, "--out", str(out), "--workers", workers]) == 0
-        bodies.append((out / "gap_sweep.csv").read_bytes())
-    assert sizes == [3, 2]
-    assert bodies[0] == bodies[1] == bodies[2]
-    # a single point is solved in this process whatever --workers says
-    single = write_config(tmp_path, deep({}), "single.yaml")
-    argv = ["gap-sweep", "--config", single, "--out", str(tmp_path / "one"), "--workers", "5000"]
-    assert main(argv) == 0
-    assert sizes == [3, 2]
+
+    def sweep(config: str, workers: str, name: str) -> bytes:
+        out = tmp_path / name
+        assert main(["gap-sweep", "--config", config, "--out", str(out), "--workers", workers]) == 0
+        return (out / "gap_sweep.csv").read_bytes()
+
+    bodies = [sweep(path, workers, f"w{workers}") for workers in ("1", "5000", "2")]
+    assert sizes == [2, 2]
+    # where there is no affinity mask, os.cpu_count() gives the cores
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    bodies.append(sweep(path, "5000", "eight-cores"))
+    assert sizes == [2, 2, 3]
+    # one core, or a single point, is solved in this process whatever --workers says
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    bodies.append(sweep(path, "5000", "one-core"))
+    assert len(set(bodies)) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    sweep(write_config(tmp_path, deep({}), "single.yaml"), "5000", "one-point")
+    assert sizes == [2, 2, 3]
 
 
 def test_gap_sweep_capacity_exit(tmp_path):
@@ -810,9 +820,8 @@ def test_oracle_check_broken_parity(tmp_path, capsys):
     assert "ground parity: mixed" in report
 
 
-def test_oracle_check_diagonalises_once(tmp_path, monkeypatch):
-    # one Householder reduction of H feeds both the spectrum partition and
-    # the ground pair, and no dense eigensolver sees H itself
+def spy_dense_solves(monkeypatch) -> tuple[list, list]:
+    """(shapes passed to LAPACK dsytrd, shapes passed to any numpy or scipy eigh/eigvalsh)."""
     import scipy.linalg
 
     reductions, solves = [], []
@@ -832,14 +841,24 @@ def test_oracle_check_diagonalises_once(tmp_path, monkeypatch):
                 return real(a, *args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-    H_shape = (2 * 70, 2 * 70)  # Fock dim C(8, 4) of the 4-mode base config at n_max 4
+    return reductions, solves
+
+
+# H of the 4-mode base config at n_max 4: Fock dim C(8, 4), two spin blocks
+H_SHAPE = (2 * 70, 2 * 70)
+
+
+def test_oracle_check_diagonalises_once(tmp_path, monkeypatch):
+    # one Householder reduction of H feeds both the spectrum partition and
+    # the ground pair, and no dense eigensolver sees H itself
+    reductions, solves = spy_dense_solves(monkeypatch)
     for epsilon in (0.0, 0.25):
         reductions.clear()
         solves.clear()
         path = write_config(tmp_path, deep({"model": {"epsilon": epsilon}}))
         assert main(["oracle-check", "--config", path]) == 0
-        assert reductions == [H_shape]
-        assert H_shape not in solves
+        assert reductions == [H_SHAPE]
+        assert H_SHAPE not in solves
 
 
 # sha256 of oracle_check.txt, each report written by a fresh interpreter at
@@ -1141,6 +1160,53 @@ def test_magnetization_scan_rejects_bad_grid_flags(tmp_path, capsys, flags, flag
 def test_magnetization_theta_mode_rejects_epsilon(tmp_path):
     data = deep({"model": {"epsilon": 0.2}})
     assert main(["magnetization-scan", "--config", write_config(tmp_path, data)]) == 2
+
+
+def test_magnetization_epsilon_mode_rejects_model_epsilon(tmp_path, capsys):
+    # the scan sets epsilon from its grid, so a configured bias would be ignored
+    out = tmp_path / "mg"
+    path = write_config(tmp_path, deep({"model": {"epsilon": 0.3}}))
+    argv = ["magnetization-scan", "--config", path, "--out", str(out), "--epsilon-steps", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: epsilon mode takes epsilon from its grid; model.epsilon must be 0, got 0.3\n"
+    )
+    assert not out.exists()
+
+
+def test_magnetization_epsilon_mode_factors_each_hamiltonian_once(tmp_path, monkeypatch):
+    # each grid point's ground state comes from the one reduction of its H
+    reductions, solves = spy_dense_solves(monkeypatch)
+    path = write_config(tmp_path, deep({}))
+    argv = ["magnetization-scan", "--config", path, "--out", str(tmp_path / "mge")]
+    assert main(argv + ["--epsilon-steps", "5"]) == 0
+    assert reductions == [H_SHAPE] * 5
+    assert H_SHAPE not in solves
+
+
+# sha256 of each magnetization CSV of the base config (Fock dim 70), whose
+# bytes are the same at one and two OpenBLAS threads
+MAGNETIZATION_SHA256 = [
+    (
+        [],
+        "magnetization_theta.csv",
+        "2363bddff43de768b40fbfe165197b8aff642506c72ee5b720b4972af44d2af5",
+    ),
+    (
+        ["--epsilon-steps", "11"],
+        "magnetization_epsilon.csv",
+        "6e9c4dfbff008985bd797c432d61d46d133bbc132f88e34e69b95d027a89674d",
+    ),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("flags, name, sha256", MAGNETIZATION_SHA256)
+def test_magnetization_csv_bytes(tmp_path, flags, name, sha256, threads):
+    out = tmp_path / "mg"
+    argv = ["magnetization-scan", "--config", write_config(tmp_path, deep({})), "--out", str(out)]
+    assert run_cli(argv + flags, threads=threads) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha256
 
 
 # ------------------------------------------------------------------ discretize

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from helpers import parity_phase
 
@@ -12,7 +13,6 @@ from sbmlab.errors import AccuracyError, CapacityError, SolverError
 from sbmlab.fockspace import enumerate_basis, lowering_series
 from sbmlab.sectors import (
     _DAVIDSON_RESTART,
-    DisplacedParity,
     ModelParams,
     Sector,
     SectorMatrix,
@@ -269,16 +269,16 @@ def test_displaced_parity_shares_one_transposed_view_of_e():
 
 
 def test_solve_sectors_takes_the_displaced_diagonal_once(monkeypatch):
-    # each DisplacedParity.diagonal call squares a copy of E (about 107 MiB
-    # at 20 modes, n_max 6), and both sectors share the one result
+    # diag(Dt) squares a copy of E (about 107 MiB at 20 modes, n_max 6),
+    # and both sectors share the one result
     calls = []
-    diagonal = DisplacedParity.diagonal
+    power = scipy.sparse.csr_array.power
 
-    def counted(self):
-        calls.append(self)
-        return diagonal(self)
+    def counted(self, n, dtype=None):
+        calls.append(n)
+        return power(self, n, dtype)
 
-    monkeypatch.setattr(DisplacedParity, "diagonal", counted)
+    monkeypatch.setattr(scipy.sparse.csr_array, "power", counted)
     bath = DiscretizedBath.from_modes((1.0, 0.4, 0.16), (0.45, 0.3, 0.2))
     even, odd = solve_sectors(bath, ModelParams(0.6), enumerate_basis(3, 9))
     assert len(calls) == 1
