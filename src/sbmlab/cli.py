@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -267,6 +266,9 @@ def _run_sweep(configs: list[RunConfig], workers: int) -> list[tuple[dict, dict]
     size = min(workers, len(tasks), cores)
     if size <= 1:
         return [sweep_point(t) for t in tasks]
+    # loads multiprocessing, which no in-process run needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(sweep_point, tasks))
 

@@ -4,7 +4,11 @@ States of N+1 boson modes are labelled by multi-indices n = (n_0, ..., n_N)
 with a total-excitation cutoff sum(n) <= n_max.  BasisEnumeration holds them
 as one read-only occupation array ordered by the closed-form graded-lex
 rank.  Its ladder maps raising(k), n -> n + e_k, and its parity vector build
-E and P below and the dense oracle's coupling V.  The central object is the
+E and P below and the dense oracle's coupling V.  Nothing about a basis
+depends on q, so enumerate_basis keeps the last one in a one-slot memo,
+and a basis builds its ladder maps and the index pattern of E's factors
+(lowering_pattern) once, read-only: a sweep that changes only q fills
+one small value table per mode and point.  The central object is the
 overlap table of the parity operator exp(i*pi*sum a'a) between displaced
 number states D(-q)|n>:
 
@@ -34,6 +38,7 @@ polynomials in q and stay in double range where the factor does not.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -123,19 +128,64 @@ class BasisEnumeration:
         return rank
 
     def raising(self, k: int) -> np.ndarray:
-        """int32 index of n + e_k for every state n, or -1 where it leaves the basis.
-
-        The rank of n - e_k over the states with n_k > 0, inverted; int32
-        holds every index below MAX_BASIS_DIM.
-        """
+        """Read-only int32 index of n + e_k for every state n, or -1 where it leaves the basis."""
         if not 0 <= k < self.mode_count:
             raise ValueError(f"mode {k} out of range 0..{self.mode_count - 1}")
-        occupied = np.nonzero(self._occupations[:, k])[0]
-        lowered = self._occupations[occupied]
-        lowered[:, k] -= 1
-        raised = np.full(self.dim, -1, dtype=np.int32)
-        raised[self.rank(lowered)] = occupied
-        return raised
+        return self._ladder_maps[k]
+
+    @functools.cached_property
+    def _ladder_maps(self) -> tuple[np.ndarray, ...]:
+        """Every mode's ladder map, built together on first use and kept.
+
+        Map k is the rank of n - e_k over the states with n_k > 0,
+        inverted; int32 holds every index below MAX_BASIS_DIM.
+        """
+        maps = []
+        for k in range(self.mode_count):
+            occupied = np.nonzero(self._occupations[:, k])[0]
+            lowered = self._occupations[occupied]
+            lowered[:, k] -= 1
+            raised = np.full(self.dim, -1, dtype=np.int32)
+            raised[self.rank(lowered)] = occupied
+            raised.flags.writeable = False
+            maps.append(raised)
+        return tuple(maps)
+
+    @functools.cached_property
+    def lowering_pattern(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """Where the entries of each factor exp(-2 q_k a_k) of lowering_series sit.
+
+        Every factor holds, in the row of m, one entry per r = 0..n_max -
+        sum(m), in the column of m + r e_k; its value depends on q_k, m_k
+        and r alone.  Returns the indptr that all factors share and, per
+        mode, the column of each entry and the cell m_k * (n_max + 1) + r
+        of the value table that supplies it.  Nothing here depends on q, so
+        it is built on first use and kept; every array is int32 (indices
+        below MAX_BASIS_DIM, entry counts under MAX_OPERATOR_BYTES) and
+        read-only.
+        """
+        indptr = np.zeros(self.dim + 1, dtype=np.int32)
+        np.cumsum(self.n_max + 1 - self._occupations.sum(axis=1), out=indptr[1:])
+        indptr.flags.writeable = False
+        return indptr, tuple(self._factor_pattern(k, indptr) for k in range(self.mode_count))
+
+    def _factor_pattern(self, k: int, indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Columns and value-table cells of the factor of mode k, one ladder step in r at a time."""
+        n_max, raising = self.n_max, self.raising(k)
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        cells = np.empty(indptr[-1], dtype=np.int32)
+        first_cell = self._occupations[:, k] * (n_max + 1)
+        row = col = np.arange(self.dim, dtype=np.int32)
+        for r in range(n_max + 1):
+            if r:
+                col = raising[col]
+                kept = col >= 0
+                row, col = row[kept], col[kept]
+            position = indptr[row] + r
+            indices[position] = col
+            cells[position] = first_cell[row] + r
+        indices.flags.writeable = cells.flags.writeable = False
+        return indices, cells
 
     def occupation_array(self) -> np.ndarray:
         """The read-only dim x mode_count int64 occupations; row i is the state of rank i."""
@@ -145,8 +195,13 @@ class BasisEnumeration:
         return map(tuple, self._occupations.tolist())
 
 
+@functools.lru_cache(maxsize=1, typed=True)
 def enumerate_basis(mode_count: int, n_max: int) -> BasisEnumeration:
-    """Graded-lexicographic basis with dim = C(n_max + mode_count, mode_count)."""
+    """Graded-lexicographic basis with dim = C(n_max + mode_count, mode_count).
+
+    The last basis is kept and returned again for the same arguments, so a
+    sweep that changes only q reuses its ladder maps and lowering pattern.
+    """
     return BasisEnumeration(mode_count, n_max)
 
 
@@ -155,46 +210,43 @@ def lowering_series(enumeration: BasisEnumeration, q) -> scipy.sparse.csr_array:
 
     The factor exp(-2 q_k a_k) of mode k holds, in the row of m, the entry
     (-2 q_k)**r sqrt((m_k + r)! / m_k!) / r! in the column of m + r e_k for
-    every r that stays in the basis; the ladder map enumeration.raising(k)
-    steps from one column to the next.  The factors commute, and
-    their product has at most C(n_max + 2M, 2M) entries for M modes: one
-    per pair of a state and a lowering that fits in it.  Raises CapacityError,
-    before allocating anything, when those entries would exceed
+    every r that stays in the basis; enumeration.lowering_pattern places
+    the entries, and a table of these values over (m_k, r) fills them.  The
+    factors commute, and their product has at most C(n_max + 2M, 2M)
+    entries for M modes: one per pair of a state and a lowering that fits
+    in it.  Raises CapacityError, before allocating anything, when those
+    entries and what the enumeration keeps for them together would exceed
     MAX_OPERATOR_BYTES.
     """
-    modes, n_max = enumeration.mode_count, enumeration.n_max
+    modes, n_max, dim = enumeration.mode_count, enumeration.n_max, enumeration.dim
     if len(q) != modes:
         raise ValueError(
             f"{len(q)} displacements do not match the enumeration mode count {modes}"
         )
     entries = math.comb(n_max + 2 * modes, 2 * modes)
-    if entries * _ENTRY_BYTES > MAX_OPERATOR_BYTES:
+    # the enumeration keeps an int32 ladder map per mode, and per factor an
+    # int32 column and table cell for each of its C(n_max + M + 1, M + 1)
+    # entries, next to the shared int32 indptr
+    kept = modes * (4 * dim + 8 * math.comb(n_max + modes + 1, modes + 1)) + 4 * (dim + 1)
+    if entries * _ENTRY_BYTES + kept > MAX_OPERATOR_BYTES:
         raise CapacityError(
             f"the lowering series of {modes} modes at n_max={n_max} has {entries} "
-            f"entries, {entries * _ENTRY_BYTES} bytes, above the cap "
-            f"MAX_OPERATOR_BYTES = {MAX_OPERATOR_BYTES}"
+            f"entries, {entries * _ENTRY_BYTES} bytes, and its kept pattern {kept} bytes, "
+            f"above the cap MAX_OPERATOR_BYTES = {MAX_OPERATOR_BYTES}"
         )
-    occ = enumeration.occupation_array()
-    dim = enumeration.dim
-    # every factor has n_max - sum(m) + 1 entries in row m; int32 indices
-    # hold any dim <= MAX_BASIS_DIM and any entry count under the cap
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(n_max + 1 - occ.sum(axis=1), out=indptr[1:])
+    indptr, patterns = enumeration.lowering_pattern
+    # values[k, m, r] = (-2 q_k)**r sqrt((m + r)! / m!) / r!, one ladder step at a time
+    occupation = np.arange(n_max + 1)
+    values = np.zeros((modes, n_max + 1, n_max + 1))
+    values[:, :, 0] = 1.0
+    step = -2.0 * np.asarray(q, dtype=float)[:, None]
+    for r in range(1, n_max + 1):
+        m = slice(n_max + 1 - r)
+        values[:, m, r] = values[:, m, r - 1] * step * np.sqrt(occupation[m] + r) / r
     series = None
-    for k, qk in enumerate(q):
-        raising = enumeration.raising(k)
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        data = np.empty(indptr[-1])
-        row = col = np.arange(dim, dtype=np.int32)
-        value = np.ones(dim)
-        for r in range(n_max + 1):
-            if r:
-                col = raising[col]
-                kept = col >= 0
-                row, col = row[kept], col[kept]
-                value = value[kept] * (-2.0 * qk) * np.sqrt(occ[col, k]) / r
-            indices[indptr[row] + r] = col
-            data[indptr[row] + r] = value
-        factor = scipy.sparse.csr_array((data, indices, indptr), shape=(dim, dim))
+    for (indices, cells), table in zip(patterns, values):
+        factor = scipy.sparse.csr_array(
+            (table.ravel()[cells], indices, indptr), shape=(dim, dim)
+        )
         series = factor if series is None else factor @ series
     return series

@@ -232,10 +232,10 @@ def _davidson_lowest(
     Comput. 19, 227, 1998): it keeps its lowest half of Ritz vectors and
     their images, so no operator application is repeated and nearly
     degenerate low eigenvalues stay resolved.  Convergence is declared, and
-    a residual reported, only from an explicit ||Hx - theta x||.  Returns
-    (energy, vector, iterations, residual) of the first pair within tol, or
-    of the best pair found when max_iter runs out or the search space
-    cannot grow.
+    a residual reported, only from an explicit ||Hx - theta x||, which is
+    taken once per pair.  Returns (energy, vector, iterations, residual) of
+    the first pair within tol, or of the best pair found when max_iter runs
+    out or the search space cannot grow.
     """
     diag = matrix.diagonal + matrix.coupling * matrix.displaced_parity.diagonal
     n = diag.size
@@ -246,18 +246,20 @@ def _davidson_lowest(
     HV[0] = matrix.apply(V[0])
     G[0, 0] = V[0] @ HV[0]
     size = 1
-    best: tuple[float, float, np.ndarray] | None = None
+    best: tuple[float, float, np.ndarray, bool] | None = None
     for iteration in range(1, max(1, max_iter) + 1):
         vals, vecs = np.linalg.eigh(G[:size, :size])
         theta, y = float(vals[0]), vecs[:, 0]
         x = y @ V[:size]
         x /= np.linalg.norm(x)
         r = y @ HV[:size] - theta * x
-        if np.linalg.norm(r) <= tol:
-            r = matrix.apply(x) - theta * x
         r_norm = float(np.linalg.norm(r))
+        explicit = r_norm <= tol
+        if explicit:
+            r = matrix.apply(x) - theta * x
+            r_norm = float(np.linalg.norm(r))
         if best is None or r_norm < best[0]:
-            best = (r_norm, theta, x)
+            best = (r_norm, theta, x, explicit)
         if best[0] <= tol or iteration == max_iter:
             break
         if size == _DAVIDSON_RESTART:
@@ -280,8 +282,9 @@ def _davidson_lowest(
         HV[size] = matrix.apply(V[size])
         G[size, : size + 1] = G[: size + 1, size] = V[: size + 1] @ HV[size]
         size += 1
-    _, energy, vector = best
-    residual = float(np.linalg.norm(matrix.apply(vector) - energy * vector))
+    residual, energy, vector, explicit = best
+    if not explicit:
+        residual = float(np.linalg.norm(matrix.apply(vector) - energy * vector))
     return energy, vector, iteration, residual
 
 

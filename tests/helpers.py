@@ -4,8 +4,10 @@ parity_phase is the boson parity of one multi-index, and
 displacement_matrix the single-mode displacement operator as a dense
 matrix exponential.  beta2_reference sums the discrete tail term by term
 in any number type, lmn_exact is the single-mode overlap factor in
-rational arithmetic, and frozen_spin_check the commutator of the
-delta = 0 Hamiltonian with sigma_z.  The package needs none of them.
+rational arithmetic, frozen_spin_check the commutator of the
+delta = 0 Hamiltonian with sigma_z, and lowering_series_reference fills
+each factor of the lowering series entry by entry along the ladder maps.
+The package needs none of them.
 """
 
 from __future__ import annotations
@@ -114,3 +116,35 @@ def frozen_spin_check(bath: DiscretizedBath, enumeration: BasisEnumeration) -> f
     sz = scipy.sparse.diags_array(np.concatenate([np.ones(dim), -np.ones(dim)]))
     H = model.hamiltonian
     return spectral_norm(H @ sz - sz @ H)
+
+
+def lowering_series_reference(enumeration: BasisEnumeration, q) -> scipy.sparse.csr_array:
+    """E = S exp(-2 q.a) S with every factor filled along its ladder map, no kept pattern.
+
+    Row m of the factor of mode k holds, at position r, the column of
+    m + r e_k and the value (-2 q_k)**r sqrt((m_k + r)! / m_k!) / r!, found
+    by r steps of enumeration.raising(k) and the same recurrence, in the
+    same order of operations, as fockspace.lowering_series.
+    """
+    occ = enumeration.occupation_array()
+    dim, n_max = enumeration.dim, enumeration.n_max
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(n_max + 1 - occ.sum(axis=1), out=indptr[1:])
+    series = None
+    for k, qk in enumerate(q):
+        raising = enumeration.raising(k)
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.empty(indptr[-1])
+        row = col = np.arange(dim, dtype=np.int32)
+        value = np.ones(dim)
+        for r in range(n_max + 1):
+            if r:
+                col = raising[col]
+                kept = col >= 0
+                row, col = row[kept], col[kept]
+                value = value[kept] * (-2.0 * qk) * np.sqrt(occ[col, k]) / r
+            indices[indptr[row] + r] = col
+            data[indptr[row] + r] = value
+        factor = scipy.sparse.csr_array((data, indices, indptr), shape=(dim, dim))
+        series = factor if series is None else factor @ series
+    return series

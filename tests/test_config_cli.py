@@ -22,7 +22,7 @@ from sbmlab.config import (
     parse_config,
 )
 from sbmlab.errors import CapacityError, ConfigError
-from sbmlab.fockspace import enumerate_basis
+from sbmlab.fockspace import BasisEnumeration, enumerate_basis
 from sbmlab.oracle import assemble_full
 from sbmlab.sectors import ModelParams
 
@@ -437,11 +437,13 @@ def test_gap_sweep_alpha_scan_bytes_independent_of_blas_threads(tmp_path):
 
 def test_cli_import_loads_no_sparse_linalg_or_csgraph():
     # each costs resident memory and import time on every workload
-    # (scipy.sparse.linalg alone about 1.3 MiB); the oracle needs neither
+    # (scipy.sparse.linalg alone about 1.3 MiB); the oracle needs neither,
+    # and only a sweep with --workers > 1 needs the process pool
     code = (
         "import sys, sbmlab.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m.startswith(('scipy.sparse.linalg', 'scipy.sparse.csgraph'))))"
+        "if m.startswith(('scipy.sparse.linalg', 'scipy.sparse.csgraph', "
+        "'concurrent.futures.process'))))"
     )
     result = run_fresh(code)
     assert result.returncode == 0, result.stderr
@@ -606,7 +608,7 @@ def test_gap_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
     # the executor forks every worker at its first submit, so the pool
     # size must be capped by the sweep and by the usable cores, here a
     # fixed two; this fake starts no process
-    import sbmlab.cli
+    import concurrent.futures
 
     sizes = []
 
@@ -623,7 +625,8 @@ def test_gap_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(sbmlab.cli, "ProcessPoolExecutor", RecordingPool)
+    # _run_sweep imports the executor where it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     data = deep({"sweep": {"parameter": "alpha", "from": 0.0, "to": 0.4, "steps": 3}})
     path = write_config(tmp_path, data)
@@ -661,6 +664,58 @@ def test_gap_sweep_oversize_operator_exits_capacity(tmp_path):
     out = tmp_path / "big"
     assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(out)]) == 3
     assert not (out / "gap_sweep.csv").exists()
+
+
+def test_oversize_operator_leaves_no_partial_pattern(tmp_path):
+    # with its basis (2.6 MB) already in the one-slot memo, the refused
+    # point allocates nothing of its over-cap series, and the basis keeps
+    # no ladder map or pattern for it
+    import tracemalloc
+
+    enumerate_basis.cache_clear()
+    basis = enumerate_basis(4, 35)
+    data = deep({"discretization": {"N": 3}, "truncation": {"n_max": 35}})
+    path, out = write_config(tmp_path, data), tmp_path / "big"
+    tracemalloc.start()
+    try:
+        code = main(["gap-sweep", "--config", path, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 2**20
+    assert enumerate_basis(4, 35) is basis
+    assert "lowering_pattern" not in vars(basis) and "_ladder_maps" not in vars(basis)
+
+
+def test_sweep_builds_a_basis_and_its_pattern_once_per_mode_count(tmp_path, monkeypatch):
+    # an alpha sweep changes only q, so its points share one basis and one
+    # pattern per mode; an N sweep needs a new one at every point
+    built = {"bases": 0, "patterns": []}
+    init, factor_pattern = BasisEnumeration.__init__, BasisEnumeration._factor_pattern
+
+    def counted_init(self, mode_count, n_max):
+        built["bases"] += 1
+        init(self, mode_count, n_max)
+
+    def counted_pattern(self, k, indptr):
+        built["patterns"].append(k)
+        return factor_pattern(self, k, indptr)
+
+    monkeypatch.setattr(BasisEnumeration, "__init__", counted_init)
+    monkeypatch.setattr(BasisEnumeration, "_factor_pattern", counted_pattern)
+    enumerate_basis.cache_clear()
+
+    def sweep(name: str, parameter: str, start, stop, steps: int) -> None:
+        sweep = {"parameter": parameter, "from": start, "to": stop, "steps": steps}
+        path = write_config(tmp_path, deep({"sweep": sweep}), f"{name}.yaml")
+        assert main(["gap-sweep", "--config", path, "--out", str(tmp_path / name)]) == 0
+
+    sweep("alpha", "alpha", 0.1, 0.3, 4)  # 4 modes at every point
+    assert built == {"bases": 1, "patterns": [0, 1, 2, 3]}
+    sweep("modes", "N", 0, 2, 3)  # 1, 2 and 3 modes
+    assert built == {"bases": 4, "patterns": [0, 1, 2, 3, 0, 0, 1, 0, 1, 2]}
+    assert enumerate_basis.cache_info().currsize <= 1
 
 
 def test_gap_sweep_underflow_over_operator_cap_is_an_accuracy_row(tmp_path):

@@ -1,16 +1,23 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import displacement_matrix, lmn_exact, parity_phase
+from helpers import displacement_matrix, lmn_exact, lowering_series_reference, parity_phase
 
 from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize
 from sbmlab.errors import AccuracyError, CapacityError
-from sbmlab.fockspace import N_MAX_CAP, enumerate_basis, lowering_series
+from sbmlab.fockspace import (
+    MAX_OPERATOR_BYTES,
+    N_MAX_CAP,
+    BasisEnumeration,
+    enumerate_basis,
+    lowering_series,
+)
 from sbmlab.sectors import DisplacedParity, ModelParams, Sector, assemble_sector, solve_sectors
 
 
@@ -273,6 +280,84 @@ def test_dmn_validation():
         assert series.nnz == math.comb(n_max + 2 * mode_count, 2 * mode_count)
     with pytest.raises(ValueError):
         lowering_series(enumerate_basis(2, 2), [0.3])
+
+
+# ---------------------------------------------------------------- E: kept pattern
+
+displacement = st.one_of(
+    st.just(0.0),
+    st.just(-0.0),
+    st.floats(-3.0, 3.0, allow_nan=False),
+)
+
+
+def assert_same_csr(actual, expected):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(actual, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@given(
+    mode_count=st.integers(1, 6),
+    n_max=st.integers(0, 6),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_lowering_series_is_the_fill_loop_bit_for_bit(mode_count, n_max, data):
+    # the value table gathered into the kept pattern gives the same CSR
+    # arrays as filling every factor along its ladder map, for zero,
+    # negative and mixed displacements and on every later call
+    basis = enumerate_basis(mode_count, n_max)
+    for _ in range(3):
+        q = data.draw(st.lists(displacement, min_size=mode_count, max_size=mode_count))
+        assert_same_csr(lowering_series(basis, q), lowering_series_reference(basis, q))
+
+
+def test_kept_ladder_maps_and_pattern_are_read_only():
+    basis = BasisEnumeration(3, 3)
+    indptr, patterns = basis.lowering_pattern
+    kept = [basis.raising(k) for k in range(3)] + [indptr]
+    kept += [array for pattern in patterns for array in pattern]
+    for array in kept:
+        assert array.dtype == np.int32
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert basis.raising(2) is basis.raising(2)
+    assert basis.lowering_pattern is basis.lowering_pattern
+    # one mode: E is its only factor and shares the kept arrays
+    single = BasisEnumeration(1, 4)
+    E = lowering_series(single, [0.4])
+    assert np.shares_memory(E.indices, single.lowering_pattern[1][0][0])
+    with pytest.raises(ValueError):
+        E.indices[0] = 1
+
+
+def test_enumerate_basis_keeps_only_the_last_basis():
+    enumerate_basis.cache_clear()
+    first = enumerate_basis(3, 4)
+    assert enumerate_basis(3, 4) is first
+    assert enumerate_basis(2, 4) is not first
+    assert enumerate_basis(3, 4) is not first
+    info = enumerate_basis.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
+    with pytest.raises(CapacityError):
+        enumerate_basis(1, N_MAX_CAP + 1)
+    assert enumerate_basis.cache_info().currsize == 1
+
+
+def test_kept_pattern_counts_toward_the_operator_cap():
+    # 9 modes at n_max 12: the series alone (C(30, 18) = 86493225 entries,
+    # 1.04e9 bytes) is under the cap, the 9 ladder maps and patterns it
+    # keeps (5.8e7 bytes) put it over; only the sizes are read before the
+    # refusal, so the 21 MiB enumeration need not exist
+    modes, n_max = 9, 12
+    dim = math.comb(n_max + modes, modes)
+    entries = math.comb(n_max + 2 * modes, 2 * modes)
+    assert 12 * entries <= MAX_OPERATOR_BYTES
+    sizes = SimpleNamespace(mode_count=modes, n_max=n_max, dim=dim)
+    with pytest.raises(CapacityError, match="kept pattern 58315716 bytes"):
+        lowering_series(sizes, [0.1] * modes)
 
 
 def test_underflowed_prefactor_refuses_d():

@@ -185,6 +185,36 @@ def test_davidson_converges_at_thirteen_modes():
     assert (even.sector, odd.sector) == (Sector.EVEN, Sector.ODD)
 
 
+def test_one_iteration_solve_applies_each_sector_twice(monkeypatch):
+    # gap_vs_modes at N = 7 (8 modes, n_max 4): the polaron factor 10^-18.8
+    # leaves the vacuum converged at once.  Each sector applies H to its
+    # start vector and once more for the explicit residual, which is the
+    # residual reported; no third product repeats it
+    from pathlib import Path
+
+    from sbmlab.config import load_config
+
+    config = Path(__file__).resolve().parent.parent / "scripts" / "configs" / "gap_vs_modes.yaml"
+    cfg = load_config(str(config)).expand_sweep()[7]
+    bath = discretize(cfg.bath, cfg.discretization)
+    basis = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
+    applied = []
+    apply = SectorMatrix.apply
+
+    def counted(self, x):
+        applied.append(self.sector)
+        return apply(self, x)
+
+    monkeypatch.setattr(SectorMatrix, "apply", counted)
+    even, odd = solve_sectors(bath, cfg.model, basis, cfg.solver.tol, cfg.solver.max_iter)
+    assert applied == [Sector.EVEN] * 2 + [Sector.ODD] * 2
+    for result in (even, odd):
+        assert result.iterations == 1
+        matrix = assemble_sector(bath, cfg.model, basis, result.sector)
+        x, energy = result.coefficients, result.energy
+        assert result.residual == float(np.linalg.norm(apply(matrix, x) - energy * x))
+
+
 def test_davidson_resolves_clustered_low_spectrum():
     # s = 1, alpha = 0.05 on 20 modes down to omega 2^-20: at n_max 3 the two
     # lowest odd levels lie 2.4e-6 apart, which a restart from one Ritz
