@@ -455,7 +455,8 @@ def cmd_magnetization_scan(args) -> int:
         name = "magnetization_theta.csv"
         extra = {"mode": "theta", "overlap": parity_overlap(even, odd)}
     else:
-        # the bias scan alone needs the dense oracle and scipy.linalg
+        # the bias scan alone needs the oracle's full H, whose ground state
+        # comes from Lanczos (scipy.sparse.linalg, imported by the solve)
         from .oracle import assemble_full, ground_sigma_z
 
         enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)

@@ -83,6 +83,15 @@ class BasisEnumeration:
         dim = math.comb(n_max + mode_count, mode_count)
         if dim > MAX_BASIS_DIM:
             raise CapacityError(f"basis dimension {dim} exceeds the maximum {MAX_BASIS_DIM}")
+        # at small n_max dim grows only as a power of mode_count, and the
+        # int64 occupation array can outgrow memory inside MAX_BASIS_DIM
+        occupation_bytes = 8 * dim * mode_count
+        if occupation_bytes > MAX_OPERATOR_BYTES:
+            raise CapacityError(
+                f"the occupation array of {mode_count} modes at n_max={n_max} (dim {dim}) "
+                f"takes {occupation_bytes} bytes, above the cap "
+                f"MAX_OPERATOR_BYTES = {MAX_OPERATOR_BYTES}"
+            )
         self.mode_count = mode_count
         self.n_max = n_max
         self.dim = dim

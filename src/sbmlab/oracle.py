@@ -24,9 +24,11 @@ dense, and each LAPACK call computes only what its check reads.  H is
 reduced to tridiagonal form once per model (`FullModel.tridiagonal`, one
 Householder reduction).  That one reduction gives the eigenvalues of H for
 the spectrum partition (`dense_spectrum`) and its two lowest eigenpairs
-for the gap floor and the parity label (`ground_pair`), whose ground state
-also gives a biased <sigma_z> (`ground_sigma_z`).  The partition also
-needs the eigenvalues of the two dim x dim blocks of U H U'
+for the gap floor and the parity label (`ground_pair`).  A biased
+<sigma_z> (`ground_sigma_z`) reads only the ground state, which
+implicitly restarted Lanczos (ARPACK) finds from products with the CSR
+H, so the bias scan never forms a dense H.  The partition also needs
+the eigenvalues of the two dim x dim blocks of U H U'
 (`sector_blocks`).  A spectral norm is exact without a solve where its
 elementwise lower bound meets its Hoelder upper bound, as for every
 commutator checked here: they are zero, or, for [H, Pi] at epsilon != 0,
@@ -53,7 +55,7 @@ import scipy.sparse
 from scipy.linalg import lapack
 
 from sbmlab.bath import DiscretizedBath
-from sbmlab.errors import AccuracyError, CapacityError
+from sbmlab.errors import AccuracyError, CapacityError, SolverError
 from sbmlab.fockspace import BasisEnumeration
 from sbmlab.sectors import GAP_FLOOR, ModelParams
 
@@ -300,8 +302,28 @@ def ground_parity(model: FullModel) -> int:
 
 
 def ground_sigma_z(model: FullModel) -> float:
-    """<sigma_z> of the dense ground state, the first vector of ground_pair."""
-    psi = ground_pair(model)[1][:, 0]
+    """<sigma_z> of the ground state of H, from implicitly restarted Lanczos on the CSR H.
+
+    ARPACK (scipy.sparse.linalg.eigsh, tol 0: to machine precision;
+    Lehoucq, Sorensen and Yang 1998) needs only products with the sparse
+    H, so no dense H or reduction is formed, and it shares no code with
+    the sector path's Davidson solve.  The start vector is a fixed seed-0
+    normal draw, so the result does not depend on what ran before in the
+    process.  Raises SolverError when ARPACK does not converge.
+    """
+    import scipy.sparse.linalg
+
+    H = model.hamiltonian
+    start = np.random.default_rng(0).standard_normal(H.shape[0])
+    try:
+        _, vecs = scipy.sparse.linalg.eigsh(H, k=1, which="SA", tol=0.0, v0=start)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise SolverError(
+            f"lanczos ground state of the full H (size {H.shape[0]}) "
+            f"did not converge: {exc}",
+            diagnostics={"solver": "eigsh", "size": H.shape[0], "converged": len(exc.eigenvalues)},
+        ) from exc
+    psi = vecs[:, 0]
     dim = model.enumeration.dim
     return float(psi[:dim] @ psi[:dim] - psi[dim:] @ psi[dim:])
 

@@ -451,11 +451,12 @@ def test_cli_import_loads_no_sparse_linalg_or_csgraph():
 
 
 def _modules_after_main(argv: list[str]) -> list[str]:
-    """Which of scipy.linalg and sbmlab.oracle a fresh main(argv) leaves loaded."""
+    """Which of scipy.linalg, scipy.sparse.linalg and sbmlab.oracle a fresh main(argv) leaves loaded."""
     code = (
         "import json, sys; from sbmlab.cli import main; "
         "assert main(sys.argv[1:]) == 0, 'exit code'; "
-        "print(json.dumps([m for m in ('scipy.linalg', 'sbmlab.oracle') if m in sys.modules]))"
+        "print(json.dumps([m for m in ('scipy.linalg', 'scipy.sparse.linalg', 'sbmlab.oracle') "
+        "if m in sys.modules]))"
     )
     result = run_fresh(code, *argv)
     assert result.returncode == 0, result.stderr
@@ -478,10 +479,21 @@ def test_magnetization_theta_scan_never_loads_the_dense_oracle(tmp_path):
 
 
 def test_oracle_check_loads_the_dense_oracle(tmp_path):
-    # the counterpart of the test above: the module list it reads is live
+    # the counterpart of the test above: the module list it reads is live;
+    # only the bias scan's Lanczos solve needs scipy.sparse.linalg
     path = write_config(tmp_path, deep({"truncation": {"n_max": 2}}))
     assert _modules_after_main(["oracle-check", "--config", path]) == [
         "scipy.linalg",
+        "sbmlab.oracle",
+    ]
+
+
+def test_magnetization_epsilon_scan_loads_sparse_linalg(tmp_path):
+    path = write_config(tmp_path, deep({"truncation": {"n_max": 2}}))
+    argv = ["magnetization-scan", "--config", path, "--out", str(tmp_path / "eps")]
+    assert _modules_after_main(argv + ["--epsilon-steps", "3"]) == [
+        "scipy.linalg",
+        "scipy.sparse.linalg",
         "sbmlab.oracle",
     ]
 
@@ -664,6 +676,49 @@ def test_gap_sweep_oversize_operator_exits_capacity(tmp_path):
     out = tmp_path / "big"
     assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(out)]) == 3
     assert not (out / "gap_sweep.csv").exists()
+
+
+def test_gap_sweep_refuses_an_occupation_array_over_the_cap(tmp_path, capsys, monkeypatch):
+    # 10**5 modes at n_max 1: dim 100001 is far inside MAX_BASIS_DIM, but the
+    # int64 occupations would take 80 GB.  s > 1 keeps sum q**2 finite, so the
+    # polaron check passes, and Lambda near 1 keeps every omega_k normal.
+    # The bath's 10**5-mode tuples dominate the run's own peak (about 12
+    # MiB), so the peak is taken over the refused enumeration alone.
+    import tracemalloc
+
+    import sbmlab.cli
+
+    peaks = []
+
+    def traced(mode_count, n_max):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return enumerate_basis(mode_count, n_max)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(sbmlab.cli, "enumerate_basis", traced)
+    data = deep(
+        {
+            "bath": {"s": 1.5, "alpha": 0.2},
+            "discretization": {"Lambda": 1.005, "N": 10**5 - 1},
+            "truncation": {"n_max": 1},
+        }
+    )
+    path, out = write_config(tmp_path, data), tmp_path / "wide"
+    tracemalloc.start()
+    try:
+        code = main(["gap-sweep", "--config", path, "--out", str(out)])
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "capacity error: the occupation array of 100000 modes at n_max=1 (dim 100001) "
+        "takes 80000800000 bytes"
+    )
+    assert not out.exists()
+    assert len(peaks) == 1 and peaks[0] < 2**20
 
 
 def test_oversize_operator_leaves_no_partial_pattern(tmp_path):
@@ -1229,14 +1284,96 @@ def test_magnetization_epsilon_mode_rejects_model_epsilon(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_magnetization_epsilon_mode_factors_each_hamiltonian_once(tmp_path, monkeypatch):
-    # each grid point's ground state comes from the one reduction of its H
+def test_magnetization_epsilon_mode_forms_no_dense_hamiltonian(tmp_path, monkeypatch):
+    # each grid point's ground state comes from Lanczos on the sparse H:
+    # no Householder reduction runs and no dense eigensolver sees H
     reductions, solves = spy_dense_solves(monkeypatch)
     path = write_config(tmp_path, deep({}))
     argv = ["magnetization-scan", "--config", path, "--out", str(tmp_path / "mge")]
     assert main(argv + ["--epsilon-steps", "5"]) == 0
-    assert reductions == [H_SHAPE] * 5
+    assert reductions == []
     assert H_SHAPE not in solves
+
+
+def test_magnetization_epsilon_scan_bytes_do_not_depend_on_earlier_solves(tmp_path):
+    # ARPACK draws its own start vector from a state that every solve
+    # advances; the scan's fixed start vector makes each cell a function of H
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    path = write_config(tmp_path, deep({}))
+    argv = ["magnetization-scan", "--config", path, "--epsilon-steps", "11", "--out"]
+    assert main(argv + [str(tmp_path / "first")]) == 0
+    unrelated = scipy.sparse.diags_array(np.arange(1.0, 201.0), format="csr")
+    scipy.sparse.linalg.eigsh(unrelated, k=1, which="SA")
+    assert main(argv + [str(tmp_path / "second")]) == 0
+    first, second = (
+        (tmp_path / run / "magnetization_epsilon.csv").read_bytes() for run in ("first", "second")
+    )
+    assert first == second
+
+
+def test_magnetization_epsilon_scan_reports_lanczos_non_convergence(tmp_path, capsys, monkeypatch):
+    import scipy.sparse.linalg
+
+    def stalled(A, *args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.empty(0), np.empty((A.shape[0], 0))
+        )
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+    out = tmp_path / "mge"
+    path = write_config(tmp_path, deep({}))
+    argv = ["magnetization-scan", "--config", path, "--out", str(out), "--epsilon-steps", "3"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: lanczos ground state of the full H (size 140)")
+    assert "No convergence" in err
+    assert not out.exists()
+
+
+# the checks benchmark's bias scan at seed 0: 6 modes at n_max 5, Fock dim 462
+CHECKS_SCAN = {
+    "model": {"delta": 0.5},
+    "bath": {"s": 0.1, "alpha": 0.25, "omega_c": 1.0},
+    "discretization": {"Lambda": 2.0, "N": 5},
+    "truncation": {"n_max": 5},
+}
+
+
+def test_checks_sized_epsilon_scan_matches_full_eigh(tmp_path):
+    # at epsilon = 0 the true value is 0, and the tunneling gap of 2.2e-3
+    # amplifies rounding in every solver; elsewhere the gap is about 0.05
+    out = tmp_path / "mge"
+    path = write_config(tmp_path, CHECKS_SCAN)
+    argv = ["magnetization-scan", "--config", path, "--out", str(out), "--epsilon-steps", "11"]
+    assert main(argv) == 0
+
+    cfg = load_config(path)
+    bath = discretize(cfg.bath, cfg.discretization)
+    basis = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
+    assert basis.dim == 462
+    _, body = read_csv(out / "magnetization_epsilon.csv")
+    assert len(body) == 11
+    for eps, sigma_z in body:
+        if float(eps) == 0.0:
+            assert abs(float(sigma_z)) <= 1e-11
+            continue
+        model = assemble_full(ModelParams(cfg.model.delta, float(eps)), bath, basis)
+        psi = np.linalg.eigh(model.hamiltonian.toarray())[1][:, 0]
+        reference = psi[: basis.dim] @ psi[: basis.dim] - psi[basis.dim :] @ psi[basis.dim :]
+        assert abs(float(sigma_z) - reference) <= 1e-14
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_checks_sized_epsilon_scan_bytes(tmp_path, threads):
+    out = tmp_path / "mge"
+    path = write_config(tmp_path, CHECKS_SCAN)
+    argv = ["magnetization-scan", "--config", path, "--out", str(out), "--epsilon-steps", "11"]
+    assert run_cli(argv, threads=threads) == 0
+    assert hashlib.sha256((out / "magnetization_epsilon.csv").read_bytes()).hexdigest() == (
+        "5faa8d5520b94b9c43df48e8a169af1e543da0cbfc8fb225ffa03d5a081c943c"
+    )
 
 
 # sha256 of each magnetization CSV of the base config (Fock dim 70), whose
@@ -1250,7 +1387,7 @@ MAGNETIZATION_SHA256 = [
     (
         ["--epsilon-steps", "11"],
         "magnetization_epsilon.csv",
-        "6e9c4dfbff008985bd797c432d61d46d133bbc132f88e34e69b95d027a89674d",
+        "5d15d2dbeabbf005d5d05ef490f05ac43a86f5ead054a58a3230920b9b9bf067",
     ),
 ]
 

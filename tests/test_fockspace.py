@@ -93,6 +93,17 @@ def test_enumeration_is_a_graded_lex_bijection(mode_count, n_max):
     assert keys == sorted(keys)
 
 
+def test_occupation_bytes_count_toward_the_operator_cap(monkeypatch):
+    # 40 modes at n_max 1: dim 41, 8 * 41 * 40 = 13120 bytes of int64 occupations
+    import sbmlab.fockspace
+
+    monkeypatch.setattr(sbmlab.fockspace, "MAX_OPERATOR_BYTES", 13120)
+    assert BasisEnumeration(40, 1).occupation_array().nbytes == 13120
+    monkeypatch.setattr(sbmlab.fockspace, "MAX_OPERATOR_BYTES", 13119)
+    with pytest.raises(CapacityError, match="takes 13120 bytes"):
+        BasisEnumeration(40, 1)
+
+
 def test_enumeration_capacity_and_validation():
     with pytest.raises(CapacityError):
         enumerate_basis(8, 60)
