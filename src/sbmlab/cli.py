@@ -25,19 +25,12 @@ from itertools import product
 import numpy as np
 
 from . import __version__
-from .bath import DiscretizedBath, beta2, discretize, log_prefactor, sum_q_squared
+from .bath import beta2, discretize, log_prefactor, sum_q_squared
 from .config import RunConfig, check_grid_points, config_as_dict, load_config
 from .errors import AccuracyError, CapacityError, ConfigError, SolverError
 from .fockspace import enumerate_basis
 from .nondegeneracy import constant_term_contradiction
-from .sectors import (
-    GAP_FLOOR,
-    GroundStateResult,
-    magnetization,
-    parity_overlap,
-    polaron_double,
-    solve_sectors,
-)
+from .sectors import GAP_FLOOR, parity_overlap, polaron_double, solve_sectors
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -89,19 +82,6 @@ def _require_distinct(flag: str, values: list) -> None:
     """A list flag names each value once: every value is one output series or file set."""
     if len(set(values)) < len(values):
         raise ConfigError(f"{flag} repeats a value, got {values}")
-
-
-def _solve_sectors(
-    cfg: RunConfig, bath: DiscretizedBath
-) -> tuple[GroundStateResult, GroundStateResult]:
-    """(even, odd) ground states at cfg.
-
-    AccuracyError comes before the basis is enumerated when no basis can
-    solve the point in double precision, also over fockspace.MAX_BASIS_DIM.
-    """
-    polaron_double(bath)
-    enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
-    return solve_sectors(bath, cfg.model, enumeration, cfg.solver.tol, cfg.solver.max_iter)
 
 
 # ------------------------------------------------------------------- fig1
@@ -210,10 +190,16 @@ def sweep_point(task: tuple[int, RunConfig]) -> tuple[dict, dict]:
     index, cfg = task
     started = time.perf_counter()
     bath = discretize(cfg.bath, cfg.discretization)
-    even_energy = odd_energy = even_residual = odd_residual = math.nan
+    even_energy = odd_energy = even_residual = odd_residual = overlap = math.nan
     solvers = {}
     try:
-        even, odd = _solve_sectors(cfg, bath)
+        # AccuracyError comes before the basis is enumerated when no basis can
+        # solve the point in double precision, also over fockspace.MAX_BASIS_DIM
+        polaron_double(bath)
+        enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
+        even, odd = solve_sectors(
+            bath, cfg.model, enumeration, cfg.solver.tol, cfg.solver.max_iter
+        )
     except SolverError as exc:
         diagnostics = dict(exc.diagnostics)
         sector = diagnostics.pop("sector", "unknown")
@@ -224,6 +210,7 @@ def sweep_point(task: tuple[int, RunConfig]) -> tuple[dict, dict]:
     else:
         even_energy, odd_energy = even.energy, odd.energy
         even_residual, odd_residual = even.residual, odd.residual
+        overlap = parity_overlap(even, odd)
         solvers = {
             sector: {"iterations": sol.iterations, "residual": sol.residual, "converged": True}
             for sector, sol in (("even", even), ("odd", odd))
@@ -245,11 +232,9 @@ def sweep_point(task: tuple[int, RunConfig]) -> tuple[dict, dict]:
         E_plus0=even_energy,
         E_minus0=odd_energy,
         gap=gap,
-        # a float cell in every row (0 once the factor underflows the
-        # double); solve_sectors refuses a point whose double is not normal
-        prefactor=math.exp(log_prefactor(bath)),
         sum_q_squared=sum_q_squared(bath),
         ground_parity=(gap > 0) - (gap < 0),  # 0 for a NaN gap
+        parity_overlap=overlap,
         residual_plus=even_residual,
         residual_minus=odd_residual,
         status=status,
@@ -320,6 +305,7 @@ def cmd_oracle_check(args) -> int:
     # imported here, not at module level: the dense oracle and scipy.linalg
     # cost every other command's process about 8 MiB and its start-up time
     from .oracle import (
+        DENSE_DIM_CAP,
         MIXED,
         assemble_full,
         dense_spectrum,
@@ -332,6 +318,11 @@ def cmd_oracle_check(args) -> int:
     cfg = load_config(args.config)
     bath = discretize(cfg.bath, cfg.discretization)
     enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
+    # the spectrum checks and the parity label form dense arrays of the size of H
+    if enumeration.dim > DENSE_DIM_CAP:
+        raise CapacityError(
+            f"dense path caps at Fock dimension {DENSE_DIM_CAP}, got {enumeration.dim}"
+        )
     model = assemble_full(cfg.model, bath, enumeration)
     eps = cfg.model.epsilon
 
@@ -428,55 +419,37 @@ def cmd_verify_appendix(args) -> int:
 
 def cmd_magnetization_scan(args) -> int:
     started = time.perf_counter()
-    for flag, steps in (("--theta-steps", args.theta_steps), ("--epsilon-steps", args.epsilon_steps)):
-        if steps is not None:
-            if steps < 2:
-                raise ConfigError(f"{flag} must be >= 2, got {steps}")
-            check_grid_points(flag, steps)
+    if args.epsilon_steps < 2:
+        raise ConfigError(f"--epsilon-steps must be >= 2, got {args.epsilon_steps}")
+    check_grid_points("--epsilon-steps", args.epsilon_steps)
     if not (math.isfinite(args.epsilon_max) and args.epsilon_max > 0.0):
         raise ConfigError(f"--epsilon-max must be finite and > 0, got {args.epsilon_max}")
     cfg = load_config(args.config)
     if cfg.model.epsilon != 0.0:
-        # theta mode solves the parity sectors; epsilon mode sets epsilon itself
         raise ConfigError(
-            "theta mode requires epsilon = 0; use --epsilon-steps to scan epsilon"
-            if args.epsilon_steps is None
-            else "epsilon mode takes epsilon from its grid; "
+            "the bias scan takes epsilon from its grid; "
             f"model.epsilon must be 0, got {cfg.model.epsilon}"
         )
+    # the scan needs the oracle's full H, whose ground state comes from
+    # Lanczos (scipy.sparse.linalg, imported by the solve)
+    from .oracle import assemble_full, ground_sigma_z
+
     bath = discretize(cfg.bath, cfg.discretization)
-
-    if args.epsilon_steps is None:
-        # theta mode: mixing-angle scan of the epsilon = 0 sector solution
-        even, odd = _solve_sectors(cfg, bath)
-        thetas = np.linspace(0.0, math.pi, args.theta_steps)
-        header = ["theta", "magnetization"]
-        rows = [(theta, magnetization(theta, even, odd)) for theta in thetas]
-        name = "magnetization_theta.csv"
-        extra = {"mode": "theta", "overlap": parity_overlap(even, odd)}
-    else:
-        # the bias scan alone needs the oracle's full H, whose ground state
-        # comes from Lanczos (scipy.sparse.linalg, imported by the solve)
-        from .oracle import assemble_full, ground_sigma_z
-
-        enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
-        grid = np.linspace(-args.epsilon_max, args.epsilon_max, args.epsilon_steps)
-        header = ["epsilon", "sigma_z"]
-        rows = []
-        for eps in map(float, grid):
-            model = assemble_full(dataclasses.replace(cfg.model, epsilon=eps), bath, enumeration)
-            rows.append((eps, ground_sigma_z(model)))
-        name = "magnetization_epsilon.csv"
-        extra = {"mode": "epsilon", "epsilon_max": args.epsilon_max}
-
+    enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
+    grid = np.linspace(-args.epsilon_max, args.epsilon_max, args.epsilon_steps)
+    rows = []
+    for eps in map(float, grid):
+        model = assemble_full(dataclasses.replace(cfg.model, epsilon=eps), bath, enumeration)
+        rows.append((eps, ground_sigma_z(model)))
+    name = "magnetization_epsilon.csv"
     _publish(
         args.out,
         "magnetization_manifest.json",
         "magnetization-scan",
         {"config": config_as_dict(cfg)},
-        {name: _csv(header, rows)},
+        {name: _csv(["epsilon", "sigma_z"], rows)},
         wall_time_seconds=time.perf_counter() - started,
-        **extra,
+        epsilon_max=args.epsilon_max,
     )
     print(f"wrote {os.path.join(args.out, name)} ({len(rows)} rows)")
     return EXIT_OK
@@ -496,7 +469,6 @@ def cmd_discretize(args) -> int:
         {"config": config_as_dict(cfg)},
         {"modes.csv": _csv(["k", "omega", "lam", "q"], rows)},
         sum_q_squared=sum_q_squared(bath),
-        prefactor=math.exp(log_prefactor(bath)),
     )
     print(f"wrote {os.path.join(args.out, 'modes.csv')} ({bath.mode_count} modes)")
     return EXIT_OK
@@ -548,11 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(handler=cmd_verify_appendix)
 
-    p = sub.add_parser("magnetization-scan", help="mixing-angle or bias scan of <sigma_z>")
+    p = sub.add_parser("magnetization-scan", help="bias scan of <sigma_z> on the full H")
     _add_config(p)
     _add_out(p)
-    p.add_argument("--theta-steps", dest="theta_steps", type=int, default=9)
-    p.add_argument("--epsilon-steps", dest="epsilon_steps", type=int, default=None)
+    p.add_argument("--epsilon-steps", dest="epsilon_steps", type=int, required=True)
     p.add_argument("--epsilon-max", dest="epsilon_max", type=float, default=1.0)
     p.set_defaults(handler=cmd_magnetization_scan)
 

@@ -29,7 +29,7 @@ from .sectors import DEFAULT_MAX_ITER, DEFAULT_TOL, ModelParams
 SWEEPABLE = ("alpha", "s", "delta", "N", "n_max", "Lambda")
 
 # the most points of a grid that is built whole before its first point is
-# run: sweep.steps, and the --N-max, --theta-steps and --epsilon-steps flags
+# run: sweep.steps, and the --N-max and --epsilon-steps flags
 MAX_GRID_POINTS = 10_000
 
 

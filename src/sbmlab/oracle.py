@@ -19,15 +19,18 @@ block-diagonalizes the truncated H exactly: the boson-number-parity
 grading survives truncation, so the off-diagonal blocks of U H U' vanish
 to rounding, not merely to truncation accuracy.
 
-H, Pi, U and every product of them stay sparse.  Only LAPACK inputs are
-dense, and each LAPACK call computes only what its check reads.  H is
-reduced to tridiagonal form once per model (`FullModel.tridiagonal`, one
-Householder reduction).  That one reduction gives the eigenvalues of H for
-the spectrum partition (`dense_spectrum`) and its two lowest eigenpairs
-for the gap floor and the parity label (`ground_pair`).  A biased
-<sigma_z> (`ground_sigma_z`) reads only the ground state, which
-implicitly restarted Lanczos (ARPACK) finds from products with the CSR
-H, so the bias scan never forms a dense H.  The partition also needs
+H, Pi, U and every product of them stay sparse, and `assemble_full`
+refuses an H whose CSR arrays would exceed fockspace.MAX_OPERATOR_BYTES.
+Only LAPACK inputs are dense, and each LAPACK call computes only what its
+check reads; oracle-check, which makes them, refuses a Fock dimension over
+DENSE_DIM_CAP.  H is reduced to tridiagonal form once per model
+(`FullModel.tridiagonal`, one Householder reduction).  That one
+reduction gives the eigenvalues of H for the spectrum partition
+(`dense_spectrum`) and its two lowest eigenpairs for the gap floor and
+the parity label (`ground_pair`).  A biased <sigma_z>
+(`ground_sigma_z`) reads only the ground state, which implicitly
+restarted Lanczos (ARPACK) finds from products with the CSR H, so the
+bias scan never forms a dense H.  The partition also needs
 the eigenvalues of the two dim x dim blocks of U H U'
 (`sector_blocks`).  A spectral norm is exact without a solve where its
 elementwise lower bound meets its Hoelder upper bound, as for every
@@ -56,9 +59,11 @@ from scipy.linalg import lapack
 
 from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError, CapacityError, SolverError
-from sbmlab.fockspace import BasisEnumeration
+from sbmlab.fockspace import MAX_OPERATOR_BYTES, BasisEnumeration
 from sbmlab.sectors import GAP_FLOOR, ModelParams
 
+# largest Fock dimension oracle-check takes: its spectrum checks and parity
+# label hold dense arrays of the size of H, (2 dim)^2 doubles
 DENSE_DIM_CAP = 2000
 
 # ground_parity returns +1, -1, or this marker when |<Pi>| is not close to 1
@@ -115,21 +120,32 @@ def _coupling_matrix(
 def assemble_full(
     params: ModelParams, bath: DiscretizedBath, enumeration: BasisEnumeration
 ) -> FullModel:
-    """H over spin (x) Fock as one CSR array, spin-up block first."""
-    if enumeration.mode_count != bath.mode_count:
+    """H over spin (x) Fock as one CSR array, spin-up block first.
+
+    Raises CapacityError, before allocating anything, when the CSR arrays
+    of H would exceed fockspace.MAX_OPERATOR_BYTES.
+    """
+    modes, n_max, dim = enumeration.mode_count, enumeration.n_max, enumeration.dim
+    if modes != bath.mode_count:
         raise ValueError(
-            f"enumeration mode count {enumeration.mode_count} does not match "
-            f"bath mode count {bath.mode_count}"
+            f"enumeration mode count {modes} does not match bath mode count {bath.mode_count}"
         )
-    if enumeration.dim > DENSE_DIM_CAP:
+    # each spin block holds dim diagonal and dim tunneling entries, and V two
+    # entries per mode and state that the mode can raise (total below n_max);
+    # an entry is a float64 value and an int64 column index; the assembly
+    # holds about 4.3 times these bytes at its peak
+    entries = 4 * dim + 4 * modes * math.comb(n_max - 1 + modes, modes)
+    nbytes = 16 * entries + 8 * (2 * dim + 1)
+    if nbytes > MAX_OPERATOR_BYTES:
         raise CapacityError(
-            f"dense path caps at Fock dimension {DENSE_DIM_CAP}, "
-            f"got {enumeration.dim}"
+            f"the full H of {modes} modes at n_max={n_max} (Fock dim {dim}) has {entries} "
+            f"entries, {nbytes} bytes as CSR, above the cap "
+            f"MAX_OPERATOR_BYTES = {MAX_OPERATOR_BYTES}"
         )
     boson = enumeration.occupation_array() @ np.asarray(bath.omega)
     V = _coupling_matrix(bath, enumeration)
     half_eps = params.epsilon / 2.0
-    tunneling = -params.delta / 2.0 * scipy.sparse.eye_array(enumeration.dim)
+    tunneling = -params.delta / 2.0 * scipy.sparse.eye_array(dim)
     H = scipy.sparse.block_array(
         [
             [scipy.sparse.diags_array(boson + half_eps) + V, tunneling],

@@ -355,8 +355,3 @@ def parity_overlap(plus: GroundStateResult, minus: GroundStateResult) -> float:
             f"{plus.coefficients.shape} vs {minus.coefficients.shape}"
         )
     return float(plus.coefficients @ minus.coefficients)
-
-
-def magnetization(theta: float, plus: GroundStateResult, minus: GroundStateResult) -> float:
-    """M(theta) = -sin(2 theta) * <even ground | boson parity | odd ground>."""
-    return -math.sin(2.0 * theta) * parity_overlap(plus, minus)

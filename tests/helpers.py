@@ -5,9 +5,10 @@ displacement_matrix the single-mode displacement operator as a dense
 matrix exponential.  beta2_reference sums the discrete tail term by term
 in any number type, lmn_exact is the single-mode overlap factor in
 rational arithmetic, frozen_spin_check the commutator of the
-delta = 0 Hamiltonian with sigma_z, and lowering_series_reference fills
-each factor of the lowering series entry by entry along the ladder maps.
-The package needs none of them.
+delta = 0 Hamiltonian with sigma_z, lowering_series_reference fills
+each factor of the lowering series entry by entry along the ladder maps,
+and magnetization is <sigma_z> of a mixture of the two sector ground
+states.  The package needs none of them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError
 from sbmlab.fockspace import BasisEnumeration
 from sbmlab.oracle import assemble_full, spectral_norm
-from sbmlab.sectors import ModelParams
+from sbmlab.sectors import GroundStateResult, ModelParams, parity_overlap
 
 
 def parity_phase(n: tuple[int, ...]) -> int:
@@ -148,3 +149,8 @@ def lowering_series_reference(enumeration: BasisEnumeration, q) -> scipy.sparse.
         factor = scipy.sparse.csr_array((data, indices, indptr), shape=(dim, dim))
         series = factor if series is None else factor @ series
     return series
+
+
+def magnetization(theta: float, plus: GroundStateResult, minus: GroundStateResult) -> float:
+    """M(theta) = -sin(2 theta) * <even ground | boson parity | odd ground>."""
+    return -math.sin(2.0 * theta) * parity_overlap(plus, minus)

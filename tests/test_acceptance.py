@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import beta2_reference, frozen_spin_check, parity_phase
+from helpers import beta2_reference, frozen_spin_check, magnetization, parity_phase
 
 from sbmlab.bath import (
     BathSpec,
@@ -36,7 +36,7 @@ from sbmlab.oracle import (
     sector_blocks,
     unitary_U,
 )
-from sbmlab.sectors import ModelParams, Sector, assemble_sector, ground_state, magnetization
+from sbmlab.sectors import ModelParams, Sector, assemble_sector, ground_state
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -192,14 +192,15 @@ def test_criterion_04_no_degeneracy_randomized(random_suite):
     worst_margin = math.inf
     for p in points:
         scale = max(1.0, abs(p.energy_even))
-        margin = abs(p.gap) / (1e-13 * scale)
+        margin = p.gap / (1e-13 * scale)
         worst_margin = min(worst_margin, margin)
         assert p.gap != 0.0, f"zero gap at {p}"
-        assert abs(p.gap) > 1e-13 * scale, f"gap below resolution at {p}"
+        # every delta is drawn positive, where the even sector lies lowest
+        assert p.gap > 1e-13 * scale, f"gap not positive beyond resolution at {p}"
     report(
         "criterion 4a randomized non-degeneracy",
         True,
-        f"{len(points)} configs, smallest |gap|/floor margin {worst_margin:.1f}x",
+        f"{len(points)} configs, smallest gap/floor margin {worst_margin:.1f}x",
     )
 
 

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sbmlab.bath import Convention, beta0, discretize
+from sbmlab.bath import Convention, beta0, discretize, sum_q_squared
 from sbmlab import __version__
-from sbmlab.cli import build_parser, main
+from sbmlab.cli import _csv, build_parser, main
 from sbmlab.config import (
     MAX_GRID_POINTS,
     RunConfig,
@@ -394,9 +394,10 @@ def test_gap_sweep_in_modes_gap_and_prefactor_decreasing(tmp_path):
     assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
     header, body = read_csv(out / "gap_sweep.csv")
     gaps = [float(r[header.index("gap")]) for r in body]
-    pre = [float(r[header.index("prefactor")]) for r in body]
+    # the polaron factor exp(-2 sum q**2) falls where sum_q_squared grows
+    sum_q2 = [float(r[header.index("sum_q_squared")]) for r in body]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
-    assert all(b < a for a, b in zip(pre, pre[1:]))
+    assert all(b > a for a, b in zip(sum_q2, sum_q2[1:]))
 
 
 def test_gap_sweep_delta_antisymmetry(tmp_path):
@@ -409,6 +410,10 @@ def test_gap_sweep_delta_antisymmetry(tmp_path):
     gaps = [float(r[header.index("gap")]) for r in body]
     assert gaps[0] == pytest.approx(-gaps[3], abs=1e-10)
     assert gaps[1] == pytest.approx(-gaps[2], abs=1e-10)
+    # negating delta swaps the two sectors, which leaves their overlap alone
+    overlaps = [float(r[header.index("parity_overlap")]) for r in body]
+    assert overlaps[0] == pytest.approx(overlaps[3], abs=1e-12)
+    assert overlaps[1] == pytest.approx(overlaps[2], abs=1e-12)
 
 
 def test_gap_sweep_rerun_and_workers_byte_identical(tmp_path):
@@ -468,13 +473,6 @@ def test_gap_sweep_never_loads_the_dense_oracle(tmp_path):
     # resident memory and its start-up time, and no sweep calls them
     path = write_config(tmp_path, deep({"truncation": {"n_max": 2}}))
     argv = ["gap-sweep", "--config", path, "--out", str(tmp_path / "sweep")]
-    assert _modules_after_main(argv) == []
-
-
-def test_magnetization_theta_scan_never_loads_the_dense_oracle(tmp_path):
-    # the theta mode reads only the sector solution; the bias scan needs the oracle
-    path = write_config(tmp_path, deep({"truncation": {"n_max": 2}}))
-    argv = ["magnetization-scan", "--config", path, "--out", str(tmp_path / "theta")]
     assert _modules_after_main(argv) == []
 
 
@@ -546,9 +544,9 @@ GAP_SWEEP_COLUMNS = (
     "E_plus0",
     "E_minus0",
     "gap",
-    "prefactor",
     "sum_q_squared",
     "ground_parity",
+    "parity_overlap",
     "residual_plus",
     "residual_minus",
     "status",
@@ -786,14 +784,12 @@ def test_gap_sweep_underflow_over_operator_cap_is_an_accuracy_row(tmp_path):
     assert body[0][header.index("status")].startswith("accuracy-error: ")
 
 
-def test_underflowed_point_is_refused_before_its_basis_is_enumerated(
-    tmp_path, monkeypatch, capsys
-):
+def test_underflowed_point_is_refused_before_its_basis_is_enumerated(tmp_path, monkeypatch):
     # 20 modes at s 0.1, alpha 0.3: log10 of the polaron factor is -33 746.
-    # gap-sweep and the theta scan refuse the point before enumerating its
-    # basis (dim 230 230 at n_max 6), also at n_max 8, where the basis
-    # (dim 3.1e6) is over MAX_BASIS_DIM: no basis can solve the point in
-    # double precision, so it is an accuracy refusal (exit 1), not exit 3
+    # gap-sweep refuses the point before enumerating its basis (dim 230 230
+    # at n_max 6), also at n_max 8, where the basis (dim 3.1e6) is over
+    # MAX_BASIS_DIM: no basis can solve the point in double precision, so it
+    # is an accuracy refusal (exit 1), not exit 3
     def no_basis(*args):
         raise AssertionError("enumerate_basis was called for a refused point")
 
@@ -813,10 +809,6 @@ def test_underflowed_point_is_refused_before_its_basis_is_enumerated(
         status = body[0][header.index("status")]
         assert status.startswith("accuracy-error: polaron factor exp(")
         assert "= 10^-33745.68 is below the normal double range" in status
-        capsys.readouterr()
-        argv = ["magnetization-scan", "--config", path, "--out", str(tmp_path / f"m{n_max}")]
-        assert main(argv) == 1
-        assert "invariant failure: polaron factor exp(" in capsys.readouterr().err
 
 
 def test_gap_sweep_records_solver_failure_in_row(tmp_path):
@@ -863,9 +855,8 @@ def test_gap_sweep_records_underflowed_prefactor_in_row(tmp_path):
     # both factors are in double range, but far below the rounding of the energies
     assert all(status.startswith("unresolved-gap: ") for status in statuses[:2])
     assert statuses[2].startswith("accuracy-error: ")
-    for column in ("E_plus0", "E_minus0", "gap"):
+    for column in ("E_plus0", "E_minus0", "gap", "parity_overlap"):
         assert body[2][header.index(column)] == "nan"
-    assert body[2][header.index("prefactor")] == "0"
     manifest = json.loads((out / "gap_sweep_manifest.json").read_text())
     assert manifest["row_solvers"][2] == {}
 
@@ -880,8 +871,8 @@ def _strict_json(text: str):
 
 
 def test_gap_sweep_json_writes_missing_cells_as_null(tmp_path):
-    # row N = 12 is an accuracy-error: its energies, gap and residuals are
-    # NaN in the CSV and null in the JSON
+    # row N = 12 is an accuracy-error: its energies, gap, parity overlap and
+    # residuals are NaN in the CSV and null in the JSON
     data = deep(
         {
             "bath": {"s": 0.1, "alpha": 0.3},
@@ -895,7 +886,7 @@ def test_gap_sweep_json_writes_missing_cells_as_null(tmp_path):
     assert main(["gap-sweep", "--config", path, "--out", str(out_json), "--format", "json"]) == 1
     header, body = read_csv(out_csv / "gap_sweep.csv")
     rows = _strict_json((out_json / "gap_sweep.json").read_text())
-    missing = ["E_plus0", "E_minus0", "gap", "residual_plus", "residual_minus"]
+    missing = ["E_plus0", "E_minus0", "gap", "parity_overlap", "residual_plus", "residual_minus"]
     assert [column for column, cell in zip(header, body[2]) if cell == "nan"] == missing
     assert [key for key, cell in rows[2].items() if cell is None] == missing
     assert rows[2]["ground_parity"] == 0
@@ -1177,20 +1168,6 @@ def test_verify_appendix_capacity(tmp_path):
 # -------------------------------------------------------- magnetization-scan
 
 
-def test_magnetization_theta_mode(tmp_path):
-    out = tmp_path / "mg"
-    path = write_config(tmp_path, deep({}))
-    assert main(["magnetization-scan", "--config", path, "--out", str(out), "--theta-steps", "9"]) == 0
-    header, body = read_csv(out / "magnetization_theta.csv")
-    assert header == ["theta", "magnetization"]
-    grid = {float(r[0]): float(r[1]) for r in body}
-    assert grid[0.0] == 0.0
-    assert abs(grid[min(grid, key=lambda t: abs(t - math.pi / 2))]) < 1e-12
-    overlap = json.loads((out / "magnetization_manifest.json").read_text())["overlap"]
-    quarter = min(grid, key=lambda t: abs(t - math.pi / 4))
-    assert grid[quarter] == pytest.approx(-overlap, rel=1e-12)
-
-
 def test_magnetization_epsilon_mode_antisymmetric(tmp_path):
     out = tmp_path / "mge"
     data = deep({"discretization": {"Lambda": 2.0, "N": 2}, "truncation": {"n_max": 3}})
@@ -1212,6 +1189,10 @@ def test_magnetization_epsilon_mode_antisymmetric(tmp_path):
     _, body = read_csv(out / "magnetization_epsilon.csv")
     values = [float(r[1]) for r in body]
     assert abs(values[3]) < 1e-10  # grid midpoint is epsilon = 0
+    manifest = json.loads((out / "magnetization_manifest.json").read_text())
+    fields = ["command", "tool", "config", "files", "wall_time_seconds", "epsilon_max"]
+    assert list(manifest) == fields
+    assert manifest["epsilon_max"] == 0.6
     for left, right in zip(values[:3], values[:3:-1]):
         assert left == pytest.approx(-right, abs=1e-10)
 
@@ -1251,8 +1232,8 @@ def test_magnetization_epsilon_mode_matches_full_eigh(tmp_path, monkeypatch):
     [
         (["--epsilon-steps", "0"], "--epsilon-steps"),
         (["--epsilon-steps", "1"], "--epsilon-steps"),
-        (["--theta-steps", "0"], "--theta-steps"),
-        (["--theta-steps", "1"], "--theta-steps"),
+        (["--epsilon-steps", "-3"], "--epsilon-steps"),
+        (["--epsilon-steps", "5", "--epsilon-max", "1e400"], "--epsilon-max"),
         (["--epsilon-steps", "5", "--epsilon-max", "-0.5"], "--epsilon-max"),
         (["--epsilon-steps", "5", "--epsilon-max", "0"], "--epsilon-max"),
         (["--epsilon-steps", "5", "--epsilon-max", "nan"], "--epsilon-max"),
@@ -1267,9 +1248,12 @@ def test_magnetization_scan_rejects_bad_grid_flags(tmp_path, capsys, flags, flag
     assert not out.exists()
 
 
-def test_magnetization_theta_mode_rejects_epsilon(tmp_path):
-    data = deep({"model": {"epsilon": 0.2}})
-    assert main(["magnetization-scan", "--config", write_config(tmp_path, data)]) == 2
+def test_magnetization_scan_requires_epsilon_steps(tmp_path, capsys):
+    out = tmp_path / "mg"
+    argv = ["magnetization-scan", "--config", write_config(tmp_path, deep({})), "--out", str(out)]
+    assert main(argv) == 2
+    assert "the following arguments are required: --epsilon-steps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_magnetization_epsilon_mode_rejects_model_epsilon(tmp_path, capsys):
@@ -1279,7 +1263,7 @@ def test_magnetization_epsilon_mode_rejects_model_epsilon(tmp_path, capsys):
     argv = ["magnetization-scan", "--config", path, "--out", str(out), "--epsilon-steps", "3"]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "config error: epsilon mode takes epsilon from its grid; model.epsilon must be 0, got 0.3\n"
+        "config error: the bias scan takes epsilon from its grid; model.epsilon must be 0, got 0.3\n"
     )
     assert not out.exists()
 
@@ -1376,29 +1360,57 @@ def test_checks_sized_epsilon_scan_bytes(tmp_path, threads):
     )
 
 
-# sha256 of each magnetization CSV of the base config (Fock dim 70), whose
-# bytes are the same at one and two OpenBLAS threads
-MAGNETIZATION_SHA256 = [
-    (
-        [],
-        "magnetization_theta.csv",
-        "2363bddff43de768b40fbfe165197b8aff642506c72ee5b720b4972af44d2af5",
-    ),
-    (
-        ["--epsilon-steps", "11"],
-        "magnetization_epsilon.csv",
-        "5d15d2dbeabbf005d5d05ef490f05ac43a86f5ead054a58a3230920b9b9bf067",
-    ),
-]
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_magnetization_csv_bytes(tmp_path, threads):
+    # the bias scan of the base config (Fock dim 70)
+    out = tmp_path / "mg"
+    path = write_config(tmp_path, deep({}))
+    argv = ["magnetization-scan", "--config", path, "--out", str(out), "--epsilon-steps", "11"]
+    assert run_cli(argv, threads=threads) == 0
+    assert hashlib.sha256((out / "magnetization_epsilon.csv").read_bytes()).hexdigest() == (
+        "5d15d2dbeabbf005d5d05ef490f05ac43a86f5ead054a58a3230920b9b9bf067"
+    )
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("flags, name, sha256", MAGNETIZATION_SHA256)
-def test_magnetization_csv_bytes(tmp_path, flags, name, sha256, threads):
-    out = tmp_path / "mg"
-    argv = ["magnetization-scan", "--config", write_config(tmp_path, deep({})), "--out", str(out)]
-    assert run_cli(argv + flags, threads=threads) == 0
-    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha256
+def test_parity_overlap_rebuilds_the_theta_csv(tmp_path, threads):
+    # magnetization-scan's former theta mode wrote M(theta) = -sin(2 theta)
+    # <phi+|phi-> of the base config on linspace(0, pi, 9); the gap-sweep
+    # cell gives back the bytes of that file, whose sha256 was pinned
+    out = tmp_path / "g"
+    argv = ["gap-sweep", "--config", write_config(tmp_path, deep({})), "--out", str(out)]
+    assert run_cli(argv, threads=threads) == 0
+    header, body = read_csv(out / "gap_sweep.csv")
+    overlap = float(body[0][header.index("parity_overlap")])
+    thetas = np.linspace(0.0, math.pi, 9)
+    text = _csv(["theta", "magnetization"], [(t, -math.sin(2 * t) * overlap) for t in thetas])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2363bddff43de768b40fbfe165197b8aff642506c72ee5b720b4972af44d2af5"
+    )
+
+
+def test_bias_scan_runs_past_the_dense_cap(tmp_path, capsys):
+    # 8 modes at n_max 6, Fock dim 3003: the scan holds the CSR H (about
+    # 0.9 MB), while oracle-check, which forms dense arrays of its size,
+    # refuses it
+    data = deep({"discretization": {"N": 7}, "truncation": {"n_max": 6}})
+    path = write_config(tmp_path, data)
+    out = tmp_path / "mge"
+    argv = ["magnetization-scan", "--config", path, "--out", str(out), "--epsilon-steps", "3"]
+    assert main(argv) == 0
+    _, body = read_csv(out / "magnetization_epsilon.csv")
+    (low, low_m), (mid, mid_m), (high, high_m) = [(float(e), float(m)) for e, m in body]
+    assert (low, mid, high) == (-1.0, 0.0, 1.0)
+    assert abs(mid_m) <= 1e-12
+    assert abs(low_m + high_m) <= 1e-12
+    assert 0.9 < low_m < 1.0
+    capsys.readouterr()
+    oracle_out = tmp_path / "oc"
+    assert main(["oracle-check", "--config", path, "--out", str(oracle_out)]) == 3
+    assert capsys.readouterr().err == (
+        "capacity error: dense path caps at Fock dimension 2000, got 3003\n"
+    )
+    assert not oracle_out.exists()
 
 
 # ------------------------------------------------------------------ discretize
@@ -1418,6 +1430,10 @@ def test_discretize_dump_matches_library(tmp_path):
         assert float(row[1]) == bath.omega[k]
         assert float(row[2]) == bath.lam[k]
         assert float(row[3]) == bath.q[k]
+    # the polaron factor is named by sum_q_squared alone, which no underflow flushes
+    manifest = json.loads((out / "discretize_manifest.json").read_text())
+    assert list(manifest) == ["command", "tool", "config", "files", "sum_q_squared"]
+    assert manifest["sum_q_squared"] == sum_q_squared(bath)
 
 
 # -------------------------------------------------------------- output files
@@ -1430,7 +1446,7 @@ def _command_argv(command: str, tmp_path, out) -> list[str]:
         "gap-sweep": ["gap-sweep", *config],
         "oracle-check": ["oracle-check", *config],
         "verify-appendix": ["verify-appendix", "--N", "1", "2", "--n-max", "2"],
-        "magnetization-scan": ["magnetization-scan", *config, "--theta-steps", "3"],
+        "magnetization-scan": ["magnetization-scan", *config, "--epsilon-steps", "3"],
         "discretize": ["discretize", *config],
     }[command] + ["--out", str(out)]
 
@@ -1482,16 +1498,10 @@ def test_parser_flags_per_subcommand():
         "gap-sweep": ["--config", "--format", "--out", "--workers"],
         "oracle-check": ["--config", "--out"],
         "verify-appendix": ["--N", "--n-max", "--out"],
-        "magnetization-scan": [
-            "--config",
-            "--epsilon-max",
-            "--epsilon-steps",
-            "--out",
-            "--theta-steps",
-        ],
+        "magnetization-scan": ["--config", "--epsilon-max", "--epsilon-steps", "--out"],
         "discretize": ["--config", "--out"],
     }
-    assert sum(map(len, flags.values())) == 20
+    assert sum(map(len, flags.values())) == 19
 
 
 # ---------------------------------------------------------- shipped configs
@@ -1499,12 +1509,12 @@ def test_parser_flags_per_subcommand():
 GAP_VS_MODES = ROOT / "scripts" / "configs" / "gap_vs_modes.yaml"
 
 # gap_sweep.csv of scripts/configs/gap_vs_modes.yaml at one OpenBLAS thread
-GAP_VS_MODES_SHA256 = "2df48b6f1ea3aa9ec1c8f2482f57771ead81950c9222bddbb155ce869b08bee8"
+GAP_VS_MODES_SHA256 = "5d6f702ddcf6b5948085c191647454c4ce1d3c1f038513a162a37e8f531e3226"
 # the same at sweep.to 12 and n_max 1, whose unresolved-gap and
 # accuracy-error rows (NaN cells) pin the failure branches of a sweep point
-GAP_VS_MODES_TO_12_SHA256 = "67f02fa68bdeb7024695c1bd37557c571dd631d5fc2e68c62fefa71f20e37895"
+GAP_VS_MODES_TO_12_SHA256 = "0e83922ac58eedf04e998fb7a62c041917e1854650bc7339e422793d5a2bc9a2"
 # gap_sweep.csv of scripts/configs/alpha_scan.yaml at one OpenBLAS thread
-ALPHA_SCAN_SHA256 = "0152ba77b993950d895319872d9baee5f97a735fc0080fdc1c5200bfbadaa4c7"
+ALPHA_SCAN_SHA256 = "5420ca7802760395880f1abe45658c8d397b858672e0eff13e1a9d7d4c4cfc0f"
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
@@ -1554,7 +1564,6 @@ def test_gap_vs_modes_config_reports_underflowed_point_with_reason(tmp_path):
         "accuracy-error: polaron factor exp(-985.862) = 10^-428.15 is below the normal "
         "double range; D cannot be formed in double precision"
     )
-    assert last[header.index("prefactor")] == "0"
 
 
 # ------------------------------------------------------------- count caps
@@ -1568,12 +1577,11 @@ def _grid_argv(case: str, tmp_path, out) -> list[str]:
         sweep = {"parameter": "alpha", "from": 0.0, "to": 0.5, "steps": int(huge)}
         path = write_config(tmp_path, deep({"sweep": sweep}))
         return ["gap-sweep", "--config", path, "--out", str(out)]
-    flag = {"theta": "--theta-steps", "epsilon": "--epsilon-steps"}[case]
     path = write_config(tmp_path, deep({}))
-    return ["magnetization-scan", "--config", path, "--out", str(out), flag, huge]
+    return ["magnetization-scan", "--config", path, "--out", str(out), "--epsilon-steps", huge]
 
 
-@pytest.mark.parametrize("case", ["fig1", "gap-sweep", "theta", "epsilon"])
+@pytest.mark.parametrize("case", ["fig1", "gap-sweep", "epsilon"])
 def test_grid_over_the_cap_is_refused_before_it_is_built(tmp_path, capsys, case):
     import tracemalloc
 

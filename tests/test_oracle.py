@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from helpers import displacement_matrix, frozen_spin_check
+from helpers import displacement_matrix, frozen_spin_check, magnetization
 
+import sbmlab.oracle
 from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError, CapacityError
 from sbmlab.fockspace import enumerate_basis
@@ -29,7 +30,6 @@ from sbmlab.sectors import (
     Sector,
     assemble_sector,
     ground_state,
-    magnetization,
     parity_overlap,
 )
 
@@ -100,9 +100,23 @@ def test_hamiltonian_is_one_csr_array_matching_a_dense_build():
         assert np.array_equal(H.toarray(), reference)
 
 
-def test_assemble_capacity_and_mode_mismatch():
-    with pytest.raises(CapacityError):
-        assemble_full(ModelParams(0.1), silent_bath(*([1.0 / (k + 1) for k in range(6)])), enumerate_basis(6, 8))
+def test_assemble_capacity_and_mode_mismatch(monkeypatch):
+    # the CSR arrays of H count toward MAX_OPERATOR_BYTES, by a closed form
+    # that is exact where no entry of H is zero; a Fock dimension over the
+    # dense cap alone is not refused
+    bath = DiscretizedBath.from_modes((1.0, 0.4), (0.5, 0.2))
+    basis = enumerate_basis(2, 3)
+    params = ModelParams(0.1, epsilon=0.3)
+    H = assemble_full(params, bath, basis).hamiltonian
+    nbytes = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes
+    monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", nbytes)
+    assemble_full(params, bath, basis)
+    monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", nbytes - 1)
+    with pytest.raises(CapacityError, match=f"{nbytes} bytes as CSR"):
+        assemble_full(params, bath, basis)
+    monkeypatch.undo()
+    wide = silent_bath(*([1.0 / (k + 1) for k in range(6)]))
+    assert assemble_full(ModelParams(0.1), wide, enumerate_basis(6, 8)).enumeration.dim == 3003
     with pytest.raises(ValueError):
         assemble_full(ModelParams(0.1), single_mode(0.3), enumerate_basis(2, 3))
 
