@@ -212,17 +212,32 @@ def sweep_point(task: tuple[int, RunConfig]) -> tuple[dict, dict]:
         even_residual, odd_residual = even.residual, odd.residual
         overlap = parity_overlap(even, odd)
         solvers = {
-            sector: {"iterations": sol.iterations, "residual": sol.residual, "converged": True}
+            sector: {
+                "iterations": sol.iterations,
+                "residual": sol.residual,
+                "converged": True,
+                "untruncated_residual": sol.untruncated_residual,
+            }
             for sector, sol in (("even", even), ("odd", odd))
         }
         status = "ok"
     gap = odd_energy - even_energy
+    delta = cfg.model.delta
     # a difference of two energies cannot resolve a gap below their rounding
     if status == "ok" and not abs(gap) > GAP_FLOOR * max(abs(even_energy), abs(odd_energy)):
         status = (
             f"unresolved-gap: gap {gap:.3e} is below the rounding of the sector energies "
             f"({GAP_FLOOR:g} of their size); polaron factor "
             f"10^{log_prefactor(bath) / math.log(10):.2f}"
+        )
+    # the untruncated ground state is even for delta > 0 and odd for delta < 0;
+    # both energies are upper bounds, so a wrong sign proves that the sector
+    # that should lie lowest is off by more than |gap|
+    elif status == "ok" and delta != 0.0 and math.copysign(1.0, delta) * gap < 0.0:
+        lowest = "even" if delta > 0.0 else "odd"
+        status = (
+            f"truncation-error: gap {gap:.3e} has the wrong sign for delta {delta:g}; "
+            f"the {lowest} sector's truncation error exceeds {abs(gap):.3e}"
         )
     cells = {"index": index}
     for group, echo in config_as_dict(cfg).items():

@@ -21,22 +21,19 @@ to rounding, not merely to truncation accuracy.
 
 H, Pi, U and every product of them stay sparse, and `assemble_full`
 refuses an H whose CSR arrays would exceed fockspace.MAX_OPERATOR_BYTES.
+The ground states come from implicitly restarted Lanczos (ARPACK) on the
+CSR H, one routine for the ground state of a biased <sigma_z>
+(`ground_sigma_z`) and for the two lowest eigenpairs behind the parity
+label and its gap floor (`ground_parity`), so neither forms a dense H.
 Only LAPACK inputs are dense, and each LAPACK call computes only what its
-check reads; oracle-check, which makes them, refuses a Fock dimension over
-DENSE_DIM_CAP.  H is reduced to tridiagonal form once per model
-(`FullModel.tridiagonal`, one Householder reduction).  That one
-reduction gives the eigenvalues of H for the spectrum partition
-(`dense_spectrum`) and its two lowest eigenpairs for the gap floor and
-the parity label (`ground_pair`).  A biased <sigma_z>
-(`ground_sigma_z`) reads only the ground state, which implicitly
-restarted Lanczos (ARPACK) finds from products with the CSR H, so the
-bias scan never forms a dense H.  The partition also needs
-the eigenvalues of the two dim x dim blocks of U H U'
-(`sector_blocks`).  A spectral norm is exact without a solve where its
-elementwise lower bound meets its Hoelder upper bound, as for every
-commutator checked here: they are zero, or, for [H, Pi] at epsilon != 0,
-have one entry per row and column.  Otherwise it falls back to the top
-eigenvalue of A'A.  The unitarity defect is a bound on the sparse U U' - I.
+check reads: the eigenvalues of H for the spectrum partition
+(`dense_spectrum`) and of the two dim x dim blocks of U H U'
+(`sector_blocks`), all at epsilon = 0.  oracle-check, which makes them,
+refuses a Fock dimension over DENSE_DIM_CAP.  A spectral norm is exact
+without a solve for a matrix with at most one nonzero per row and column,
+as every commutator checked here is: they are zero, or, for [H, Pi] at
+epsilon != 0, monomial.  Otherwise it is a Hoelder upper bound.  The
+unitarity defect is a bound on the sparse U U' - I.
 
 The displaced-basis sector matrices of :mod:`sbmlab.sectors` span a
 different truncated subspace than the blocks above, so their spectra
@@ -47,56 +44,32 @@ cutoff.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg import lapack
 
 from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError, CapacityError, SolverError
 from sbmlab.fockspace import MAX_OPERATOR_BYTES, BasisEnumeration
 from sbmlab.sectors import GAP_FLOOR, ModelParams
 
-# largest Fock dimension oracle-check takes: its spectrum checks and parity
-# label hold dense arrays of the size of H, (2 dim)^2 doubles
+# largest Fock dimension oracle-check takes: its spectrum checks at
+# epsilon = 0 hold dense arrays of the size of H, (2 dim)^2 doubles
 DENSE_DIM_CAP = 2000
 
 # ground_parity returns +1, -1, or this marker when |<Pi>| is not close to 1
 MIXED = 0
 
 
-class Tridiagonal(NamedTuple):
-    """sigma H = Q T Q' from one Householder reduction (LAPACK dsytrd, lower storage).
-
-    T has diagonal d and off-diagonal e.  Q, a product of n - 1 reflectors,
-    fixes the first coordinate; the reflectors are the (n-1) x (n-1) block
-    A(2:n, 1:n-1) of the reduced array in LAPACK's QR storage, with scale
-    factors tau.  sigma is 1 unless H lies outside LAPACK's safe range.
-    """
-
-    d: np.ndarray
-    e: np.ndarray
-    reflectors: np.ndarray
-    tau: np.ndarray
-    sigma: float
-
-
 @dataclass(frozen=True, eq=False)
 class FullModel:
-    """H over spin (x) Fock, twice the enumeration's dimension, and its one reduction."""
+    """H over spin (x) Fock, twice the enumeration's dimension."""
 
     enumeration: BasisEnumeration
     hamiltonian: scipy.sparse.csr_array
-
-    @functools.cached_property
-    def tridiagonal(self) -> Tridiagonal:
-        """H reduced once, on first use, for dense_spectrum and ground_pair alike."""
-        return _reduce(self.hamiltonian)
 
 
 def _coupling_matrix(
@@ -175,31 +148,29 @@ def _lapack_input(A: scipy.sparse.sparray) -> np.ndarray:
 
 
 def _hoelder_bound(magnitude: np.ndarray | scipy.sparse.sparray) -> float:
-    """sqrt(||A||_1 ||A||_inf) >= ||A||_2 from |A|: its largest column and row sums."""
-    return math.sqrt(float(magnitude.sum(axis=0).max()) * float(magnitude.sum(axis=1).max()))
+    """sqrt(||A||_1) sqrt(||A||_inf) >= ||A||_2 from |A|: its largest column and row sums.
+
+    Each factor is a square root, so the bound is finite wherever the sums are.
+    """
+    return math.sqrt(float(magnitude.sum(axis=0).max())) * math.sqrt(
+        float(magnitude.sum(axis=1).max())
+    )
 
 
 def spectral_norm(A: np.ndarray | scipy.sparse.sparray) -> float:
-    """Largest singular value of a dense or sparse A.
+    """Largest singular value of a dense or sparse monomial A, else an upper bound on it.
 
-    max |a_ij| <= ||A||_2 <= sqrt(||A||_1 ||A||_inf), so where the two
-    bounds meet their common value is the norm, with no solve; that covers
-    the zero matrix (+0.0) and any matrix with at most one nonzero per row
-    and column (a scaled signed permutation).  Otherwise the norm is the
-    sqrt of the top eigenvalue of A'A, from one symmetric eigensolve for
-    that eigenvalue alone instead of a full SVD.
+    With at most one nonzero in each row and column (a scaled signed
+    permutation, the zero matrix included, which gives +0.0) the norm is
+    max |a_ij|, with no solve.  Otherwise this returns the Hoelder bound
+    sqrt(||A||_1) sqrt(||A||_inf), so a check against it can only be
+    stricter than one against the norm.
     """
     magnitude = abs(A)
-    lower = float(magnitude.max())
-    upper = _hoelder_bound(magnitude)
-    if upper <= lower:
-        return lower
-    gram = A.T @ A
-    if scipy.sparse.issparse(gram):
-        gram = _lapack_input(gram)
-    n = A.shape[1]
-    top = scipy.linalg.eigvalsh(gram, subset_by_index=[n - 1, n - 1], overwrite_a=True)[0]
-    return math.sqrt(max(0.0, float(top)))
+    nonzero = magnitude != 0
+    if max(nonzero.sum(axis=0).max(), nonzero.sum(axis=1).max()) <= 1:
+        return float(magnitude.max())
+    return _hoelder_bound(magnitude)
 
 
 def rotation_defects(enumeration: BasisEnumeration) -> tuple[float, float]:
@@ -235,74 +206,61 @@ def sector_blocks(model: FullModel) -> tuple[np.ndarray, np.ndarray, float]:
     return upper, lower, off
 
 
-def _reduce(H: scipy.sparse.sparray) -> Tridiagonal:
-    """One in-place dsytrd of the dense H, its reflector block compacted in the same buffer.
+def _lowest_eigenpairs(H: scipy.sparse.csr_array, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenvalues of the CSR H, ascending, and their eigenvectors as columns.
 
-    As dsyevr does, H is first scaled so that max |H_ij| lies between
-    sqrt(safmin / eps) and min(sqrt(eps / safmin), safmin^(-1/4)); outside
-    that range bisection need not converge.  f2py would copy the strided
-    block A(2:n, 1:n-1) before dormqr reads it, a second dense n x n array.
-    Instead column j moves from flat offset j n + 1 to j (n - 1), in order
-    of j: no destination lies past its source.
+    Implicitly restarted Lanczos (ARPACK's dsaupd through
+    scipy.sparse.linalg.eigsh, tol 0: to machine precision; Lehoucq,
+    Sorensen and Yang 1998) needs only products with the sparse H, so no
+    dense H is formed, and it shares no code with the sector path's
+    Davidson solve.  H is first scaled by 2^-e, e the binary exponent of
+    ||H||_inf, which is exact and keeps ARPACK's arithmetic inside the
+    double range at any energy unit; the eigenvalues are scaled back.  The
+    start vector is a fixed seed-0 normal draw, so the result does not
+    depend on what ran before in the process.  Raises SolverError when
+    ARPACK does not converge.
     """
-    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
-    low, high = math.sqrt(tiny / eps), min(math.sqrt(eps / tiny), tiny**-0.25)
-    peak = float(abs(H).max())
-    sigma = min(max(peak, low), high) / peak if peak > 0.0 else 1.0
-    A = _lapack_input(H)
-    if sigma != 1.0:
-        A *= sigma
-    n = A.shape[0]
-    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
-    c, d, e, tau, _ = lapack.dsytrd(A, lower=1, lwork=int(lwork), overwrite_a=1)
-    flat = c.ravel(order="F")
-    m = n - 1
-    for j in range(m):
-        flat[j * m : (j + 1) * m] = flat[j * n + 1 : (j + 1) * n]
-    return Tridiagonal(d, e, flat[: m * m].reshape((m, m), order="F"), tau, sigma)
+    import scipy.sparse.linalg
+
+    exponent = math.frexp(float(abs(H).sum(axis=1).max()))[1]
+    scaled = scipy.sparse.csr_array((np.ldexp(H.data, -exponent), H.indices, H.indptr), H.shape)
+    start = np.random.default_rng(0).standard_normal(H.shape[0])
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(scaled, k=k, which="SA", tol=0.0, v0=start)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise SolverError(
+            f"lanczos ground state of the full H (size {H.shape[0]}) "
+            f"did not converge: {exc}",
+            diagnostics={"solver": "eigsh", "size": H.shape[0], "converged": len(exc.eigenvalues)},
+        ) from exc
+    return np.ldexp(vals, exponent), vecs
 
 
 def dense_spectrum(model: FullModel) -> np.ndarray:
-    """Every eigenvalue of H, ascending, from the model's one tridiagonal reduction.
+    """Every eigenvalue of H, ascending, from one values-only dense solve (LAPACK dsyevd).
 
-    The root-free QR iteration (LAPACK dsterf) on T is the values-only
-    path of dsyevd, so this equals scipy.linalg.eigvalsh(H, driver="evd").
+    dsyevd scales H into LAPACK's safe range itself when its entries lie
+    outside it.
     """
-    t = model.tridiagonal
-    return scipy.linalg.eigvalsh_tridiagonal(t.d, t.e, lapack_driver="sterf") * (1.0 / t.sigma)
-
-
-def ground_pair(model: FullModel) -> tuple[np.ndarray, np.ndarray]:
-    """The two lowest eigenvalues of H and their eigenvectors (as columns), for ground_parity.
-
-    They come from the model's one tridiagonal reduction as in dsyevr:
-    bisection and inverse iteration on T (dstebz, dstein), then Q applied
-    to the eigenvectors of T (dormqr, as dormtr does for lower storage).
-    """
-    t = model.tridiagonal
-    vals, vecs = scipy.linalg.eigh_tridiagonal(
-        t.d, t.e, select="i", select_range=(0, 1), lapack_driver="stebz"
-    )
-    tail = vecs[1:]  # Q leaves the first row alone
-    work = lapack.dormqr("L", "N", t.reflectors, t.tau, tail, lwork=-1)[1]
-    vecs[1:] = lapack.dormqr("L", "N", t.reflectors, t.tau, tail, lwork=int(work[0]))[0]
-    return vals * (1.0 / t.sigma), vecs
+    return scipy.linalg.eigvalsh(_lapack_input(model.hamiltonian), driver="evd", overwrite_a=True)
 
 
 def ground_parity(model: FullModel) -> int:
-    """Parity label of the dense ground state: +1, -1, or MIXED.
+    """Parity label of the ground state of the full H: +1, -1, or MIXED.
 
     MIXED (|<Pi>| not within 1e-8 of 1) must never occur at epsilon = 0
     with delta != 0; it is the expected outcome once epsilon breaks the
-    symmetry.  A dense gap below GAP_FLOOR ||H||_inf signals a truncation
-    pathology rather than physics and raises AccuracyError.  So does a gap
-    below n eps ||H||_inf, LAPACK's bound p(n) eps ||H|| on the rounding of
-    each computed eigenvalue with p(n) = n.  Both floors scale with H, so
-    the label does not depend on the energy unit.
+    symmetry.  The two lowest eigenpairs come from Lanczos on the CSR H.
+    A gap below GAP_FLOOR ||H||_inf signals a truncation pathology rather
+    than physics and raises AccuracyError.  So does a gap below
+    n eps ||H||_inf: each Ritz value lies within its residual of an
+    eigenvalue of H, ARPACK accepts a residual of eps |theta|, and each
+    product with H rounds by up to about n eps ||H||_inf.  Both floors
+    scale with H, so the label does not depend on the energy unit.
     """
-    vals, vecs = ground_pair(model)
-    gap = vals[1] - vals[0]
     H = model.hamiltonian
+    vals, vecs = _lowest_eigenpairs(H, 2)
+    gap = vals[1] - vals[0]
     norm = float(abs(H).sum(axis=1).max())
     if gap < max(GAP_FLOOR, H.shape[0] * np.finfo(float).eps) * norm:
         raise AccuracyError(f"dense ground state numerically degenerate: gap {gap:.3e}")
@@ -318,27 +276,8 @@ def ground_parity(model: FullModel) -> int:
 
 
 def ground_sigma_z(model: FullModel) -> float:
-    """<sigma_z> of the ground state of H, from implicitly restarted Lanczos on the CSR H.
-
-    ARPACK (scipy.sparse.linalg.eigsh, tol 0: to machine precision;
-    Lehoucq, Sorensen and Yang 1998) needs only products with the sparse
-    H, so no dense H or reduction is formed, and it shares no code with
-    the sector path's Davidson solve.  The start vector is a fixed seed-0
-    normal draw, so the result does not depend on what ran before in the
-    process.  Raises SolverError when ARPACK does not converge.
-    """
-    import scipy.sparse.linalg
-
-    H = model.hamiltonian
-    start = np.random.default_rng(0).standard_normal(H.shape[0])
-    try:
-        _, vecs = scipy.sparse.linalg.eigsh(H, k=1, which="SA", tol=0.0, v0=start)
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise SolverError(
-            f"lanczos ground state of the full H (size {H.shape[0]}) "
-            f"did not converge: {exc}",
-            diagnostics={"solver": "eigsh", "size": H.shape[0], "converged": len(exc.eigenvalues)},
-        ) from exc
+    """<sigma_z> of the ground state of H, from Lanczos on the CSR H."""
+    _, vecs = _lowest_eigenpairs(model.hamiltonian, 1)
     psi = vecs[:, 0]
     dim = model.enumeration.dim
     return float(psi[:dim] @ psi[:dim] - psi[dim:] @ psi[dim:])

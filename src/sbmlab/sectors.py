@@ -124,14 +124,15 @@ class SectorMatrix:
     """One sector as the operator diag(diagonal) + coupling * Dt.
 
     diagonal and displaced_parity are shared with the other sector and
-    never written to; coupling is tunneling_sign * (delta/2) * polaron
-    factor.
+    never written to; coupling is tunneling_sign * half_delta * polaron
+    factor, half_delta = delta/2.
     """
 
     sector: Sector
     diagonal: np.ndarray
     displaced_parity: DisplacedParity
     coupling: float
+    half_delta: float
 
     @property
     def entries(self) -> np.ndarray:
@@ -148,6 +149,26 @@ class SectorMatrix:
         """Matrix-vector product without forming the dense matrix."""
         return self.diagonal * x + self.coupling * self.displaced_parity.apply(x)
 
+    def untruncated_residual(self, x: np.ndarray) -> float:
+        """sigma = sqrt((delta/2)^2 - ||coupling Dt x||^2) for a unit vector x.
+
+        Untruncated, coupling * Dt is tunneling_sign (delta/2) W with
+        W = D(2q) P orthogonal.  The basis keeps the diagonal term and the
+        part of W x inside it, so ||(H - E) x||^2 against the untruncated
+        sector is ||(H_B - E) x||^2 + sigma^2: sigma is what the truncation
+        drops from the residual.  Raises AccuracyError when sigma^2 is
+        negative beyond rounding (below -GAP_FLOOR (delta/2)^2), where Dt
+        has lost its digits.
+        """
+        kept = self.coupling * self.displaced_parity.apply(x)
+        square = self.half_delta**2 - float(kept @ kept)
+        if square < -GAP_FLOOR * self.half_delta**2:
+            raise AccuracyError(
+                f"untruncated residual of the {self.sector.value} sector has square "
+                f"{square:.3e} < 0: the truncated tunneling term has lost its digits"
+            )
+        return math.sqrt(max(square, 0.0))
+
 
 @dataclass(frozen=True, eq=False)
 class GroundStateResult:
@@ -156,6 +177,7 @@ class GroundStateResult:
     residual: float
     sector: Sector
     iterations: int
+    untruncated_residual: float
 
 
 def polaron_double(bath: DiscretizedBath) -> float:
@@ -204,6 +226,7 @@ def _sector_pair(
             diagonal=diagonal,
             displaced_parity=displaced_parity,
             coupling=sector.tunneling_sign * (params.delta / 2.0) * polaron,
+            half_delta=params.delta / 2.0,
         )
         for sector in Sector
     }
@@ -295,7 +318,8 @@ def ground_state(
 
     The residual is recomputed explicitly and must meet tol within max_iter
     iterations, the vector is normalized, and the vacuum coefficient is
-    made nonnegative.
+    made nonnegative.  The untruncated residual of the vector costs one
+    more application of Dt.
     """
     energy, vector, iterations, residual = _davidson_lowest(matrix, tol, max_iter)
     if not residual <= tol:
@@ -319,6 +343,7 @@ def ground_state(
         residual=residual,
         sector=matrix.sector,
         iterations=iterations,
+        untruncated_residual=matrix.untruncated_residual(vector),
     )
 
 

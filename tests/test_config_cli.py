@@ -407,6 +407,9 @@ def test_gap_sweep_delta_antisymmetry(tmp_path):
     out = tmp_path / "dsweep"
     assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
     header, body = read_csv(out / "gap_sweep.csv")
+    # delta < 0 puts the odd sector lowest, which is no wrong sign
+    assert [r[header.index("ground_parity")] for r in body] == ["-1", "-1", "1", "1"]
+    assert {r[header.index("status")] for r in body} == {"ok"}
     gaps = [float(r[header.index("gap")]) for r in body]
     assert gaps[0] == pytest.approx(-gaps[3], abs=1e-10)
     assert gaps[1] == pytest.approx(-gaps[2], abs=1e-10)
@@ -414,6 +417,36 @@ def test_gap_sweep_delta_antisymmetry(tmp_path):
     overlaps = [float(r[header.index("parity_overlap")]) for r in body]
     assert overlaps[0] == pytest.approx(overlaps[3], abs=1e-12)
     assert overlaps[1] == pytest.approx(overlaps[2], abs=1e-12)
+
+
+def test_gap_sweep_refuses_a_wrong_sign_gap(tmp_path, monkeypatch):
+    # for delta > 0 the untruncated ground state is even: a sector pair whose
+    # results are swapped puts the odd energy lowest, which proves that the
+    # even sector's truncation error exceeds the gap
+    import dataclasses
+
+    import sbmlab.cli
+    from sbmlab.sectors import Sector, solve_sectors
+
+    def swapped(*args):
+        even, odd = solve_sectors(*args)
+        return (
+            dataclasses.replace(odd, sector=Sector.EVEN),
+            dataclasses.replace(even, sector=Sector.ODD),
+        )
+
+    monkeypatch.setattr(sbmlab.cli, "solve_sectors", swapped)
+    data = deep({"sweep": {"parameter": "delta", "from": -0.6, "to": 0.6, "steps": 2}})
+    out = tmp_path / "swapped"
+    assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(out)]) == 1
+    header, body = read_csv(out / "gap_sweep.csv")
+    for row, lowest in zip(body, ("odd", "even")):
+        gap = float(row[header.index("gap")])
+        assert row[header.index("status")] == (
+            f"truncation-error: gap {gap:.3e} has the wrong sign for delta "
+            f"{float(row[header.index('delta')]):g}; the {lowest} sector's truncation error "
+            f"exceeds {abs(gap):.3e}"
+        )
 
 
 def test_gap_sweep_rerun_and_workers_byte_identical(tmp_path):
@@ -478,10 +511,11 @@ def test_gap_sweep_never_loads_the_dense_oracle(tmp_path):
 
 def test_oracle_check_loads_the_dense_oracle(tmp_path):
     # the counterpart of the test above: the module list it reads is live;
-    # only the bias scan's Lanczos solve needs scipy.sparse.linalg
+    # the ground pair's Lanczos solve needs scipy.sparse.linalg
     path = write_config(tmp_path, deep({"truncation": {"n_max": 2}}))
     assert _modules_after_main(["oracle-check", "--config", path]) == [
         "scipy.linalg",
+        "scipy.sparse.linalg",
         "sbmlab.oracle",
     ]
 
@@ -522,8 +556,10 @@ def test_gap_sweep_manifest_checksums(tmp_path):
                 "iterations": record["iterations"],
                 "residual": float(cells[header.index(column)]),
                 "converged": True,
+                "untruncated_residual": record["untruncated_residual"],
             }
             assert 1 <= record["iterations"] <= manifest["config"]["solver"]["max_iter"]
+            assert 0.0 < record["untruncated_residual"] <= manifest["config"]["model"]["delta"] / 2
 
 
 # gap_sweep.csv columns: index, the config echo (every group field but the
@@ -921,28 +957,21 @@ def test_oracle_check_broken_parity(tmp_path, capsys):
     assert "ground parity: mixed" in report
 
 
-def spy_dense_solves(monkeypatch) -> tuple[list, list]:
-    """(shapes passed to LAPACK dsytrd, shapes passed to any numpy or scipy eigh/eigvalsh)."""
+def spy_dense_solves(monkeypatch) -> list:
+    """(shape, values only) of each array passed to any numpy or scipy eigh/eigvalsh."""
     import scipy.linalg
 
-    reductions, solves = [], []
-    real_dsytrd = scipy.linalg.lapack.dsytrd
-
-    def dsytrd(a, *args, **kwargs):
-        reductions.append(a.shape)
-        return real_dsytrd(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", dsytrd)
+    solves = []
     for module in (scipy.linalg, np.linalg):
         for name in ("eigh", "eigvalsh"):
             real = getattr(module, name)
 
-            def counted(a, *args, real=real, **kwargs):
-                solves.append(a.shape)
+            def counted(a, *args, real=real, name=name, **kwargs):
+                solves.append((a.shape, name == "eigvalsh" or kwargs.get("eigvals_only", False)))
                 return real(a, *args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-    return reductions, solves
+    return solves
 
 
 # H of the 4-mode base config at n_max 4: Fock dim C(8, 4), two spin blocks
@@ -950,21 +979,20 @@ H_SHAPE = (2 * 70, 2 * 70)
 
 
 def test_oracle_check_diagonalises_once(tmp_path, monkeypatch):
-    # one Householder reduction of H feeds both the spectrum partition and
-    # the ground pair, and no dense eigensolver sees H itself
-    reductions, solves = spy_dense_solves(monkeypatch)
-    for epsilon in (0.0, 0.25):
-        reductions.clear()
+    # one values-only dense solve of H feeds the spectrum partition at
+    # epsilon = 0; the parity label's ground pair comes from Lanczos on the
+    # sparse H, so at epsilon != 0 no dense eigensolver sees H
+    solves = spy_dense_solves(monkeypatch)
+    for epsilon, expected in ((0.0, [(H_SHAPE, True)]), (0.25, [])):
         solves.clear()
         path = write_config(tmp_path, deep({"model": {"epsilon": epsilon}}))
         assert main(["oracle-check", "--config", path]) == 0
-        assert reductions == [H_SHAPE]
-        assert H_SHAPE not in solves
+        assert [solve for solve in solves if solve[0] == H_SHAPE] == expected
 
 
 # sha256 of oracle_check.txt, each report written by a fresh interpreter at
 # one OpenBLAS thread: the partition line's last digits depend on how BLAS
-# splits the sums of the tridiagonal reduction over threads.
+# splits the sums of dsyevd's tridiagonal reduction over threads.
 # - The two epsilon = 0.25 reports: the Fock-dim-462 one is hashed at the
 #   commit before the oracle took its norms from a symmetric eigensolve and
 #   its U and Pi products from sparse arrays, the small one after it (the
@@ -980,6 +1008,9 @@ def test_oracle_check_diagonalises_once(tmp_path, monkeypatch):
 #   -> 2.2204460492503131e-16, off-diagonal block norm
 #   4.1168440912929528e-16 -> 0, partition 2.55351295663786e-15 ->
 #   3.1086244689504383e-15.)
+# - All four are unchanged since the spectrum became one eigvalsh of H (the
+#   same dsyevd path as the former reduction with dsterf) and the ground
+#   pair came from Lanczos on the sparse H: the report prints only its label.
 ORACLE_SHA256 = [
     ({}, "7a0f3433931fce2fa65fbf303795b0927dedfaa76eaad820ef50a73c6d74269f"),
     (
@@ -1012,11 +1043,12 @@ def test_oracle_check_report_bytes(tmp_path, overrides, sha256):
 @pytest.mark.parametrize("epsilon", [0.0, 0.25])
 def test_oracle_check_memory_stays_below_two_dense_hamiltonians(tmp_path, capsys, epsilon):
     # Fock dim 462: H is sparse and only one LAPACK input at a time is dense,
-    # so the traced peak stays near one dense 924 x 924 H (1.08x measured;
-    # 4.1x when H, its eigenvectors and the commutator were dense).  A second
-    # dense H or a full eigendecomposition (2.0x) breaks the bound, and so
-    # would a copy of the reflector block of the one reduction of H, which
-    # at epsilon != 0 ground_parity alone pays for.
+    # so at epsilon = 0 the traced peak stays near one dense 924 x 924 H
+    # (4.1x when H, its eigenvectors and the commutator were dense); a second
+    # dense H or a full eigendecomposition (2.0x) breaks the bound.  At
+    # epsilon != 0 nothing forms a dense H: the ground pair comes from
+    # Lanczos on the sparse H (0.10x measured; 1.06x when it came from a
+    # reduction of the dense H).
     import tracemalloc
 
     data = deep(
@@ -1035,7 +1067,7 @@ def test_oracle_check_memory_stays_below_two_dense_hamiltonians(tmp_path, capsys
     finally:
         tracemalloc.stop()
     assert "result: pass" in capsys.readouterr().out
-    assert peak < 2 * dense_bytes
+    assert peak < (2 if epsilon == 0.0 else 0.25) * dense_bytes
 
 
 def test_oracle_check_capacity(tmp_path):
@@ -1057,11 +1089,30 @@ def test_oracle_check_degenerate_spectrum_is_invariant_failure(tmp_path):
 
 
 def test_oracle_check_unresolved_gap_at_huge_tunneling(tmp_path, capsys):
-    # delta = 1e160 puts H beyond LAPACK's safe range, so it is rescaled
-    # before its reduction, and leaves the O(1) gap far below the rounding
-    # of the two lowest eigenvalues: an invariant failure, not a solver one
+    # delta = 1e160 puts H beyond LAPACK's safe range, so the Lanczos solve
+    # scales it by a power of two first, and leaves the O(1) gap far below
+    # the rounding of the two lowest eigenvalues: an invariant failure, not
+    # a solver one
     data = deep(
         {"model": {"delta": 1.0e160}, "discretization": {"N": 1}, "truncation": {"n_max": 3}}
+    )
+    assert main(["oracle-check", "--config", write_config(tmp_path, data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invariant failure: dense ground state numerically degenerate")
+
+
+def test_oracle_check_unresolved_gap_at_huge_bias(tmp_path, capsys):
+    # epsilon = 1e155 is a valid config: the commutator [H, Pi] has one
+    # entry per row and column, so its norm is its largest entry, |epsilon|,
+    # which squaring in a Hoelder bound would overflow; the O(1) gap of the
+    # spin-down block is far below the rounding of eigenvalues of size 1e155
+    data = deep(
+        {
+            "model": {"epsilon": 1.0e155},
+            "bath": {"s": 0.5, "alpha": 0.1},
+            "discretization": {"N": 1},
+            "truncation": {"n_max": 2},
+        }
     )
     assert main(["oracle-check", "--config", write_config(tmp_path, data)]) == 1
     err = capsys.readouterr().err
@@ -1270,13 +1321,12 @@ def test_magnetization_epsilon_mode_rejects_model_epsilon(tmp_path, capsys):
 
 def test_magnetization_epsilon_mode_forms_no_dense_hamiltonian(tmp_path, monkeypatch):
     # each grid point's ground state comes from Lanczos on the sparse H:
-    # no Householder reduction runs and no dense eigensolver sees H
-    reductions, solves = spy_dense_solves(monkeypatch)
+    # no dense eigensolver sees H
+    solves = spy_dense_solves(monkeypatch)
     path = write_config(tmp_path, deep({}))
     argv = ["magnetization-scan", "--config", path, "--out", str(tmp_path / "mge")]
     assert main(argv + ["--epsilon-steps", "5"]) == 0
-    assert reductions == []
-    assert H_SHAPE not in solves
+    assert [shape for shape, _ in solves if shape == H_SHAPE] == []
 
 
 def test_magnetization_epsilon_scan_bytes_do_not_depend_on_earlier_solves(tmp_path):

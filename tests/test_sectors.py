@@ -400,6 +400,59 @@ def test_delta_negation_swaps_sectors_exactly():
     assert ground_state(even_neg).energy == ground_state(odd_pos).energy
 
 
+# ---------------------------------------------------------------- untruncated residual
+
+
+def test_untruncated_residual_sees_what_the_energy_does_not():
+    # one mode with q^2 = 4: the tunneling term's image lies almost wholly
+    # outside n_max 4, while the energy has moved by 6.6e-6 from n_max 2
+    bath = single_mode(2.0)
+    even = {
+        n_max: solve_sectors(bath, ModelParams(0.5), enumerate_basis(1, n_max))[0]
+        for n_max in (2, 4)
+    }
+    assert 0.24 <= even[4].untruncated_residual <= 0.25
+    assert abs(even[4].energy - even[2].energy) < 1e-5
+
+
+def test_untruncated_residual_vanishes_as_n_max_converges():
+    # gap_vs_modes at N = 2 (3 modes)
+    spec = BathSpec(s=0.1, alpha=0.3, omega_c=1.0)
+    bath = discretize(spec, DiscretizationSpec(Lambda=2.0, N=2))
+    sigmas = [
+        solve_sectors(bath, ModelParams(0.5), enumerate_basis(3, n_max))[0].untruncated_residual
+        for n_max in (4, 8, 12, 16)
+    ]
+    assert all(b < a for a, b in zip(sigmas, sigmas[1:]))
+    assert sigmas[-1] < 1e-4
+
+
+def test_untruncated_residual_is_the_residual_a_larger_basis_adds():
+    # one mode, q = 1: pad phi from n_max 4 into n_max 40, which holds W phi
+    # to rounding; the residual squared grows by exactly sigma^2
+    bath = single_mode(1.0)
+    params = ModelParams(0.5)
+    for sector in Sector:
+        small = assemble_sector(bath, params, enumerate_basis(1, 4), sector)
+        large = assemble_sector(bath, params, enumerate_basis(1, 40), sector)
+        result = ground_state(small)
+        x, energy = result.coefficients, result.energy
+        padded = np.zeros(41)
+        padded[:5] = x
+        grown = np.sum((large.apply(padded) - energy * padded) ** 2)
+        kept = np.sum((small.apply(x) - energy * x) ** 2)
+        assert abs(grown - kept - result.untruncated_residual**2) < 1e-12
+
+
+def test_untruncated_residual_refuses_a_tunneling_term_that_lost_its_digits():
+    # one mode with q^2 = 4 at n_max 44: the computed ||coupling Dt phi||
+    # exceeds delta/2 by far more than rounding
+    basis = enumerate_basis(1, 44)
+    matrix = assemble_sector(single_mode(2.0), ModelParams(0.5), basis, Sector.EVEN)
+    with pytest.raises(AccuracyError, match="untruncated residual of the even sector"):
+        ground_state(matrix, tol=1e-6, max_iter=2000)
+
+
 # ---------------------------------------------------------------- sector gap
 
 
