@@ -46,8 +46,6 @@ import scipy.sparse
 
 from sbmlab.errors import CapacityError
 
-MultiIndex = tuple[int, ...]
-
 # total-occupation cap.  An entry of Dt is an alternating sum whose terms
 # outgrow it as occupation and q grow: at one mode and n_max = 60 its worst
 # relative error against exact arithmetic is 6e-13 at q = 0.2, 4e-10 at

@@ -19,12 +19,13 @@ Two exhaustive cases dispose of it:
    side has none, so no choice of coefficients with nonzero vacuum
    components satisfies the identity.
 
-Everything here runs in exact rational arithmetic.  An expansion is one
-flat map from multi-index n to a Fraction weight: the key n stands for
-both the unknown c_n and its monomial q^n, so no symbol objects are
-needed.  The sqrt(n!) factors are formal positive units absorbed into
-the unknowns (only their positivity and the monomial degrees matter).
-No floating point enters this module.
+Both verdicts are read, in integer arithmetic, from the occupation array
+of the basis: row n stands for both the unknown c_n and its monomial q^n,
+so no symbol objects are needed.  Each weight 2^|n| is a nonzero integer
+by construction, and the sqrt(n!) factors are formal positive units
+absorbed into the unknowns (only their positivity and the monomial
+degrees matter).  The witness is exact in Fraction; no floating point
+enters this module.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from sbmlab.errors import CapacityError
-from sbmlab.fockspace import MultiIndex, enumerate_basis
+from sbmlab.fockspace import enumerate_basis
 
 PROOF_DIM_CAP = 10_000
 
@@ -96,43 +99,31 @@ def _proof_basis(N: int, n_max: int):
     return enumerate_basis(N, n_max)
 
 
-def _expansion(basis) -> dict[MultiIndex, Fraction]:
-    """sum_n c_n (2q)^n as {n: 2^|n|}, in one pass over the basis.
-
-    The key n names both the unknown c_n and its monomial q^n, and the
-    value is the weight of c_n on that monomial; the sign of a sector's
-    side scales every weight and changes neither verdict.
-    """
-    return {n: Fraction(2 ** sum(n)) for n in basis}
-
-
 def constant_term_contradiction(N: int, n_max: int) -> ProofReport:
-    """Both cases of the argument over one expansion.
+    """Both cases of the argument over the occupation array of one basis.
 
-    Case 1 (monomial independence) holds when every occupation vector keeps
-    its own monomial with a nonzero rational weight, which forces all
-    c_n = 0 when the expansion vanishes identically.  Case 2 compares the
-    constant terms of both vacuum-row expansions.  The left side is 2 plus
-    the odd-sector expansion, the right side is minus the even-sector
-    expansion, both summed over n != 0; a polynomial identity between them
-    would need equal constant terms, but these are 2 and 0 exactly.
+    Case 1 (monomial independence) holds when no two occupation vectors
+    coincide: each then keeps its own monomial, and its weight 2^|n| is
+    nonzero, which forces all c_n = 0 when the expansion vanishes
+    identically.  Case 2 compares the constant terms of both vacuum-row
+    expansions.  The left side is 2 plus the odd-sector expansion, the
+    right side is minus the even-sector expansion, both summed over n != 0;
+    a polynomial identity between them would need equal constant terms,
+    but these are 2 and 0 exactly.
     """
     basis = _proof_basis(N, n_max)
-    terms = _expansion(basis)
-    # one key per stored monomial: dim keys from dim occupation vectors mean
-    # no two collide, and each carries its own unknown with a nonzero weight
-    independent = len(terms) == basis.dim and all(terms.values())
-    vacuum = (0,) * N
+    occupations = basis.occupation_array()
+    independent = len(np.unique(occupations, axis=0)) == basis.dim
     # both sums skip c_0, so an unknown could reach a constant term only
-    # through another key of degree zero; the weights multiply unknowns and
-    # add nothing constant, so the constant terms are 2 and 0, which differ
-    symbolic = any(sum(n) == 0 for n in terms if n != vacuum)
-    case2 = "fails" if symbolic else "holds"
+    # through another row of total 0; the weights multiply unknowns and add
+    # nothing constant, so with the vacuum the only such row the constant
+    # terms are 2 and 0, which differ
+    vacuum_only = np.count_nonzero(occupations.sum(axis=1) == 0) == 1
     return ProofReport(
         N=N,
         n_max=n_max,
         case1_verdict="holds" if independent else "fails",
-        case2_verdict=case2,
+        case2_verdict="holds" if vacuum_only else "fails",
         witness=(Fraction(2), Fraction(0)),
         monomial_count=basis.dim,
     )

@@ -25,10 +25,10 @@ The ground states come from implicitly restarted Lanczos (ARPACK) on the
 CSR H, one routine for the ground state of a biased <sigma_z>
 (`ground_sigma_z`) and for the two lowest eigenpairs behind the parity
 label and its gap floor (`ground_parity`), so neither forms a dense H.
-Only LAPACK inputs are dense, and each LAPACK call computes only what its
-check reads: the eigenvalues of H for the spectrum partition
-(`dense_spectrum`) and of the two dim x dim blocks of U H U'
-(`sector_blocks`), all at epsilon = 0.  oracle-check, which makes them,
+`dense_spectrum` is the one place that forms a dense array: a values-only
+LAPACK solve of a sparse symmetric matrix, at epsilon = 0 once for each of
+the two dim x dim blocks of U H U' (`sector_blocks`, kept sparse) and once
+for H, one dense input at a time.  oracle-check, which makes them,
 refuses a Fock dimension over DENSE_DIM_CAP.  A spectral norm is exact
 without a solve for a matrix with at most one nonzero per row and column,
 as every commutator checked here is: they are zero, or, for [H, Pi] at
@@ -142,11 +142,6 @@ def unitary_U(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
     return scipy.sparse.block_array([[eye, P], [-P, eye]], format="csr") / math.sqrt(2.0)
 
 
-def _lapack_input(A: scipy.sparse.sparray) -> np.ndarray:
-    """A as a dense Fortran-ordered array that LAPACK may overwrite without a copy."""
-    return A.toarray(order="F")
-
-
 def _hoelder_bound(magnitude: np.ndarray | scipy.sparse.sparray) -> float:
     """sqrt(||A||_1) sqrt(||A||_inf) >= ||A||_2 from |A|: its largest column and row sums.
 
@@ -189,21 +184,18 @@ def rotation_defects(enumeration: BasisEnumeration) -> tuple[float, float]:
     return unitarity, parity_defect
 
 
-def sector_blocks(model: FullModel) -> tuple[np.ndarray, np.ndarray, float]:
-    """(upper, lower, off-diagonal Frobenius norm) of U H U'.
+def sector_blocks(model: FullModel) -> tuple[scipy.sparse.sparray, scipy.sparse.sparray, float]:
+    """(upper, lower, off-diagonal Frobenius norm) of U H U', the blocks sparse.
 
     With epsilon = 0 the off-diagonal norm is rounding noise; the upper
     block is the even-parity Hamiltonian in the undisplaced basis and the
-    lower block the odd one.  The product stays sparse; only the two
-    diagonal blocks, which eigvalsh needs, are returned dense.
+    lower block the odd one.
     """
     U = unitary_U(model.enumeration)
     rotated = U @ model.hamiltonian @ U.T
     dim = model.enumeration.dim
-    upper = rotated[:dim, :dim].toarray()
-    lower = rotated[dim:, dim:].toarray()
     off = float(np.linalg.norm(rotated[:dim, dim:].data))
-    return upper, lower, off
+    return rotated[:dim, :dim], rotated[dim:, dim:], off
 
 
 def _lowest_eigenpairs(H: scipy.sparse.csr_array, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,13 +228,18 @@ def _lowest_eigenpairs(H: scipy.sparse.csr_array, k: int) -> tuple[np.ndarray, n
     return np.ldexp(vals, exponent), vecs
 
 
-def dense_spectrum(model: FullModel) -> np.ndarray:
-    """Every eigenvalue of H, ascending, from one values-only dense solve (LAPACK dsyevd).
+def dense_spectrum(A: scipy.sparse.sparray) -> np.ndarray:
+    """Every eigenvalue of the sparse symmetric A, ascending, from one values-only dense solve.
 
-    dsyevd scales H into LAPACK's safe range itself when its entries lie
-    outside it.
+    dsyevd overwrites the Fortran-ordered dense copy and scales it into
+    LAPACK's safe range itself.  Only the stored entries are checked for
+    infs and NaNs, with scipy's error, so no dense mask is formed.
     """
-    return scipy.linalg.eigvalsh(_lapack_input(model.hamiltonian), driver="evd", overwrite_a=True)
+    if not np.isfinite(A.data).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return scipy.linalg.eigvalsh(
+        A.toarray(order="F"), driver="evd", overwrite_a=True, check_finite=False
+    )
 
 
 def ground_parity(model: FullModel) -> int:

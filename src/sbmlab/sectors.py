@@ -17,8 +17,16 @@ the two matrices exactly.
 
 Every sector, whatever its size, is solved by one thick-restart Davidson
 iteration that applies Dt as two sparse products; no solve forms a dense
-matrix.  The dense forms (SectorMatrix.entries, DisplacedParity.dense)
+matrix.  A solve that misses its tolerance is a SolverError, or an
+AccuracyError once its search space spans the whole basis, where the
+residual left is rounding.  The dense forms (SectorMatrix.entries, and
+DisplacedParity.dense, the same sparse product P E' P E P made dense)
 are references for tests and benchmarks only.
+
+Because the two sectors differ only in the tunneling term, their gap
+also follows from the two ground states without subtracting energies
+(gap_identity), in log form, so it survives where the gap is below the
+rounding of the energies or below the double range.
 """
 
 from __future__ import annotations
@@ -104,19 +112,9 @@ class DisplacedParity:
 
     @property
     def dense(self) -> np.ndarray:
-        """Dt as a new dense array, a reference that no solve uses.
-
-        One sparse x dense product (P E') (P E P), with the signs put on the
-        entries of E, which leaves the result exactly symmetric.
-        """
-        E, p = self.lowering, self.parity
-        column_sign = p[E.indices]
-        row_sign = np.repeat(p, np.diff(E.indptr))
-        left = scipy.sparse.csr_array((E.data * column_sign, E.indices, E.indptr), shape=E.shape)
-        right = scipy.sparse.csr_array(
-            (E.data * (row_sign * column_sign), E.indices, E.indptr), shape=E.shape
-        )
-        return left.T @ right.toarray()
+        """Dt = P E' P E P as a new dense array, a reference that no solve uses."""
+        P = scipy.sparse.diags_array(self.parity)
+        return (P @ self.lowering_transposed @ P @ self.lowering @ P).toarray()
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +176,7 @@ class GroundStateResult:
     sector: Sector
     iterations: int
     untruncated_residual: float
+    operator: SectorMatrix
 
 
 def polaron_double(bath: DiscretizedBath) -> float:
@@ -244,7 +243,7 @@ def assemble_sector(
 
 def _davidson_lowest(
     matrix: SectorMatrix, tol: float, max_iter: int
-) -> tuple[float, np.ndarray, int, float]:
+) -> tuple[float, np.ndarray, int, float, bool]:
     """Lowest eigenpair by Davidson's method (J. Comput. Phys. 17, 87, 1975).
 
     Starts from the coordinate vector of the smallest diagonal entry and
@@ -256,9 +255,11 @@ def _davidson_lowest(
     their images, so no operator application is repeated and nearly
     degenerate low eigenvalues stay resolved.  Convergence is declared, and
     a residual reported, only from an explicit ||Hx - theta x||, which is
-    taken once per pair.  Returns (energy, vector, iterations, residual) of
-    the first pair within tol, or of the best pair found when max_iter runs
-    out or the search space cannot grow.
+    taken once per pair.  Returns (energy, vector, iterations, residual,
+    exhausted) of the first pair within tol, or of the best pair found when
+    max_iter runs out or the search space cannot grow; exhausted is True
+    when the search space spans the whole basis, where the Ritz pair is
+    exact up to rounding and no iteration can lower its residual.
     """
     diag = matrix.diagonal + matrix.coupling * matrix.displaced_parity.diagonal
     n = diag.size
@@ -308,7 +309,7 @@ def _davidson_lowest(
     residual, energy, vector, explicit = best
     if not explicit:
         residual = float(np.linalg.norm(matrix.apply(vector) - energy * vector))
-    return energy, vector, iteration, residual
+    return energy, vector, iteration, residual, size == n
 
 
 def ground_state(
@@ -319,9 +320,18 @@ def ground_state(
     The residual is recomputed explicitly and must meet tol within max_iter
     iterations, the vector is normalized, and the vacuum coefficient is
     made nonnegative.  The untruncated residual of the vector costs one
-    more application of Dt.
+    more application of Dt.  A residual above tol raises AccuracyError when
+    the search space spans the whole basis, where it is the rounding floor
+    of the operator, and SolverError otherwise.
     """
-    energy, vector, iterations, residual = _davidson_lowest(matrix, tol, max_iter)
+    energy, vector, iterations, residual, exhausted = _davidson_lowest(matrix, tol, max_iter)
+    if exhausted and not residual <= tol:
+        raise AccuracyError(
+            f"davidson solve of the {matrix.sector.value} sector has best residual "
+            f"{residual:.3e} above tol {tol} with its search space spanning the whole "
+            f"basis (dim {vector.size} after {iterations} iterations); the residual is the "
+            "rounding floor of the operator"
+        )
     if not residual <= tol:
         raise SolverError(
             f"davidson solve of the {matrix.sector.value} sector did not reach residual "
@@ -344,6 +354,7 @@ def ground_state(
         sector=matrix.sector,
         iterations=iterations,
         untruncated_residual=matrix.untruncated_residual(vector),
+        operator=matrix,
     )
 
 
@@ -380,3 +391,34 @@ def parity_overlap(plus: GroundStateResult, minus: GroundStateResult) -> float:
             f"{plus.coefficients.shape} vs {minus.coefficients.shape}"
         )
     return float(plus.coefficients @ minus.coefficients)
+
+
+def gap_identity(
+    plus: GroundStateResult, minus: GroundStateResult, log_factor: float, tol: float
+) -> dict | None:
+    """log10 |E- - E+| and its sign from the ground states, without subtracting energies.
+
+    The sectors share their diagonal, so H- - H+ = delta e^(-2 sum q^2) Dt
+    and, exactly for exact eigenvectors,
+
+        E- - E+ = delta e^(-2 sum q^2) <phi+|Dt|phi-> / <phi+|phi->.
+
+    log_factor is -2 sum q^2 (bath.log_prefactor), so the log stays finite
+    where the gap underflows a double.  The relative error is
+    about tol / |<phi+|phi->|.  Returns {"log10_abs_gap", "sign"}, or None
+    where |<phi+|phi->| <= 100 tol or delta <phi+|Dt|phi-> is zero.  Costs
+    one application of Dt.
+    """
+    overlap = parity_overlap(plus, minus)
+    numerator = float(plus.coefficients @ plus.operator.displaced_parity.apply(minus.coefficients))
+    delta = 2.0 * plus.operator.half_delta
+    if not abs(overlap) > 100.0 * tol or delta == 0.0 or numerator == 0.0:
+        return None
+    log10_abs_gap = (
+        math.log10(abs(delta))
+        + log_factor / math.log(10.0)
+        + math.log10(abs(numerator))
+        - math.log10(abs(overlap))
+    )
+    sign = np.sign(delta) * np.sign(numerator) * np.sign(overlap)
+    return {"log10_abs_gap": log10_abs_gap, "sign": int(sign)}

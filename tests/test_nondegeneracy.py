@@ -27,6 +27,31 @@ def test_monomial_independence_capacity_and_validation():
         constant_term_contradiction(1, 0)
 
 
+def test_verdicts_are_read_from_the_occupation_array(monkeypatch):
+    # a basis with a repeated row breaks monomial independence, and one with
+    # a second row of total 0 breaks the constant-term argument; no real
+    # basis has either, so a fake one stands in
+    import sbmlab.nondegeneracy
+
+    class Rows:
+        def __init__(self, rows):
+            self.rows = np.array(rows, dtype=np.int64)
+            self.dim = len(rows)
+
+        def occupation_array(self):
+            return self.rows
+
+    for rows, verdicts in (
+        ([[0, 0], [1, 0], [0, 1]], ("holds", "holds")),
+        ([[0, 0], [1, 0], [1, 0]], ("fails", "holds")),
+        ([[0, 0], [1, 0], [1, -1]], ("holds", "fails")),
+        ([[0, 0], [1, 0], [0, 0]], ("fails", "fails")),
+    ):
+        monkeypatch.setattr(sbmlab.nondegeneracy, "enumerate_basis", lambda N, n_max: Rows(rows))
+        report = constant_term_contradiction(2, 1)
+        assert (report.case1_verdict, report.case2_verdict) == verdicts
+
+
 # ---------------------------------------------------------------- case 2
 
 

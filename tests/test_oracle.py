@@ -208,7 +208,10 @@ def test_rotation_block_diagonalizes_exactly(omegas, lams, n_max):
     model = assemble_full(ModelParams(delta=0.6), bath, basis)
     upper, lower, off = sector_blocks(model)
     assert off < 1e-12
-    union = np.sort(np.concatenate([np.linalg.eigvalsh(upper), np.linalg.eigvalsh(lower)]))
+    assert isinstance(upper, scipy.sparse.csr_array) and isinstance(lower, scipy.sparse.csr_array)
+    union = np.sort(
+        np.concatenate([np.linalg.eigvalsh(upper.toarray()), np.linalg.eigvalsh(lower.toarray())])
+    )
     dense = np.linalg.eigvalsh(model.hamiltonian.toarray())
     # exact spectrum partition: the rotation is unitary on the truncated space
     assert np.abs(union - dense).max() < 1e-9
@@ -245,7 +248,7 @@ def test_dense_spectrum_and_ground_pair_match_a_full_eigh():
         model = assemble_full(params, bath, enumerate_basis(bath.mode_count, n_max))
         H = model.hamiltonian.toarray()
         vals, vecs = np.linalg.eigh(H)
-        spectrum = dense_spectrum(model)
+        spectrum = dense_spectrum(model.hamiltonian)
         assert np.abs(spectrum - vals).max() < 1e-12
         assert np.array_equal(spectrum, scipy.linalg.eigvalsh(H, driver="evd"))
         pair_vals, pair_vecs = _lowest_eigenpairs(model.hamiltonian, 2)
@@ -259,6 +262,26 @@ def test_dense_spectrum_and_ground_pair_match_a_full_eigh():
         assert ground_parity(model) == label
 
 
+def test_dense_spectrum_refuses_a_nonfinite_entry_before_forming_a_dense_array(monkeypatch):
+    # the stored entries are checked, with the error scipy's own finiteness
+    # check raises on the dense array
+    dense = np.diag([1.0, 2.0, 3.0])
+    dense[0, 2] = dense[2, 0] = math.nan
+    A = scipy.sparse.csr_array(dense)
+    with pytest.raises(ValueError) as scipy_error:
+        scipy.linalg.eigvalsh(dense)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense_spectrum formed a dense array")
+
+    monkeypatch.setattr(scipy.sparse.csr_array, "toarray", refuse)
+    for value in (math.nan, math.inf):
+        A.data[~np.isfinite(A.data)] = value
+        with pytest.raises(ValueError) as error:
+            dense_spectrum(A)
+        assert str(error.value) == str(scipy_error.value)
+
+
 @pytest.mark.parametrize("scale", [1e-160, 1e160])
 def test_lanczos_rescales_h_outside_the_safe_range(scale):
     # every entry of H scales with the energy unit; the Lanczos solve scales
@@ -268,7 +291,7 @@ def test_lanczos_rescales_h_outside_the_safe_range(scale):
     model = assemble_full(ModelParams(delta=0.5 * scale), bath, enumerate_basis(2, 3))
     H = model.hamiltonian.toarray()
     reference = scipy.linalg.eigvalsh(H, driver="evd")
-    assert np.abs(dense_spectrum(model) - reference).max() < 1e-13 * scale
+    assert np.abs(dense_spectrum(model.hamiltonian) - reference).max() < 1e-13 * scale
     vals, vecs = _lowest_eigenpairs(model.hamiltonian, 2)
     ref_vals, ref_vecs = scipy.linalg.eigh(H, subset_by_index=[0, 1])
     assert np.abs(vals - ref_vals).max() < 1e-13 * scale
@@ -303,7 +326,7 @@ def test_upper_block_matches_even_displaced_spectrum_at_low_end():
     params = ModelParams(delta=0.2)
     basis = enumerate_basis(1, 14)
     upper, _, _ = sector_blocks(assemble_full(params, bath, basis))
-    block_low = np.linalg.eigvalsh(upper)[:5]
+    block_low = np.linalg.eigvalsh(upper.toarray())[:5]
     even_low = np.linalg.eigvalsh(assemble_sector(bath, params, basis, Sector.EVEN).entries)[:5]
     assert np.abs(block_low - even_low).max() < 1e-9
 
@@ -399,8 +422,8 @@ def test_magnetization_reduction_against_dense_sigma_z():
     basis = enumerate_basis(1, 14)
     plus, minus = sector_grounds(bath, params, basis)
     upper, lower, _ = sector_blocks(assemble_full(params, bath, basis))
-    x = np.linalg.eigh(upper)[1][:, 0]
-    y = np.linalg.eigh(lower)[1][:, 0]
+    x = np.linalg.eigh(upper.toarray())[1][:, 0]
+    y = np.linalg.eigh(lower.toarray())[1][:, 0]
     # displaced -> undisplaced conversion fixes the sign conventions
     convert = displacement_matrix(-bath.q[0], basis.dim, buffer=26)
     parity = np.diag([(-1.0) ** n[0] for n in basis])

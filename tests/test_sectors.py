@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,6 +19,7 @@ from sbmlab.sectors import (
     Sector,
     SectorMatrix,
     assemble_sector,
+    gap_identity,
     ground_state,
     solve_sectors,
 )
@@ -153,6 +156,29 @@ def test_lanczos_iteration_budget_enforced():
     matrix = assemble_sector(bath, ModelParams(0.4), basis, Sector.EVEN)
     with pytest.raises(SolverError, match="residual"):
         ground_state(matrix, tol=1e-13, max_iter=3)
+
+
+def test_davidson_that_exhausts_the_basis_is_an_accuracy_error():
+    # one mode with q^2 = 4: at dim 25 and 31 the search space spans the
+    # whole basis with the residual at the rounding floor of Dt's cancelling
+    # entries (2.8e-10, 8.1e-9), which no iteration can lower; at dim 41,
+    # past the 40-vector restart, it never spans the basis and 500
+    # iterations end at 2.1e-7, a solver failure
+    bath = single_mode(2.0)
+    for n_max, floor in ((24, "2.814e-10"), (30, "8.067e-09")):
+        matrix = assemble_sector(bath, ModelParams(0.5), enumerate_basis(1, n_max), Sector.EVEN)
+        with pytest.raises(AccuracyError) as error:
+            ground_state(matrix)
+        assert str(error.value) == (
+            f"davidson solve of the even sector has best residual {floor} above tol 1e-10 "
+            f"with its search space spanning the whole basis (dim {n_max + 1} after {n_max + 1} "
+            "iterations); the residual is the rounding floor of the operator"
+        )
+    matrix = assemble_sector(bath, ModelParams(0.5), enumerate_basis(1, 40), Sector.EVEN)
+    with pytest.raises(SolverError) as error:
+        ground_state(matrix)
+    assert error.value.diagnostics["iterations"] == 500
+    assert 1e-7 < error.value.diagnostics["residual"] < 1e-6
 
 
 def log_grid_bath(s, alpha, modes):
@@ -514,3 +540,70 @@ def test_gap_tracks_prefactor_at_weak_tunneling():
     delta = 1e-6
     splitting = odd_minus_even(bath, ModelParams(delta), basis, tol=1e-12)
     assert splitting / delta == pytest.approx(math.exp(log_prefactor(bath)), rel=1e-4)
+
+
+# ---------------------------------------------------------------- gap identity
+
+
+def mpmath_gap(even, odd):
+    """E- - E+ from a 50-digit eigensolve of diag + coupling Dt, built from the double arrays.
+
+    Adding a coupling of 3.5e-15 to a diagonal entry near -0.19 in double
+    rounds it by about 0.8%, so the reference must not start from the
+    double SectorMatrix.entries.
+    """
+    with mpmath.workdps(50):
+        lowest = []
+        for result in (even, odd):
+            operator = result.operator
+            dt = mpmath.matrix(operator.displaced_parity.dense.tolist())
+            matrix = mpmath.diag([mpmath.mpf(x) for x in operator.diagonal.tolist()])
+            matrix += mpmath.mpf(operator.coupling) * dt
+            lowest.append(min(mpmath.eigsy(matrix, eigvals_only=True)))
+        return lowest[1] - lowest[0]
+
+
+@pytest.mark.parametrize(
+    "s,alpha,N,n_max,subtraction",
+    [
+        (0.1, 0.3, 8, 2, 0.0),  # dim 55: the subtraction reads 0
+        (0.5, 0.2, 12, 1, 6.9944e-15),  # dim 14: the subtraction is 0.34% off
+        (0.1, 0.3, 3, 3, None),  # dim 35
+    ],
+)
+def test_gap_identity_matches_a_50_digit_eigensolve(s, alpha, N, n_max, subtraction):
+    bath = log_grid_bath(s, alpha, N + 1)
+    even, odd = solve_sectors(bath, ModelParams(0.5), enumerate_basis(N + 1, n_max))
+    identity = gap_identity(even, odd, log_prefactor(bath), 1e-10)
+    reference = mpmath_gap(even, odd)
+    assert identity["sign"] == 1 and reference > 0
+    assert abs(identity["log10_abs_gap"] - float(mpmath.log10(reference))) <= 1e-9
+    if subtraction is not None:
+        assert odd.energy - even.energy == pytest.approx(subtraction, rel=1e-4, abs=0.0)
+
+
+def test_gap_identity_sign_follows_delta_and_refuses_a_small_overlap():
+    bath = log_grid_bath(0.5, 0.2, 3)
+    basis = enumerate_basis(3, 4)
+    log_factor = log_prefactor(bath)
+    even, odd = solve_sectors(bath, ModelParams(0.4), basis)
+    identity = gap_identity(even, odd, log_factor, 1e-10)
+    gap = odd.energy - even.energy
+    assert identity["sign"] == 1
+    assert identity["log10_abs_gap"] == pytest.approx(math.log10(gap), abs=1e-9)
+    # negating delta exchanges the sectors: the same magnitude, the other sign
+    even_neg, odd_neg = solve_sectors(bath, ModelParams(-0.4), basis)
+    negated = gap_identity(even_neg, odd_neg, log_factor, 1e-10)
+    assert negated["sign"] == -1
+    assert negated["log10_abs_gap"] == pytest.approx(identity["log10_abs_gap"], abs=1e-9)
+    # the phase of phi- cancels between the numerator and the overlap
+    flipped = dataclasses.replace(odd, coefficients=-odd.coefficients)
+    assert gap_identity(even, flipped, log_factor, 1e-10) == identity
+    # the identity divides by the overlap, which must exceed 100 tol
+    overlap = abs(float(even.coefficients @ odd.coefficients))
+    assert gap_identity(even, odd, log_factor, overlap / 100 * (1 + 1e-12)) is None
+    assert gap_identity(even, odd, log_factor, overlap / 100 * (1 - 1e-12)) is not None
+    # at delta = 0 the sectors coincide: no gap to take the log of
+    silent = silent_bath(1.0)
+    plus, minus = solve_sectors(silent, ModelParams(0.0), enumerate_basis(1, 3))
+    assert gap_identity(plus, minus, log_prefactor(silent), 1e-10) is None
