@@ -3,7 +3,7 @@
 Subpackages cover the ohmic/sub-ohmic bath and its logarithmic
 discretization (:mod:`sbmlab.bath`), displaced-oscillator matrix elements
 (:mod:`sbmlab.fockspace`), the two parity-sector Hamiltonians
-(:mod:`sbmlab.sectors`), a dense full-space cross-check
+(:mod:`sbmlab.sectors`), a full-space cross-check
 (:mod:`sbmlab.oracle`), an exact-arithmetic non-degeneracy argument
 (:mod:`sbmlab.nondegeneracy`), and a command-line front end
 (:mod:`sbmlab.cli`).

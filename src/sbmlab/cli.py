@@ -13,7 +13,6 @@ lives in the manifest.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -322,15 +321,15 @@ def cmd_gap_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    # imported here, not at module level: the dense oracle and scipy.linalg
-    # cost every other command's process about 8 MiB and its start-up time
+    # imported here, not at module level: only this command and the bias
+    # scan use the oracle, whose Lanczos solve loads scipy.sparse.linalg and
+    # scipy.linalg, about 8 MiB and start-up time in any other process
     from .oracle import (
-        DENSE_DIM_CAP,
         MIXED,
         assemble_full,
-        dense_spectrum,
         ground_parity,
         parity_commutator_norm,
+        partition_bound,
         rotation_defects,
         sector_blocks,
     )
@@ -338,13 +337,8 @@ def cmd_oracle_check(args) -> int:
     cfg = load_config(args.config)
     bath = discretize(cfg.bath, cfg.discretization)
     enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
-    # the spectrum partition forms a dense array of the size of H
-    if enumeration.dim > DENSE_DIM_CAP:
-        raise CapacityError(
-            f"dense path caps at Fock dimension {DENSE_DIM_CAP}, got {enumeration.dim}"
-        )
     model = assemble_full(cfg.model, bath, enumeration)
-    eps = cfg.model.epsilon
+    eps, delta = cfg.model.epsilon, cfg.model.delta
 
     lines: list[str] = []
     checks: list[bool] = []
@@ -371,18 +365,26 @@ def cmd_oracle_check(args) -> int:
     record("rotated parity vs sigma_z block form", _fmt(parity_defect), parity_defect < 1e-14)
 
     if not broken:
-        even_block, odd_block, off_norm = sector_blocks(model)
+        _, _, off_norm = sector_blocks(model)
         record("off-diagonal block norm", _fmt(off_norm), off_norm < 1e-12)
-        union = np.sort(np.concatenate([dense_spectrum(even_block), dense_spectrum(odd_block)]))
-        partition = float(np.abs(dense_spectrum(model.hamiltonian) - union).max())
-        record("spectrum partition max deviation", _fmt(partition), partition < 1e-9)
+        partition = partition_bound(model, unitarity, off_norm)
+        record("spectrum partition bound", _fmt(partition), partition < 1e-9)
 
     label = ground_parity(model)
     lines.append(f"ground parity: {'mixed' if label == MIXED else ('+1' if label > 0 else '-1')}")
     if not broken:
-        checks.append(label != MIXED)
+        # the untruncated ground state is even for delta > 0 and odd for
+        # delta < 0 (delta = 0 is degenerate, which ground_parity refuses),
+        # so the other label is the truncation's doing
+        expected = 1 if delta > 0.0 else -1
+        checks.append(label == expected)
         if label == MIXED:
             lines.append("ground parity check: failed (mixed at epsilon = 0)")
+        elif label != expected:
+            lines.append(
+                f"ground parity check: failed ({label:+d} at delta {delta:g}, where the "
+                f"untruncated ground state is {expected:+d}: a truncation error)"
+            )
 
     passed = all(checks)
     lines.append(f"result: {'pass' if passed else 'fail'}")
@@ -454,10 +456,9 @@ def cmd_magnetization_scan(args) -> int:
     bath = discretize(cfg.bath, cfg.discretization)
     enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
     grid = np.linspace(-args.epsilon_max, args.epsilon_max, args.epsilon_steps)
-    rows = []
-    for eps in map(float, grid):
-        model = assemble_full(dataclasses.replace(cfg.model, epsilon=eps), bath, enumeration)
-        rows.append((eps, ground_sigma_z(model)))
+    # one assembly; each grid point rewrites only the diagonal of H
+    unbiased = assemble_full(cfg.model, bath, enumeration)
+    rows = [(eps, ground_sigma_z(unbiased.with_bias(eps))) for eps in map(float, grid)]
     name = "magnetization_epsilon.csv"
     _publish(
         args.out,
@@ -526,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=cmd_gap_sweep)
 
-    p = sub.add_parser("oracle-check", help="run the dense-matrix invariant suite")
+    p = sub.add_parser("oracle-check", help="run the full-H invariant suite")
     _add_config(p)
     p.add_argument("--out", default=None, help="also save the report here")
     p.set_defaults(handler=cmd_oracle_check)

@@ -4,7 +4,7 @@ States of N+1 boson modes are labelled by multi-indices n = (n_0, ..., n_N)
 with a total-excitation cutoff sum(n) <= n_max.  BasisEnumeration holds them
 as one read-only occupation array ordered by the closed-form graded-lex
 rank.  Its ladder maps raising(k), n -> n + e_k, and its parity vector build
-E and P below and the dense oracle's coupling V.  Nothing about a basis
+E and P below and the oracle's coupling V.  Nothing about a basis
 depends on q, so enumerate_basis keeps the last one in a one-slot memo,
 and a basis builds its ladder maps and the index pattern of E's factors
 (lowering_pattern) once, read-only: a sweep that changes only q fills

@@ -6,8 +6,7 @@ The Hamiltonian stays brute force on purpose:
         + sum_k omega_k a'_k a_k + sum_k lambda_k (a'_k + a_k) sigma_z
 
 is assembled over the undisplaced number basis (spin-up block first) as
-one sparse CSR array, and its spectrum comes from a dense solve of the
-whole H.  The coupling V comes from the enumeration's ladder maps
+one sparse CSR array.  The coupling V comes from the enumeration's ladder maps
 `raising(k)` and the boson parity P below is its `parity` vector, the two
 maps the sector path builds E and P from.  The parity operator
 Pi = sigma_x (x) exp(i pi sum a'a) commutes with H exactly when
@@ -19,36 +18,38 @@ block-diagonalizes the truncated H exactly: the boson-number-parity
 grading survives truncation, so the off-diagonal blocks of U H U' vanish
 to rounding, not merely to truncation accuracy.
 
-H, Pi, U and every product of them stay sparse, and `assemble_full`
-refuses an H whose CSR arrays would exceed fockspace.MAX_OPERATOR_BYTES.
-The ground states come from implicitly restarted Lanczos (ARPACK) on the
+H, Pi, U and every product of them stay sparse, and no dense array is
+formed anywhere: `assemble_full` refuses an H whose CSR arrays would
+exceed fockspace.MAX_OPERATOR_BYTES, and that cap is the only size limit
+of oracle-check.  H stores every diagonal entry, so `FullModel.with_bias`
+moves the local field by rewriting the diagonal of one assembly.  The
+ground states come from implicitly restarted Lanczos (ARPACK) on the
 CSR H, one routine for the ground state of a biased <sigma_z>
 (`ground_sigma_z`) and for the two lowest eigenpairs behind the parity
-label and its gap floor (`ground_parity`), so neither forms a dense H.
-`dense_spectrum` is the one place that forms a dense array: a values-only
-LAPACK solve of a sparse symmetric matrix, at epsilon = 0 once for each of
-the two dim x dim blocks of U H U' (`sector_blocks`, kept sparse) and once
-for H, one dense input at a time.  oracle-check, which makes them,
-refuses a Fock dimension over DENSE_DIM_CAP.  A spectral norm is exact
+label and its gap floor (`ground_parity`).  The spectrum partition is not
+measured by eigensolves but bounded: `partition_bound` turns the
+unitarity defect and the off-diagonal norm of the sparse U H U'
+(`sector_blocks`) into a rigorous bound on how far the spectrum of H lies
+from the union of the two block spectra.  A spectral norm is exact
 without a solve for a matrix with at most one nonzero per row and column,
 as every commutator checked here is: they are zero, or, for [H, Pi] at
-epsilon != 0, monomial.  Otherwise it is a Hoelder upper bound.  The
-unitarity defect is a bound on the sparse U U' - I.
+epsilon != 0, monomial.  Otherwise it is a Hoelder upper bound, as are
+the unitarity defect, a bound on the sparse U U' - I, and every norm in
+the partition bound.
 
 The displaced-basis sector matrices of :mod:`sbmlab.sectors` span a
 different truncated subspace than the blocks above, so their spectra
-agree with the dense ones only where the truncation has converged (the
-low end); comparisons at the spectrum top are meaningless at any fixed
+agree with those of the blocks only where the truncation has converged
+(the low end); comparisons at the spectrum top are meaningless at any fixed
 cutoff.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from sbmlab.bath import DiscretizedBath
@@ -56,20 +57,39 @@ from sbmlab.errors import AccuracyError, CapacityError, SolverError
 from sbmlab.fockspace import MAX_OPERATOR_BYTES, BasisEnumeration
 from sbmlab.sectors import GAP_FLOOR, ModelParams
 
-# largest Fock dimension oracle-check takes: its spectrum checks at
-# epsilon = 0 hold dense arrays of the size of H, (2 dim)^2 doubles
-DENSE_DIM_CAP = 2000
-
 # ground_parity returns +1, -1, or this marker when |<Pi>| is not close to 1
 MIXED = 0
 
 
 @dataclass(frozen=True, eq=False)
 class FullModel:
-    """H over spin (x) Fock, twice the enumeration's dimension."""
+    """H over spin (x) Fock, twice the enumeration's dimension.
+
+    Every diagonal entry of H is stored, also a zero one:
+    `diagonal_positions` holds their positions in hamiltonian.data, spin-up
+    block first, and `boson` the boson energy of each Fock state.
+    """
 
     enumeration: BasisEnumeration
     hamiltonian: scipy.sparse.csr_array
+    boson: np.ndarray
+    diagonal_positions: np.ndarray
+
+    def with_bias(self, epsilon: float) -> FullModel:
+        """The same H at local field epsilon, with only its diagonal rewritten.
+
+        The values are copied and the index arrays shared, so neither V nor
+        the tunneling blocks nor the CSR pattern is built again.  An entry
+        stored as zero leaves every product with H as it would be without it.
+        """
+        H = self.hamiltonian
+        data = H.data.copy()
+        half_eps = epsilon / 2.0
+        diagonal = np.concatenate([self.boson + half_eps, self.boson - half_eps])
+        data[self.diagonal_positions] = diagonal
+        return replace(
+            self, hamiltonian=scipy.sparse.csr_array((data, H.indices, H.indptr), shape=H.shape)
+        )
 
 
 def _coupling_matrix(
@@ -96,7 +116,9 @@ def assemble_full(
     """H over spin (x) Fock as one CSR array, spin-up block first.
 
     Raises CapacityError, before allocating anything, when the CSR arrays
-    of H would exceed fockspace.MAX_OPERATOR_BYTES.
+    of H would exceed fockspace.MAX_OPERATOR_BYTES.  The pattern is built
+    with a placeholder diagonal of ones, which FullModel.with_bias then
+    overwrites with the boson energies +- epsilon/2.
     """
     modes, n_max, dim = enumeration.mode_count, enumeration.n_max, enumeration.dim
     if modes != bath.mode_count:
@@ -117,16 +139,12 @@ def assemble_full(
         )
     boson = enumeration.occupation_array() @ np.asarray(bath.omega)
     V = _coupling_matrix(bath, enumeration)
-    half_eps = params.epsilon / 2.0
-    tunneling = -params.delta / 2.0 * scipy.sparse.eye_array(dim)
-    H = scipy.sparse.block_array(
-        [
-            [scipy.sparse.diags_array(boson + half_eps) + V, tunneling],
-            [tunneling, scipy.sparse.diags_array(boson - half_eps) - V],
-        ],
-        format="csr",
-    )
-    return FullModel(enumeration=enumeration, hamiltonian=H)
+    eye = scipy.sparse.eye_array(dim)
+    tunneling = -params.delta / 2.0 * eye
+    H = scipy.sparse.block_array([[eye + V, tunneling], [tunneling, eye - V]], format="csr")
+    rows = np.repeat(np.arange(2 * dim), np.diff(H.indptr))
+    positions = np.flatnonzero(H.indices == rows)
+    return FullModel(enumeration, H, boson, positions).with_bias(params.epsilon)
 
 
 def parity_matrix(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
@@ -187,15 +205,60 @@ def rotation_defects(enumeration: BasisEnumeration) -> tuple[float, float]:
 def sector_blocks(model: FullModel) -> tuple[scipy.sparse.sparray, scipy.sparse.sparray, float]:
     """(upper, lower, off-diagonal Frobenius norm) of U H U', the blocks sparse.
 
-    With epsilon = 0 the off-diagonal norm is rounding noise; the upper
-    block is the even-parity Hamiltonian in the undisplaced basis and the
-    lower block the odd one.
+    The norm is the larger of the two off-diagonal blocks' (they are equal
+    where the computed U H U' is symmetric, as it is at epsilon = 0).  With
+    epsilon = 0 it is rounding noise; the upper block is the even-parity
+    Hamiltonian in the undisplaced basis and the lower block the odd one.
     """
     U = unitary_U(model.enumeration)
     rotated = U @ model.hamiltonian @ U.T
     dim = model.enumeration.dim
-    off = float(np.linalg.norm(rotated[:dim, dim:].data))
+    off = max(
+        float(np.linalg.norm(rotated[:dim, dim:].data)),
+        float(np.linalg.norm(rotated[dim:, :dim].data)),
+    )
     return rotated[:dim, :dim], rotated[dim:, dim:], off
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff: the relative error bound of k-term sums."""
+    ku = k * np.finfo(float).eps / 2.0
+    return ku / (1.0 - ku)
+
+
+def partition_bound(model: FullModel, unitarity: float, off_norm: float) -> float:
+    """Upper bound on max_i |lambda_i(H) - lambda_i(even (+) odd)|, from sparse norms only.
+
+    unitarity and off_norm are what rotation_defects and sector_blocks
+    return.  R = fl(fl(U H) U') is the computed rotation, even and odd its
+    diagonal blocks, and their symmetric parts where R is not symmetric
+    (at epsilon = 0 it is).  The deviation is split along
+    H -> U H U' -> R -> even (+) odd:
+
+    - Ostrowski: lambda_i(U H U') = theta_i lambda_i(H) with theta_i
+      between the extreme eigenvalues of U U', which lie within
+      delta = unitarity + gamma_k |||U| |U'||| of 1 (the second term is
+      the rounding of forming U U', k the most nonzeros in a row of U).
+      This moves each eigenvalue by at most delta ||H||.
+    - Rounding: each entry of U H sums at most k products, and so does
+      each entry of (U H) U', so |R - U H U'| <= gamma_2k |U| |H| |U'|
+      entrywise, and by Weyl each eigenvalue moves by at most
+      gamma_2k |||U| |H| |U'|||.  Taking symmetric parts moves R no
+      further from the symmetric U H U'.
+    - Weyl: dropping the off-diagonal blocks moves each eigenvalue by at
+      most their spectral norm, which off_norm bounds.
+
+    Every norm of a nonnegative matrix is _hoelder_bound, an upper bound,
+    so a check against the sum can only be stricter than one against the
+    deviation itself (up to the rounding of the bound's own sums, a
+    relative 2 dim u).  Costs one sparse product |U| |H| |U'|.
+    """
+    U = abs(unitary_U(model.enumeration))
+    H = abs(model.hamiltonian)
+    k = int(np.diff(U.indptr).max())
+    defect = unitarity + _gamma(k) * _hoelder_bound(U @ U.T)
+    rounding = _gamma(2 * k) * _hoelder_bound(U @ H @ U.T)
+    return off_norm + defect * _hoelder_bound(H) + rounding
 
 
 def _lowest_eigenpairs(H: scipy.sparse.csr_array, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,20 +289,6 @@ def _lowest_eigenpairs(H: scipy.sparse.csr_array, k: int) -> tuple[np.ndarray, n
             diagnostics={"solver": "eigsh", "size": H.shape[0], "converged": len(exc.eigenvalues)},
         ) from exc
     return np.ldexp(vals, exponent), vecs
-
-
-def dense_spectrum(A: scipy.sparse.sparray) -> np.ndarray:
-    """Every eigenvalue of the sparse symmetric A, ascending, from one values-only dense solve.
-
-    dsyevd overwrites the Fortran-ordered dense copy and scales it into
-    LAPACK's safe range itself.  Only the stored entries are checked for
-    infs and NaNs, with scipy's error, so no dense mask is formed.
-    """
-    if not np.isfinite(A.data).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return scipy.linalg.eigvalsh(
-        A.toarray(order="F"), driver="evd", overwrite_a=True, check_finite=False
-    )
 
 
 def ground_parity(model: FullModel) -> int:

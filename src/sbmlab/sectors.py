@@ -57,7 +57,7 @@ _DAVIDSON_RESTART = 40
 _MIN_DENOMINATOR = 1e-8
 
 # a gap below this fraction of its energy scale (the sector energies in a
-# sweep, ||H||_inf in the dense oracle) is rounding or a truncation
+# sweep, ||H||_inf in the full-space oracle) is rounding or a truncation
 # pathology, not physics
 GAP_FLOOR = 1e-12
 
@@ -147,8 +147,8 @@ class SectorMatrix:
         """Matrix-vector product without forming the dense matrix."""
         return self.diagonal * x + self.coupling * self.displaced_parity.apply(x)
 
-    def untruncated_residual(self, x: np.ndarray) -> float:
-        """sigma = sqrt((delta/2)^2 - ||coupling Dt x||^2) for a unit vector x.
+    def untruncated_residual(self, dt_x: np.ndarray) -> float:
+        """sigma = sqrt((delta/2)^2 - ||coupling Dt x||^2) for a unit vector x, given Dt x.
 
         Untruncated, coupling * Dt is tunneling_sign (delta/2) W with
         W = D(2q) P orthogonal.  The basis keeps the diagonal term and the
@@ -158,7 +158,7 @@ class SectorMatrix:
         negative beyond rounding (below -GAP_FLOOR (delta/2)^2), where Dt
         has lost its digits.
         """
-        kept = self.coupling * self.displaced_parity.apply(x)
+        kept = self.coupling * dt_x
         square = self.half_delta**2 - float(kept @ kept)
         if square < -GAP_FLOOR * self.half_delta**2:
             raise AccuracyError(
@@ -177,6 +177,9 @@ class GroundStateResult:
     iterations: int
     untruncated_residual: float
     operator: SectorMatrix
+    # Dt applied to coefficients, taken once for the untruncated residual
+    # and read again by gap_identity
+    dt_coefficients: np.ndarray
 
 
 def polaron_double(bath: DiscretizedBath) -> float:
@@ -211,7 +214,7 @@ def _sector_pair(
     if params.epsilon != 0.0:
         raise ValueError(
             "sector decomposition requires epsilon = 0; "
-            f"got epsilon={params.epsilon} (use the dense oracle instead)"
+            f"got epsilon={params.epsilon} (use the full-space oracle instead)"
         )
     polaron = polaron_double(bath)
     lowering = lowering_series(enumeration, bath.q)
@@ -320,7 +323,7 @@ def ground_state(
     The residual is recomputed explicitly and must meet tol within max_iter
     iterations, the vector is normalized, and the vacuum coefficient is
     made nonnegative.  The untruncated residual of the vector costs one
-    more application of Dt.  A residual above tol raises AccuracyError when
+    more application of Dt, whose image the result keeps.  A residual above tol raises AccuracyError when
     the search space spans the whole basis, where it is the rounding floor
     of the operator, and SolverError otherwise.
     """
@@ -347,14 +350,16 @@ def ground_state(
     nonzero = np.nonzero(vector)[0]
     if vector[0] < 0.0 or (vector[0] == 0.0 and nonzero.size and vector[nonzero[0]] < 0.0):
         vector = -vector
+    dt_vector = matrix.displaced_parity.apply(vector)
     return GroundStateResult(
         energy=energy,
         coefficients=vector,
         residual=residual,
         sector=matrix.sector,
         iterations=iterations,
-        untruncated_residual=matrix.untruncated_residual(vector),
+        untruncated_residual=matrix.untruncated_residual(dt_vector),
         operator=matrix,
+        dt_coefficients=dt_vector,
     )
 
 
@@ -406,11 +411,11 @@ def gap_identity(
     log_factor is -2 sum q^2 (bath.log_prefactor), so the log stays finite
     where the gap underflows a double.  The relative error is
     about tol / |<phi+|phi->|.  Returns {"log10_abs_gap", "sign"}, or None
-    where |<phi+|phi->| <= 100 tol or delta <phi+|Dt|phi-> is zero.  Costs
-    one application of Dt.
+    where |<phi+|phi->| <= 100 tol or delta <phi+|Dt|phi-> is zero.  Dt phi-
+    is the one ground_state kept, so no application of Dt is repeated.
     """
     overlap = parity_overlap(plus, minus)
-    numerator = float(plus.coefficients @ plus.operator.displaced_parity.apply(minus.coefficients))
+    numerator = float(plus.coefficients @ minus.dt_coefficients)
     delta = 2.0 * plus.operator.half_delta
     if not abs(overlap) > 100.0 * tol or delta == 0.0 or numerator == 0.0:
         return None

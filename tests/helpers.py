@@ -7,8 +7,9 @@ in any number type, lmn_exact is the single-mode overlap factor in
 rational arithmetic, frozen_spin_check the commutator of the
 delta = 0 Hamiltonian with sigma_z, lowering_series_reference fills
 each factor of the lowering series entry by entry along the ladder maps,
-and magnetization is <sigma_z> of a mixture of the two sector ground
-states.  The package needs none of them.
+magnetization is <sigma_z> of a mixture of the two sector ground
+states, and dense_spectrum every eigenvalue of a sparse symmetric
+matrix from one dense solve.  The package needs none of them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 from scipy.linalg import expm
 
@@ -154,3 +156,17 @@ def lowering_series_reference(enumeration: BasisEnumeration, q) -> scipy.sparse.
 def magnetization(theta: float, plus: GroundStateResult, minus: GroundStateResult) -> float:
     """M(theta) = -sin(2 theta) * <even ground | boson parity | odd ground>."""
     return -math.sin(2.0 * theta) * parity_overlap(plus, minus)
+
+
+def dense_spectrum(A: scipy.sparse.sparray) -> np.ndarray:
+    """Every eigenvalue of the sparse symmetric A, ascending, from one values-only dense solve.
+
+    dsyevd overwrites the Fortran-ordered dense copy and scales it into
+    LAPACK's safe range itself.  Only the stored entries are checked for
+    infs and NaNs, with scipy's error, so no dense mask is formed.
+    """
+    if not np.isfinite(A.data).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return scipy.linalg.eigvalsh(
+        A.toarray(order="F"), driver="evd", overwrite_a=True, check_finite=False
+    )

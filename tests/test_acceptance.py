@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import beta2_reference, frozen_spin_check, magnetization, parity_phase
+from helpers import (
+    beta2_reference,
+    dense_spectrum,
+    frozen_spin_check,
+    magnetization,
+    parity_phase,
+)
 
 from sbmlab.bath import (
     BathSpec,
@@ -30,7 +36,6 @@ from sbmlab.cli import main
 from sbmlab.fockspace import enumerate_basis
 from sbmlab.oracle import (
     assemble_full,
-    dense_spectrum,
     ground_sigma_z,
     parity_commutator_norm,
     parity_matrix,

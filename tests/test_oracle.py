@@ -5,21 +5,22 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from helpers import displacement_matrix, frozen_spin_check, magnetization
+from helpers import dense_spectrum, displacement_matrix, frozen_spin_check, magnetization
 
 import sbmlab.oracle
-from sbmlab.bath import DiscretizedBath
+from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize
 from sbmlab.errors import AccuracyError, CapacityError
 from sbmlab.fockspace import enumerate_basis
 from sbmlab.oracle import (
     MIXED,
+    _coupling_matrix,
     _lowest_eigenpairs,
     assemble_full,
-    dense_spectrum,
     ground_parity,
     ground_sigma_z,
     parity_commutator_norm,
     parity_matrix,
+    partition_bound,
     rotation_defects,
     sector_blocks,
     spectral_norm,
@@ -102,8 +103,8 @@ def test_hamiltonian_is_one_csr_array_matching_a_dense_build():
 
 def test_assemble_capacity_and_mode_mismatch(monkeypatch):
     # the CSR arrays of H count toward MAX_OPERATOR_BYTES, by a closed form
-    # that is exact where no entry of H is zero; a Fock dimension over the
-    # dense cap alone is not refused
+    # that is exact where no entry of V or of the tunneling blocks is zero
+    # (every diagonal entry is stored); Fock dim 3003 is not refused
     bath = DiscretizedBath.from_modes((1.0, 0.4), (0.5, 0.2))
     basis = enumerate_basis(2, 3)
     params = ModelParams(0.1, epsilon=0.3)
@@ -215,6 +216,90 @@ def test_rotation_block_diagonalizes_exactly(omegas, lams, n_max):
     dense = np.linalg.eigvalsh(model.hamiltonian.toarray())
     # exact spectrum partition: the rotation is unitary on the truncated space
     assert np.abs(union - dense).max() < 1e-9
+
+
+def _dense_partition_deviation(model, even_block, odd_block) -> float:
+    """max_i |lambda_i(H) - lambda_i(even (+) odd)| from three dense spectra."""
+    union = np.sort(np.concatenate([dense_spectrum(even_block), dense_spectrum(odd_block)]))
+    return float(np.abs(dense_spectrum(model.hamiltonian) - union).max())
+
+
+# acceptance criterion 7's configs: (modes, n_max, s, alpha)
+CRITERION_7 = [(1, 12, 0.5, 0.3), (2, 8, 0.1, 0.2), (3, 5, 1.0, 0.15)]
+
+
+def _criterion_7_model(mode_count, n_max, s, alpha, epsilon=0.0):
+    spec = BathSpec(s=s, alpha=alpha, omega_c=1.0)
+    bath = discretize(spec, DiscretizationSpec(Lambda=2.0, N=mode_count - 1))
+    return assemble_full(ModelParams(0.7, epsilon), bath, enumerate_basis(mode_count, n_max))
+
+
+@pytest.mark.parametrize("mode_count, n_max, s, alpha", CRITERION_7)
+def test_partition_bound_covers_the_dense_deviation(mode_count, n_max, s, alpha):
+    # the bound is on the exact eigenvalues; dsyevd's own rounding, up to
+    # about n eps ||H|| per eigenvalue, is the dense route's allowance
+    model = _criterion_7_model(mode_count, n_max, s, alpha)
+    unitarity, _ = rotation_defects(model.enumeration)
+    even_block, odd_block, off = sector_blocks(model)
+    bound = partition_bound(model, unitarity, off)
+    H = model.hamiltonian
+    allowance = H.shape[0] * np.finfo(float).eps * float(abs(H).sum(axis=1).max())
+    assert bound < 1e-9
+    assert _dense_partition_deviation(model, even_block, odd_block) <= bound + allowance
+
+
+def test_partition_bound_fails_a_broken_partition():
+    # epsilon = 1e-6 couples the two blocks of U H U': the deviation is real
+    # and the bound, which holds it, no longer passes the check's 1e-9
+    for config in CRITERION_7:
+        model = _criterion_7_model(*config, epsilon=1e-6)
+        unitarity, _ = rotation_defects(model.enumeration)
+        even_block, odd_block, off = sector_blocks(model)
+        bound = partition_bound(model, unitarity, off)
+        # the symmetric parts of the blocks, whose spectra the bound is about
+        even_block, odd_block = ((A + A.T) / 2.0 for A in (even_block, odd_block))
+        assert bound >= _dense_partition_deviation(model, even_block, odd_block)
+        assert bound > 1e-9
+
+
+def test_partition_bound_grows_with_the_unitarity_defect():
+    # Ostrowski's term: a defect delta of U U' - I can move each eigenvalue
+    # by delta ||H||, which the bound adds to the rounding terms
+    model = _criterion_7_model(2, 8, 0.1, 0.2)
+    unitarity, _ = rotation_defects(model.enumeration)
+    _, _, off = sector_blocks(model)
+    norm = float(abs(model.hamiltonian).sum(axis=1).max())
+    base = partition_bound(model, unitarity, off)
+    assert partition_bound(model, unitarity + 1e-9, off) == pytest.approx(
+        base + 1e-9 * norm, rel=1e-12
+    )
+    assert partition_bound(model, unitarity, off + 1e-9) == pytest.approx(base + 1e-9, rel=1e-12)
+
+
+def test_with_bias_rewrites_only_the_diagonal():
+    # one assembly at epsilon = 0, biased, stores the zero diagonal entries
+    # that an assembly from diagonal matrices drops; the Lanczos pair, whose
+    # products read every stored entry, is the same to the bit
+    bath = DiscretizedBath.from_modes((1.0, 0.45), (0.3, -0.2))
+    basis = enumerate_basis(2, 5)
+    dim = basis.dim
+    unbiased = assemble_full(ModelParams(0.6), bath, basis)
+    H0 = unbiased.hamiltonian
+    assert H0.nnz == np.count_nonzero(H0.data) + 2  # the vacuum's diagonal entries
+    V = _coupling_matrix(bath, basis)
+    tunneling = -0.3 * scipy.sparse.eye_array(dim)
+    for epsilon in (-0.5, 0.0, 0.25, 1e-9):
+        biased = unbiased.with_bias(epsilon).hamiltonian
+        assert np.shares_memory(biased.indices, H0.indices)
+        upper = scipy.sparse.diags_array(unbiased.boson + epsilon / 2.0) + V
+        lower = scipy.sparse.diags_array(unbiased.boson - epsilon / 2.0) - V
+        reference = scipy.sparse.block_array(
+            [[upper, tunneling], [tunneling, lower]], format="csr"
+        )
+        assert np.array_equal(biased.toarray(), reference.toarray())
+        for got, expected in zip(_lowest_eigenpairs(biased, 2), _lowest_eigenpairs(reference, 2)):
+            assert np.array_equal(got, expected)
+    assert np.array_equal(H0.data, unbiased.with_bias(0.0).hamiltonian.data)
 
 
 def test_every_nondegenerate_eigenvector_has_definite_parity():

@@ -596,8 +596,11 @@ def test_gap_identity_sign_follows_delta_and_refuses_a_small_overlap():
     negated = gap_identity(even_neg, odd_neg, log_factor, 1e-10)
     assert negated["sign"] == -1
     assert negated["log10_abs_gap"] == pytest.approx(identity["log10_abs_gap"], abs=1e-9)
-    # the phase of phi- cancels between the numerator and the overlap
-    flipped = dataclasses.replace(odd, coefficients=-odd.coefficients)
+    # the phase of phi- cancels between the numerator and the overlap (the
+    # result keeps Dt phi- next to phi-, so both change sign)
+    flipped = dataclasses.replace(
+        odd, coefficients=-odd.coefficients, dt_coefficients=-odd.dt_coefficients
+    )
     assert gap_identity(even, flipped, log_factor, 1e-10) == identity
     # the identity divides by the overlap, which must exceed 100 tol
     overlap = abs(float(even.coefficients @ odd.coefficients))
