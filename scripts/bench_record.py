@@ -6,8 +6,11 @@ Runs the benchmark command of BENCHMARK.json (perfbench/run.py) once per
 workload at --trace 0 and once at --trace 1, each in a fresh interpreter
 from the repo root, and keeps the last two lines of its standard output:
 the environment record (core count, BLAS thread variables, numpy and
-scipy versions) and the result.  The --trace 0 result holds the
-end-to-end metrics, the --trace 1 result the per-layer ones.
+scipy versions, git commit) and the result.  The --trace 0 result holds
+the end-to-end metrics, the --trace 1 result the per-layer ones.
+tree_clean is false when the tracked files under src, scripts or
+perfbench differed from that commit as the runs began, so the numbers
+are not those of the commit alone.
 """
 
 from __future__ import annotations
@@ -32,6 +35,13 @@ def run(command: list[str], workload: str, seed: int, seconds: float, trace: int
     return json.loads(lines[-2])["environment"], json.loads(lines[-1])
 
 
+def tree_clean() -> bool:
+    """Whether the tracked files the benchmark runs (src, scripts, perfbench) match HEAD."""
+    argv = ["git", "status", "--porcelain", "--untracked-files=no", "--", "src", "scripts",
+            "perfbench"]
+    return subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True).stdout == ""
+
+
 def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -41,6 +51,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     command = [sys.executable if word == "python3" else word for word in benchmark["command"]]
+    clean = tree_clean()
     environment, workloads = None, {}
     for workload in (w["name"] for w in benchmark["workloads"]):
         record = {}
@@ -59,6 +70,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "command": f"{' '.join(benchmark['command'])} --seed {args.seed} --seconds {args.seconds}",
         "environment": environment,
+        "tree_clean": clean,
         "units": units,
         "workloads": workloads,
     }, indent=1) + "\n")

@@ -198,9 +198,6 @@ class BasisEnumeration:
         """The read-only dim x mode_count int64 occupations; row i is the state of rank i."""
         return self._occupations
 
-    def __iter__(self):
-        return map(tuple, self._occupations.tolist())
-
 
 @functools.lru_cache(maxsize=1, typed=True)
 def enumerate_basis(mode_count: int, n_max: int) -> BasisEnumeration:

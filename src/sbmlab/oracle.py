@@ -19,9 +19,9 @@ grading survives truncation, so the off-diagonal blocks of U H U' vanish
 to rounding, not merely to truncation accuracy.
 
 H, Pi, U and every product of them stay sparse, and no dense array is
-formed anywhere: `assemble_full` refuses an H whose CSR arrays would
-exceed fockspace.MAX_OPERATOR_BYTES, and that cap is the only size limit
-of oracle-check.  H stores every diagonal entry, so `FullModel.with_bias`
+formed anywhere: `assemble_full` refuses an H whose build would hold
+more than fockspace.MAX_OPERATOR_BYTES at its peak, and that cap is the
+only size limit of oracle-check.  H stores every diagonal entry, so `FullModel.with_bias`
 moves the local field by rewriting the diagonal of one assembly.  The
 ground states come from implicitly restarted Lanczos (ARPACK) on the
 CSR H, one routine for the ground state of a biased <sigma_z>
@@ -30,12 +30,10 @@ label and its gap floor (`ground_parity`).  The spectrum partition is not
 measured by eigensolves but bounded: `partition_bound` turns the
 unitarity defect and the off-diagonal norm of the sparse U H U'
 (`sector_blocks`) into a rigorous bound on how far the spectrum of H lies
-from the union of the two block spectra.  A spectral norm is exact
-without a solve for a matrix with at most one nonzero per row and column,
-as every commutator checked here is: they are zero, or, for [H, Pi] at
-epsilon != 0, monomial.  Otherwise it is a Hoelder upper bound, as are
+from the union of the two block spectra.  The norm of [H, Pi] is its
+largest entry, exact with no solve (parity_commutator_norm says why);
 the unitarity defect, a bound on the sparse U U' - I, and every norm in
-the partition bound.
+the partition bound are Hoelder upper bounds.
 
 The displaced-basis sector matrices of :mod:`sbmlab.sectors` span a
 different truncated subspace than the blocks above, so their spectra
@@ -92,33 +90,22 @@ class FullModel:
         )
 
 
-def _coupling_matrix(
-    bath: DiscretizedBath, enumeration: BasisEnumeration
-) -> scipy.sparse.csr_array:
-    """sum_k lambda_k (a'_k + a_k) truncated to the enumeration, sparse."""
-    occ = enumeration.occupation_array()
-    rows, cols, values = [], [], []
-    for k, lam_k in enumerate(bath.lam):
-        raised = enumeration.raising(k)
-        source = np.nonzero(raised >= 0)[0]  # -1 where n + e_k leaves the basis
-        target = raised[source]
-        value = lam_k * np.sqrt(occ[source, k] + 1.0)
-        rows += [target, source]
-        cols += [source, target]
-        values += [value, value]
-    coo = (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols)))
-    return scipy.sparse.csr_array(coo, shape=(enumeration.dim, enumeration.dim))
-
-
 def assemble_full(
     params: ModelParams, bath: DiscretizedBath, enumeration: BasisEnumeration
 ) -> FullModel:
-    """H over spin (x) Fock as one CSR array, spin-up block first.
+    """H over spin (x) Fock as one CSR array, spin-up block first, written in place.
 
-    Raises CapacityError, before allocating anything, when the CSR arrays
-    of H would exceed fockspace.MAX_OPERATOR_BYTES.  The pattern is built
-    with a placeholder diagonal of ones, which FullModel.with_bias then
-    overwrites with the boson energies +- epsilon/2.
+    Row n of the up block holds, in column order, V's entries at n - e_k
+    (k ascending), the diagonal b_n + epsilon/2, V's entries at n + e_k (k
+    descending) and the tunneling -delta/2; row n of the down block holds
+    the tunneling first, then -V and b_n - epsilon/2 in the same order.
+    That is the order of the graded-lex ranks, so the entries are written
+    slot by slot into the final CSR arrays, which are those of the sorted
+    block array [[b + epsilon/2 + V, -delta/2], [-delta/2, b - epsilon/2 - V]].
+    A zero entry (lambda_k = 0, or delta = 0) is not stored, except on the
+    diagonal, which FullModel.with_bias rewrites.  Raises CapacityError,
+    before allocating anything, when the bytes the build holds at its peak
+    would exceed fockspace.MAX_OPERATOR_BYTES.
     """
     modes, n_max, dim = enumeration.mode_count, enumeration.n_max, enumeration.dim
     if modes != bath.mode_count:
@@ -127,24 +114,68 @@ def assemble_full(
         )
     # each spin block holds dim diagonal and dim tunneling entries, and V two
     # entries per mode and state that the mode can raise (total below n_max);
-    # an entry is a float64 value and an int64 column index; the assembly
-    # holds about 4.3 times these bytes at its peak
+    # an entry is a float64 value and an int64 column index.  Next to these
+    # CSR arrays the build holds the boson energies and the diagonal
+    # positions (24 dim bytes), the enumeration's int32 ladder maps and, while
+    # they are built, a copy of its occupations (12 dim modes bytes), at most
+    # eight int64 or float64 temporaries of length dim (64 dim bytes), and
+    # about 20 KiB of Python objects, counted as 64 KiB
     entries = 4 * dim + 4 * modes * math.comb(n_max - 1 + modes, modes)
-    nbytes = 16 * entries + 8 * (2 * dim + 1)
-    if nbytes > MAX_OPERATOR_BYTES:
+    csr_bytes = 16 * entries + 8 * (2 * dim + 1)
+    peak_bytes = csr_bytes + 88 * dim + 12 * modes * dim + 2**16
+    if peak_bytes > MAX_OPERATOR_BYTES:
         raise CapacityError(
             f"the full H of {modes} modes at n_max={n_max} (Fock dim {dim}) has {entries} "
-            f"entries, {nbytes} bytes as CSR, above the cap "
-            f"MAX_OPERATOR_BYTES = {MAX_OPERATOR_BYTES}"
+            f"entries, {csr_bytes} bytes as CSR and {peak_bytes} bytes at the peak of its "
+            f"build, above the cap MAX_OPERATOR_BYTES = {MAX_OPERATOR_BYTES}"
         )
-    boson = enumeration.occupation_array() @ np.asarray(bath.omega)
-    V = _coupling_matrix(bath, enumeration)
-    eye = scipy.sparse.eye_array(dim)
-    tunneling = -params.delta / 2.0 * eye
-    H = scipy.sparse.block_array([[eye + V, tunneling], [tunneling, eye - V]], format="csr")
-    rows = np.repeat(np.arange(2 * dim), np.diff(H.indptr))
-    positions = np.flatnonzero(H.indices == rows)
-    return FullModel(enumeration, H, boson, positions).with_bias(params.epsilon)
+    occ = enumeration.occupation_array()
+    boson = occ @ np.asarray(bath.omega)
+    tunneling = -params.delta / 2.0
+    ladders = [(k, enumeration.raising(k)) for k in range(modes) if bath.lam[k] != 0.0]
+    # the up block's row sizes, summed in place into its half of indptr
+    indptr = np.zeros(2 * dim + 1, dtype=np.int64)
+    sizes = indptr[1 : dim + 1]
+    sizes += 1 + (tunneling != 0.0)
+    for k, raised in ladders:
+        sizes += occ[:, k] > 0
+        sizes += raised >= 0
+    np.cumsum(sizes, out=sizes)
+    indptr[dim + 1 :] = indptr[dim] + sizes
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    positions = np.empty(2 * dim, dtype=np.int64)
+    states = np.arange(dim)
+
+    def coupling(k, raised):
+        """(n, n + e_k, lambda_k sqrt(n_k + 1)) wherever n + e_k is a state."""
+        source = np.flatnonzero(raised >= 0)
+        return source, raised[source], bath.lam[k] * np.sqrt(occ[source, k] + 1.0)
+
+    for block, sign in enumerate((1.0, -1.0)):
+        offset = block * dim
+        cursor = indptr[offset : offset + dim].copy()  # the next free slot of each row
+
+        def put(rows, columns, values):
+            at = cursor[rows]
+            indices[at] = columns
+            data[at] = values
+            cursor[rows] = at + 1
+
+        if block and tunneling:
+            put(states, states, tunneling)
+        for k, raised in ladders:
+            source, target, value = coupling(k, raised)
+            put(target, source + offset, sign * value)
+        positions[offset : offset + dim] = cursor
+        put(states, states + offset, boson + sign * (params.epsilon / 2.0))
+        for k, raised in reversed(ladders):
+            source, target, value = coupling(k, raised)
+            put(source, target + offset, sign * value)
+        if not block and tunneling:
+            put(states, states + dim, tunneling)
+    H = scipy.sparse.csr_array((data, indices, indptr), shape=(2 * dim, 2 * dim))
+    return FullModel(enumeration, H, boson, positions)
 
 
 def parity_matrix(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
@@ -168,22 +199,6 @@ def _hoelder_bound(magnitude: np.ndarray | scipy.sparse.sparray) -> float:
     return math.sqrt(float(magnitude.sum(axis=0).max())) * math.sqrt(
         float(magnitude.sum(axis=1).max())
     )
-
-
-def spectral_norm(A: np.ndarray | scipy.sparse.sparray) -> float:
-    """Largest singular value of a dense or sparse monomial A, else an upper bound on it.
-
-    With at most one nonzero in each row and column (a scaled signed
-    permutation, the zero matrix included, which gives +0.0) the norm is
-    max |a_ij|, with no solve.  Otherwise this returns the Hoelder bound
-    sqrt(||A||_1) sqrt(||A||_inf), so a check against it can only be
-    stricter than one against the norm.
-    """
-    magnitude = abs(A)
-    nonzero = magnitude != 0
-    if max(nonzero.sum(axis=0).max(), nonzero.sum(axis=1).max()) <= 1:
-        return float(magnitude.max())
-    return _hoelder_bound(magnitude)
 
 
 def rotation_defects(enumeration: BasisEnumeration) -> tuple[float, float]:
@@ -261,6 +276,11 @@ def partition_bound(model: FullModel, unitarity: float, off_norm: float) -> floa
     return off_norm + defect * _hoelder_bound(H) + rounding
 
 
+def norm_inf(H: scipy.sparse.sparray) -> float:
+    """||H||_inf, the largest absolute row sum: the energy scale of the oracle's checks."""
+    return float(abs(H).sum(axis=1).max())
+
+
 def _lowest_eigenpairs(H: scipy.sparse.csr_array, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenvalues of the CSR H, ascending, and their eigenvectors as columns.
 
@@ -277,7 +297,7 @@ def _lowest_eigenpairs(H: scipy.sparse.csr_array, k: int) -> tuple[np.ndarray, n
     """
     import scipy.sparse.linalg
 
-    exponent = math.frexp(float(abs(H).sum(axis=1).max()))[1]
+    exponent = math.frexp(norm_inf(H))[1]
     scaled = scipy.sparse.csr_array((np.ldexp(H.data, -exponent), H.indices, H.indptr), H.shape)
     start = np.random.default_rng(0).standard_normal(H.shape[0])
     try:
@@ -307,9 +327,8 @@ def ground_parity(model: FullModel) -> int:
     H = model.hamiltonian
     vals, vecs = _lowest_eigenpairs(H, 2)
     gap = vals[1] - vals[0]
-    norm = float(abs(H).sum(axis=1).max())
-    if gap < max(GAP_FLOOR, H.shape[0] * np.finfo(float).eps) * norm:
-        raise AccuracyError(f"dense ground state numerically degenerate: gap {gap:.3e}")
+    if gap < max(GAP_FLOOR, H.shape[0] * np.finfo(float).eps) * norm_inf(H):
+        raise AccuracyError(f"full-H ground state numerically degenerate: gap {gap:.3e}")
     dim = model.enumeration.dim
     up, down = vecs[:dim, 0], vecs[dim:, 0]
     # <psi|Pi|psi> = 2 <up|P|down> for Pi = sigma_x (x) P
@@ -332,9 +351,13 @@ def ground_sigma_z(model: FullModel) -> float:
 def parity_commutator_norm(model: FullModel) -> float:
     """Spectral norm of [H, Pi]: |epsilon| up to the rounding of the diagonal of H.
 
-    The commutator is the monomial matrix with entries
-    +-[(b_n + epsilon/2) - (b_n - epsilon/2)], b_n the boson energy of state n.
+    Pi swaps the states (up, n) and (down, n), times the boson parity of
+    n.  The V and tunneling terms of H commute with it exactly, so the
+    commutator is the monomial matrix with entries
+    +-[(b_n + epsilon/2) - (b_n - epsilon/2)], b_n the boson energy of
+    state n: at most one nonzero per row and column, and its spectral
+    norm is its largest entry, with no solve.
     """
     Pi = parity_matrix(model.enumeration)
     H = model.hamiltonian
-    return spectral_norm(H @ Pi - Pi @ H)
+    return float(abs(H @ Pi - Pi @ H).max())

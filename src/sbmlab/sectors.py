@@ -13,7 +13,11 @@ The odd block is represented in the boson-parity-rotated basis, under
 which it differs from the even block only by the sign of the tunneling
 term.  Both sectors therefore share one diagonal and one DisplacedParity,
 Dt = P E' P E P from the lowering series E, and negating delta exchanges
-the two matrices exactly.
+the two matrices exactly.  The rotation also absorbs the boson parity
+exp(i pi sum a'a), so the overlap <phi+|exp(i pi sum a'a)|phi-> of the
+two ground states is the dot product of their coefficient vectors.
+solve_sectors is the one entry point from a bath to the pair: it owns
+the order of the refusals.
 
 Every sector, whatever its size, is solved by one thick-restart Davidson
 iteration that applies Dt as two sparse products; no solve forms a dense
@@ -42,7 +46,7 @@ import scipy.sparse
 
 from sbmlab.bath import DiscretizedBath, log_prefactor
 from sbmlab.errors import AccuracyError, SolverError
-from sbmlab.fockspace import BasisEnumeration, lowering_series
+from sbmlab.fockspace import BasisEnumeration, enumerate_basis, lowering_series
 
 # residual tolerance and iteration budget of a solve; config.SolverSettings reads them
 DEFAULT_TOL = 1e-10
@@ -176,7 +180,6 @@ class GroundStateResult:
     sector: Sector
     iterations: int
     untruncated_residual: float
-    operator: SectorMatrix
     # Dt applied to coefficients, taken once for the untruncated residual
     # and read again by gap_identity
     dt_coefficients: np.ndarray
@@ -200,23 +203,25 @@ def polaron_double(bath: DiscretizedBath) -> float:
     return value
 
 
-def _sector_pair(
-    bath: DiscretizedBath, params: ModelParams, enumeration: BasisEnumeration
-) -> dict[Sector, SectorMatrix]:
-    """Both sector operators over one diagonal sum omega (n - q**2) and one lowering series.
-
-    The polaron factor is checked first, so a point that no basis can solve
-    in double precision raises AccuracyError before E is built, also where
-    E would be over fockspace.MAX_OPERATOR_BYTES.  Otherwise lowering_series
-    raises CapacityError before allocating a series over that cap, and
-    ValueError when the bath and the enumeration differ in mode count.
-    """
+def _polaron_factor(bath: DiscretizedBath, params: ModelParams) -> float:
+    """polaron_double(bath), after a ValueError unless epsilon = 0."""
     if params.epsilon != 0.0:
         raise ValueError(
             "sector decomposition requires epsilon = 0; "
             f"got epsilon={params.epsilon} (use the full-space oracle instead)"
         )
-    polaron = polaron_double(bath)
+    return polaron_double(bath)
+
+
+def _sector_pair(
+    bath: DiscretizedBath, params: ModelParams, enumeration: BasisEnumeration, polaron: float
+) -> dict[Sector, SectorMatrix]:
+    """Both sector operators over one diagonal sum omega (n - q**2) and one lowering series.
+
+    lowering_series raises CapacityError before allocating a series over
+    fockspace.MAX_OPERATOR_BYTES, and ValueError when the bath and the
+    enumeration differ in mode count.
+    """
     lowering = lowering_series(enumeration, bath.q)
     omega = np.asarray(bath.omega)
     q = np.asarray(bath.q)
@@ -241,7 +246,7 @@ def assemble_sector(
     sector: Sector,
 ) -> SectorMatrix:
     """diag(sum omega(n - q**2)) -+ (delta/2) D over the enumeration."""
-    return _sector_pair(bath, params, enumeration)[sector]
+    return _sector_pair(bath, params, enumeration, _polaron_factor(bath, params))[sector]
 
 
 def _davidson_lowest(
@@ -358,7 +363,6 @@ def ground_state(
         sector=matrix.sector,
         iterations=iterations,
         untruncated_residual=matrix.untruncated_residual(dt_vector),
-        operator=matrix,
         dt_coefficients=dt_vector,
     )
 
@@ -366,40 +370,29 @@ def ground_state(
 def solve_sectors(
     bath: DiscretizedBath,
     params: ModelParams,
-    enumeration: BasisEnumeration,
+    n_max: int,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[GroundStateResult, GroundStateResult]:
-    """(even, odd) ground states from one shared diagonal and one lowering series."""
-    pair = _sector_pair(bath, params, enumeration)
+    """(even, odd) ground states over the basis sum(n) <= n_max, from one diagonal and one E.
+
+    Refusals come in this order: AccuracyError for a polaron factor that
+    no double holds, before the basis is enumerated, also where it would
+    be over fockspace.MAX_BASIS_DIM (no basis can solve such a point);
+    CapacityError from the basis, then from the lowering series, each
+    before allocating over its cap; then the solves' errors.
+    """
+    polaron = _polaron_factor(bath, params)
+    enumeration = enumerate_basis(bath.mode_count, n_max)
+    pair = _sector_pair(bath, params, enumeration, polaron)
     return (
         ground_state(pair[Sector.EVEN], tol, max_iter),
         ground_state(pair[Sector.ODD], tol, max_iter),
     )
 
 
-def parity_overlap(plus: GroundStateResult, minus: GroundStateResult) -> float:
-    """Boson-parity overlap between the two sector ground states.
-
-    In the displaced representation of the even sector and the rotated
-    displaced representation of the odd one, the operator insertion
-    exp(i pi sum a'a) is absorbed by the basis change and the overlap
-    collapses to the plain inner product of coefficient vectors.
-    """
-    if plus.sector is not Sector.EVEN or minus.sector is not Sector.ODD:
-        raise ValueError(
-            f"expected (even, odd) ground states, got ({plus.sector.value}, {minus.sector.value})"
-        )
-    if plus.coefficients.shape != minus.coefficients.shape:
-        raise ValueError(
-            "ground states live on different enumerations: "
-            f"{plus.coefficients.shape} vs {minus.coefficients.shape}"
-        )
-    return float(plus.coefficients @ minus.coefficients)
-
-
 def gap_identity(
-    plus: GroundStateResult, minus: GroundStateResult, log_factor: float, tol: float
+    plus: GroundStateResult, minus: GroundStateResult, delta: float, log_factor: float, tol: float
 ) -> dict | None:
     """log10 |E- - E+| and its sign from the ground states, without subtracting energies.
 
@@ -409,14 +402,13 @@ def gap_identity(
         E- - E+ = delta e^(-2 sum q^2) <phi+|Dt|phi-> / <phi+|phi->.
 
     log_factor is -2 sum q^2 (bath.log_prefactor), so the log stays finite
-    where the gap underflows a double.  The relative error is
-    about tol / |<phi+|phi->|.  Returns {"log10_abs_gap", "sign"}, or None
-    where |<phi+|phi->| <= 100 tol or delta <phi+|Dt|phi-> is zero.  Dt phi-
-    is the one ground_state kept, so no application of Dt is repeated.
+    where the gap underflows a double.  The relative error is about
+    tol / |<phi+|phi->|.  Returns {"log10_abs_gap", "sign"}, or None where
+    |<phi+|phi->| <= 100 tol or delta <phi+|Dt|phi-> is zero.  Dt phi- is
+    the one ground_state kept, so no application of Dt is repeated.
     """
-    overlap = parity_overlap(plus, minus)
+    overlap = float(plus.coefficients @ minus.coefficients)
     numerator = float(plus.coefficients @ minus.dt_coefficients)
-    delta = 2.0 * plus.operator.half_delta
     if not abs(overlap) > 100.0 * tol or delta == 0.0 or numerator == 0.0:
         return None
     log10_abs_gap = (

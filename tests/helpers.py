@@ -1,12 +1,13 @@
 """References that the tests compare the package against, written the direct way.
 
-parity_phase is the boson parity of one multi-index, and
-displacement_matrix the single-mode displacement operator as a dense
-matrix exponential.  beta2_reference sums the discrete tail term by term
+basis_states lists the states of a basis as tuples, parity_phase is the boson
+parity of one multi-index, and displacement_matrix the single-mode
+displacement operator as a dense matrix exponential.  beta2_reference sums the discrete tail term by term
 in any number type, lmn_exact is the single-mode overlap factor in
 rational arithmetic, frozen_spin_check the commutator of the
 delta = 0 Hamiltonian with sigma_z, lowering_series_reference fills
 each factor of the lowering series entry by entry along the ladder maps,
+coupling_matrix and block_hamiltonian build V and H from sparse blocks,
 magnetization is <sigma_z> of a mixture of the two sector ground
 states, and dense_spectrum every eigenvalue of a sparse symmetric
 matrix from one dense solve.  The package needs none of them.
@@ -25,8 +26,13 @@ from scipy.linalg import expm
 from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError
 from sbmlab.fockspace import BasisEnumeration
-from sbmlab.oracle import assemble_full, spectral_norm
-from sbmlab.sectors import GroundStateResult, ModelParams, parity_overlap
+from sbmlab.oracle import assemble_full
+from sbmlab.sectors import GroundStateResult, ModelParams
+
+
+def basis_states(enumeration: BasisEnumeration) -> list[tuple[int, ...]]:
+    """Every state of the enumeration as a tuple of occupations, in rank order."""
+    return [tuple(n) for n in enumeration.occupation_array().tolist()]
 
 
 def parity_phase(n: tuple[int, ...]) -> int:
@@ -109,16 +115,17 @@ def lmn_exact(m: int, n: int, q: Fraction) -> tuple[Fraction, int]:
 
 
 def frozen_spin_check(bath: DiscretizedBath, enumeration: BasisEnumeration) -> float:
-    """Norm of [H', sigma_z (x) I] for the delta = 0 Hamiltonian; structurally zero.
+    """Largest entry of [H', sigma_z (x) I] for the delta = 0 Hamiltonian; structurally zero.
 
     With no tunneling both spin blocks are closed, so the commutator
-    vanishes identically rather than to rounding.
+    vanishes identically rather than to rounding, and a largest entry of 0
+    is its norm.
     """
     model = assemble_full(ModelParams(delta=0.0, epsilon=0.0), bath, enumeration)
     dim = enumeration.dim
     sz = scipy.sparse.diags_array(np.concatenate([np.ones(dim), -np.ones(dim)]))
     H = model.hamiltonian
-    return spectral_norm(H @ sz - sz @ H)
+    return float(abs(H @ sz - sz @ H).max())
 
 
 def lowering_series_reference(enumeration: BasisEnumeration, q) -> scipy.sparse.csr_array:
@@ -153,9 +160,50 @@ def lowering_series_reference(enumeration: BasisEnumeration, q) -> scipy.sparse.
     return series
 
 
+def coupling_matrix(bath: DiscretizedBath, enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
+    """sum_k lambda_k (a'_k + a_k) over the enumeration, from COO triplets along the ladder maps."""
+    occ = enumeration.occupation_array()
+    rows, cols, values = [], [], []
+    for k, lam_k in enumerate(bath.lam):
+        raised = enumeration.raising(k)
+        source = np.nonzero(raised >= 0)[0]  # -1 where n + e_k leaves the basis
+        target = raised[source]
+        value = lam_k * np.sqrt(occ[source, k] + 1.0)
+        rows += [target, source]
+        cols += [source, target]
+        values += [value, value]
+    coo = (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols)))
+    return scipy.sparse.csr_array(coo, shape=(enumeration.dim, enumeration.dim))
+
+
+def block_hamiltonian(
+    params: ModelParams, bath: DiscretizedBath, enumeration: BasisEnumeration
+) -> scipy.sparse.csr_array:
+    """H from sparse blocks by scipy.sparse.block_array, spin-up block first.
+
+    A placeholder diagonal of ones keeps every diagonal entry stored
+    through the block sums, which drop zero entries elsewhere; the
+    diagonal is then overwritten with b_n +- epsilon/2.
+    """
+    dim = enumeration.dim
+    boson = enumeration.occupation_array() @ np.asarray(bath.omega)
+    V = coupling_matrix(bath, enumeration)
+    eye = scipy.sparse.eye_array(dim)
+    tunneling = -params.delta / 2.0 * eye
+    H = scipy.sparse.block_array([[eye + V, tunneling], [tunneling, eye - V]], format="csr")
+    rows = np.repeat(np.arange(2 * dim), np.diff(H.indptr))
+    half_eps = params.epsilon / 2.0
+    H.data[np.flatnonzero(H.indices == rows)] = np.concatenate([boson + half_eps, boson - half_eps])
+    return H
+
+
 def magnetization(theta: float, plus: GroundStateResult, minus: GroundStateResult) -> float:
-    """M(theta) = -sin(2 theta) * <even ground | boson parity | odd ground>."""
-    return -math.sin(2.0 * theta) * parity_overlap(plus, minus)
+    """M(theta) = -sin(2 theta) * <even ground | boson parity | odd ground>.
+
+    The odd sector's rotated basis absorbs the boson parity, so the overlap
+    is the dot product of the coefficient vectors.
+    """
+    return -math.sin(2.0 * theta) * float(plus.coefficients @ minus.coefficients)
 
 
 def dense_spectrum(A: scipy.sparse.sparray) -> np.ndarray:

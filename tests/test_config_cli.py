@@ -720,7 +720,7 @@ def test_gap_sweep_refuses_an_occupation_array_over_the_cap(tmp_path, capsys, mo
     # MiB), so the peak is taken over the refused enumeration alone.
     import tracemalloc
 
-    import sbmlab.cli
+    import sbmlab.sectors
 
     peaks = []
 
@@ -732,7 +732,7 @@ def test_gap_sweep_refuses_an_occupation_array_over_the_cap(tmp_path, capsys, mo
         finally:
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
 
-    monkeypatch.setattr(sbmlab.cli, "enumerate_basis", traced)
+    monkeypatch.setattr(sbmlab.sectors, "enumerate_basis", traced)
     data = deep(
         {
             "bath": {"s": 1.5, "alpha": 0.2},
@@ -829,7 +829,7 @@ def test_underflowed_point_is_refused_before_its_basis_is_enumerated(tmp_path, m
     def no_basis(*args):
         raise AssertionError("enumerate_basis was called for a refused point")
 
-    monkeypatch.setattr("sbmlab.cli.enumerate_basis", no_basis)
+    monkeypatch.setattr("sbmlab.sectors.enumerate_basis", no_basis)
     for n_max in (6, 8):
         data = deep(
             {
@@ -1162,7 +1162,8 @@ def test_oracle_check_memory_stays_below_two_dense_hamiltonians(tmp_path, capsys
 
 
 def test_oracle_check_capacity(tmp_path, monkeypatch, capsys):
-    # the one size limit is assemble_full's cap on the CSR bytes of H
+    # the one size limit is assemble_full's cap on the bytes its build of H
+    # holds at its peak
     import sbmlab.oracle
 
     monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", 10_000)
@@ -1173,6 +1174,76 @@ def test_oracle_check_capacity(tmp_path, monkeypatch, capsys):
     assert err.startswith("capacity error: the full H of 4 modes at n_max=4 (Fock dim 70)")
     assert "above the cap MAX_OPERATOR_BYTES = 10000" in err
     assert not out.exists()
+
+
+def test_assemble_full_peaks_within_the_cap_at_the_largest_size_it_accepts(
+    tmp_path, monkeypatch, capsys
+):
+    # the cap counts what the build of H holds at its peak, not only the
+    # finished CSR arrays, which the build once held 4.3 times over.  With
+    # the cap set to that count at 6 modes, n_max 8 (Fock dim 3003), the
+    # traced peak of a build on a fresh basis, whose ladder maps it builds,
+    # stays under the cap; n_max 9 is refused before anything is allocated,
+    # and the bias scan exits 3
+    import re
+    import tracemalloc
+
+    import sbmlab.oracle
+
+    data = {**CHECKS_ORACLE, "truncation": {"n_max": 8}}
+    cfg = parse_config(data)
+    bath = discretize(cfg.bath, cfg.discretization)
+    monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", 0)
+    with pytest.raises(CapacityError) as refused:
+        assemble_full(cfg.model, bath, BasisEnumeration(6, 8))
+    cap = int(re.search(r"(\d+) bytes at the peak of its build", str(refused.value))[1])
+    monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", cap)
+    basis, bigger = BasisEnumeration(6, 8), BasisEnumeration(6, 9)
+    tracemalloc.start()
+    try:
+        assert assemble_full(cfg.model, bath, basis).enumeration.dim == 3003
+        accepted_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(CapacityError):
+            assemble_full(cfg.model, bath, bigger)
+        refused_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert accepted_peak <= cap
+    assert refused_peak < 2**14
+    path = write_config(tmp_path, {**data, "truncation": {"n_max": 9}})
+    out = tmp_path / "scan"
+    argv = ["magnetization-scan", "--config", path, "--epsilon-steps", "3", "--out", str(out)]
+    assert main(argv) == 3
+    assert "bytes at the peak of its build, above the cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+def test_oracle_check_verdicts_do_not_depend_on_the_energy_unit(tmp_path, capsys, epsilon):
+    # the same model with every energy in units 1e7 times smaller: the
+    # partition bound read 5.889e-08 and the commutator deviation 9.31e-10
+    # there, which absolute thresholds of 1e-9 and 1e-10 failed.  Only the
+    # lines that carry the unit may differ, and then only in their value.
+    reports = []
+    for unit in (1.0, 1.0e7):
+        data = {
+            "model": {"delta": 0.5 * unit, "epsilon": epsilon * unit},
+            "bath": {"s": 0.1, "alpha": 0.25, "omega_c": unit},
+            "discretization": {"Lambda": 2.0, "N": 3},
+            "truncation": {"n_max": 4},
+        }
+        path = write_config(tmp_path, data, name=f"unit{unit:g}.yaml")
+        assert main(["oracle-check", "--config", path]) == 0
+        reports.append(capsys.readouterr().out.splitlines())
+    assert reports[0][-1] == "result: pass"
+    with_unit = ("epsilon", "commutator norm vs |epsilon|", "spectrum partition bound")
+    for one, scaled in zip(*reports, strict=True):
+        name = one.split(": ")[0]
+        assert scaled.split(": ")[0] == name
+        if name not in with_unit:
+            assert scaled == one
 
 
 def _ground_parity_config(tmp_path, delta: float, n_max: int) -> str:
@@ -1230,13 +1301,13 @@ def test_oracle_check_unresolved_gap_at_huge_tunneling(tmp_path, capsys):
     )
     assert main(["oracle-check", "--config", write_config(tmp_path, data)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("invariant failure: dense ground state numerically degenerate")
+    assert err.startswith("invariant failure: full-H ground state numerically degenerate")
 
 
 def test_oracle_check_unresolved_gap_at_huge_bias(tmp_path, capsys):
     # epsilon = 1e155 is a valid config: the commutator [H, Pi] has one
     # entry per row and column, so its norm is its largest entry, |epsilon|,
-    # which squaring in a Hoelder bound would overflow; the O(1) gap of the
+    # with no square that could overflow; the O(1) gap of the
     # spin-down block is far below the rounding of eigenvalues of size 1e155
     data = deep(
         {
@@ -1248,7 +1319,7 @@ def test_oracle_check_unresolved_gap_at_huge_bias(tmp_path, capsys):
     )
     assert main(["oracle-check", "--config", write_config(tmp_path, data)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("invariant failure: dense ground state numerically degenerate")
+    assert err.startswith("invariant failure: full-H ground state numerically degenerate")
 
 
 # ----------------------------------------------------------- verify-appendix

@@ -1,11 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
-from helpers import dense_spectrum, displacement_matrix, frozen_spin_check, magnetization
+from helpers import (
+    basis_states,
+    block_hamiltonian,
+    coupling_matrix,
+    dense_spectrum,
+    displacement_matrix,
+    frozen_spin_check,
+    magnetization,
+)
 
 import sbmlab.oracle
 from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize
@@ -13,7 +22,6 @@ from sbmlab.errors import AccuracyError, CapacityError
 from sbmlab.fockspace import enumerate_basis
 from sbmlab.oracle import (
     MIXED,
-    _coupling_matrix,
     _lowest_eigenpairs,
     assemble_full,
     ground_parity,
@@ -23,16 +31,9 @@ from sbmlab.oracle import (
     partition_bound,
     rotation_defects,
     sector_blocks,
-    spectral_norm,
     unitary_U,
 )
-from sbmlab.sectors import (
-    ModelParams,
-    Sector,
-    assemble_sector,
-    ground_state,
-    parity_overlap,
-)
+from sbmlab.sectors import ModelParams, Sector, assemble_sector, ground_state
 
 
 def single_mode(q, omega=1.0):
@@ -59,7 +60,7 @@ def test_assemble_polarized_spin_ladder():
     basis = enumerate_basis(1, 4)
     model = assemble_full(ModelParams(delta=0.0, epsilon=1.0), silent_bath(omega), basis)
     vals = np.linalg.eigvalsh(model.hamiltonian.toarray())
-    expected = sorted(omega * n[0] + sign * 0.5 for n in basis for sign in (+1, -1))
+    expected = sorted(omega * n[0] + sign * 0.5 for n in basis_states(basis) for sign in (+1, -1))
     assert np.allclose(vals, expected, atol=1e-14)
 
 
@@ -67,16 +68,16 @@ def test_coupling_matches_a_loop_over_states():
     # V filled from the ladder maps equals a per-state loop over a state -> index map
     bath = DiscretizedBath.from_modes((1.0, 0.5, 0.25), (0.3, -0.2, 0.1))
     basis = enumerate_basis(3, 4)
-    index = {state: i for i, state in enumerate(basis)}
+    index = {state: i for i, state in enumerate(basis_states(basis))}
     V = np.zeros((basis.dim, basis.dim))
-    for i, n in enumerate(basis):
+    for i, n in enumerate(basis_states(basis)):
         if sum(n) == basis.n_max:
             continue
         for k, lam_k in enumerate(bath.lam):
             j = index[n[:k] + (n[k] + 1,) + n[k + 1 :]]
             V[i, j] = V[j, i] = lam_k * math.sqrt(n[k] + 1)
     H = assemble_full(ModelParams(delta=0.0), bath, basis).hamiltonian.toarray()
-    boson = np.diag([float(np.dot(n, bath.omega)) for n in basis])
+    boson = np.diag([float(np.dot(n, bath.omega)) for n in basis_states(basis)])
     assert np.array_equal(H[: basis.dim, : basis.dim], boson + V)
 
 
@@ -85,7 +86,7 @@ def test_hamiltonian_is_one_csr_array_matching_a_dense_build():
     bath = DiscretizedBath.from_modes((1.0, 0.45), (0.3, -0.2))
     basis = enumerate_basis(2, 5)
     dim = basis.dim
-    boson = np.diag([float(np.dot(n, bath.omega)) for n in basis])
+    boson = np.diag([float(np.dot(n, bath.omega)) for n in basis_states(basis)])
     # V as checked against a loop over states in the test above
     V = assemble_full(ModelParams(0.0), bath, basis).hamiltonian.toarray()[:dim, :dim] - boson
     for delta, epsilon in ((0.6, 0.0), (-0.3, 0.25), (0.0, 0.0)):
@@ -104,22 +105,53 @@ def test_hamiltonian_is_one_csr_array_matching_a_dense_build():
 def test_assemble_capacity_and_mode_mismatch(monkeypatch):
     # the CSR arrays of H count toward MAX_OPERATOR_BYTES, by a closed form
     # that is exact where no entry of V or of the tunneling blocks is zero
-    # (every diagonal entry is stored); Fock dim 3003 is not refused
+    # (every diagonal entry is stored); the count adds what the build holds
+    # next to them, so a cap of the CSR bytes alone refuses H, and a cap of
+    # the whole count is the smallest that accepts it.  Fock dim 3003 is
+    # not refused
     bath = DiscretizedBath.from_modes((1.0, 0.4), (0.5, 0.2))
     basis = enumerate_basis(2, 3)
     params = ModelParams(0.1, epsilon=0.3)
     H = assemble_full(params, bath, basis).hamiltonian
     nbytes = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes
     monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", nbytes)
+    with pytest.raises(CapacityError, match=f"{nbytes} bytes as CSR and ") as refused:
+        assemble_full(params, bath, basis)
+    peak_bytes = int(re.search(r"and (\d+) bytes at the peak", str(refused.value))[1])
+    monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", peak_bytes)
     assemble_full(params, bath, basis)
-    monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", nbytes - 1)
-    with pytest.raises(CapacityError, match=f"{nbytes} bytes as CSR"):
+    monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", peak_bytes - 1)
+    with pytest.raises(CapacityError):
         assemble_full(params, bath, basis)
     monkeypatch.undo()
     wide = silent_bath(*([1.0 / (k + 1) for k in range(6)]))
     assert assemble_full(ModelParams(0.1), wide, enumerate_basis(6, 8)).enumeration.dim == 3003
     with pytest.raises(ValueError):
         assemble_full(ModelParams(0.1), single_mode(0.3), enumerate_basis(2, 3))
+
+
+def test_assembly_writes_the_arrays_of_the_block_array_build():
+    # H written slot by slot is the sorted CSR array that scipy's
+    # block_array makes of the blocks, bit for bit, zero entries dropped
+    # alike (lambda_k = 0, delta = 0, a delta/2 that underflows)
+    rng = np.random.default_rng(5)
+    for modes, n_max in ((1, 0), (1, 5), (2, 4), (3, 3), (5, 2)):
+        basis = enumerate_basis(modes, n_max)
+        lams = rng.uniform(-1.0, 1.0, modes)
+        for silent in (False, True):
+            if silent:
+                lams[rng.integers(modes)] = 0.0
+            omegas = tuple(np.sort(rng.uniform(0.1, 2.0, modes))[::-1])
+            bath = DiscretizedBath.from_modes(omegas, tuple(lams))
+            for delta, epsilon in ((0.5, 0.0), (0.0, 0.0), (-0.3, 0.25), (5e-324, 0.1)):
+                params = ModelParams(delta, epsilon)
+                model = assemble_full(params, bath, basis)
+                H, reference = model.hamiltonian, block_hamiltonian(params, bath, basis)
+                for name in ("indptr", "indices", "data"):
+                    got, expected = getattr(H, name), getattr(reference, name)
+                    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+                rows = np.repeat(np.arange(2 * basis.dim), np.diff(H.indptr))
+                assert np.array_equal(model.diagonal_positions, np.flatnonzero(H.indices == rows))
 
 
 def test_cross_module_ground_energy():
@@ -286,7 +318,7 @@ def test_with_bias_rewrites_only_the_diagonal():
     unbiased = assemble_full(ModelParams(0.6), bath, basis)
     H0 = unbiased.hamiltonian
     assert H0.nnz == np.count_nonzero(H0.data) + 2  # the vacuum's diagonal entries
-    V = _coupling_matrix(bath, basis)
+    V = coupling_matrix(bath, basis)
     tunneling = -0.3 * scipy.sparse.eye_array(dim)
     for epsilon in (-0.5, 0.0, 0.25, 1e-9):
         biased = unbiased.with_bias(epsilon).hamiltonian
@@ -484,14 +516,14 @@ def test_magnetization_vanishes_at_pure_angles():
 
 def test_magnetization_uncoupled_reference():
     plus, minus = sector_grounds(silent_bath(1.0), ModelParams(0.3), enumerate_basis(1, 6))
-    assert parity_overlap(plus, minus) == pytest.approx(1.0, abs=1e-14)
+    assert float(plus.coefficients @ minus.coefficients) == pytest.approx(1.0, abs=1e-14)
     assert magnetization(math.pi / 4, plus, minus) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_magnetization_odd_in_theta_and_bounded():
     bath = DiscretizedBath.from_modes((1.0, 0.4), (0.5, 0.2))
     plus, minus = sector_grounds(bath, ModelParams(0.4), enumerate_basis(2, 8))
-    omega = parity_overlap(plus, minus)
+    omega = float(plus.coefficients @ minus.coefficients)
     assert abs(omega) <= 1.0 + 1e-12
     for theta in (0.2, 0.9, 1.4):
         assert magnetization(-theta, plus, minus) == pytest.approx(
@@ -511,7 +543,7 @@ def test_magnetization_reduction_against_dense_sigma_z():
     y = np.linalg.eigh(lower.toarray())[1][:, 0]
     # displaced -> undisplaced conversion fixes the sign conventions
     convert = displacement_matrix(-bath.q[0], basis.dim, buffer=26)
-    parity = np.diag([(-1.0) ** n[0] for n in basis])
+    parity = np.diag([(-1.0) ** n[0] for n in basis_states(basis)])
     x_ref = convert @ plus.coefficients
     y_ref = parity @ convert @ minus.coefficients
     assert np.abs(x - np.sign(x @ x_ref) * x_ref).max() < 1e-8
@@ -523,15 +555,6 @@ def test_magnetization_reduction_against_dense_sigma_z():
     for theta in (0.3, 0.7, 1.1):
         dense_value = -math.sin(2 * theta) * float(x @ parity @ y)
         assert magnetization(theta, plus, minus) == pytest.approx(dense_value, abs=1e-8)
-
-
-def test_magnetization_validation():
-    plus, minus = sector_grounds(single_mode(0.4), ModelParams(0.3), enumerate_basis(1, 6))
-    with pytest.raises(ValueError):
-        magnetization(0.3, minus, plus)
-    other_plus, _ = sector_grounds(single_mode(0.4), ModelParams(0.3), enumerate_basis(1, 9))
-    with pytest.raises(ValueError):
-        magnetization(0.3, other_plus, minus)
 
 
 def test_dense_magnetization_odd_in_epsilon():
@@ -570,113 +593,40 @@ def test_tunneling_breaks_sigma_z_conservation():
     assert norm == pytest.approx(0.5, rel=1e-12)
 
 
-# ---------------------------------------------------------------- spectral norm
-
-
-def _norm_cases(rng, n):
-    G = rng.standard_normal((n, n))
-    u, v = rng.standard_normal(n), rng.standard_normal(n)
-    yield "general", G
-    yield "symmetric", G + G.T
-    yield "antisymmetric", G - G.T
-    yield "rank-1", np.outer(u, v)
-    yield "scaled 1e-16", 1e-16 * G
-
-
-def _monomial(rng, shape):
-    """A random matrix of that shape: min(shape) nonzeros, at most one per row and column."""
-    rows, cols = shape
-    A = np.zeros(shape)
-    count = min(rows, cols)
-    picked = rng.permutation(rows)[:count], rng.permutation(cols)[:count]
-    A[picked] = rng.standard_normal(count) * 10.0 ** rng.uniform(-3, 3, count)
-    return A
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 100, 300])
-def test_spectral_norm_matches_svd(n):
-    # the norm is exact where each row and column holds at most one
-    # nonzero, which every 1 x 1 matrix does
-    rng = np.random.default_rng(n)
-    cases = [_monomial(rng, shape) for shape in ((n, n), (n, 3), (3, n))]
-    if n == 1:
-        cases += [A for _, A in _norm_cases(rng, n)]
-    for A in cases:
-        reference = np.linalg.norm(A, 2)
-        for form in (A, scipy.sparse.csr_array(A)):
-            if reference == 0.0:  # the 1 x 1 antisymmetric case
-                assert spectral_norm(form) == 0.0
-            else:
-                assert abs(spectral_norm(form) - reference) <= 1e-13 * reference
-
-
-def test_spectral_norm_of_zero_is_exactly_zero():
-    for n in (1, 5, 64):
-        value = spectral_norm(np.zeros((n, n)))
-        assert value == 0.0 and math.copysign(1.0, value) == 1.0
-
-
-def test_spectral_norm_of_sparse_input_equals_the_dense_result():
-    # exact for the monomial cases (test_spectral_norm_matches_svd), an
-    # upper bound for the rest
-    rng = np.random.default_rng(17)
-    cases = [(kind, A) for n in (1, 2, 7, 40) for kind, A in _norm_cases(rng, n)]
-    mostly_zero = rng.standard_normal((60, 25)) * (rng.random((60, 25)) < 0.1)
-    cases += [("sparse 60 x 25", mostly_zero), ("sparse 25 x 60", mostly_zero.T)]
-    cases += [("monomial", _monomial(rng, shape)) for shape in ((40, 40), (60, 25))]
-    for kind, A in cases:
-        dense = spectral_norm(A)
-        sparse = spectral_norm(scipy.sparse.csr_array(A))
-        reference = np.linalg.norm(A, 2)
-        assert abs(sparse - dense) <= 1e-13 * dense, kind
-        if kind == "monomial":
-            assert abs(sparse - reference) <= 1e-13 * reference
-        else:
-            assert dense >= reference and sparse >= reference, kind
+# ---------------------------------------------------------------- commutator norms
 
 
 @pytest.fixture
 def no_eigensolve(monkeypatch):
-    """Make any symmetric eigensolve fail: the exact cases must need none."""
+    """Make any symmetric eigensolve fail: the commutator norms must need none."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("spectral_norm ran an eigensolve")
+        raise AssertionError("a commutator norm ran an eigensolve")
 
     monkeypatch.setattr(scipy.linalg, "eigvalsh", refuse)
 
 
-def test_spectral_norm_of_sparse_zero_is_exactly_zero(no_eigensolve):
-    stored_zeros = scipy.sparse.csr_array(
-        (np.array([0.0, -0.0, 0.0]), (np.array([0, 1, 3]), np.array([2, 0, 3]))), shape=(4, 4)
-    )
-    signed_zeros = -np.zeros((3, 5))
-    for A in (scipy.sparse.csr_array((6, 6)), stored_zeros, signed_zeros):
-        value = spectral_norm(A)
-        assert value == 0.0 and math.copysign(1.0, value) == 1.0
-
-
-def test_spectral_norm_of_a_scaled_signed_permutation_is_its_largest_entry(no_eigensolve):
-    # |c| times an orthogonal matrix: both bounds meet at |c|, bit for bit
-    rng = np.random.default_rng(23)
-    for n in (1, 2, 7, 100):
-        for c in (1.0, 0.37, -3.1e-7, 2.5e12, float(rng.uniform(-5.0, 5.0))):
-            A = np.zeros((n, n))
-            A[np.arange(n), rng.permutation(n)] = c * rng.choice([-1.0, 1.0], n)
-            for form in (A, scipy.sparse.csr_array(A)):
-                assert spectral_norm(form) == abs(c), (n, c)
-
-
 def test_oracle_commutator_norms_are_exact_without_an_eigensolve(no_eigensolve):
-    # [H, Pi] has one entry per row and column, (b_n + eps/2) - (b_n - eps/2)
-    # up to sign: its norm is its largest entry, |eps| up to the rounding of
-    # the boson energy b_n.  [H', sigma_z] vanishes identically at delta = 0.
-    bath = DiscretizedBath.from_modes((1.0, 0.4), (0.35, 0.2))
+    # [H, Pi] has at most one nonzero per row and column,
+    # (b_n + eps/2) - (b_n - eps/2) up to sign: the V and tunneling terms
+    # cancel exactly, so its norm is its largest entry, |eps| up to the
+    # rounding of the boson energy b_n, also at omega_c 1e7.  [H', sigma_z]
+    # vanishes identically at delta = 0.
     basis = enumerate_basis(2, 6)
-    Pi = parity_matrix(basis).toarray()
-    for epsilon in (0.0, 0.25, -1e-3):
-        model = assemble_full(ModelParams(delta=0.7, epsilon=epsilon), bath, basis)
-        H = model.hamiltonian.toarray()
+    Pi = parity_matrix(basis)
+    cases = [(1.0, eps) for eps in (0.0, 1e-200, 0.25, -1e-3, 1e7)] + [(1e7, 3e6)]
+    for omega_c, epsilon in cases:
+        bath = DiscretizedBath.from_modes(
+            (omega_c, 0.4 * omega_c), (0.35 * omega_c, 0.2 * omega_c)
+        )
+        model = assemble_full(ModelParams(0.7 * omega_c, epsilon), bath, basis)
+        H = model.hamiltonian
+        commutator = (H @ Pi - Pi @ H).toarray()
+        nonzero = commutator != 0.0
+        assert nonzero.sum(axis=0).max() <= 1 and nonzero.sum(axis=1).max() <= 1
         norm = parity_commutator_norm(model)
-        assert norm == np.abs(H @ Pi - Pi @ H).max()
-        assert norm == pytest.approx(abs(epsilon), rel=1e-12)
-    assert frozen_spin_check(bath, basis) == 0.0
+        assert norm == np.abs(commutator).max()
+        rounding = 4 * np.finfo(float).eps * float(abs(H).sum(axis=1).max())
+        assert abs(norm - abs(epsilon)) <= rounding, (omega_c, epsilon)
+        assert norm == pytest.approx(abs(epsilon), rel=1e-9, abs=0.0)
+        assert frozen_spin_check(bath, basis) == 0.0

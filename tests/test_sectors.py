@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from helpers import parity_phase
+from helpers import basis_states, parity_phase
 
 from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize, log_prefactor
 from sbmlab.errors import AccuracyError, CapacityError, SolverError
@@ -42,7 +42,7 @@ def test_assemble_zero_coupling_is_diagonal_with_parity_split():
     delta = 0.3
     even = assemble_sector(bath, ModelParams(delta), basis, Sector.EVEN)
     omega = np.array(bath.omega)
-    for i, n in enumerate(basis):
+    for i, n in enumerate(basis_states(basis)):
         expected = float(np.array(n) @ omega) - (delta / 2) * parity_phase(n)
         assert even.entries[i, i] == pytest.approx(expected, rel=1e-15)
     off = even.entries - np.diag(np.diag(even.entries))
@@ -56,7 +56,7 @@ def test_assemble_delta_zero_sectors_identical():
     odd = assemble_sector(bath, ModelParams(0.0), basis, Sector.ODD)
     assert np.array_equal(even.entries, odd.entries)
     q2 = bath.q[0] ** 2
-    expected_diag = [n[0] * 1.0 - q2 for n in basis]
+    expected_diag = [n[0] * 1.0 - q2 for n in basis_states(basis)]
     assert np.allclose(np.diag(even.entries), expected_diag, rtol=1e-15)
     assert np.all(even.entries == np.diag(np.diag(even.entries)))
 
@@ -192,7 +192,7 @@ def test_davidson_matches_dense_eigh_at_weak_coupling():
     basis = enumerate_basis(7, 5)
     assert basis.dim == 792
     params = ModelParams(0.5)
-    for result in solve_sectors(bath, params, basis):
+    for result in solve_sectors(bath, params, basis.n_max):
         assert result.iterations > 0
         entries = assemble_sector(bath, params, basis, result.sector).entries
         reference = scipy.linalg.eigh(entries, eigvals_only=True, subset_by_index=[0, 0])[0]
@@ -206,7 +206,7 @@ def test_davidson_converges_at_thirteen_modes():
     bath = log_grid_bath(0.5, 0.2, 13)
     basis = enumerate_basis(13, 4)
     assert basis.dim == 2380
-    even, odd = solve_sectors(bath, ModelParams(0.5), basis, tol=1e-10, max_iter=500)
+    even, odd = solve_sectors(bath, ModelParams(0.5), basis.n_max, tol=1e-10, max_iter=500)
     assert even.residual <= 1e-10 and odd.residual <= 1e-10
     assert (even.sector, odd.sector) == (Sector.EVEN, Sector.ODD)
 
@@ -232,7 +232,7 @@ def test_one_iteration_solve_applies_each_sector_twice(monkeypatch):
         return apply(self, x)
 
     monkeypatch.setattr(SectorMatrix, "apply", counted)
-    even, odd = solve_sectors(bath, cfg.model, basis, cfg.solver.tol, cfg.solver.max_iter)
+    even, odd = solve_sectors(bath, cfg.model, basis.n_max, cfg.solver.tol, cfg.solver.max_iter)
     assert applied == [Sector.EVEN] * 2 + [Sector.ODD] * 2
     for result in (even, odd):
         assert result.iterations == 1
@@ -250,7 +250,7 @@ def test_davidson_resolves_clustered_low_spectrum():
     iterations = []
     for n_max in (2, 3):
         basis = enumerate_basis(20, n_max)
-        for result in solve_sectors(bath, params, basis):
+        for result in solve_sectors(bath, params, basis.n_max):
             entries = assemble_sector(bath, params, basis, result.sector).entries
             reference = scipy.linalg.eigh(entries, eigvals_only=True, subset_by_index=[0, 0])[0]
             assert abs(result.energy - reference) <= 1e-12
@@ -258,8 +258,8 @@ def test_davidson_resolves_clustered_low_spectrum():
     assert max(iterations) > _DAVIDSON_RESTART  # the thick restart ran
     basis = enumerate_basis(20, 4)
     assert basis.dim == 10626
-    larger = solve_sectors(bath, params, basis)
-    smaller = solve_sectors(bath, params, enumerate_basis(20, 3))
+    larger = solve_sectors(bath, params, basis.n_max)
+    smaller = solve_sectors(bath, params, 3)
     for big, small in zip(larger, smaller):
         assert big.residual <= 1e-10
         assert big.energy <= small.energy + 1e-12
@@ -286,7 +286,7 @@ def test_solve_sectors_bit_identical_to_per_sector_solves():
     basis = enumerate_basis(3, 9)
     assert basis.dim == 220
     params = ModelParams(0.6)
-    for result in solve_sectors(bath, params, basis):
+    for result in solve_sectors(bath, params, basis.n_max):
         matrix = assemble_sector(bath, params, basis, result.sector)
         alone = ground_state(matrix)
         assert result.iterations == alone.iterations
@@ -297,7 +297,7 @@ def test_solve_sectors_bit_identical_to_per_sector_solves():
         # the dense matrix is diag -+ (delta/2) * prefactor * P E' P E P
         omega, q = np.asarray(bath.omega), np.asarray(bath.q)
         E = lowering_series(basis, bath.q).toarray()
-        P = np.diag([float(parity_phase(n)) for n in basis])
+        P = np.diag([float(parity_phase(n)) for n in basis_states(basis)])
         factor = math.exp(log_prefactor(bath))
         expected = result.sector.tunneling_sign * (params.delta / 2.0) * factor * (
             P @ E.T @ P @ E @ P
@@ -336,7 +336,7 @@ def test_solve_sectors_takes_the_displaced_diagonal_once(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.csr_array, "power", counted)
     bath = DiscretizedBath.from_modes((1.0, 0.4, 0.16), (0.45, 0.3, 0.2))
-    even, odd = solve_sectors(bath, ModelParams(0.6), enumerate_basis(3, 9))
+    even, odd = solve_sectors(bath, ModelParams(0.6), 9)
     assert len(calls) == 1
     assert even.residual <= 1e-10 and odd.residual <= 1e-10
 
@@ -350,7 +350,7 @@ def test_solve_sectors_refuses_oversize_operator_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="MAX_OPERATOR_BYTES"):
-            solve_sectors(bath, ModelParams(0.5), basis)
+            solve_sectors(bath, ModelParams(0.5), basis.n_max)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -372,7 +372,7 @@ def test_refused_point_never_builds_the_lowering_series(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(AccuracyError, match="10\\^-33745.68"):
-            solve_sectors(bath, ModelParams(0.5), basis)
+            solve_sectors(bath, ModelParams(0.5), basis.n_max)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -385,11 +385,11 @@ def test_twenty_mode_pair_solves():
     bath = log_grid_bath(0.5, 0.01, 20)
     basis = enumerate_basis(20, 5)
     assert basis.dim == 53130
-    even, odd = solve_sectors(bath, ModelParams(0.5), basis)
+    even, odd = solve_sectors(bath, ModelParams(0.5), basis.n_max)
     assert even.residual <= 1e-10 and odd.residual <= 1e-10
     assert odd.energy - even.energy > 0.0
     # variational: the smaller basis cannot go lower
-    smaller = solve_sectors(bath, ModelParams(0.5), enumerate_basis(20, 4))
+    smaller = solve_sectors(bath, ModelParams(0.5), 4)
     assert even.energy <= smaller[0].energy + 1e-12
     assert odd.energy <= smaller[1].energy + 1e-12
 
@@ -434,7 +434,7 @@ def test_untruncated_residual_sees_what_the_energy_does_not():
     # outside n_max 4, while the energy has moved by 6.6e-6 from n_max 2
     bath = single_mode(2.0)
     even = {
-        n_max: solve_sectors(bath, ModelParams(0.5), enumerate_basis(1, n_max))[0]
+        n_max: solve_sectors(bath, ModelParams(0.5), n_max)[0]
         for n_max in (2, 4)
     }
     assert 0.24 <= even[4].untruncated_residual <= 0.25
@@ -446,7 +446,7 @@ def test_untruncated_residual_vanishes_as_n_max_converges():
     spec = BathSpec(s=0.1, alpha=0.3, omega_c=1.0)
     bath = discretize(spec, DiscretizationSpec(Lambda=2.0, N=2))
     sigmas = [
-        solve_sectors(bath, ModelParams(0.5), enumerate_basis(3, n_max))[0].untruncated_residual
+        solve_sectors(bath, ModelParams(0.5), n_max)[0].untruncated_residual
         for n_max in (4, 8, 12, 16)
     ]
     assert all(b < a for a, b in zip(sigmas, sigmas[1:]))
@@ -490,14 +490,14 @@ def odd_minus_even(*args, **kwargs):
 def test_gap_zero_coupling_is_delta():
     bath = silent_bath(1.0, 0.5)
     basis = enumerate_basis(2, 4)
-    assert odd_minus_even(bath, ModelParams(0.3), basis) == pytest.approx(0.3, abs=1e-14)
+    assert odd_minus_even(bath, ModelParams(0.3), basis.n_max) == pytest.approx(0.3, abs=1e-14)
 
 
 def test_gap_negates_with_delta():
     bath = DiscretizedBath.from_modes((1.0, 0.4), (0.3, 0.2))
     basis = enumerate_basis(2, 6)
-    forward = odd_minus_even(bath, ModelParams(0.45), basis)
-    backward = odd_minus_even(bath, ModelParams(-0.45), basis)
+    forward = odd_minus_even(bath, ModelParams(0.45), basis.n_max)
+    backward = odd_minus_even(bath, ModelParams(-0.45), basis.n_max)
     assert backward == pytest.approx(-forward, rel=1e-12)
 
 
@@ -509,7 +509,7 @@ def test_gap_positive_and_shrinking_with_mode_count():
     for N in range(5):
         bath = discretize(spec, DiscretizationSpec(Lambda=2.0, N=N))
         basis = enumerate_basis(bath.mode_count, 6)
-        gaps.append(odd_minus_even(bath, params, basis))
+        gaps.append(odd_minus_even(bath, params, basis.n_max))
     assert all(g > 0 for g in gaps)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
@@ -538,14 +538,14 @@ def test_gap_tracks_prefactor_at_weak_tunneling():
     bath = DiscretizedBath.from_modes((1.0, 0.5), (0.3, 0.1))
     basis = enumerate_basis(2, 8)
     delta = 1e-6
-    splitting = odd_minus_even(bath, ModelParams(delta), basis, tol=1e-12)
+    splitting = odd_minus_even(bath, ModelParams(delta), basis.n_max, tol=1e-12)
     assert splitting / delta == pytest.approx(math.exp(log_prefactor(bath)), rel=1e-4)
 
 
 # ---------------------------------------------------------------- gap identity
 
 
-def mpmath_gap(even, odd):
+def mpmath_gap(bath, params, basis):
     """E- - E+ from a 50-digit eigensolve of diag + coupling Dt, built from the double arrays.
 
     Adding a coupling of 3.5e-15 to a diagonal entry near -0.19 in double
@@ -554,8 +554,8 @@ def mpmath_gap(even, odd):
     """
     with mpmath.workdps(50):
         lowest = []
-        for result in (even, odd):
-            operator = result.operator
+        for sector in (Sector.EVEN, Sector.ODD):
+            operator = assemble_sector(bath, params, basis, sector)
             dt = mpmath.matrix(operator.displaced_parity.dense.tolist())
             matrix = mpmath.diag([mpmath.mpf(x) for x in operator.diagonal.tolist()])
             matrix += mpmath.mpf(operator.coupling) * dt
@@ -573,9 +573,10 @@ def mpmath_gap(even, odd):
 )
 def test_gap_identity_matches_a_50_digit_eigensolve(s, alpha, N, n_max, subtraction):
     bath = log_grid_bath(s, alpha, N + 1)
-    even, odd = solve_sectors(bath, ModelParams(0.5), enumerate_basis(N + 1, n_max))
-    identity = gap_identity(even, odd, log_prefactor(bath), 1e-10)
-    reference = mpmath_gap(even, odd)
+    params = ModelParams(0.5)
+    even, odd = solve_sectors(bath, params, n_max)
+    identity = gap_identity(even, odd, 0.5, log_prefactor(bath), 1e-10)
+    reference = mpmath_gap(bath, params, enumerate_basis(N + 1, n_max))
     assert identity["sign"] == 1 and reference > 0
     assert abs(identity["log10_abs_gap"] - float(mpmath.log10(reference))) <= 1e-9
     if subtraction is not None:
@@ -586,14 +587,14 @@ def test_gap_identity_sign_follows_delta_and_refuses_a_small_overlap():
     bath = log_grid_bath(0.5, 0.2, 3)
     basis = enumerate_basis(3, 4)
     log_factor = log_prefactor(bath)
-    even, odd = solve_sectors(bath, ModelParams(0.4), basis)
-    identity = gap_identity(even, odd, log_factor, 1e-10)
+    even, odd = solve_sectors(bath, ModelParams(0.4), basis.n_max)
+    identity = gap_identity(even, odd, 0.4, log_factor, 1e-10)
     gap = odd.energy - even.energy
     assert identity["sign"] == 1
     assert identity["log10_abs_gap"] == pytest.approx(math.log10(gap), abs=1e-9)
     # negating delta exchanges the sectors: the same magnitude, the other sign
-    even_neg, odd_neg = solve_sectors(bath, ModelParams(-0.4), basis)
-    negated = gap_identity(even_neg, odd_neg, log_factor, 1e-10)
+    even_neg, odd_neg = solve_sectors(bath, ModelParams(-0.4), basis.n_max)
+    negated = gap_identity(even_neg, odd_neg, -0.4, log_factor, 1e-10)
     assert negated["sign"] == -1
     assert negated["log10_abs_gap"] == pytest.approx(identity["log10_abs_gap"], abs=1e-9)
     # the phase of phi- cancels between the numerator and the overlap (the
@@ -601,12 +602,12 @@ def test_gap_identity_sign_follows_delta_and_refuses_a_small_overlap():
     flipped = dataclasses.replace(
         odd, coefficients=-odd.coefficients, dt_coefficients=-odd.dt_coefficients
     )
-    assert gap_identity(even, flipped, log_factor, 1e-10) == identity
+    assert gap_identity(even, flipped, 0.4, log_factor, 1e-10) == identity
     # the identity divides by the overlap, which must exceed 100 tol
     overlap = abs(float(even.coefficients @ odd.coefficients))
-    assert gap_identity(even, odd, log_factor, overlap / 100 * (1 + 1e-12)) is None
-    assert gap_identity(even, odd, log_factor, overlap / 100 * (1 - 1e-12)) is not None
+    assert gap_identity(even, odd, 0.4, log_factor, overlap / 100 * (1 + 1e-12)) is None
+    assert gap_identity(even, odd, 0.4, log_factor, overlap / 100 * (1 - 1e-12)) is not None
     # at delta = 0 the sectors coincide: no gap to take the log of
     silent = silent_bath(1.0)
-    plus, minus = solve_sectors(silent, ModelParams(0.0), enumerate_basis(1, 3))
-    assert gap_identity(plus, minus, log_prefactor(silent), 1e-10) is None
+    plus, minus = solve_sectors(silent, ModelParams(0.0), 3)
+    assert gap_identity(plus, minus, 0.0, log_prefactor(silent), 1e-10) is None
