@@ -1,16 +1,17 @@
 """References that the tests compare the package against, written the direct way.
 
-basis_states lists the states of a basis as tuples, parity_phase is the boson
-parity of one multi-index, and displacement_matrix the single-mode
-displacement operator as a dense matrix exponential.  beta2_reference sums the discrete tail term by term
-in any number type, lmn_exact is the single-mode overlap factor in
-rational arithmetic, frozen_spin_check the commutator of the
-delta = 0 Hamiltonian with sigma_z, lowering_series_reference fills
-each factor of the lowering series entry by entry along the ladder maps,
-coupling_matrix and block_hamiltonian build V and H from sparse blocks,
-magnetization is <sigma_z> of a mixture of the two sector ground
-states, and dense_spectrum every eigenvalue of a sparse symmetric
-matrix from one dense solve.  The package needs none of them.
+basis_states lists the states of a basis as tuples, parity_phase is the
+boson parity of one multi-index, and displacement_matrix the single-mode
+displacement operator as a dense matrix exponential.  beta2_reference
+sums the discrete tail term by term in any number type, lmn_exact is the
+single-mode overlap factor in rational arithmetic, frozen_spin_check the
+commutator of the delta = 0 Hamiltonian with sigma_z,
+lowering_series_reference fills each factor of the lowering series entry
+by entry along the ladder maps, coupling_matrix and block_hamiltonian
+build V and H from sparse blocks, magnetization is <sigma_z> of a
+mixture of the two sector ground states, and dense_spectrum every
+eigenvalue of a sparse symmetric matrix from one dense solve.  The
+package needs none of them.
 """
 
 from __future__ import annotations
