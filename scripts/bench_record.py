@@ -7,7 +7,9 @@ workload at --trace 0 and once at --trace 1, each in a fresh interpreter
 from the repo root, and keeps the last two lines of its standard output:
 the environment record (core count, BLAS thread variables, numpy and
 scipy versions, git commit) and the result.  The --trace 0 result holds
-the end-to-end metrics, the --trace 1 result the per-layer ones.
+the end-to-end metrics, the --trace 1 result the per-layer ones.  Each
+workload's end-to-end metrics and its failed/attempted count are also
+printed to standard error as they come in.
 tree_clean is false when the tracked files under src, scripts or
 perfbench differed from that commit as the runs began, so the numbers
 are not those of the commit alone.
@@ -62,8 +64,13 @@ def main(argv=None) -> int:
                 **{field: result[field] for field in ("correct", "attempted", "failed")},
             }
         workloads[workload] = record
-        wall_s = record["end_to_end"]["metrics"]["wall_s"]
-        print(f"{workload}: wall_s {wall_s:.4f} s", file=sys.stderr)
+        # every number the benchmark gates on, one line per workload
+        end = record["end_to_end"]
+        gated = ", ".join(
+            f"{m['name']} {end['metrics'][m['name']]:.4g} {m['unit']}"
+            for m in benchmark["end_to_end"]
+        )
+        print(f"{workload}: {gated}, failed {end['failed']}/{end['attempted']}", file=sys.stderr)
     out = ROOT / f"BENCH_{args.label}.json"
     units = {m["name"]: m["unit"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
     out.write_text(json.dumps({

@@ -194,8 +194,14 @@ def sweep_point(task: tuple[int, RunConfig]) -> tuple[dict, dict]:
     solvers = {}
     identity = None
     try:
+        # solver.tol is in units of omega_c; the residuals stay absolute
         even, odd = solve_sectors(
-            bath, cfg.model, cfg.truncation.n_max, cfg.solver.tol, cfg.solver.max_iter
+            bath,
+            cfg.model,
+            cfg.truncation.n_max,
+            cfg.solver.tol,
+            cfg.solver.max_iter,
+            cfg.bath.omega_c,
         )
     except SolverError as exc:
         diagnostics = dict(exc.diagnostics)
@@ -225,10 +231,14 @@ def sweep_point(task: tuple[int, RunConfig]) -> tuple[dict, dict]:
     delta = cfg.model.delta
     # a difference of two energies cannot resolve a gap below their rounding
     if status == "ok" and not abs(gap) > GAP_FLOOR * max(abs(even_energy), abs(odd_energy)):
+        cause = (
+            "the sectors coincide at delta 0"
+            if delta == 0.0
+            else f"polaron factor 10^{log_prefactor(bath) / math.log(10):.2f}"
+        )
         status = (
             f"unresolved-gap: gap {gap:.3e} is below the rounding of the sector energies "
-            f"({GAP_FLOOR:g} of their size); polaron factor "
-            f"10^{log_prefactor(bath) / math.log(10):.2f}"
+            f"({GAP_FLOOR:g} of their size); {cause}"
         )
     # the untruncated ground state is even for delta > 0 and odd for delta < 0;
     # both energies are upper bounds, so a wrong sign proves that the sector
@@ -458,6 +468,15 @@ def cmd_magnetization_scan(args) -> int:
     # one assembly; each grid point rewrites only the diagonal of H
     unbiased = assemble_full(cfg.model, bath, enumeration)
     rows = [(eps, ground_sigma_z(unbiased.with_bias(eps))) for eps in map(float, grid)]
+    # the parity symmetry makes sigma_z vanish at epsilon = 0 for a
+    # nondegenerate ground state; anything else is a state Lanczos picked
+    # from a numerically degenerate pair, and the curve means nothing
+    for eps, sigma_z in rows:
+        if eps == 0.0 and abs(sigma_z) > 1e-9:
+            raise AccuracyError(
+                f"sigma_z {sigma_z:.6g} at epsilon 0 is not 0: the ground state at "
+                f"delta {cfg.model.delta:g} is numerically degenerate"
+            )
     name = "magnetization_epsilon.csv"
     _publish(
         args.out,

@@ -62,6 +62,7 @@ class Truncation:
 
 @dataclass(frozen=True)
 class SolverSettings:
+    # the sector solves' residual tolerance, in units of bath.omega_c
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
 

@@ -2,15 +2,15 @@
 
 States of N+1 boson modes are labelled by multi-indices n = (n_0, ..., n_N)
 with a total-excitation cutoff sum(n) <= n_max.  BasisEnumeration holds them
-as one read-only occupation array ordered by the closed-form graded-lex
-rank.  Its ladder maps raising(k), n -> n + e_k, and its parity vector build
-E and P below and the oracle's coupling V.  Nothing about a basis
-depends on q, so enumerate_basis keeps the last one in a one-slot memo,
-and a basis builds its ladder maps and the index pattern of E's factors
-(lowering_pattern) once, read-only: a sweep that changes only q fills
-one small value table per mode and point.  The central object is the
-overlap table of the parity operator exp(i*pi*sum a'a) between displaced
-number states D(-q)|n>:
+as one read-only occupation array in graded lexicographic order: a stable
+sort by total of the lexicographic enumeration.  Its ladder maps raising(k),
+n -> n + e_k, and its parity vector build E and P below and the oracle's
+coupling V.  Nothing about a basis depends on q, so enumerate_basis keeps
+the last one in a one-slot memo, and a basis builds its ladder maps and the
+index pattern of E's factors (lowering_pattern) once, read-only: a sweep
+that changes only q fills one small value table per mode and point.  The
+central object is the overlap table of the parity operator
+exp(i*pi*sum a'a) between displaced number states D(-q)|n>:
 
     D_{m,n} = exp(-2 sum_k q_k**2) * Dt_{m,n},   Dt_{m,n} = prod_k L_{m_k,n_k}(q_k)
 
@@ -65,10 +65,9 @@ class BasisEnumeration:
     """Fixed bijection between multi-indices and dense indices 0..dim-1.
 
     The states are one read-only dim x mode_count int64 occupation array.
-    Its order is graded lexicographic (total occupation first, then
-    lexicographic within each total), defined by the closed-form rank alone:
-    row i is the state whose rank is i.  The order is part of the on-disk
-    file format, so it must never change.
+    Its order is graded lexicographic: a stable sort by total of the
+    lexicographic enumeration, so row i is the state of graded-lex rank i.
+    The order is part of the on-disk file format, so it must never change.
     """
 
     def __init__(self, mode_count: int, n_max: int):
@@ -93,12 +92,12 @@ class BasisEnumeration:
         self.mode_count = mode_count
         self.n_max = n_max
         self.dim = dim
-        # _binomial[p, R] = C(R + p, p) for rank, each row the running sum of the last
-        self._binomial = np.ones((mode_count + 1, n_max + 1), dtype=np.int64)
-        for p in range(1, mode_count + 1):
+        # _binomial[p, R] = C(R + p, p) for the ladder maps, each row the running sum of the last
+        self._binomial = np.ones((mode_count, n_max + 1), dtype=np.int64)
+        for p in range(1, mode_count):
             self._binomial[p] = np.cumsum(self._binomial[p - 1])
-        # every state, one mode at a time: each row of total t takes 0..n_max - t;
-        # int8 holds any occupation up to N_MAX_CAP
+        # every state, one mode at a time: each row of total t takes 0..n_max - t,
+        # so the rows come out lexicographic; int8 holds any occupation up to N_MAX_CAP
         occ = np.zeros((1, 0), dtype=np.int8)
         totals = np.zeros(1, dtype=np.int64)
         for _ in range(mode_count):
@@ -106,33 +105,13 @@ class BasisEnumeration:
             column = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
             occ = np.column_stack((np.repeat(occ, counts, axis=0), column.astype(np.int8)))
             totals = np.repeat(totals, counts) + column
-        self._occupations = np.empty((dim, mode_count), dtype=np.int64)
-        self._occupations[self.rank(occ)] = occ
+        # a stable sort by total keeps the lexicographic order within each total
+        order = np.argsort(totals, kind="stable")
+        self._occupations = occ[order].astype(np.int64)
         self._occupations.flags.writeable = False
         # read-only boson parity (-1)**sum(n) of every state, as float
-        self.parity = 1.0 - 2.0 * (self._occupations.sum(axis=1) % 2)
+        self.parity = 1.0 - 2.0 * (totals[order] % 2)
         self.parity.flags.writeable = False
-
-    def rank(self, occupations: np.ndarray) -> np.ndarray:
-        """Dense indices of the rows of an integer occupation array, in closed form.
-
-        The graded-lex rank of a state of total t counts the C(t + M - 1, M)
-        states of lower total, and then, for each mode i, the states of
-        total t that agree on the modes before i and hold less in mode i:
-        C(R_i + p, p) - C(R_{i+1} + p, p), where R_i is the occupation of
-        modes i.. and p = M - 1 - i the number of modes after i.  Every
-        binomial involved is at most dim, so none overflows int64.  Each row
-        must be a state of this enumeration.
-        """
-        modes, binomial = self.mode_count, self._binomial
-        occ = np.asarray(occupations)
-        remaining = occ.sum(axis=1, dtype=np.int64)
-        rank = np.concatenate(([0], binomial[modes, :-1]))[remaining]
-        for i in range(modes - 1):
-            after = remaining - occ[:, i]
-            rank += binomial[modes - 1 - i, remaining] - binomial[modes - 1 - i, after]
-            remaining = after
-        return rank
 
     def raising(self, k: int) -> np.ndarray:
         """Read-only int32 index of n + e_k for every state n, or -1 where it leaves the basis."""
@@ -142,20 +121,31 @@ class BasisEnumeration:
 
     @functools.cached_property
     def _ladder_maps(self) -> tuple[np.ndarray, ...]:
-        """Every mode's ladder map, built together on first use and kept.
+        """Every mode's ladder map, read-only int32 rows of one array, built on first use.
 
-        Map k is the rank of n - e_k over the states with n_k > 0,
-        inverted; int32 holds every index below MAX_BASIS_DIM.
+        For n of total t < n_max, R_i the occupation of modes i.. and p_i =
+        M - 1 - i, Pascal's rule on each term of the rank that n + e_k moves
+        gives one running sum over the modes:
+
+            rank(n + e_k) - rank(n) = C(t + M - 1, M - 1) + C(R_k + p_k, p_k - 1)
+                + sum_{i<k} [C(R_i + p_i, p_i - 1) - C(R_{i+1} + p_i, p_i - 1)],
+
+        the C(R_k ...) term absent for k = M - 1.  The states of total
+        n_max, the last rows, raise out of the basis.
         """
-        maps = []
-        for k in range(self.mode_count):
-            occupied = np.nonzero(self._occupations[:, k])[0]
-            lowered = self._occupations[occupied]
-            lowered[:, k] -= 1
-            raised = np.full(self.dim, -1, dtype=np.int32)
-            raised[self.rank(lowered)] = occupied
-            raised.flags.writeable = False
-            maps.append(raised)
+        modes, binomial = self.mode_count, self._binomial
+        inner = self.dim - binomial[modes - 1, self.n_max]
+        occ = self._occupations[:inner]
+        remaining = occ.sum(axis=1)
+        maps = np.full((modes, self.dim), -1, dtype=np.int32)
+        step = np.arange(inner) + binomial[modes - 1, remaining]
+        for k in range(modes - 1):
+            pascal, after = binomial[modes - 2 - k], remaining - occ[:, k]
+            maps[k, :inner] = step + pascal[remaining + 1]
+            step += pascal[remaining + 1] - pascal[after + 1]
+            remaining = after
+        maps[-1, :inner] = step
+        maps.flags.writeable = False
         return tuple(maps)
 
     @functools.cached_property

@@ -116,8 +116,8 @@ def assemble_full(
     # entries per mode and state that the mode can raise (total below n_max);
     # an entry is a float64 value and an int64 column index.  Next to these
     # CSR arrays the build holds the boson energies and the diagonal
-    # positions (24 dim bytes), the enumeration's int32 ladder maps and, while
-    # they are built, a copy of its occupations (12 dim modes bytes), at most
+    # positions (24 dim bytes), the enumeration's int32 ladder maps and the
+    # int64 temporaries of their build (counted as 12 dim modes bytes), at most
     # eight int64 or float64 temporaries of length dim (64 dim bytes), and
     # about 20 KiB of Python objects, counted as 64 KiB
     entries = 4 * dim + 4 * modes * math.comb(n_max - 1 + modes, modes)

@@ -56,8 +56,9 @@ DEFAULT_MAX_ITER = 500
 # half of Ritz vectors
 _DAVIDSON_RESTART = 40
 
-# smallest |diag - theta| the Davidson preconditioner divides by; on a
-# Lambda = 2 grid boson energies coincide exactly, so diag - theta can be 0
+# smallest |diag - theta| the Davidson preconditioner divides by, in units of
+# the solve's energy unit; on a Lambda = 2 grid boson energies coincide
+# exactly, so diag - theta can be 0
 _MIN_DENOMINATOR = 1e-8
 
 # a gap below this fraction of its energy scale (the sector energies in a
@@ -250,7 +251,7 @@ def assemble_sector(
 
 
 def _davidson_lowest(
-    matrix: SectorMatrix, tol: float, max_iter: int
+    matrix: SectorMatrix, tol: float, max_iter: int, min_denominator: float
 ) -> tuple[float, np.ndarray, int, float, bool]:
     """Lowest eigenpair by Davidson's method (J. Comput. Phys. 17, 87, 1975).
 
@@ -267,7 +268,8 @@ def _davidson_lowest(
     exhausted) of the first pair within tol, or of the best pair found when
     max_iter runs out or the search space cannot grow; exhausted is True
     when the search space spans the whole basis, where the Ritz pair is
-    exact up to rounding and no iteration can lower its residual.
+    exact up to rounding and no iteration can lower its residual.  The
+    preconditioner clamps |diag - theta| below at min_denominator.
     """
     diag = matrix.diagonal + matrix.coupling * matrix.displaced_parity.diagonal
     n = diag.size
@@ -301,8 +303,8 @@ def _davidson_lowest(
             G[:keep, :keep] = np.diag(vals[:keep])
             size = keep
         denominator = diag - theta
-        small = np.abs(denominator) < _MIN_DENOMINATOR
-        denominator[small] = np.copysign(_MIN_DENOMINATOR, denominator[small])
+        small = np.abs(denominator) < min_denominator
+        denominator[small] = np.copysign(min_denominator, denominator[small])
         t = r / denominator
         scale = np.linalg.norm(t)
         for _ in range(2):
@@ -321,18 +323,28 @@ def _davidson_lowest(
 
 
 def ground_state(
-    matrix: SectorMatrix, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+    matrix: SectorMatrix,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    energy_unit: float = 1.0,
 ) -> GroundStateResult:
     """Lowest eigenpair of a sector matrix by Davidson iteration, at any size.
 
-    The residual is recomputed explicitly and must meet tol within max_iter
-    iterations, the vector is normalized, and the vacuum coefficient is
-    made nonnegative.  The untruncated residual of the vector costs one
-    more application of Dt, whose image the result keeps.  A residual above tol raises AccuracyError when
-    the search space spans the whole basis, where it is the rounding floor
-    of the operator, and SolverError otherwise.
+    tol and the preconditioner's clamp are in units of energy_unit, so a
+    model written in other units takes the same steps; the residual
+    reported stays absolute.  The residual is recomputed explicitly and
+    must meet tol * energy_unit within max_iter iterations, the vector is
+    normalized, and the vacuum coefficient is made nonnegative.  The
+    untruncated residual of the vector costs one more application of Dt,
+    whose image the result keeps.  A residual above tol * energy_unit
+    raises AccuracyError when the search space spans the whole basis,
+    where it is the rounding floor of the operator, and SolverError
+    otherwise.
     """
-    energy, vector, iterations, residual, exhausted = _davidson_lowest(matrix, tol, max_iter)
+    tol = tol * energy_unit
+    energy, vector, iterations, residual, exhausted = _davidson_lowest(
+        matrix, tol, max_iter, _MIN_DENOMINATOR * energy_unit
+    )
     if exhausted and not residual <= tol:
         raise AccuracyError(
             f"davidson solve of the {matrix.sector.value} sector has best residual "
@@ -373,8 +385,11 @@ def solve_sectors(
     n_max: int,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    energy_unit: float = 1.0,
 ) -> tuple[GroundStateResult, GroundStateResult]:
     """(even, odd) ground states over the basis sum(n) <= n_max, from one diagonal and one E.
+
+    tol is in units of energy_unit, as in ground_state.
 
     Refusals come in this order: AccuracyError for a polaron factor that
     no double holds, before the basis is enumerated, also where it would
@@ -386,8 +401,8 @@ def solve_sectors(
     enumeration = enumerate_basis(bath.mode_count, n_max)
     pair = _sector_pair(bath, params, enumeration, polaron)
     return (
-        ground_state(pair[Sector.EVEN], tol, max_iter),
-        ground_state(pair[Sector.ODD], tol, max_iter),
+        ground_state(pair[Sector.EVEN], tol, max_iter, energy_unit),
+        ground_state(pair[Sector.ODD], tol, max_iter, energy_unit),
     )
 
 

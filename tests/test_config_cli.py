@@ -959,6 +959,46 @@ def test_gap_sweep_manifest_records_the_identity_gap(tmp_path):
     assert second["log10_abs_gap"] == pytest.approx(-35.492474719, abs=1e-8)
 
 
+@pytest.mark.parametrize("omega_c", [1e-100, 1e-7, 1e7, 1e100])
+def test_gap_sweep_does_not_depend_on_the_energy_unit(tmp_path, omega_c):
+    # alpha_scan.yaml with every energy in units of omega_c: solver.tol and
+    # the preconditioner clamp scale with it, so each row takes the same
+    # steps.  With both absolute, omega_c 1e7 (N 3, n_max 4) was a
+    # solver-error row (best residual 3.8e-9 after 102 iterations).
+    import yaml
+
+    rows, solvers = {}, {}
+    for unit in (1.0, omega_c):
+        data = yaml.safe_load((ROOT / "scripts" / "configs" / "alpha_scan.yaml").read_text())
+        data["model"]["delta"] = 0.5 * unit
+        data["bath"]["omega_c"] = unit
+        out = tmp_path / f"unit{unit:g}"
+        argv = ["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(out)]
+        assert main(argv) == 0
+        header, body = read_csv(out / "gap_sweep.csv")
+        assert [row[header.index("status")] for row in body] == ["ok"] * 11
+        columns = [header.index("E_plus0"), header.index("E_minus0")]
+        rows[unit] = np.array([[float(row[c]) / unit for c in columns] for row in body])
+        manifest = json.loads((out / "gap_sweep_manifest.json").read_text())
+        solvers[unit] = [
+            [record[sector]["iterations"] for sector in ("even", "odd")]
+            for record in manifest["row_solvers"]
+        ]
+    assert np.abs(rows[omega_c] - rows[1.0]).max() <= 1e-13
+    assert np.abs(np.subtract(solvers[omega_c], solvers[1.0])).max() <= 2
+
+
+def test_gap_sweep_names_coinciding_sectors_at_zero_delta(tmp_path):
+    data = deep({"model": {"delta": 0.0}})
+    out = tmp_path / "zero"
+    assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(out)]) == 1
+    header, body = read_csv(out / "gap_sweep.csv")
+    assert body[0][header.index("status")] == (
+        "unresolved-gap: gap 0.000e+00 is below the rounding of the sector energies "
+        "(1e-12 of their size); the sectors coincide at delta 0"
+    )
+
+
 def _strict_json(text: str):
     """json.loads that refuses NaN and +-Infinity, which are not JSON."""
 
@@ -1555,6 +1595,40 @@ def test_magnetization_epsilon_scan_reports_lanczos_non_convergence(tmp_path, ca
     assert err.startswith("solver error: lanczos ground state of the full H (size 140)")
     assert "No convergence" in err
     assert not out.exists()
+
+
+# N 2, n_max 3, s 0.5, alpha 0.2 (Fock dim 10) with delta set per test
+SMALL_SCAN = {
+    "bath": {"s": 0.5, "alpha": 0.2, "omega_c": 1.0},
+    "discretization": {"Lambda": 2.0, "N": 2},
+    "truncation": {"n_max": 3},
+}
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-12])
+def test_magnetization_scan_refuses_a_degenerate_zero_bias_ground_state(tmp_path, capsys, delta):
+    # the ground pair is degenerate to rounding, and Lanczos returned
+    # sigma_z(0) = 0.48195 at delta 0 and -4.4e-5 at delta 1e-12, both
+    # written with exit 0; symmetry makes a nondegenerate sigma_z(0) vanish
+    out = tmp_path / "scan"
+    path = write_config(tmp_path, {**SMALL_SCAN, "model": {"delta": delta}})
+    argv = ["magnetization-scan", "--config", path, "--epsilon-steps", "3", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invariant failure: sigma_z ")
+    assert err.endswith(f"at epsilon 0 is not 0: the ground state at delta {delta:g} is "
+                        "numerically degenerate\n")
+    assert not out.exists()
+
+
+def test_magnetization_scan_bytes_at_a_resolved_zero_bias_ground_state(tmp_path):
+    out = tmp_path / "scan"
+    path = write_config(tmp_path, {**SMALL_SCAN, "model": {"delta": 0.5}})
+    argv = ["magnetization-scan", "--config", path, "--epsilon-steps", "3", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256((out / "magnetization_epsilon.csv").read_bytes()).hexdigest() == (
+        "c171400be284f0d57e5e57d5e0ff499b1e774f5eb63d25587a40458d837e4463"
+    )
 
 
 # the checks benchmark's bias scan at seed 0: 6 modes at n_max 5, Fock dim 462

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -91,8 +93,6 @@ def test_enumeration_is_a_graded_lex_bijection(mode_count, n_max):
     assert basis.dim == math.comb(n_max + mode_count, mode_count)
     states = basis_states(basis)
     assert len(set(states)) == basis.dim
-    rows = basis.occupation_array()
-    assert basis.rank(rows).tolist() == list(range(basis.dim))
     keys = [(sum(s), s) for s in states]
     assert keys == sorted(keys)
 
@@ -135,17 +135,72 @@ def test_rank_is_the_enumeration_index(mode_count, n_max):
     assert basis_states(basis) == states
     occ = np.array(states, dtype=np.int64).reshape(len(states), mode_count)
     assert np.array_equal(basis.occupation_array(), occ)
-    assert np.array_equal(basis.rank(occ), np.arange(basis.dim))
+
+
+def assert_raising_is_the_brute_force_raise(basis):
+    """Every raising(k) against n + e_k looked up row by row in the occupation array.
+
+    The rows are distinct (the order tests check that), so matching the
+    raised rows pins every map entry; -1 must sit exactly on total n_max.
+    """
+    occ = basis.occupation_array()
+    full = occ.sum(axis=1) == basis.n_max
+    for k in range(basis.mode_count):
+        raised = basis.raising(k)
+        assert raised.dtype == np.int32
+        assert np.array_equal(raised < 0, full)
+        expected = occ[~full].copy()
+        expected[:, k] += 1
+        assert np.array_equal(occ[raised[~full]], expected)
 
 
 def test_rank_at_thirty_modes():
     # a base-(n_max + 1) key would need 5**30 > 2**63 here
     states = graded_lex(30, 4)
-    basis = enumerate_basis(30, 4)
-    ranks = basis.rank(np.array(states))
-    assert ranks.dtype == np.int64
-    assert np.array_equal(ranks, np.arange(len(states)))
-    assert basis_states(basis) == states
+    basis = BasisEnumeration(30, 4)
+    assert np.array_equal(basis.occupation_array(), np.array(states))
+    assert_raising_is_the_brute_force_raise(basis)
+
+
+def test_ladder_maps_at_a_thousand_modes():
+    # graded lex at n_max 1: the vacuum, then e_999, e_998, ..., e_0
+    basis = BasisEnumeration(1000, 1)
+    expected = np.vstack((np.zeros(1000, dtype=np.int64), np.eye(1000, dtype=np.int64)[::-1]))
+    assert np.array_equal(basis.occupation_array(), expected)
+    started = time.perf_counter()
+    basis.raising(0)
+    assert time.perf_counter() - started < 1.0
+    assert_raising_is_the_brute_force_raise(basis)
+
+
+# sha256 of occupation_array().tobytes() and of every raising(k).tobytes() in
+# mode order, taken from the closed-form graded-lex rank, a construction of
+# the order independent of the sort
+ORDER_SHA256 = {
+    (6, 5): (
+        "d480b4c024541959d1e3388620c918345f0d6466de6f2a29cdd333d87136d66d",
+        "f6bd2878007d4e4ab618f0202993cc3fa03f5509ae340c11c5037aac2a250f6b",
+    ),
+    (8, 6): (
+        "ef01cda17092d272d30e5cf07680c205c06d4ed0d9afef6f421b2cb951e3f4b1",
+        "74df9d11b19db86a843c71377348bff4a04a1be3eb4b06bfa7174165802d938d",
+    ),
+    (13, 4): (
+        "6d1c13727428d9e3b1c28a88410f637590c23fd35fd2d9d37496aea299112d6b",
+        "986a6572b88dd94093e3e1f53ba2db139d3adb938944e4034dcbbc5843bb6ecd",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode_count, n_max", sorted(ORDER_SHA256))
+def test_order_and_ladder_maps_keep_their_bytes(mode_count, n_max):
+    # the order is an on-disk format: a change shows here before in any CSV
+    basis = BasisEnumeration(mode_count, n_max)
+    maps = b"".join(basis.raising(k).tobytes() for k in range(mode_count))
+    assert (
+        hashlib.sha256(basis.occupation_array().tobytes()).hexdigest(),
+        hashlib.sha256(maps).hexdigest(),
+    ) == ORDER_SHA256[mode_count, n_max]
 
 
 @given(mode_count=st.integers(1, 4), n_max=st.integers(0, 5))
