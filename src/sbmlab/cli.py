@@ -465,6 +465,9 @@ def cmd_magnetization_scan(args) -> int:
     bath = discretize(cfg.bath, cfg.discretization)
     enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
     grid = np.linspace(-args.epsilon_max, args.epsilon_max, args.epsilon_steps)
+    # linspace can miss 0 by an ulp (steps 7, max 0.9), which would skip the epsilon 0 check
+    if args.epsilon_steps % 2:
+        grid[args.epsilon_steps // 2] = 0.0
     # one assembly; each grid point rewrites only the diagonal of H
     unbiased = assemble_full(cfg.model, bath, enumeration)
     rows = [(eps, ground_sigma_z(unbiased.with_bias(eps))) for eps in map(float, grid)]

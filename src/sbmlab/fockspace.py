@@ -2,14 +2,14 @@
 
 States of N+1 boson modes are labelled by multi-indices n = (n_0, ..., n_N)
 with a total-excitation cutoff sum(n) <= n_max.  BasisEnumeration holds them
-as one read-only occupation array in graded lexicographic order: a stable
-sort by total of the lexicographic enumeration.  Its ladder maps raising(k),
-n -> n + e_k, and its parity vector build E and P below and the oracle's
-coupling V.  Nothing about a basis depends on q, so enumerate_basis keeps
-the last one in a one-slot memo, and a basis builds its ladder maps and the
-index pattern of E's factors (lowering_pattern) once, read-only: a sweep
-that changes only q fills one small value table per mode and point.  The
-central object is the overlap table of the parity operator
+as one read-only occupation array in graded lexicographic order, which is
+lexicographic in (total, n_0, ..., n_{N-1}), and each row's total in totals.
+Its ladder maps raising(k), n -> n + e_k, and its parity vector build E and P
+below and the oracle's coupling V.  Nothing about a basis depends on q, so
+enumerate_basis keeps the last one in a one-slot memo, and a basis builds its
+ladder maps and the index pattern of E's factors (lowering_pattern) once,
+read-only: a sweep that changes only q fills one small value table per mode
+and point.  The central object is the overlap table of the parity operator
 exp(i*pi*sum a'a) between displaced number states D(-q)|n>:
 
     D_{m,n} = exp(-2 sum_k q_k**2) * Dt_{m,n},   Dt_{m,n} = prod_k L_{m_k,n_k}(q_k)
@@ -64,10 +64,10 @@ _ENTRY_BYTES = 12
 class BasisEnumeration:
     """Fixed bijection between multi-indices and dense indices 0..dim-1.
 
-    The states are one read-only dim x mode_count int64 occupation array.
-    Its order is graded lexicographic: a stable sort by total of the
-    lexicographic enumeration, so row i is the state of graded-lex rank i.
-    The order is part of the on-disk file format, so it must never change.
+    The states are one read-only dim x mode_count int64 occupation array in
+    graded lexicographic order, lexicographic in (total, n_0, ..., n_{M-2})
+    for M modes: row i is the state of graded-lex rank i, and the read-only
+    totals[i] its total.  The order is part of the on-disk file format.
     """
 
     def __init__(self, mode_count: int, n_max: int):
@@ -92,25 +92,25 @@ class BasisEnumeration:
         self.mode_count = mode_count
         self.n_max = n_max
         self.dim = dim
-        # _binomial[p, R] = C(R + p, p) for the ladder maps, each row the running sum of the last
+        # _binomial[p, R] = C(R + p, p), each row the running sum of the last
         self._binomial = np.ones((mode_count, n_max + 1), dtype=np.int64)
         for p in range(1, mode_count):
             self._binomial[p] = np.cumsum(self._binomial[p - 1])
-        # every state, one mode at a time: each row of total t takes 0..n_max - t,
-        # so the rows come out lexicographic; int8 holds any occupation up to N_MAX_CAP
-        occ = np.zeros((1, 0), dtype=np.int8)
-        totals = np.zeros(1, dtype=np.int64)
-        for _ in range(mode_count):
-            counts = n_max + 1 - totals
+        # from the budgets 0..n_max, a prefix of budget b extends by n_k = 0..b to budget
+        # b - n_k, and heads C(b + p, p) rows, p its free modes before the last
+        budget = np.arange(n_max + 1)
+        self.totals = np.repeat(budget, self._binomial[mode_count - 1])
+        self.totals.flags.writeable = False
+        self._occupations = np.empty((dim, mode_count), dtype=np.int64)
+        for k in range(mode_count - 1):
+            counts = budget + 1
             column = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-            occ = np.column_stack((np.repeat(occ, counts, axis=0), column.astype(np.int8)))
-            totals = np.repeat(totals, counts) + column
-        # a stable sort by total keeps the lexicographic order within each total
-        order = np.argsort(totals, kind="stable")
-        self._occupations = occ[order].astype(np.int64)
+            budget = np.repeat(budget, counts) - column
+            self._occupations[:, k] = np.repeat(column, self._binomial[mode_count - 2 - k, budget])
+        self._occupations[:, -1] = budget
         self._occupations.flags.writeable = False
         # read-only boson parity (-1)**sum(n) of every state, as float
-        self.parity = 1.0 - 2.0 * (totals[order] % 2)
+        self.parity = 1.0 - 2.0 * (self.totals % 2)
         self.parity.flags.writeable = False
 
     def raising(self, k: int) -> np.ndarray:
@@ -136,7 +136,7 @@ class BasisEnumeration:
         modes, binomial = self.mode_count, self._binomial
         inner = self.dim - binomial[modes - 1, self.n_max]
         occ = self._occupations[:inner]
-        remaining = occ.sum(axis=1)
+        remaining = self.totals[:inner]
         maps = np.full((modes, self.dim), -1, dtype=np.int32)
         step = np.arange(inner) + binomial[modes - 1, remaining]
         for k in range(modes - 1):
@@ -162,7 +162,7 @@ class BasisEnumeration:
         read-only.
         """
         indptr = np.zeros(self.dim + 1, dtype=np.int32)
-        np.cumsum(self.n_max + 1 - self._occupations.sum(axis=1), out=indptr[1:])
+        np.cumsum(self.n_max + 1 - self.totals, out=indptr[1:])
         indptr.flags.writeable = False
         return indptr, tuple(self._factor_pattern(k, indptr) for k in range(self.mode_count))
 

@@ -44,6 +44,7 @@ cutoff.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -178,17 +179,29 @@ def assemble_full(
     return FullModel(enumeration, H, boson, positions)
 
 
+def _read_only(matrix: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
+    """matrix with its data, indices and indptr made read-only, for a memo to share."""
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
+    return matrix
+
+
+# the last basis's Pi and U are kept, like the basis itself (enumerate_basis)
+@functools.lru_cache(maxsize=1)
 def parity_matrix(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
-    """Pi = sigma_x (x) diag((-1)**total), sparse. Involutory and symmetric."""
+    """Pi = sigma_x (x) diag((-1)**total), sparse and read-only. Involutory and symmetric."""
     P = scipy.sparse.diags_array(enumeration.parity)
-    return scipy.sparse.block_array([[None, P], [P, None]], format="csr")
+    return _read_only(scipy.sparse.block_array([[None, P], [P, None]], format="csr"))
 
 
+@functools.lru_cache(maxsize=1)
 def unitary_U(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
-    """Block rotation (1/sqrt 2) [[I, P], [-P, I]] used to decouple the sectors, sparse."""
+    """Block rotation (1/sqrt 2) [[I, P], [-P, I]] decoupling the sectors, sparse, read-only."""
     P = scipy.sparse.diags_array(enumeration.parity)
     eye = scipy.sparse.eye_array(enumeration.dim)
-    return scipy.sparse.block_array([[eye, P], [-P, eye]], format="csr") / math.sqrt(2.0)
+    return _read_only(
+        scipy.sparse.block_array([[eye, P], [-P, eye]], format="csr") / math.sqrt(2.0)
+    )
 
 
 def _hoelder_bound(magnitude: np.ndarray | scipy.sparse.sparray) -> float:

@@ -1631,6 +1631,22 @@ def test_magnetization_scan_bytes_at_a_resolved_zero_bias_ground_state(tmp_path)
     )
 
 
+def test_magnetization_scan_puts_an_exact_zero_mid_grid(tmp_path, capsys):
+    # linspace(-0.9, 0.9, 7) has -1.1e-16 in the middle: no epsilon 0 row,
+    # so the degenerate curve at delta 0 was written with exit 0
+    flags = ["--epsilon-steps", "7", "--epsilon-max", "0.9", "--out"]
+    out = tmp_path / "resolved"
+    path = write_config(tmp_path, {**SMALL_SCAN, "model": {"delta": 0.5}})
+    assert main(["magnetization-scan", "--config", path, *flags, str(out)]) == 0
+    _, body = read_csv(out / "magnetization_epsilon.csv")
+    assert body[3][0] == "0"
+    out = tmp_path / "degenerate"
+    path = write_config(tmp_path, {**SMALL_SCAN, "model": {"delta": 0.0}})
+    assert main(["magnetization-scan", "--config", path, *flags, str(out)]) == 1
+    assert "at epsilon 0 is not 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # the checks benchmark's bias scan at seed 0: 6 modes at n_max 5, Fock dim 462
 CHECKS_SCAN = {
     "model": {"delta": 0.5},

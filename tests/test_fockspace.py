@@ -173,6 +173,19 @@ def test_ladder_maps_at_a_thousand_modes():
     assert_raising_is_the_brute_force_raise(basis)
 
 
+def test_enumeration_at_four_thousand_modes():
+    # the rows come out in order, with no per-mode copy of the states: a
+    # column_stack per mode and a sort took about 11 s here
+    started = time.perf_counter()
+    basis = BasisEnumeration(4000, 1)
+    assert time.perf_counter() - started < 2.0
+    # graded lex at n_max 1: the vacuum, then e_3999, e_3998, ..., e_0
+    rows, cols = np.nonzero(basis.occupation_array())
+    assert np.array_equal(rows, np.arange(1, 4001))
+    assert np.array_equal(cols, np.arange(3999, -1, -1))
+    assert basis.occupation_array().sum() == 4000
+
+
 # sha256 of occupation_array().tobytes() and of every raising(k).tobytes() in
 # mode order, taken from the closed-form graded-lex rank, a construction of
 # the order independent of the sort
@@ -201,6 +214,15 @@ def test_order_and_ladder_maps_keep_their_bytes(mode_count, n_max):
         hashlib.sha256(basis.occupation_array().tobytes()).hexdigest(),
         hashlib.sha256(maps).hexdigest(),
     ) == ORDER_SHA256[mode_count, n_max]
+
+
+@pytest.mark.parametrize("mode_count, n_max", sorted(ORDER_SHA256))
+def test_totals_are_the_read_only_row_sums(mode_count, n_max):
+    basis = BasisEnumeration(mode_count, n_max)
+    assert np.array_equal(basis.totals, basis.occupation_array().sum(axis=1))
+    assert np.array_equal(basis.parity, (-1.0) ** basis.totals)
+    with pytest.raises(ValueError):
+        basis.totals[0] = 1
 
 
 @given(mode_count=st.integers(1, 4), n_max=st.integers(0, 5))

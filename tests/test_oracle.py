@@ -218,6 +218,17 @@ def test_rotation_unitarity_defect_bounds_and_catches_a_perturbed_U(monkeypatch)
     assert unitarity >= 1e-9 / math.sqrt(2)
 
 
+def test_rotation_and_parity_are_built_once_per_basis():
+    basis = enumerate_basis(2, 5)
+    for build in (unitary_U, parity_matrix):
+        matrix = build(basis)
+        assert build(basis) is matrix
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            with pytest.raises(ValueError):
+                array[0] = 0
+    assert unitary_U(enumerate_basis(2, 4)).shape == (2 * 15, 2 * 15)
+
+
 def test_rotation_transports_parity_to_sigma_z():
     basis = enumerate_basis(2, 5)
     U = unitary_U(basis).toarray()
