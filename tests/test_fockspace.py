@@ -174,8 +174,8 @@ def test_ladder_maps_at_a_thousand_modes():
 
 
 def test_enumeration_at_four_thousand_modes():
-    # the rows come out in order, with no per-mode copy of the states: a
-    # column_stack per mode and a sort took about 11 s here
+    # the rows are generated in order, one column per mode: a copy of the
+    # whole 128 MB state array per mode, or a sort of it, would take seconds
     started = time.perf_counter()
     basis = BasisEnumeration(4000, 1)
     assert time.perf_counter() - started < 2.0
