@@ -460,26 +460,42 @@ def cmd_magnetization_scan(args) -> int:
         )
     # the scan needs the oracle's full H, whose ground state comes from
     # Lanczos (scipy.sparse.linalg, imported by the solve)
-    from .oracle import assemble_full, ground_sigma_z
+    from .oracle import assemble_full, ground_sigma_z, parity_commutator_norm
 
     bath = discretize(cfg.bath, cfg.discretization)
     enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
-    grid = np.linspace(-args.epsilon_max, args.epsilon_max, args.epsilon_steps)
+    steps = args.epsilon_steps
+    # the grid's nonnegative half; the rest is its exact mirror below
+    half = np.linspace(-args.epsilon_max, args.epsilon_max, steps)[steps // 2 :]
     # linspace can miss 0 by an ulp (steps 7, max 0.9), which would skip the epsilon 0 check
-    if args.epsilon_steps % 2:
-        grid[args.epsilon_steps // 2] = 0.0
+    if steps % 2:
+        half[0] = 0.0
     # one assembly; each grid point rewrites only the diagonal of H
     unbiased = assemble_full(cfg.model, bath, enumeration)
-    rows = [(eps, ground_sigma_z(unbiased.with_bias(eps))) for eps in map(float, grid)]
+    # Pi = sigma_x (x) (-1)^sum(n) maps H(epsilon) onto H(-epsilon) and
+    # sigma_z onto -sigma_z, so sigma_z(-epsilon) = -sigma_z(epsilon).  Every
+    # entry of H Pi and Pi H is one product with +-1, so a correctly
+    # assembled H commutes with Pi exactly, and then Pi H(epsilon) Pi and
+    # H(-epsilon) agree bit for bit
+    commutator = parity_commutator_norm(unbiased)
+    if commutator != 0.0:
+        raise AccuracyError(
+            f"the assembled H does not commute with the parity at epsilon 0 "
+            f"(||[H, Pi]|| = {commutator:.3e}), so the scan cannot mirror its epsilon >= 0 half"
+        )
+    solved = [(eps, ground_sigma_z(unbiased.with_bias(eps))) for eps in map(float, half)]
     # the parity symmetry makes sigma_z vanish at epsilon = 0 for a
     # nondegenerate ground state; anything else is a state Lanczos picked
     # from a numerically degenerate pair, and the curve means nothing
-    for eps, sigma_z in rows:
+    for eps, sigma_z in solved:
         if eps == 0.0 and abs(sigma_z) > 1e-9:
             raise AccuracyError(
                 f"sigma_z {sigma_z:.6g} at epsilon 0 is not 0: the ground state at "
                 f"delta {cfg.model.delta:g} is numerically degenerate"
             )
+    # 0.0 - sigma_z is -sigma_z, but never the "-0" cell of -0.0
+    mirrored = [(-eps, 0.0 - sigma_z) for eps, sigma_z in reversed(solved[steps % 2 :])]
+    rows = mirrored + solved
     name = "magnetization_epsilon.csv"
     _publish(
         args.out,

@@ -26,8 +26,12 @@ moves the local field by rewriting the diagonal of one assembly.  The
 ground states come from implicitly restarted Lanczos (ARPACK) on the
 CSR H, one routine for the ground state of a biased <sigma_z>
 (`ground_sigma_z`) and for the two lowest eigenpairs behind the parity
-label and its gap floor (`ground_parity`).  The spectrum partition is not
-measured by eigensolves but bounded: `partition_bound` turns the
+label and its gap floor (`ground_parity`); ARPACK gets a bare matvec of
+the CSR H, whose products are bit-identical to the default wrapper's.  Pi
+maps H(epsilon) onto H(-epsilon) exactly once [H(0), Pi] is exactly 0
+(`parity_commutator_norm`), so the bias scan solves only epsilon >= 0 and
+writes sigma_z(-epsilon) = -sigma_z(epsilon).  The spectrum partition is
+not measured by eigensolves but bounded: `partition_bound` turns the
 unitarity defect and the off-diagonal norm of the sparse U H U'
 (`sector_blocks`) into a rigorous bound on how far the spectrum of H lies
 from the union of the two block spectra.  The norm of [H, Pi] is its
@@ -303,18 +307,24 @@ def _lowest_eigenpairs(H: scipy.sparse.csr_array, k: int) -> tuple[np.ndarray, n
     dense H is formed, and it shares no code with the sector path's
     Davidson solve.  H is first scaled by 2^-e, e the binary exponent of
     ||H||_inf, which is exact and keeps ARPACK's arithmetic inside the
-    double range at any energy unit; the eigenvalues are scaled back.  The
-    start vector is a fixed seed-0 normal draw, so the result does not
-    depend on what ran before in the process.  Raises SolverError when
-    ARPACK does not converge.
+    double range at any energy unit; the eigenvalues are scaled back.
+    ARPACK sees the scaled H as a LinearOperator whose matvec is the CSR
+    product itself, which skips the matmat layers of eigsh's default
+    wrapper; the same CSR kernel computes every product either way, so the
+    result is bit-identical.  The start vector is a fixed seed-0 normal
+    draw, so the result does not depend on what ran before in the process.
+    Raises SolverError when ARPACK does not converge.
     """
     import scipy.sparse.linalg
 
     exponent = math.frexp(norm_inf(H))[1]
     scaled = scipy.sparse.csr_array((np.ldexp(H.data, -exponent), H.indices, H.indptr), H.shape)
+    operator = scipy.sparse.linalg.LinearOperator(
+        scaled.shape, matvec=scaled.__matmul__, dtype=float
+    )
     start = np.random.default_rng(0).standard_normal(H.shape[0])
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(scaled, k=k, which="SA", tol=0.0, v0=start)
+        vals, vecs = scipy.sparse.linalg.eigsh(operator, k=k, which="SA", tol=0.0, v0=start)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise SolverError(
             f"lanczos ground state of the full H (size {H.shape[0]}) "

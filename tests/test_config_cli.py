@@ -23,7 +23,7 @@ from sbmlab.config import (
 )
 from sbmlab.errors import CapacityError, ConfigError
 from sbmlab.fockspace import BasisEnumeration, enumerate_basis
-from sbmlab.oracle import assemble_full
+from sbmlab.oracle import assemble_full, ground_sigma_z
 from sbmlab.sectors import ModelParams
 
 BASE = {
@@ -1627,7 +1627,7 @@ def test_magnetization_scan_bytes_at_a_resolved_zero_bias_ground_state(tmp_path)
     argv = ["magnetization-scan", "--config", path, "--epsilon-steps", "3", "--out", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256((out / "magnetization_epsilon.csv").read_bytes()).hexdigest() == (
-        "c171400be284f0d57e5e57d5e0ff499b1e774f5eb63d25587a40458d837e4463"
+        "f8dd12bbfdf2fd7e6b54fdf617cb76b2c86e0ca2bc2d5d8cee07699b42af37e4"
     )
 
 
@@ -1647,6 +1647,75 @@ def test_magnetization_scan_puts_an_exact_zero_mid_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("steps,epsilon_max", [(7, 0.9), (8, 0.7), (11, 1.0)])
+def test_magnetization_scan_grid_and_curve_are_exactly_odd(tmp_path, steps, epsilon_max):
+    # linspace alone is antisymmetric only to an ulp; the scan mirrors its
+    # epsilon >= 0 half, so cell i is cell steps - 1 - i with both signs flipped
+    out = tmp_path / "scan"
+    path = write_config(tmp_path, {**SMALL_SCAN, "model": {"delta": 0.5}})
+    argv = ["magnetization-scan", "--config", path, "--out", str(out),
+            "--epsilon-steps", str(steps), "--epsilon-max", str(epsilon_max)]
+    assert main(argv) == 0
+    _, body = read_csv(out / "magnetization_epsilon.csv")
+    assert len(body) == steps
+    assert float(body[-1][0]) == epsilon_max
+    for i in range(steps // 2):
+        (eps, sigma_z), (eps_mirror, sigma_z_mirror) = body[i], body[steps - 1 - i]
+        assert float(eps) == -float(eps_mirror) < 0.0
+        assert float(sigma_z) == -float(sigma_z_mirror)
+    if steps % 2:
+        assert body[steps // 2][0] == "0"
+    assert all("-0" not in (eps, sigma_z) for eps, sigma_z in body)
+
+
+@pytest.mark.parametrize("steps,solves", [(11, 6), (8, 4), (3, 2)])
+def test_magnetization_scan_solves_only_nonnegative_bias(tmp_path, monkeypatch, steps, solves):
+    import scipy.sparse.linalg
+
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    out = tmp_path / "scan"
+    path = write_config(tmp_path, {**SMALL_SCAN, "model": {"delta": 0.5}})
+    argv = ["magnetization-scan", "--config", path, "--out", str(out),
+            "--epsilon-steps", str(steps)]
+    assert main(argv) == 0
+    assert calls == [1] * solves
+
+
+def test_magnetization_scan_refuses_an_h_that_breaks_parity(tmp_path, monkeypatch, capsys):
+    # the vacuum's first V entry in the up block changed by an ulp: Pi
+    # H(epsilon) Pi is no longer H(-epsilon), so no half can be mirrored
+    import dataclasses
+
+    import sbmlab.oracle
+
+    assemble = sbmlab.oracle.assemble_full
+
+    def broken(*args):
+        model = assemble(*args)
+        H = model.hamiltonian
+        data = H.data.copy()
+        data[1] = np.nextafter(data[1], np.inf)
+        H = type(H)((data, H.indices, H.indptr), shape=H.shape)
+        return dataclasses.replace(model, hamiltonian=H)
+
+    monkeypatch.setattr(sbmlab.oracle, "assemble_full", broken)
+    out = tmp_path / "scan"
+    path = write_config(tmp_path, {**SMALL_SCAN, "model": {"delta": 0.5}})
+    argv = ["magnetization-scan", "--config", path, "--out", str(out), "--epsilon-steps", "5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "invariant failure: the assembled H does not commute with the parity at epsilon 0"
+    )
+    assert not out.exists()
+
+
 # the checks benchmark's bias scan at seed 0: 6 modes at n_max 5, Fock dim 462
 CHECKS_SCAN = {
     "model": {"delta": 0.5},
@@ -1658,7 +1727,9 @@ CHECKS_SCAN = {
 
 def test_checks_sized_epsilon_scan_matches_full_eigh(tmp_path):
     # at epsilon = 0 the true value is 0, and the tunneling gap of 2.2e-3
-    # amplifies rounding in every solver; elsewhere the gap is about 0.05
+    # amplifies rounding in every solver; elsewhere the gap is about 0.05.
+    # The epsilon < 0 cells are mirrored from epsilon > 0, so each is also
+    # checked against a Lanczos solve of its own
     out = tmp_path / "mge"
     path = write_config(tmp_path, CHECKS_SCAN)
     argv = ["magnetization-scan", "--config", path, "--out", str(out), "--epsilon-steps", "11"]
@@ -1678,6 +1749,8 @@ def test_checks_sized_epsilon_scan_matches_full_eigh(tmp_path):
         psi = np.linalg.eigh(model.hamiltonian.toarray())[1][:, 0]
         reference = psi[: basis.dim] @ psi[: basis.dim] - psi[basis.dim :] @ psi[basis.dim :]
         assert abs(float(sigma_z) - reference) <= 1e-14
+        if float(eps) < 0.0:
+            assert abs(float(sigma_z) - ground_sigma_z(model)) <= 1e-14
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -1687,7 +1760,7 @@ def test_checks_sized_epsilon_scan_bytes(tmp_path, threads):
     argv = ["magnetization-scan", "--config", path, "--out", str(out), "--epsilon-steps", "11"]
     assert run_cli(argv, threads=threads) == 0
     assert hashlib.sha256((out / "magnetization_epsilon.csv").read_bytes()).hexdigest() == (
-        "5faa8d5520b94b9c43df48e8a169af1e543da0cbfc8fb225ffa03d5a081c943c"
+        "92726d03ba2f7683a1c110740d1365ad4e5d1f83242c8e746bfb12a023f1b526"
     )
 
 
@@ -1699,7 +1772,7 @@ def test_magnetization_csv_bytes(tmp_path, threads):
     argv = ["magnetization-scan", "--config", path, "--out", str(out), "--epsilon-steps", "11"]
     assert run_cli(argv, threads=threads) == 0
     assert hashlib.sha256((out / "magnetization_epsilon.csv").read_bytes()).hexdigest() == (
-        "5d15d2dbeabbf005d5d05ef490f05ac43a86f5ead054a58a3230920b9b9bf067"
+        "cd0361858c1ee58b666c5e8fe12c55ffc54b064c3c6fcd47ee0c46720e583f6b"
     )
 
 

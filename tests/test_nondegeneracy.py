@@ -52,6 +52,30 @@ def test_verdicts_are_read_from_the_occupation_array(monkeypatch):
         assert (report.case1_verdict, report.case2_verdict) == verdicts
 
 
+def test_case1_finds_a_repeated_row_far_from_its_twin(monkeypatch):
+    # case 1 compares sorted neighbours in blocks of 257 rows: a copy of row
+    # 0 as row 599 of 600 lies in another block of the occupation array, and
+    # the copy of every other row checks the seams between sorted blocks
+    import sbmlab.nondegeneracy
+
+    class Rows:
+        def __init__(self, rows):
+            self.rows = rows
+            self.dim = len(rows)
+
+        def occupation_array(self):
+            return self.rows
+
+    distinct = enumerate_basis(4, 9).occupation_array()[:600]
+    for twin in range(599):
+        rows = distinct.copy()
+        rows[-1] = rows[twin]
+        monkeypatch.setattr(sbmlab.nondegeneracy, "enumerate_basis", lambda N, n_max: Rows(rows))
+        assert constant_term_contradiction(4, 9).case1_verdict == "fails", twin
+    monkeypatch.setattr(sbmlab.nondegeneracy, "enumerate_basis", lambda N, n_max: Rows(distinct))
+    assert constant_term_contradiction(4, 9).case1_verdict == "holds"
+
+
 # ---------------------------------------------------------------- case 2
 
 
