@@ -133,7 +133,7 @@ def constant_term_contradiction(N: int, n_max: int) -> ProofReport:
     """
     basis = _proof_basis(N, n_max)
     occupations = basis.occupation_array()
-    independent = len(occupations) == basis.dim and _rows_distinct(occupations)
+    independent = _rows_distinct(occupations)
     # both sums skip c_0, so an unknown could reach a constant term only
     # through another row of total 0; the weights multiply unknowns and add
     # nothing constant, so with the vacuum the only such row the constant

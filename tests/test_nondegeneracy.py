@@ -27,19 +27,22 @@ def test_monomial_independence_capacity_and_validation():
         constant_term_contradiction(1, 0)
 
 
+class Rows:
+    """A stand-in basis whose occupation array is the given rows."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.dim = len(rows)
+
+    def occupation_array(self):
+        return self.rows
+
+
 def test_verdicts_are_read_from_the_occupation_array(monkeypatch):
     # a basis with a repeated row breaks monomial independence, and one with
     # a second row of total 0 breaks the constant-term argument; no real
     # basis has either, so a fake one stands in
     import sbmlab.nondegeneracy
-
-    class Rows:
-        def __init__(self, rows):
-            self.rows = np.array(rows, dtype=np.int64)
-            self.dim = len(rows)
-
-        def occupation_array(self):
-            return self.rows
 
     for rows, verdicts in (
         ([[0, 0], [1, 0], [0, 1]], ("holds", "holds")),
@@ -57,14 +60,6 @@ def test_case1_finds_a_repeated_row_far_from_its_twin(monkeypatch):
     # 0 as row 599 of 600 lies in another block of the occupation array, and
     # the copy of every other row checks the seams between sorted blocks
     import sbmlab.nondegeneracy
-
-    class Rows:
-        def __init__(self, rows):
-            self.rows = rows
-            self.dim = len(rows)
-
-        def occupation_array(self):
-            return self.rows
 
     distinct = enumerate_basis(4, 9).occupation_array()[:600]
     for twin in range(599):
