@@ -19,6 +19,7 @@ against the term-by-term sum in exact rationals and in 50-digit mpmath.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -81,15 +82,14 @@ class DiscretizationSpec:
 
 @dataclass(frozen=True)
 class DiscretizedBath:
-    """Immutable mode lists; q[k] == lam[k]/omega[k] by construction."""
+    """Immutable (omega, lambda) mode lists; the displacements q derive from them."""
 
     omega: tuple[float, ...]
     lam: tuple[float, ...]
-    q: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (len(self.omega) == len(self.lam) == len(self.q)):
-            raise ValueError("omega, lam, q must have equal length")
+        if len(self.omega) != len(self.lam):
+            raise ValueError("omega and lam must have equal length")
         if len(self.omega) == 0:
             raise ValueError("a discretized bath needs at least one mode")
         if any(w <= 0 for w in self.omega):
@@ -99,12 +99,13 @@ class DiscretizedBath:
 
     @classmethod
     def from_modes(cls, omega: tuple[float, ...], lam: tuple[float, ...]) -> "DiscretizedBath":
-        """Build a bath from (omega, lambda) pairs, deriving q = lambda/omega."""
-        omega = tuple(float(w) for w in omega)
-        lam = tuple(float(l) for l in lam)
-        if len(omega) != len(lam):
-            raise ValueError("omega and lam must have equal length")
-        return cls(omega=omega, lam=lam, q=tuple(l / w for l, w in zip(lam, omega)))
+        """Build a bath from (omega, lambda) pairs, each converted to float."""
+        return cls(omega=tuple(float(w) for w in omega), lam=tuple(float(l) for l in lam))
+
+    @functools.cached_property
+    def q(self) -> tuple[float, ...]:
+        """The displacements q_k = lambda_k / omega_k, taken once on first use."""
+        return tuple(l / w for l, w in zip(self.lam, self.omega))
 
     @property
     def mode_count(self) -> int:

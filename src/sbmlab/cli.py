@@ -289,11 +289,6 @@ def cmd_gap_sweep(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config)
-    if cfg.model.epsilon != 0.0:
-        raise ConfigError(
-            "gap-sweep solves the two parity sectors, which requires epsilon = 0; "
-            f"got model.epsilon = {cfg.model.epsilon}"
-        )
     rows, records = zip(*_run_sweep(cfg.expand_sweep(), args.workers))
 
     if args.format == "csv":
@@ -369,7 +364,7 @@ def cmd_oracle_check(args) -> int:
     else:
         record("commutator norm", _fmt(commutator), commutator < 1e-12)
 
-    unitarity, parity_defect = rotation_defects(enumeration)
+    unitarity, parity_defect = rotation_defects(model)
     record("rotation unitarity defect", _fmt(unitarity), unitarity < 1e-14)
     record("rotated parity vs sigma_z block form", _fmt(parity_defect), parity_defect < 1e-14)
 
@@ -532,8 +527,8 @@ def cmd_discretize(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_out(parser, default="."):
-    parser.add_argument("--out", default=default, help="output directory")
+def _add_out(parser):
+    parser.add_argument("--out", default=".", help="output directory")
 
 
 def _add_config(parser):
@@ -569,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also save the report here")
     p.set_defaults(handler=cmd_oracle_check)
 
-    p = sub.add_parser("verify-appendix", help="mechanized no-degeneracy proof reports")
+    p = sub.add_parser("verify-appendix", help="appendix-argument reports (not a proof)")
     p.add_argument("--N", type=int, nargs="+", required=True, help="mode counts")
     p.add_argument("--n-max", dest="n_max", type=int, nargs="+", required=True)
     _add_out(p)

@@ -48,8 +48,8 @@ from sbmlab.errors import CapacityError
 
 # total-occupation cap.  An entry of Dt is an alternating sum whose terms
 # outgrow it as occupation and q grow: at one mode and n_max = 60 its worst
-# relative error against exact arithmetic is 6e-13 at q = 0.2, 4e-10 at
-# q = 0.5 and 6e-5 at q = 1, and higher caps lose the rest
+# relative error against exact arithmetic is 2.0e-12 at q = 0.2, 1.6e-9 at
+# q = 0.5 and 5.2e-4 at q = 1, next to the diagonal; higher caps lose the rest
 N_MAX_CAP = 60
 
 MAX_BASIS_DIM = 2_000_000
@@ -64,7 +64,7 @@ _ENTRY_BYTES = 12
 class BasisEnumeration:
     """Fixed bijection between multi-indices and dense indices 0..dim-1.
 
-    The states are one read-only dim x mode_count int64 occupation array in
+    The states are the read-only dim x mode_count int64 array occupations in
     graded lexicographic order, lexicographic in (total, n_0, ..., n_{M-2})
     for M modes: row i is the state of graded-lex rank i, and the read-only
     totals[i] its total.  The order is part of the on-disk file format.
@@ -101,14 +101,14 @@ class BasisEnumeration:
         budget = np.arange(n_max + 1)
         self.totals = np.repeat(budget, self._binomial[mode_count - 1])
         self.totals.flags.writeable = False
-        self._occupations = np.empty((dim, mode_count), dtype=np.int64)
+        self.occupations = np.empty((dim, mode_count), dtype=np.int64)
         for k in range(mode_count - 1):
             counts = budget + 1
             column = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
             budget = np.repeat(budget, counts) - column
-            self._occupations[:, k] = np.repeat(column, self._binomial[mode_count - 2 - k, budget])
-        self._occupations[:, -1] = budget
-        self._occupations.flags.writeable = False
+            self.occupations[:, k] = np.repeat(column, self._binomial[mode_count - 2 - k, budget])
+        self.occupations[:, -1] = budget
+        self.occupations.flags.writeable = False
         # read-only boson parity (-1)**sum(n) of every state, as float
         self.parity = 1.0 - 2.0 * (self.totals % 2)
         self.parity.flags.writeable = False
@@ -135,7 +135,7 @@ class BasisEnumeration:
         """
         modes, binomial = self.mode_count, self._binomial
         inner = self.dim - binomial[modes - 1, self.n_max]
-        occ = self._occupations[:inner]
+        occ = self.occupations[:inner]
         remaining = self.totals[:inner]
         maps = np.full((modes, self.dim), -1, dtype=np.int32)
         step = np.arange(inner) + binomial[modes - 1, remaining]
@@ -171,7 +171,7 @@ class BasisEnumeration:
         n_max, raising = self.n_max, self.raising(k)
         indices = np.empty(indptr[-1], dtype=np.int32)
         cells = np.empty(indptr[-1], dtype=np.int32)
-        first_cell = self._occupations[:, k] * (n_max + 1)
+        first_cell = self.occupations[:, k] * (n_max + 1)
         row = col = np.arange(self.dim, dtype=np.int32)
         for r in range(n_max + 1):
             if r:
@@ -183,10 +183,6 @@ class BasisEnumeration:
             cells[position] = first_cell[row] + r
         indices.flags.writeable = cells.flags.writeable = False
         return indices, cells
-
-    def occupation_array(self) -> np.ndarray:
-        """The read-only dim x mode_count int64 occupations; row i is the state of rank i."""
-        return self._occupations
 
 
 @functools.lru_cache(maxsize=1, typed=True)

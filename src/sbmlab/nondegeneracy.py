@@ -1,31 +1,29 @@
-"""Exact-arithmetic check that the two parity-sector ground levels differ.
+"""Exact reports on a two-case argument that the sector levels differ; not a proof.
 
-The argument is mechanized, not numerical.  Suppose the even and odd
-sector Hamiltonians had a common lowest eigenvalue, with displaced-basis
-eigenvector coefficients c+_n and c-_n and nonzero vacuum components
-c+_0, c-_0.  Subtracting the vacuum rows of the two eigenvalue equations
-(divided by c+_0 and c-_0 respectively) leaves the polynomial identity
+Suppose the even and odd sector Hamiltonians shared their lowest
+eigenvalue, with displaced-basis coefficients c+_n, c-_n and nonzero
+vacuum components c+_0, c-_0.  Subtracting the vacuum rows of the two
+eigenvalue equations (divided by c+_0 and c-_0 respectively) leaves
 
     2 + (1/c+_0) sum_{n != 0} c-_n prod_k (2 q_k)^{n_k} / sqrt(n_k!)
       = -(1/c-_0) sum_{n != 0} c+_n prod_k (2 q_k)^{n_k} / sqrt(n_k!)
 
-which must hold identically in the displacement variables q_1..q_N.
-Two exhaustive cases dispose of it:
+which the argument asks to hold identically in q_1..q_N.  Case 1: each
+multi-index n has its own monomial q^n (monomial independence).  Case 2:
+the constant terms, 2 and 0, cannot match.
 
-1. every multi-index n maps to a distinct monomial q^n, so a vanishing
-   expansion forces every coefficient to vanish (monomial independence);
-
-2. the constant terms cannot match: the left side's is 2 and the right
-   side has none, so no choice of coefficients with nonzero vacuum
-   components satisfies the identity.
-
-Both verdicts are read, in integer arithmetic, from the occupation array
-of the basis: row n stands for both the unknown c_n and its monomial q^n,
-so no symbol objects are needed.  Each weight 2^|n| is a nonzero integer
-by construction, and the sqrt(n!) factors are formal positive units
-absorbed into the unknowns (only their positivity and the monomial
-degrees matter).  The witness is exact in Fraction; no floating point
-enters this module.
+Both verdicts are read in integer arithmetic from the occupation array of
+the basis: case 1 holds when no two rows are equal, case 2 when exactly
+one row has total 0.  Both hold for every basis enumerate_basis returns.
+That proves nothing: the c+-_n are functions of q, not constants; and
+"lowest" is never used, so shared excited levels would be ruled out too,
+yet they exist (one mode, omega 1, delta 0.5, lambda = sqrt(15)/8: level
+1 of both sectors is 49/64, Judd, J. Phys. C 12, 1685, 1979).  What
+keeps the ground pair apart is the sign theorem: for delta > 0 the
+untruncated ground state is unique and even (Perron-Frobenius; Spohn,
+Commun. Math. Phys. 123, 277, 1989).  The witness is exact in Fraction;
+no floating point enters this module.  The report text, HYPOTHESIS
+included, is pinned by sha256 in the tests and the benchmark reference.
 """
 
 from __future__ import annotations
@@ -132,7 +130,7 @@ def constant_term_contradiction(N: int, n_max: int) -> ProofReport:
     but these are 2 and 0 exactly.
     """
     basis = _proof_basis(N, n_max)
-    occupations = basis.occupation_array()
+    occupations = basis.occupations
     independent = _rows_distinct(occupations)
     # both sums skip c_0, so an unknown could reach a constant term only
     # through another row of total 0; the weights multiply unknowns and add

@@ -64,19 +64,42 @@ from sbmlab.sectors import GAP_FLOOR, ModelParams
 MIXED = 0
 
 
+def _read_only(matrix: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
+    """matrix with its data, indices and indptr made read-only, for a cached property to share."""
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
+    return matrix
+
+
 @dataclass(frozen=True, eq=False)
 class FullModel:
     """H over spin (x) Fock, twice the enumeration's dimension.
 
     Every diagonal entry of H is stored, also a zero one:
     `diagonal_positions` holds their positions in hamiltonian.data, spin-up
-    block first, and `boson` the boson energy of each Fock state.
+    block first, and `boson` the boson energy of each Fock state.  Its
+    parity Pi and rotation U are built on first use and kept, read-only.
     """
 
     enumeration: BasisEnumeration
     hamiltonian: scipy.sparse.csr_array
     boson: np.ndarray
     diagonal_positions: np.ndarray
+
+    @functools.cached_property
+    def parity(self) -> scipy.sparse.csr_array:
+        """Pi = sigma_x (x) diag((-1)**total), sparse and read-only. Involutory and symmetric."""
+        P = scipy.sparse.diags_array(self.enumeration.parity)
+        return _read_only(scipy.sparse.block_array([[None, P], [P, None]], format="csr"))
+
+    @functools.cached_property
+    def rotation(self) -> scipy.sparse.csr_array:
+        """U = (1/sqrt 2) [[I, P], [-P, I]], decoupling the sectors; sparse and read-only."""
+        P = scipy.sparse.diags_array(self.enumeration.parity)
+        eye = scipy.sparse.eye_array(self.enumeration.dim)
+        return _read_only(
+            scipy.sparse.block_array([[eye, P], [-P, eye]], format="csr") / math.sqrt(2.0)
+        )
 
     def with_bias(self, epsilon: float) -> FullModel:
         """The same H at local field epsilon, with only its diagonal rewritten.
@@ -134,7 +157,7 @@ def assemble_full(
             f"entries, {csr_bytes} bytes as CSR and {peak_bytes} bytes at the peak of its "
             f"build, above the cap MAX_OPERATOR_BYTES = {MAX_OPERATOR_BYTES}"
         )
-    occ = enumeration.occupation_array()
+    occ = enumeration.occupations
     boson = occ @ np.asarray(bath.omega)
     tunneling = -params.delta / 2.0
     ladders = [(k, enumeration.raising(k)) for k in range(modes) if bath.lam[k] != 0.0]
@@ -183,31 +206,6 @@ def assemble_full(
     return FullModel(enumeration, H, boson, positions)
 
 
-def _read_only(matrix: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
-    """matrix with its data, indices and indptr made read-only, for a memo to share."""
-    for array in (matrix.data, matrix.indices, matrix.indptr):
-        array.flags.writeable = False
-    return matrix
-
-
-# the last basis's Pi and U are kept, like the basis itself (enumerate_basis)
-@functools.lru_cache(maxsize=1)
-def parity_matrix(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
-    """Pi = sigma_x (x) diag((-1)**total), sparse and read-only. Involutory and symmetric."""
-    P = scipy.sparse.diags_array(enumeration.parity)
-    return _read_only(scipy.sparse.block_array([[None, P], [P, None]], format="csr"))
-
-
-@functools.lru_cache(maxsize=1)
-def unitary_U(enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
-    """Block rotation (1/sqrt 2) [[I, P], [-P, I]] decoupling the sectors, sparse, read-only."""
-    P = scipy.sparse.diags_array(enumeration.parity)
-    eye = scipy.sparse.eye_array(enumeration.dim)
-    return _read_only(
-        scipy.sparse.block_array([[eye, P], [-P, eye]], format="csr") / math.sqrt(2.0)
-    )
-
-
 def _hoelder_bound(magnitude: np.ndarray | scipy.sparse.sparray) -> float:
     """sqrt(||A||_1) sqrt(||A||_inf) >= ||A||_2 from |A|: its largest column and row sums.
 
@@ -218,18 +216,18 @@ def _hoelder_bound(magnitude: np.ndarray | scipy.sparse.sparray) -> float:
     )
 
 
-def rotation_defects(enumeration: BasisEnumeration) -> tuple[float, float]:
+def rotation_defects(model: FullModel) -> tuple[float, float]:
     """(bound on the spectral norm of U U' - I, max |U Pi U' - sigma_z (x) I|).
 
     Both are rounding noise.  The first is the Hoelder bound on the norm of
     the sparse A = U U' - I, so the check it feeds can only be stricter than
     one on the spectral norm.
     """
-    U = unitary_U(enumeration)
-    dim = enumeration.dim
+    U = model.rotation
+    dim = model.enumeration.dim
     unitarity = _hoelder_bound(abs(U @ U.T - scipy.sparse.eye_array(2 * dim, format="csr")))
     sigma_z = scipy.sparse.diags_array(np.concatenate([np.ones(dim), -np.ones(dim)]))
-    rotated_parity = U @ parity_matrix(enumeration) @ U.T - sigma_z
+    rotated_parity = U @ model.parity @ U.T - sigma_z
     parity_defect = float(abs(rotated_parity).max())
     return unitarity, parity_defect
 
@@ -242,7 +240,7 @@ def sector_blocks(model: FullModel) -> tuple[scipy.sparse.sparray, scipy.sparse.
     epsilon = 0 it is rounding noise; the upper block is the even-parity
     Hamiltonian in the undisplaced basis and the lower block the odd one.
     """
-    U = unitary_U(model.enumeration)
+    U = model.rotation
     rotated = U @ model.hamiltonian @ U.T
     dim = model.enumeration.dim
     off = max(
@@ -285,7 +283,7 @@ def partition_bound(model: FullModel, unitarity: float, off_norm: float) -> floa
     deviation itself (up to the rounding of the bound's own sums, a
     relative 2 dim u).  Costs one sparse product |U| |H| |U'|.
     """
-    U = abs(unitary_U(model.enumeration))
+    U = abs(model.rotation)
     H = abs(model.hamiltonian)
     k = int(np.diff(U.indptr).max())
     defect = unitarity + _gamma(k) * _hoelder_bound(U @ U.T)
@@ -381,6 +379,6 @@ def parity_commutator_norm(model: FullModel) -> float:
     state n: at most one nonzero per row and column, and its spectral
     norm is its largest entry, with no solve.
     """
-    Pi = parity_matrix(model.enumeration)
+    Pi = model.parity
     H = model.hamiltonian
     return float(abs(H @ Pi - Pi @ H).max())

@@ -178,7 +178,6 @@ class GroundStateResult:
     energy: float
     coefficients: np.ndarray
     residual: float
-    sector: Sector
     iterations: int
     untruncated_residual: float
     # Dt applied to coefficients, taken once for the untruncated residual
@@ -186,14 +185,21 @@ class GroundStateResult:
     dt_coefficients: np.ndarray
 
 
-def polaron_double(bath: DiscretizedBath) -> float:
+def polaron_factor(bath: DiscretizedBath, params: ModelParams) -> float:
     """The polaron factor exp(log_prefactor) as a double, which every D entry is scaled by.
 
-    Raises AccuracyError unless that double is normal (>= sys.float_info.min,
-    which also rules out NaN): a factor flushed to 0.0, or to a subnormal
-    with few digits left, would make the two sectors identical and their
-    gap a rounding artifact.  The message names the factor by its log.
+    Raises ValueError unless epsilon = 0, where no sector decomposition
+    exists, and then AccuracyError unless the factor is a normal double (>=
+    sys.float_info.min, which also rules out NaN): a factor flushed to
+    0.0, or to a subnormal with few digits left, would make the two sectors
+    identical and their gap a rounding artifact.  The message names the
+    factor by its log.
     """
+    if params.epsilon != 0.0:
+        raise ValueError(
+            "sector decomposition requires epsilon = 0; "
+            f"got epsilon={params.epsilon} (use the full-space oracle instead)"
+        )
     log_value = log_prefactor(bath)
     value = math.exp(log_value)
     if not value >= sys.float_info.min:
@@ -202,16 +208,6 @@ def polaron_double(bath: DiscretizedBath) -> float:
             "is below the normal double range; D cannot be formed in double precision"
         )
     return value
-
-
-def _polaron_factor(bath: DiscretizedBath, params: ModelParams) -> float:
-    """polaron_double(bath), after a ValueError unless epsilon = 0."""
-    if params.epsilon != 0.0:
-        raise ValueError(
-            "sector decomposition requires epsilon = 0; "
-            f"got epsilon={params.epsilon} (use the full-space oracle instead)"
-        )
-    return polaron_double(bath)
 
 
 def _sector_pair(
@@ -226,7 +222,7 @@ def _sector_pair(
     lowering = lowering_series(enumeration, bath.q)
     omega = np.asarray(bath.omega)
     q = np.asarray(bath.q)
-    diagonal = enumeration.occupation_array() @ omega - float(omega @ (q * q))
+    diagonal = enumeration.occupations @ omega - float(omega @ (q * q))
     displaced_parity = DisplacedParity(lowering, enumeration.parity)
     return {
         sector: SectorMatrix(
@@ -247,7 +243,7 @@ def assemble_sector(
     sector: Sector,
 ) -> SectorMatrix:
     """diag(sum omega(n - q**2)) -+ (delta/2) D over the enumeration."""
-    return _sector_pair(bath, params, enumeration, _polaron_factor(bath, params))[sector]
+    return _sector_pair(bath, params, enumeration, polaron_factor(bath, params))[sector]
 
 
 def _davidson_lowest(
@@ -372,7 +368,6 @@ def ground_state(
         energy=energy,
         coefficients=vector,
         residual=residual,
-        sector=matrix.sector,
         iterations=iterations,
         untruncated_residual=matrix.untruncated_residual(dt_vector),
         dt_coefficients=dt_vector,
@@ -391,13 +386,14 @@ def solve_sectors(
 
     tol is in units of energy_unit, as in ground_state.
 
-    Refusals come in this order: AccuracyError for a polaron factor that
-    no double holds, before the basis is enumerated, also where it would
-    be over fockspace.MAX_BASIS_DIM (no basis can solve such a point);
+    Refusals come in this order: polaron_factor's ValueError for epsilon
+    != 0 and AccuracyError for a polaron factor that no double holds, both
+    before the basis is enumerated, also where it would be over
+    fockspace.MAX_BASIS_DIM (no basis can solve such a point);
     CapacityError from the basis, then from the lowering series, each
     before allocating over its cap; then the solves' errors.
     """
-    polaron = _polaron_factor(bath, params)
+    polaron = polaron_factor(bath, params)
     enumeration = enumerate_basis(bath.mode_count, n_max)
     pair = _sector_pair(bath, params, enumeration, polaron)
     return (

@@ -9,9 +9,10 @@ commutator of the delta = 0 Hamiltonian with sigma_z,
 lowering_series_reference fills each factor of the lowering series entry
 by entry along the ladder maps, coupling_matrix and block_hamiltonian
 build V and H from sparse blocks, magnetization is <sigma_z> of a
-mixture of the two sector ground states, and dense_spectrum every
-eigenvalue of a sparse symmetric matrix from one dense solve.  The
-package needs none of them.
+mixture of the two sector ground states, dense_spectrum every
+eigenvalue of a sparse symmetric matrix from one dense solve, and
+sector_dense a small sector operator made dense through its own product.
+The package needs none of them.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError
 from sbmlab.fockspace import BasisEnumeration
 from sbmlab.oracle import assemble_full
-from sbmlab.sectors import GroundStateResult, ModelParams
+from sbmlab.sectors import GroundStateResult, ModelParams, SectorMatrix
 
 
 def basis_states(enumeration: BasisEnumeration) -> list[tuple[int, ...]]:
     """Every state of the enumeration as a tuple of occupations, in rank order."""
-    return [tuple(n) for n in enumeration.occupation_array().tolist()]
+    return [tuple(n) for n in enumeration.occupations.tolist()]
 
 
 def parity_phase(n: tuple[int, ...]) -> int:
@@ -137,7 +138,7 @@ def lowering_series_reference(enumeration: BasisEnumeration, q) -> scipy.sparse.
     by r steps of enumeration.raising(k) and the same recurrence, in the
     same order of operations, as fockspace.lowering_series.
     """
-    occ = enumeration.occupation_array()
+    occ = enumeration.occupations
     dim, n_max = enumeration.dim, enumeration.n_max
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(n_max + 1 - occ.sum(axis=1), out=indptr[1:])
@@ -163,7 +164,7 @@ def lowering_series_reference(enumeration: BasisEnumeration, q) -> scipy.sparse.
 
 def coupling_matrix(bath: DiscretizedBath, enumeration: BasisEnumeration) -> scipy.sparse.csr_array:
     """sum_k lambda_k (a'_k + a_k) over the enumeration, from COO triplets along the ladder maps."""
-    occ = enumeration.occupation_array()
+    occ = enumeration.occupations
     rows, cols, values = [], [], []
     for k, lam_k in enumerate(bath.lam):
         raised = enumeration.raising(k)
@@ -187,7 +188,7 @@ def block_hamiltonian(
     diagonal is then overwritten with b_n +- epsilon/2.
     """
     dim = enumeration.dim
-    boson = enumeration.occupation_array() @ np.asarray(bath.omega)
+    boson = enumeration.occupations @ np.asarray(bath.omega)
     V = coupling_matrix(bath, enumeration)
     eye = scipy.sparse.eye_array(dim)
     tunneling = -params.delta / 2.0 * eye
@@ -219,3 +220,8 @@ def dense_spectrum(A: scipy.sparse.sparray) -> np.ndarray:
     return scipy.linalg.eigvalsh(
         A.toarray(order="F"), driver="evd", overwrite_a=True, check_finite=False
     )
+
+
+def sector_dense(matrix: SectorMatrix) -> np.ndarray:
+    """The sector operator as a dense array, one column per product with a unit vector."""
+    return np.column_stack([matrix.apply(column) for column in np.eye(matrix.diagonal.size)])

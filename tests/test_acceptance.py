@@ -34,14 +34,7 @@ from sbmlab.bath import (
 )
 from sbmlab.cli import main
 from sbmlab.fockspace import enumerate_basis
-from sbmlab.oracle import (
-    assemble_full,
-    ground_sigma_z,
-    parity_commutator_norm,
-    parity_matrix,
-    sector_blocks,
-    unitary_U,
-)
+from sbmlab.oracle import assemble_full, ground_sigma_z, parity_commutator_norm, sector_blocks
 from sbmlab.sectors import ModelParams, Sector, assemble_sector, ground_state
 
 
@@ -293,12 +286,12 @@ def test_criterion_06_parity_algebra():
     biased = assemble_full(ModelParams(delta=0.6, epsilon=0.37), bath, enumeration)
     commutator_eps = parity_commutator_norm(biased)
 
-    U = unitary_U(enumeration).toarray()
+    U = symmetric.rotation.toarray()
     unitarity = float(np.linalg.norm(U @ U.T - np.eye(U.shape[0]), 2))
     _, _, off_norm = sector_blocks(symmetric)
     dim = enumeration.dim
     sz = np.diag(np.concatenate([np.ones(dim), -np.ones(dim)]))
-    parity_defect = float(np.abs(U @ parity_matrix(enumeration).toarray() @ U.T - sz).max())
+    parity_defect = float(np.abs(U @ symmetric.parity.toarray() @ U.T - sz).max())
 
     ok = (
         commutator0 < 1e-12

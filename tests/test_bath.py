@@ -24,7 +24,7 @@ from sbmlab.bath import (
     sum_q_squared,
 )
 from sbmlab.errors import AccuracyError
-from sbmlab.sectors import polaron_double
+from sbmlab.sectors import ModelParams, polaron_factor
 
 
 def make_spec(s=1.0, alpha=0.1, omega_c=1.0):
@@ -326,7 +326,7 @@ def test_prefactor_in_unit_interval(s, alpha, N):
 @pytest.mark.parametrize("s,alpha,N", [(0.5, 0.2, 3), (0.1, 0.3, 11), (1.0, 1e-6, 0), (3.0, 1.0, 12)])
 def test_prefactor_in_double_range_is_the_float_exp(s, alpha, N):
     bath = discretize(make_spec(s=s, alpha=alpha), DiscretizationSpec(2.0, N))
-    p = polaron_double(bath)
+    p = polaron_factor(bath, ModelParams(delta=0.5))
     assert p >= sys.float_info.min
     assert p.hex() == math.exp(-2.0 * sum_q_squared(bath)).hex()
 
@@ -343,7 +343,7 @@ def test_prefactor_below_double_range_matches_mpmath():
         assert abs(log_prefactor(bath) / math.log(10) / exact - 1) < 1e-15
     assert float(exact) == pytest.approx(-348.10, abs=0.005)
     with pytest.raises(AccuracyError, match=r"10\^-348.10 is below the normal double range"):
-        polaron_double(bath)
+        polaron_factor(bath, ModelParams(delta=0.5))
 
 
 def test_prefactor_subnormal_double_is_not_returned():
@@ -352,7 +352,7 @@ def test_prefactor_subnormal_double_is_not_returned():
     assert log_prefactor(bath) == pytest.approx(-710.0, rel=1e-15)
     assert 0.0 < math.exp(log_prefactor(bath)) < sys.float_info.min
     with pytest.raises(AccuracyError, match=r"exp\(-710\)"):
-        polaron_double(bath)
+        polaron_factor(bath, ModelParams(delta=0.5))
 
 
 def test_prefactor_without_finite_exponent_raises():
@@ -361,7 +361,7 @@ def test_prefactor_without_finite_exponent_raises():
     for q in (1e9, 2e9, math.inf, math.nan):
         bath = DiscretizedBath.from_modes((1.0,), (q,))
         with pytest.raises(AccuracyError):
-            polaron_double(bath)
+            polaron_factor(bath, ModelParams(delta=0.5))
     assert log_prefactor(DiscretizedBath.from_modes((1.0,), (2e9,))) == -8e18
     assert log_prefactor(DiscretizedBath.from_modes((1.0,), (math.inf,))) == -math.inf
 
@@ -387,8 +387,10 @@ def test_discretization_spec_validation():
 
 def test_discretized_bath_validation():
     with pytest.raises(ValueError):
-        DiscretizedBath(omega=(1.0, 2.0), lam=(0.1, 0.1), q=(0.1, 0.05))
+        DiscretizedBath(omega=(1.0, 2.0), lam=(0.1, 0.1))
     with pytest.raises(ValueError):
-        DiscretizedBath(omega=(), lam=(), q=())
+        DiscretizedBath(omega=(), lam=())
     with pytest.raises(ValueError):
-        DiscretizedBath(omega=(1.0, -0.5), lam=(0.1, 0.1), q=(0.1, -0.2))
+        DiscretizedBath(omega=(1.0, -0.5), lam=(0.1, 0.1))
+    with pytest.raises(ValueError, match="omega and lam must have equal length"):
+        DiscretizedBath.from_modes((1.0, 0.5), (0.1,))

@@ -147,6 +147,18 @@ def test_parse_explicit_fields():
             "sweep.to: expected a finite number, got inf",
         ),
         (deep({"model": {"delta": 10**400}}), "model.delta: expected a finite number"),
+        (deep({"solver": {"tol": 0}}), "solver: residual tolerance must be positive"),
+        (deep({"solver": {"tol": -1e-9}}), "solver: residual tolerance must be positive"),
+        (deep({"solver": {"max_iter": 0}}), "iteration budget must be a positive integer"),
+        (
+            deep({"sweep": {"parameter": "alpha", "from": 0, "to": 1, "steps": 0}}),
+            "sweep: steps must be a positive integer",
+        ),
+        (
+            deep({"sweep": {"parameter": "alpha", "from": 0, "to": 1, "steps": 2, "scale": "cubic"}}),
+            "scale must be 'linear' or 'log'",
+        ),
+        (deep({"model": 3}), "model: expected a mapping, got int"),
     ],
 )
 def test_parse_rejections(data, needle):
@@ -423,17 +435,12 @@ def test_gap_sweep_refuses_a_wrong_sign_gap(tmp_path, monkeypatch):
     # for delta > 0 the untruncated ground state is even: a sector pair whose
     # results are swapped puts the odd energy lowest, which proves that the
     # even sector's truncation error exceeds the gap
-    import dataclasses
-
     import sbmlab.cli
-    from sbmlab.sectors import Sector, solve_sectors
+    from sbmlab.sectors import solve_sectors
 
     def swapped(*args):
         even, odd = solve_sectors(*args)
-        return (
-            dataclasses.replace(odd, sector=Sector.EVEN),
-            dataclasses.replace(even, sector=Sector.ODD),
-        )
+        return odd, even
 
     monkeypatch.setattr(sbmlab.cli, "solve_sectors", swapped)
     data = deep({"sweep": {"parameter": "delta", "from": -0.6, "to": 0.6, "steps": 2}})
@@ -636,9 +643,22 @@ def test_gap_sweep_rejects_non_finite_config_numbers(tmp_path, capsys, overrides
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-def test_gap_sweep_rejects_epsilon(tmp_path):
-    data = deep({"model": {"epsilon": 0.2}})
-    assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(tmp_path)]) == 2
+def test_gap_sweep_rejects_epsilon(tmp_path, capsys):
+    # the sector path's own precondition refuses the first point, in a
+    # worker process too, before any file is written
+    data = deep(
+        {"model": {"epsilon": 0.2}, "sweep": {"parameter": "delta", "from": 0.3, "to": 0.6, "steps": 2}}
+    )
+    config = write_config(tmp_path, data)
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        argv = ["gap-sweep", "--config", config, "--out", str(out), "--workers", workers]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: sector decomposition requires epsilon = 0; got epsilon=0.2 "
+            "(use the full-space oracle instead)\n"
+        )
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])
@@ -1051,6 +1071,28 @@ def test_oracle_check_passes_and_saves(tmp_path, capsys):
     assert (out / "oracle_check.txt").read_text(encoding="utf-8") == report
 
 
+def test_oracle_check_and_bias_scan_build_rotation_and_parity_once(tmp_path, monkeypatch):
+    # U and Pi are cached on the FullModel: oracle-check builds each of them
+    # once, and the bias scan builds Pi once, for its commutator certificate
+    import sbmlab.oracle
+
+    built = []
+    read_only = sbmlab.oracle._read_only
+
+    def counted(matrix):
+        built.append("U" if abs(matrix.data).max() < 1.0 else "Pi")
+        return read_only(matrix)
+
+    monkeypatch.setattr(sbmlab.oracle, "_read_only", counted)
+    path = write_config(tmp_path, {**SMALL_SCAN, "model": {"delta": 0.5}})
+    assert main(["oracle-check", "--config", path]) == 0
+    assert sorted(built) == ["Pi", "U"]
+    built.clear()
+    argv = ["magnetization-scan", "--config", path, "--out", str(tmp_path / "scan")]
+    assert main(argv + ["--epsilon-steps", "5"]) == 0
+    assert built == ["Pi"]
+
+
 def test_oracle_check_broken_parity(tmp_path, capsys):
     data = deep({"model": {"epsilon": 0.25}, "truncation": {"n_max": 3}})
     assert main(["oracle-check", "--config", write_config(tmp_path, data)]) == 0
@@ -1386,10 +1428,18 @@ def test_verify_appendix_monomial_count_example(tmp_path, capsys):
     assert "monomials=21" in capsys.readouterr().out
 
 
-def test_verify_appendix_usage_errors(capsys):
+def test_verify_appendix_usage_errors(tmp_path, capsys):
     assert main(["verify-appendix", "--N", "--n-max", "1"]) == 2
     assert main(["verify-appendix", "--N", "1"]) == 2
     capsys.readouterr()
+    for sizes, message in (
+        (["--N", "0", "--n-max", "1"], "need at least one mode, got N=0"),
+        (["--N", "1", "--n-max", "0"], "need n_max >= 1, got n_max=0"),
+    ):
+        out = tmp_path / "proof"
+        assert main(["verify-appendix", *sizes, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
 
 # sha256 of every report file; the N=5, n_max=7 pair is also pinned in

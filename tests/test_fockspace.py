@@ -83,7 +83,7 @@ def test_enumerate_two_modes_graded_lex():
 def test_enumerate_vacuum_only():
     basis = enumerate_basis(3, 0)
     assert basis.dim == 1
-    assert basis.occupation_array().tolist() == [[0, 0, 0]]
+    assert basis.occupations.tolist() == [[0, 0, 0]]
 
 
 @given(mode_count=st.integers(1, 4), n_max=st.integers(0, 6))
@@ -102,7 +102,7 @@ def test_occupation_bytes_count_toward_the_operator_cap(monkeypatch):
     import sbmlab.fockspace
 
     monkeypatch.setattr(sbmlab.fockspace, "MAX_OPERATOR_BYTES", 13120)
-    assert BasisEnumeration(40, 1).occupation_array().nbytes == 13120
+    assert BasisEnumeration(40, 1).occupations.nbytes == 13120
     monkeypatch.setattr(sbmlab.fockspace, "MAX_OPERATOR_BYTES", 13119)
     with pytest.raises(CapacityError, match="takes 13120 bytes"):
         BasisEnumeration(40, 1)
@@ -122,7 +122,7 @@ def test_enumeration_capacity_and_validation():
 def test_basis_arrays_are_read_only():
     basis = enumerate_basis(2, 3)
     with pytest.raises(ValueError):
-        basis.occupation_array()[1, 0] = 5
+        basis.occupations[1, 0] = 5
     with pytest.raises(ValueError):
         basis.parity[0] = -1.0
 
@@ -134,7 +134,7 @@ def test_rank_is_the_enumeration_index(mode_count, n_max):
     basis = enumerate_basis(mode_count, n_max)
     assert basis_states(basis) == states
     occ = np.array(states, dtype=np.int64).reshape(len(states), mode_count)
-    assert np.array_equal(basis.occupation_array(), occ)
+    assert np.array_equal(basis.occupations, occ)
 
 
 def assert_raising_is_the_brute_force_raise(basis):
@@ -143,7 +143,7 @@ def assert_raising_is_the_brute_force_raise(basis):
     The rows are distinct (the order tests check that), so matching the
     raised rows pins every map entry; -1 must sit exactly on total n_max.
     """
-    occ = basis.occupation_array()
+    occ = basis.occupations
     full = occ.sum(axis=1) == basis.n_max
     for k in range(basis.mode_count):
         raised = basis.raising(k)
@@ -158,7 +158,7 @@ def test_rank_at_thirty_modes():
     # a base-(n_max + 1) key would need 5**30 > 2**63 here
     states = graded_lex(30, 4)
     basis = BasisEnumeration(30, 4)
-    assert np.array_equal(basis.occupation_array(), np.array(states))
+    assert np.array_equal(basis.occupations, np.array(states))
     assert_raising_is_the_brute_force_raise(basis)
 
 
@@ -166,7 +166,7 @@ def test_ladder_maps_at_a_thousand_modes():
     # graded lex at n_max 1: the vacuum, then e_999, e_998, ..., e_0
     basis = BasisEnumeration(1000, 1)
     expected = np.vstack((np.zeros(1000, dtype=np.int64), np.eye(1000, dtype=np.int64)[::-1]))
-    assert np.array_equal(basis.occupation_array(), expected)
+    assert np.array_equal(basis.occupations, expected)
     started = time.perf_counter()
     basis.raising(0)
     assert time.perf_counter() - started < 1.0
@@ -180,13 +180,13 @@ def test_enumeration_at_four_thousand_modes():
     basis = BasisEnumeration(4000, 1)
     assert time.perf_counter() - started < 2.0
     # graded lex at n_max 1: the vacuum, then e_3999, e_3998, ..., e_0
-    rows, cols = np.nonzero(basis.occupation_array())
+    rows, cols = np.nonzero(basis.occupations)
     assert np.array_equal(rows, np.arange(1, 4001))
     assert np.array_equal(cols, np.arange(3999, -1, -1))
-    assert basis.occupation_array().sum() == 4000
+    assert basis.occupations.sum() == 4000
 
 
-# sha256 of occupation_array().tobytes() and of every raising(k).tobytes() in
+# sha256 of occupations.tobytes() and of every raising(k).tobytes() in
 # mode order, taken from the closed-form graded-lex rank, a construction of
 # the order independent of the sort
 ORDER_SHA256 = {
@@ -211,7 +211,7 @@ def test_order_and_ladder_maps_keep_their_bytes(mode_count, n_max):
     basis = BasisEnumeration(mode_count, n_max)
     maps = b"".join(basis.raising(k).tobytes() for k in range(mode_count))
     assert (
-        hashlib.sha256(basis.occupation_array().tobytes()).hexdigest(),
+        hashlib.sha256(basis.occupations.tobytes()).hexdigest(),
         hashlib.sha256(maps).hexdigest(),
     ) == ORDER_SHA256[mode_count, n_max]
 
@@ -219,7 +219,7 @@ def test_order_and_ladder_maps_keep_their_bytes(mode_count, n_max):
 @pytest.mark.parametrize("mode_count, n_max", sorted(ORDER_SHA256))
 def test_totals_are_the_read_only_row_sums(mode_count, n_max):
     basis = BasisEnumeration(mode_count, n_max)
-    assert np.array_equal(basis.totals, basis.occupation_array().sum(axis=1))
+    assert np.array_equal(basis.totals, basis.occupations.sum(axis=1))
     assert np.array_equal(basis.parity, (-1.0) ** basis.totals)
     with pytest.raises(ValueError):
         basis.totals[0] = 1
@@ -280,6 +280,21 @@ def test_lmn_high_occupation_against_exact_rational_sum():
     # m + n = 32: a 13-term alternating sum
     m, n, q = 20, 12, 0.73
     assert single_mode_dt(q, 20)[m, n] == pytest.approx(exact_l(m, n, q), rel=1e-10)
+
+
+def test_dt_at_the_occupation_cap_against_exact_rational_sums():
+    # the cap's error figure at q = 0.5: every entry of Dt within two of the
+    # diagonal, where the worst ones sit (1.6e-9 at (55, 55)), as the solves
+    # apply it, against L_{m,n} summed in rationals and rounded once.  The
+    # bound is relative, so the exact zero L_{1,1}(1/2) = 0 must come out 0
+    q = 0.5
+    basis = enumerate_basis(1, N_MAX_CAP)
+    dt = DisplacedParity(lowering_series(basis, [q]), basis.parity)
+    columns = [dt.apply(column) for column in np.eye(basis.dim)]
+    for m in range(basis.dim):
+        for n in range(max(0, m - 2), min(basis.dim, m + 3)):
+            exact = exact_l(m, n, q)
+            assert abs(columns[n][m] - exact) <= 1e-8 * abs(exact), (m, n)
 
 
 def test_lmn_validation():
@@ -357,7 +372,7 @@ def test_dmn_table_row_blocks_equal_whole_matrix_product(omegas, lams, n_max):
     for start in range(0, basis.dim, 64):
         rows = np.array([dt.apply(e) for e in unit[start : start + 64]])
         assert np.array_equal(rows, dt.dense[start : start + 64])
-    occ = basis.occupation_array()
+    occ = basis.occupations
     whole = np.ones((basis.dim, basis.dim))
     for k, qk in enumerate(q):
         single = operator([qk], enumerate_basis(1, n_max)).dense

@@ -31,11 +31,8 @@ class Rows:
     """A stand-in basis whose occupation array is the given rows."""
 
     def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=np.int64)
+        self.occupations = np.asarray(rows, dtype=np.int64)
         self.dim = len(rows)
-
-    def occupation_array(self):
-        return self.rows
 
 
 def test_verdicts_are_read_from_the_occupation_array(monkeypatch):
@@ -61,7 +58,7 @@ def test_case1_finds_a_repeated_row_far_from_its_twin(monkeypatch):
     # the copy of every other row checks the seams between sorted blocks
     import sbmlab.nondegeneracy
 
-    distinct = enumerate_basis(4, 9).occupation_array()[:600]
+    distinct = enumerate_basis(4, 9).occupations[:600]
     for twin in range(599):
         rows = distinct.copy()
         rows[-1] = rows[twin]

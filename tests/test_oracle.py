@@ -27,11 +27,9 @@ from sbmlab.oracle import (
     ground_parity,
     ground_sigma_z,
     parity_commutator_norm,
-    parity_matrix,
     partition_bound,
     rotation_defects,
     sector_blocks,
-    unitary_U,
 )
 from sbmlab.sectors import ModelParams, Sector, assemble_sector, ground_state
 
@@ -42,6 +40,12 @@ def single_mode(q, omega=1.0):
 
 def silent_bath(*omegas):
     return DiscretizedBath.from_modes(tuple(omegas), (0.0,) * len(omegas))
+
+
+def spin_model(basis):
+    """The full model over basis with every coupling 0: its Pi and U depend on basis alone."""
+    omegas = tuple(1.0 / (k + 1) for k in range(basis.mode_count))
+    return assemble_full(ModelParams(delta=1.0), silent_bath(*omegas), basis)
 
 
 # ---------------------------------------------------------------- assembly
@@ -170,7 +174,7 @@ def test_cross_module_ground_energy():
 
 def test_parity_involutory():
     basis = enumerate_basis(2, 4)
-    Pi = parity_matrix(basis).toarray()
+    Pi = spin_model(basis).parity.toarray()
     assert np.array_equal(Pi, Pi.T)
     assert np.array_equal(Pi @ Pi, np.eye(2 * basis.dim))
 
@@ -179,7 +183,7 @@ def test_parity_commutes_at_zero_field():
     bath = DiscretizedBath.from_modes((1.0, 0.4), (0.35, 0.2))
     basis = enumerate_basis(2, 6)
     model = assemble_full(ModelParams(delta=0.7), bath, basis)
-    Pi = parity_matrix(basis).toarray()
+    Pi = model.parity.toarray()
     H = model.hamiltonian.toarray()
     assert np.linalg.norm(H @ Pi - Pi @ H) < 1e-13
 
@@ -197,42 +201,42 @@ def test_parity_breaking_norm_equals_epsilon(epsilon):
 
 def test_unitary_access_is_unitary():
     basis = enumerate_basis(2, 5)
-    U = unitary_U(basis).toarray()
+    U = spin_model(basis).rotation.toarray()
     assert np.abs(U @ U.T - np.eye(2 * basis.dim)).max() < 1e-14
 
 
 def test_rotation_unitarity_defect_bounds_and_catches_a_perturbed_U(monkeypatch):
-    from sbmlab import oracle
-
     basis = enumerate_basis(2, 5)
-    U = unitary_U(basis)
-    unitarity, parity_defect = rotation_defects(basis)
+    model = spin_model(basis)
+    U = model.rotation
+    unitarity, parity_defect = rotation_defects(model)
     exact = np.linalg.norm((U @ U.T).toarray() - np.eye(2 * basis.dim), 2)
     assert exact <= unitarity < 1e-14 and parity_defect < 1e-14
     # one off-diagonal entry of 1e-9 must fail oracle-check's < 1e-14 check
     perturbed = U.tolil()
     perturbed[0, 1] += 1e-9
-    monkeypatch.setattr(oracle, "unitary_U", lambda enumeration: perturbed.tocsr())
-    unitarity, _ = rotation_defects(basis)
+    monkeypatch.setitem(model.__dict__, "rotation", perturbed.tocsr())
+    unitarity, _ = rotation_defects(model)
     assert not unitarity < 1e-14
     assert unitarity >= 1e-9 / math.sqrt(2)
 
 
 def test_rotation_and_parity_are_built_once_per_basis():
-    basis = enumerate_basis(2, 5)
-    for build in (unitary_U, parity_matrix):
-        matrix = build(basis)
-        assert build(basis) is matrix
+    model = spin_model(enumerate_basis(2, 5))
+    for name in ("rotation", "parity"):
+        matrix = getattr(model, name)
+        assert getattr(model, name) is matrix
         for array in (matrix.data, matrix.indices, matrix.indptr):
             with pytest.raises(ValueError):
                 array[0] = 0
-    assert unitary_U(enumerate_basis(2, 4)).shape == (2 * 15, 2 * 15)
+    assert spin_model(enumerate_basis(2, 4)).rotation.shape == (2 * 15, 2 * 15)
 
 
 def test_rotation_transports_parity_to_sigma_z():
     basis = enumerate_basis(2, 5)
-    U = unitary_U(basis).toarray()
-    Pi = parity_matrix(basis).toarray()
+    model = spin_model(basis)
+    U = model.rotation.toarray()
+    Pi = model.parity.toarray()
     dim = basis.dim
     sigma_z = np.diag(np.concatenate([np.ones(dim), -np.ones(dim)]))
     assert np.abs(U @ Pi @ U.T - sigma_z).max() < 1e-14
@@ -282,7 +286,7 @@ def test_partition_bound_covers_the_dense_deviation(mode_count, n_max, s, alpha)
     # the bound is on the exact eigenvalues; dsyevd's own rounding, up to
     # about n eps ||H|| per eigenvalue, is the dense route's allowance
     model = _criterion_7_model(mode_count, n_max, s, alpha)
-    unitarity, _ = rotation_defects(model.enumeration)
+    unitarity, _ = rotation_defects(model)
     even_block, odd_block, off = sector_blocks(model)
     bound = partition_bound(model, unitarity, off)
     H = model.hamiltonian
@@ -296,7 +300,7 @@ def test_partition_bound_fails_a_broken_partition():
     # and the bound, which holds it, no longer passes the check's 1e-9
     for config in CRITERION_7:
         model = _criterion_7_model(*config, epsilon=1e-6)
-        unitarity, _ = rotation_defects(model.enumeration)
+        unitarity, _ = rotation_defects(model)
         even_block, odd_block, off = sector_blocks(model)
         bound = partition_bound(model, unitarity, off)
         # the symmetric parts of the blocks, whose spectra the bound is about
@@ -309,7 +313,7 @@ def test_partition_bound_grows_with_the_unitarity_defect():
     # Ostrowski's term: a defect delta of U U' - I can move each eigenvalue
     # by delta ||H||, which the bound adds to the rounding terms
     model = _criterion_7_model(2, 8, 0.1, 0.2)
-    unitarity, _ = rotation_defects(model.enumeration)
+    unitarity, _ = rotation_defects(model)
     _, _, off = sector_blocks(model)
     norm = float(abs(model.hamiltonian).sum(axis=1).max())
     base = partition_bound(model, unitarity, off)
@@ -350,7 +354,7 @@ def test_every_nondegenerate_eigenvector_has_definite_parity():
     basis = enumerate_basis(2, 7)
     model = assemble_full(ModelParams(delta=0.5), bath, basis)
     vals, vecs = np.linalg.eigh(model.hamiltonian.toarray())
-    Pi = parity_matrix(basis).toarray()
+    Pi = model.parity.toarray()
     gaps = np.diff(vals)
     for i in range(len(vals)):
         isolated = (i == 0 or gaps[i - 1] > 1e-8) and (i == len(vals) - 1 or gaps[i] > 1e-8)
@@ -624,7 +628,7 @@ def test_oracle_commutator_norms_are_exact_without_an_eigensolve(no_eigensolve):
     # rounding of the boson energy b_n, also at omega_c 1e7.  [H', sigma_z]
     # vanishes identically at delta = 0.
     basis = enumerate_basis(2, 6)
-    Pi = parity_matrix(basis)
+    Pi = spin_model(basis).parity
     cases = [(1.0, eps) for eps in (0.0, 1e-200, 0.25, -1e-3, 1e7)] + [(1e7, 3e6)]
     for omega_c, epsilon in cases:
         bath = DiscretizedBath.from_modes(

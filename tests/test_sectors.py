@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from helpers import basis_states, parity_phase
+from helpers import basis_states, parity_phase, sector_dense
 
 from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize, log_prefactor
 from sbmlab.errors import AccuracyError, CapacityError, SolverError
@@ -192,9 +192,9 @@ def test_davidson_matches_dense_eigh_at_weak_coupling():
     basis = enumerate_basis(7, 5)
     assert basis.dim == 792
     params = ModelParams(0.5)
-    for result in solve_sectors(bath, params, basis.n_max):
+    for sector, result in zip(Sector, solve_sectors(bath, params, basis.n_max)):
         assert result.iterations > 0
-        entries = assemble_sector(bath, params, basis, result.sector).entries
+        entries = assemble_sector(bath, params, basis, sector).entries
         reference = scipy.linalg.eigh(entries, eigvals_only=True, subset_by_index=[0, 0])[0]
         assert abs(result.energy - reference) <= 1e-12
         assert result.residual <= 1e-10
@@ -208,7 +208,6 @@ def test_davidson_converges_at_thirteen_modes():
     assert basis.dim == 2380
     even, odd = solve_sectors(bath, ModelParams(0.5), basis.n_max, tol=1e-10, max_iter=500)
     assert even.residual <= 1e-10 and odd.residual <= 1e-10
-    assert (even.sector, odd.sector) == (Sector.EVEN, Sector.ODD)
 
 
 def test_one_iteration_solve_applies_each_sector_twice(monkeypatch):
@@ -234,9 +233,9 @@ def test_one_iteration_solve_applies_each_sector_twice(monkeypatch):
     monkeypatch.setattr(SectorMatrix, "apply", counted)
     even, odd = solve_sectors(bath, cfg.model, basis.n_max, cfg.solver.tol, cfg.solver.max_iter)
     assert applied == [Sector.EVEN] * 2 + [Sector.ODD] * 2
-    for result in (even, odd):
+    for sector, result in zip(Sector, (even, odd)):
         assert result.iterations == 1
-        matrix = assemble_sector(bath, cfg.model, basis, result.sector)
+        matrix = assemble_sector(bath, cfg.model, basis, sector)
         x, energy = result.coefficients, result.energy
         assert result.residual == float(np.linalg.norm(apply(matrix, x) - energy * x))
 
@@ -250,8 +249,8 @@ def test_davidson_resolves_clustered_low_spectrum():
     iterations = []
     for n_max in (2, 3):
         basis = enumerate_basis(20, n_max)
-        for result in solve_sectors(bath, params, basis.n_max):
-            entries = assemble_sector(bath, params, basis, result.sector).entries
+        for sector, result in zip(Sector, solve_sectors(bath, params, basis.n_max)):
+            entries = assemble_sector(bath, params, basis, sector).entries
             reference = scipy.linalg.eigh(entries, eigvals_only=True, subset_by_index=[0, 0])[0]
             assert abs(result.energy - reference) <= 1e-12
             iterations.append(result.iterations)
@@ -286,8 +285,8 @@ def test_solve_sectors_bit_identical_to_per_sector_solves():
     basis = enumerate_basis(3, 9)
     assert basis.dim == 220
     params = ModelParams(0.6)
-    for result in solve_sectors(bath, params, basis.n_max):
-        matrix = assemble_sector(bath, params, basis, result.sector)
+    for sector, result in zip(Sector, solve_sectors(bath, params, basis.n_max)):
+        matrix = assemble_sector(bath, params, basis, sector)
         alone = ground_state(matrix)
         assert result.iterations == alone.iterations
         assert result.energy == alone.energy
@@ -299,13 +298,27 @@ def test_solve_sectors_bit_identical_to_per_sector_solves():
         E = lowering_series(basis, bath.q).toarray()
         P = np.diag([float(parity_phase(n)) for n in basis_states(basis)])
         factor = math.exp(log_prefactor(bath))
-        expected = result.sector.tunneling_sign * (params.delta / 2.0) * factor * (
+        expected = sector.tunneling_sign * (params.delta / 2.0) * factor * (
             P @ E.T @ P @ E @ P
         )
-        expected += np.diag(basis.occupation_array() @ omega - float(omega @ (q * q)))
+        expected += np.diag(basis.occupations @ omega - float(omega @ (q * q)))
         assert np.abs(entries - expected).max() <= 1e-15 * np.abs(expected).max()
         x = np.random.default_rng(3).standard_normal(basis.dim)
         assert np.abs(matrix.apply(x) - entries @ x).max() <= 1e-13 * np.abs(entries @ x).max()
+
+
+def test_juddian_crossing_is_a_level_both_sectors_share():
+    # Judd's exceptional point (J. Phys. C 12, 1685, 1979): at one mode with
+    # 4 lambda^2 + (delta/2)^2 = omega^2, here omega 1, delta 0.5 and
+    # lambda = sqrt(15)/8, level 1 of the even and of the odd sector is
+    # exactly 49/64.  A shared level at q != 0, converged at n_max 20
+    bath = DiscretizedBath.from_modes((1.0,), (math.sqrt(15.0) / 8.0,))
+    basis = enumerate_basis(1, 20)
+    assert basis.dim == 21
+    for sector in Sector:
+        matrix = assemble_sector(bath, ModelParams(0.5), basis, sector)
+        levels = np.linalg.eigvalsh(sector_dense(matrix))
+        assert abs(levels[1] - 49.0 / 64.0) <= 1e-13, sector
 
 
 def test_displaced_parity_shares_one_transposed_view_of_e():
