@@ -155,7 +155,9 @@ def test_parse_explicit_fields():
             "sweep: steps must be a positive integer",
         ),
         (
-            deep({"sweep": {"parameter": "alpha", "from": 0, "to": 1, "steps": 2, "scale": "cubic"}}),
+            deep(
+                {"sweep": {"parameter": "alpha", "from": 0, "to": 1, "steps": 2, "scale": "cubic"}}
+            ),
             "scale must be 'linear' or 'log'",
         ),
         (deep({"model": 3}), "model: expected a mapping, got int"),
@@ -646,9 +648,8 @@ def test_gap_sweep_rejects_non_finite_config_numbers(tmp_path, capsys, overrides
 def test_gap_sweep_rejects_epsilon(tmp_path, capsys):
     # the sector path's own precondition refuses the first point, in a
     # worker process too, before any file is written
-    data = deep(
-        {"model": {"epsilon": 0.2}, "sweep": {"parameter": "delta", "from": 0.3, "to": 0.6, "steps": 2}}
-    )
+    sweep = {"parameter": "delta", "from": 0.3, "to": 0.6, "steps": 2}
+    data = deep({"model": {"epsilon": 0.2}, "sweep": sweep})
     config = write_config(tmp_path, data)
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}"
