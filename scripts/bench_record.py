@@ -12,12 +12,14 @@ workload's end-to-end metrics and its failed/attempted count are also
 printed to standard error as they come in.
 
 Records from different sessions mix the machine's speed with the code's,
-so each workload is bracketed by a calibration: fresh interpreters at one
-BLAS thread time `import numpy, scipy.sparse` (median of 5 interpreters,
-spawn to exit) and the median of 20 runs of run.py's warm-up kernel,
-np.linalg.eigh of the 462 x 462 matrix np.add.outer(...) % 7 / 7.0.  The
-figures are stored under `calibration`, per workload the one taken before
-it and the one taken after it, and printed on the workload's line.
+so each workload is bracketed by a calibration, eigh_s: a fresh
+interpreter at one BLAS thread times 20 runs of run.py's warm-up kernel,
+np.linalg.eigh of the 462 x 462 matrix np.add.outer(...) % 7 / 7.0, and
+keeps their median.  It is stored under `calibration`, per workload the
+one taken before it and the one taken after it, and printed on the
+workload's line.  The time of a fresh `import numpy, scipy.sparse` is
+not recorded: within one recording it read 0.305 to 0.440 s, as noisy as
+the setup_s it was to explain, while eigh_s stayed within 0.0225 to 0.0250 s.
 tree_clean is false when the tracked files under src, scripts or
 perfbench differed from that commit as the runs began, so the numbers
 are not those of the commit alone.
@@ -28,15 +30,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-IMPORT_SAMPLES = 5
 
 # perfbench/run.py's warm-up kernel, timed 20 times in one fresh interpreter
 EIGH_KERNEL = """
@@ -65,17 +63,12 @@ def run(command: list[str], workload: str, seed: int, seconds: float, trace: int
 
 
 def calibrate() -> dict:
-    """Machine-speed figures from fresh interpreters at one BLAS thread, in seconds."""
+    """The machine-speed figure eigh_s, in seconds, from a fresh interpreter at one BLAS thread."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
-    imports = []
-    for _ in range(IMPORT_SAMPLES):
-        started = time.perf_counter()
-        subprocess.run([sys.executable, "-c", "import numpy, scipy.sparse"], env=env, check=True)
-        imports.append(time.perf_counter() - started)
     eigh = subprocess.run([sys.executable, "-c", EIGH_KERNEL], env=env, check=True,
                           capture_output=True, text=True)
-    return {"import_s": statistics.median(imports), "eigh_s": float(eigh.stdout)}
+    return {"eigh_s": float(eigh.stdout)}
 
 
 def tree_clean() -> bool:
@@ -114,11 +107,9 @@ def main(argv=None) -> int:
             f"{m['name']} {end['metrics'][m['name']]:.4g} {m['unit']}"
             for m in benchmark["end_to_end"]
         )
-        machine = ", ".join(
-            f"{name} {before[name]:.4g} -> {after[name]:.4g} s" for name in ("import_s", "eigh_s")
-        )
         print(f"{workload}: {gated}, failed {end['failed']}/{end['attempted']}; "
-              f"calibration {machine}", file=sys.stderr)
+              f"calibration eigh_s {before['eigh_s']:.4g} -> {after['eigh_s']:.4g} s",
+              file=sys.stderr)
     out = ROOT / f"BENCH_{args.label}.json"
     units = {m["name"]: m["unit"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
     out.write_text(json.dumps({

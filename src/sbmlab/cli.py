@@ -1,4 +1,4 @@
-"""Command-line surface: figure data, sweeps, invariant checks, proof reports.
+"""Command-line surface: figure data, sweeps, invariant checks, appendix reports.
 
 Persistence contract: `_csv` renders every CSV body, with floats at 17
 significant digits, '.' as the decimal separator, other cells through

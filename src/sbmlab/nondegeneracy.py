@@ -93,7 +93,7 @@ def _proof_basis(N: int, n_max: int):
         raise ValueError(f"need n_max >= 1, got n_max={n_max}")
     dim = math.comb(n_max + N, N)
     if dim > PROOF_DIM_CAP:
-        raise CapacityError(f"proof enumeration dimension {dim} exceeds cap {PROOF_DIM_CAP}")
+        raise CapacityError(f"appendix basis dimension {dim} exceeds cap {PROOF_DIM_CAP}")
     return enumerate_basis(N, n_max)
 
 

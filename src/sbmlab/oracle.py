@@ -21,8 +21,9 @@ to rounding, not merely to truncation accuracy.
 H, Pi, U and every product of them stay sparse, and no dense array is
 formed anywhere: `assemble_full` refuses an H whose build would hold
 more than fockspace.MAX_OPERATOR_BYTES at its peak, and that cap is the
-only size limit of oracle-check.  H stores every diagonal entry, so `FullModel.with_bias`
-moves the local field by rewriting the diagonal of one assembly.  The
+only size limit of oracle-check.  H stores every diagonal entry, so
+`FullModel.with_bias` moves the local field by rewriting, with scipy's
+setdiag, the values of the diagonal of one assembly.  The
 ground states come from implicitly restarted Lanczos (ARPACK) on the
 CSR H, one routine for the ground state of a biased <sigma_z>
 (`ground_sigma_z`) and for the two lowest eigenpairs behind the parity
@@ -75,16 +76,12 @@ def _read_only(matrix: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
 class FullModel:
     """H over spin (x) Fock, twice the enumeration's dimension.
 
-    Every diagonal entry of H is stored, also a zero one:
-    `diagonal_positions` holds their positions in hamiltonian.data, spin-up
-    block first, and `boson` the boson energy of each Fock state.  Its
-    parity Pi and rotation U are built on first use and kept, read-only.
+    Every diagonal entry of H is stored, also a zero one.  Its parity Pi
+    and rotation U are built on first use and kept, read-only.
     """
 
     enumeration: BasisEnumeration
     hamiltonian: scipy.sparse.csr_array
-    boson: np.ndarray
-    diagonal_positions: np.ndarray
 
     @functools.cached_property
     def parity(self) -> scipy.sparse.csr_array:
@@ -102,20 +99,18 @@ class FullModel:
         )
 
     def with_bias(self, epsilon: float) -> FullModel:
-        """The same H at local field epsilon, with only its diagonal rewritten.
+        """H + (epsilon/2) sigma_z: on the model at epsilon 0, H at local field epsilon.
 
         The values are copied and the index arrays shared, so neither V nor
-        the tunneling blocks nor the CSR pattern is built again.  An entry
-        stored as zero leaves every product with H as it would be without it.
+        the tunneling blocks nor the CSR pattern is built again.  setdiag
+        writes the diagonal read back from H, shifted by +-epsilon/2, and
+        since H stores every diagonal entry it only rewrites values.
         """
         H = self.hamiltonian
-        data = H.data.copy()
-        half_eps = epsilon / 2.0
-        diagonal = np.concatenate([self.boson + half_eps, self.boson - half_eps])
-        data[self.diagonal_positions] = diagonal
-        return replace(
-            self, hamiltonian=scipy.sparse.csr_array((data, H.indices, H.indptr), shape=H.shape)
-        )
+        shift = np.repeat([epsilon / 2.0, -epsilon / 2.0], self.enumeration.dim)
+        biased = scipy.sparse.csr_array((H.data.copy(), H.indices, H.indptr), shape=H.shape)
+        biased.setdiag(H.diagonal() + shift)
+        return replace(self, hamiltonian=biased)
 
 
 def assemble_full(
@@ -131,9 +126,11 @@ def assemble_full(
     slot by slot into the final CSR arrays, which are those of the sorted
     block array [[b + epsilon/2 + V, -delta/2], [-delta/2, b - epsilon/2 - V]].
     A zero entry (lambda_k = 0, or delta = 0) is not stored, except on the
-    diagonal, which FullModel.with_bias rewrites.  Raises CapacityError,
-    before allocating anything, when the bytes the build holds at its peak
-    would exceed fockspace.MAX_OPERATOR_BYTES.
+    diagonal: there FullModel.with_bias's setdiag only rewrites values,
+    where a missing entry would be inserted and the biased copy would get
+    index arrays of its own, rebuilt from all nnz entries.  Raises
+    CapacityError, before allocating anything, when the bytes the build
+    holds at its peak would exceed fockspace.MAX_OPERATOR_BYTES.
     """
     modes, n_max, dim = enumeration.mode_count, enumeration.n_max, enumeration.dim
     if modes != bath.mode_count:
@@ -143,14 +140,14 @@ def assemble_full(
     # each spin block holds dim diagonal and dim tunneling entries, and V two
     # entries per mode and state that the mode can raise (total below n_max);
     # an entry is a float64 value and an int64 column index.  Next to these
-    # CSR arrays the build holds the boson energies and the diagonal
-    # positions (24 dim bytes), the enumeration's int32 ladder maps and the
-    # int64 temporaries of their build (counted as 12 dim modes bytes), at most
-    # eight int64 or float64 temporaries of length dim (64 dim bytes), and
-    # about 20 KiB of Python objects, counted as 64 KiB
+    # CSR arrays the build holds the boson energies (8 dim bytes), the
+    # enumeration's int32 ladder maps and the int64 temporaries of their
+    # build (counted as 12 dim modes bytes), at most eight int64 or float64
+    # temporaries of length dim (64 dim bytes), and about 20 KiB of Python
+    # objects, counted as 64 KiB
     entries = 4 * dim + 4 * modes * math.comb(n_max - 1 + modes, modes)
     csr_bytes = 16 * entries + 8 * (2 * dim + 1)
-    peak_bytes = csr_bytes + 88 * dim + 12 * modes * dim + 2**16
+    peak_bytes = csr_bytes + 72 * dim + 12 * modes * dim + 2**16
     if peak_bytes > MAX_OPERATOR_BYTES:
         raise CapacityError(
             f"the full H of {modes} modes at n_max={n_max} (Fock dim {dim}) has {entries} "
@@ -172,7 +169,6 @@ def assemble_full(
     indptr[dim + 1 :] = indptr[dim] + sizes
     indices = np.empty(indptr[-1], dtype=np.int64)
     data = np.empty(indptr[-1])
-    positions = np.empty(2 * dim, dtype=np.int64)
     states = np.arange(dim)
 
     def coupling(k, raised):
@@ -195,7 +191,6 @@ def assemble_full(
         for k, raised in ladders:
             source, target, value = coupling(k, raised)
             put(target, source + offset, sign * value)
-        positions[offset : offset + dim] = cursor
         put(states, states + offset, boson + sign * (params.epsilon / 2.0))
         for k, raised in reversed(ladders):
             source, target, value = coupling(k, raised)
@@ -203,7 +198,7 @@ def assemble_full(
         if not block and tunneling:
             put(states, states + dim, tunneling)
     H = scipy.sparse.csr_array((data, indices, indptr), shape=(2 * dim, 2 * dim))
-    return FullModel(enumeration, H, boson, positions)
+    return FullModel(enumeration, H)
 
 
 def _hoelder_bound(magnitude: np.ndarray | scipy.sparse.sparray) -> float:

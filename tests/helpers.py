@@ -10,8 +10,9 @@ lowering_series_reference fills each factor of the lowering series entry
 by entry along the ladder maps, coupling_matrix and block_hamiltonian
 build V and H from sparse blocks, magnetization is <sigma_z> of a
 mixture of the two sector ground states, dense_spectrum every
-eigenvalue of a sparse symmetric matrix from one dense solve, and
-sector_dense a small sector operator made dense through its own product.
+eigenvalue of a sparse symmetric matrix from one dense solve,
+sector_dense a small sector operator made dense through its own product,
+and rabi_levels the exact one-mode ground pair from Braak's G-function.
 The package needs none of them.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -225,3 +227,39 @@ def dense_spectrum(A: scipy.sparse.sparray) -> np.ndarray:
 def sector_dense(matrix: SectorMatrix) -> np.ndarray:
     """The sector operator as a dense array, one column per product with a unit vector."""
     return np.column_stack([matrix.apply(column) for column in np.eye(matrix.diagonal.size)])
+
+
+def rabi_levels(omega: float, lam: float, delta: float, dps: int, terms: int) -> tuple:
+    """(E+, E-, log10(E- - E+)) of the one-mode model, exact to about dps digits, as mpf.
+
+    One mode is the quantum Rabi model, integrable (Braak, PRL 107,
+    100401 (2011)).  With g = lam/omega, b = delta/(2 omega) and
+    x = E/omega + g^2, the levels are the zeros of
+    G(x) = sum_{n < terms} K_n(x) [1 + s b/(x - n)] g^n, where K_0 = 1,
+    K_1 = f_0 and n K_n = f_{n-1} K_{n-1} - K_{n-2}, with
+    f_n = 2g + (n - x + b^2/(x - n))/(2g).  At delta > 0, s = +1 gives
+    E+, the even sector's, and s = -1 E-.  x G(x) has no pole at x = 0,
+    which lies between the two ground roots x = -+b e^{-2g^2} (first
+    order in b), so findroot starts there.  The terms of the series are large, so x G at
+    the root has a floor above mpmath's tolerance, and findroot does not
+    verify it.
+    """
+    with mpmath.workdps(dps):
+        g = mpmath.mpf(lam) / omega
+        b = mpmath.mpf(delta) / (2 * omega)
+
+        def x_times_g(x, s):
+            total, older, K, power = x + s * b, mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1)
+            for n in range(1, terms):
+                f = 2 * g + (n - 1 - x + b**2 / (x - n + 1)) / (2 * g)
+                older, K = K, (f * K - older) / n
+                power *= g
+                total += x * K * (1 + s * b / (x - n)) * power
+            return total
+
+        start = b * mpmath.exp(-2 * g**2)
+        plus, minus = (
+            mpmath.findroot(lambda x: x_times_g(x, s), -s * start, verify=False)
+            for s in (1, -1)
+        )
+        return omega * (plus - g**2), omega * (minus - g**2), mpmath.log10(omega * (minus - plus))

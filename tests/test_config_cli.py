@@ -1721,22 +1721,32 @@ def test_magnetization_scan_grid_and_curve_are_exactly_odd(tmp_path, steps, epsi
 
 @pytest.mark.parametrize("steps,solves", [(11, 6), (8, 4), (3, 2)])
 def test_magnetization_scan_solves_only_nonnegative_bias(tmp_path, monkeypatch, steps, solves):
+    # and assembles H once: every solved point is that H moved by with_bias
     import scipy.sparse.linalg
 
-    calls = []
+    import sbmlab.oracle
+
+    calls, assemblies = [], []
     eigsh = scipy.sparse.linalg.eigsh
+    assemble = sbmlab.oracle.assemble_full
 
     def spy(*args, **kwargs):
         calls.append(kwargs["k"])
         return eigsh(*args, **kwargs)
 
+    def assemble_spy(*args):
+        assemblies.append(args)
+        return assemble(*args)
+
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    monkeypatch.setattr(sbmlab.oracle, "assemble_full", assemble_spy)
     out = tmp_path / "scan"
     path = write_config(tmp_path, {**SMALL_SCAN, "model": {"delta": 0.5}})
     argv = ["magnetization-scan", "--config", path, "--out", str(out),
             "--epsilon-steps", str(steps)]
     assert main(argv) == 0
     assert calls == [1] * solves
+    assert len(assemblies) == 1
 
 
 def test_magnetization_scan_refuses_an_h_that_breaks_parity(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +15,7 @@ from helpers import (
     displacement_matrix,
     frozen_spin_check,
     magnetization,
+    rabi_levels,
 )
 
 import sbmlab.oracle
@@ -155,7 +157,46 @@ def test_assembly_writes_the_arrays_of_the_block_array_build():
                     got, expected = getattr(H, name), getattr(reference, name)
                     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
                 rows = np.repeat(np.arange(2 * basis.dim), np.diff(H.indptr))
-                assert np.array_equal(model.diagonal_positions, np.flatnonzero(H.indices == rows))
+                # every row stores its diagonal entry, also a zero one
+                assert np.count_nonzero(H.indices == rows) == 2 * basis.dim
+                # the epsilon 0 assembly moved to epsilon: the same arrays,
+                # the index arrays shared with the unbiased H
+                unbiased = assemble_full(ModelParams(delta), bath, basis)
+                biased = unbiased.with_bias(epsilon).hamiltonian
+                assert np.shares_memory(biased.indices, unbiased.hamiltonian.indices)
+                assert np.shares_memory(biased.indptr, unbiased.hamiltonian.indptr)
+                for name in ("indptr", "indices", "data"):
+                    got, expected = getattr(biased, name), getattr(H, name)
+                    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "lam,dps,terms,plus,log10_gap",
+    [
+        (2.0, 30, 100, "-4.0042738822927544", "-3.76982925015"),
+        (5.0, 50, 300, "-25.000631378950399", "-22.0143443977"),
+    ],
+)
+def test_g_function_gives_the_exact_one_mode_pair(lam, dps, terms, plus, log10_gap):
+    # omega 1, delta 0.5: at g 5 the gap, 9.7e-23, is below what any double
+    # solve of E+ and E- resolves.  At 60 digits and 400 terms (g 2) and at
+    # 90 digits and 600 terms (g 5) E+ moves by under 1e-45
+    E_plus, E_minus, gap = rabi_levels(1.0, lam, 0.5, dps, terms)
+    assert abs(E_plus - mpmath.mpf(plus)) < 1e-15
+    assert abs(gap - mpmath.mpf(log10_gap)) < 1e-10
+    assert E_minus > E_plus
+
+
+@pytest.mark.parametrize("lam,terms", [(0.5, 40), (2.0, 100)])
+def test_sector_blocks_meet_the_g_function_at_one_mode(lam, terms):
+    # f = 0 at n_max 30 has converged at one mode (2.7e-15 at g 2); the
+    # even block of U H U' holds the 1 + b/(x - n) branch, E+, and the odd
+    # one E-
+    E_plus, E_minus, _ = rabi_levels(1.0, lam, 0.5, 30, terms)
+    model = assemble_full(ModelParams(0.5), single_mode(lam), enumerate_basis(1, 30))
+    even, odd, _ = sector_blocks(model)
+    assert dense_spectrum(even)[0] == pytest.approx(float(E_plus), abs=1e-12)
+    assert dense_spectrum(odd)[0] == pytest.approx(float(E_minus), abs=1e-12)
 
 
 def test_cross_module_ground_energy():
@@ -334,12 +375,13 @@ def test_with_bias_rewrites_only_the_diagonal():
     H0 = unbiased.hamiltonian
     assert H0.nnz == np.count_nonzero(H0.data) + 2  # the vacuum's diagonal entries
     V = coupling_matrix(bath, basis)
+    boson = basis.occupations @ np.asarray(bath.omega)
     tunneling = -0.3 * scipy.sparse.eye_array(dim)
     for epsilon in (-0.5, 0.0, 0.25, 1e-9):
         biased = unbiased.with_bias(epsilon).hamiltonian
         assert np.shares_memory(biased.indices, H0.indices)
-        upper = scipy.sparse.diags_array(unbiased.boson + epsilon / 2.0) + V
-        lower = scipy.sparse.diags_array(unbiased.boson - epsilon / 2.0) - V
+        upper = scipy.sparse.diags_array(boson + epsilon / 2.0) + V
+        lower = scipy.sparse.diags_array(boson - epsilon / 2.0) - V
         reference = scipy.sparse.block_array(
             [[upper, tunneling], [tunneling, lower]], format="csr"
         )
