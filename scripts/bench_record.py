@@ -18,8 +18,9 @@ np.linalg.eigh of the 462 x 462 matrix np.add.outer(...) % 7 / 7.0, and
 keeps their median.  It is stored under `calibration`, per workload the
 one taken before it and the one taken after it, and printed on the
 workload's line.  The time of a fresh `import numpy, scipy.sparse` is
-not recorded: within one recording it read 0.305 to 0.440 s, as noisy as
-the setup_s it was to explain, while eigh_s stayed within 0.0225 to 0.0250 s.
+not recorded: within the BENCH_31.json recording it read 0.305 to
+0.440 s, as noisy as the setup_s it was to explain, while eigh_s stayed
+within 0.0225 to 0.0250 s.
 tree_clean is false when the tracked files under src, scripts or
 perfbench differed from that commit as the runs began, so the numbers
 are not those of the commit alone.
