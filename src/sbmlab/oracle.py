@@ -321,8 +321,7 @@ def _lowest_eigenpairs(H: scipy.sparse.csr_array, k: int) -> tuple[np.ndarray, n
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise SolverError(
             f"lanczos ground state of the full H (size {H.shape[0]}) "
-            f"did not converge: {exc}",
-            diagnostics={"solver": "eigsh", "size": H.shape[0], "converged": len(exc.eigenvalues)},
+            f"did not converge: {exc}"
         ) from exc
     return np.ldexp(vals, exponent), vecs
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -197,6 +198,37 @@ def test_sector_blocks_meet_the_g_function_at_one_mode(lam, terms):
     even, odd, _ = sector_blocks(model)
     assert dense_spectrum(even)[0] == pytest.approx(float(E_plus), abs=1e-12)
     assert dense_spectrum(odd)[0] == pytest.approx(float(E_minus), abs=1e-12)
+
+
+@functools.cache
+def converged_f0_pair(N, n_max):
+    """(E+, E-, |phi+ . P phi-|) of the f = 0 blocks at s 0.1, alpha 0.3, Lambda 2, delta 0.5."""
+    bath = discretize(BathSpec(s=0.1, alpha=0.3, omega_c=1.0), DiscretizationSpec(2.0, N))
+    basis = enumerate_basis(N + 1, n_max)
+    even, odd, _ = sector_blocks(assemble_full(ModelParams(0.5), bath, basis))
+    (E_plus,), phi_plus = _lowest_eigenpairs(even.tocsr(), 1)
+    (E_minus,), phi_minus = _lowest_eigenpairs(odd.tocsr(), 1)
+    return E_plus, E_minus, abs(phi_plus[:, 0] @ (basis.parity * phi_minus[:, 0]))
+
+
+# the converged f = 0 rows of ROADMAP's "Read this first" table
+@pytest.mark.parametrize(
+    "N, n_max, E_plus, gap, overlap",
+    [
+        (3, 16, -0.4252940563378, 2.502235e-2, 0.763003),
+        (3, 20, -0.4252940563384, 2.502235e-2, 0.763003),
+        (4, 20, -0.4700706342373, 2.104154e-3, 0.894070),
+    ],
+)
+def test_sector_blocks_give_the_converged_f0_rows(N, n_max, E_plus, gap, overlap):
+    E_even, E_odd, parity_overlap = converged_f0_pair(N, n_max)
+    assert E_even == pytest.approx(E_plus, abs=1e-10)
+    assert E_odd - E_even == pytest.approx(gap, rel=1e-6)
+    assert parity_overlap == pytest.approx(overlap, abs=1e-6)
+
+
+def test_converged_f0_row_holds_from_n_max_16_to_20():
+    assert abs(converged_f0_pair(3, 16)[0] - converged_f0_pair(3, 20)[0]) < 1e-11
 
 
 def test_cross_module_ground_energy():
