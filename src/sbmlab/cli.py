@@ -203,13 +203,13 @@ def sweep_point(task: tuple[int, RunConfig]) -> tuple[dict, dict]:
             cfg.solver.max_iter,
             cfg.bath.omega_c,
         )
-    except SolverError as exc:
-        diagnostics = dict(exc.diagnostics)
-        sector = diagnostics.pop("sector", "unknown")
-        solvers[sector] = {**diagnostics, "converged": False}
-        status = f"solver-error: {exc}"
-    except AccuracyError as exc:
-        status = f"accuracy-error: {exc}"
+    except (SolverError, AccuracyError) as exc:
+        # only a solve that gave up carries diagnostics; the refusals do not
+        if exc.diagnostics:
+            record = {**exc.diagnostics, "converged": False}
+            solvers[record.pop("sector")] = record
+        kind = "solver-error" if isinstance(exc, SolverError) else "accuracy-error"
+        status = f"{kind}: {exc}"
     else:
         even_energy, odd_energy = even.energy, odd.energy
         even_residual, odd_residual = even.residual, odd.residual

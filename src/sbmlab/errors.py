@@ -6,7 +6,15 @@ tell misconfiguration apart from resource limits and solver trouble.
 
 
 class SbmlabError(Exception):
-    """Base class for package errors."""
+    """Base class for package errors.
+
+    diagnostics holds what the code knew when it gave up (for a solve: sector,
+    iterations, best residual), for run manifests.
+    """
+
+    def __init__(self, message: str, diagnostics: dict | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 class ConfigError(SbmlabError):
@@ -18,15 +26,7 @@ class CapacityError(SbmlabError):
 
 
 class SolverError(SbmlabError):
-    """Eigensolver failed to reach the requested residual (exit code 4).
-
-    diagnostics holds what the solver knew when it gave up (sector, iterations,
-    best residual), for run manifests.
-    """
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """Eigensolver failed to reach the requested residual (exit code 4)."""
 
 
 class AccuracyError(SbmlabError):

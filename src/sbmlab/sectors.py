@@ -23,9 +23,9 @@ Every sector, whatever its size, is solved by one thick-restart Davidson
 iteration that applies Dt as two sparse products; no solve forms a dense
 matrix.  A solve that misses its tolerance is a SolverError, or an
 AccuracyError once its search space spans the whole basis, where the
-residual left is rounding.  The dense forms (SectorMatrix.entries, and
-DisplacedParity.dense, the same sparse product P E' P E P made dense)
-are references for tests and benchmarks only.
+residual left is rounding.  The dense form SectorMatrix.entries, built
+column by column from the operator's own product, is a reference for
+tests and benchmarks only.
 
 Because the two sectors differ only in the tunneling term, their gap
 also follows from the two ground states without subtracting energies
@@ -115,12 +115,6 @@ class DisplacedParity:
         """diag(Dt) = (E o E)' P, taken once on first use: it squares a copy of E."""
         return self.lowering.power(2).T @ self.parity
 
-    @property
-    def dense(self) -> np.ndarray:
-        """Dt = P E' P E P as a new dense array, a reference that no solve uses."""
-        P = scipy.sparse.diags_array(self.parity)
-        return (P @ self.lowering_transposed @ P @ self.lowering @ P).toarray()
-
 
 @dataclass(frozen=True, eq=False)
 class SectorMatrix:
@@ -139,14 +133,11 @@ class SectorMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense matrix, a new array on every access.
+        """The dense matrix, one column per product with a unit vector, new on every access.
 
-        A reference for tests and benchmarks; no solve uses it.  Dt is
-        scaled first and the diagonal added after.
+        A reference for tests and benchmarks; no solve uses it.
         """
-        entries = self.coupling * self.displaced_parity.dense
-        entries[np.diag_indices_from(entries)] += self.diagonal
-        return entries
+        return np.column_stack([self.apply(e) for e in np.eye(self.diagonal.size)])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product without forming the dense matrix."""
@@ -341,23 +332,21 @@ def ground_state(
     energy, vector, iterations, residual, exhausted = _davidson_lowest(
         matrix, tol, max_iter, _MIN_DENOMINATOR * energy_unit
     )
+    diagnostics = {"sector": matrix.sector.value, "iterations": iterations, "residual": residual}
     if exhausted and not residual <= tol:
         raise AccuracyError(
             f"davidson solve of the {matrix.sector.value} sector has best residual "
             f"{residual:.3e} above tol {tol} with its search space spanning the whole "
             f"basis (dim {vector.size} after {iterations} iterations); the residual is the "
-            "rounding floor of the operator"
+            "rounding floor of the operator",
+            diagnostics,
         )
     if not residual <= tol:
         raise SolverError(
             f"davidson solve of the {matrix.sector.value} sector did not reach residual "
             f"{tol} ({iterations} iterations); best residual {residual:.3e} "
             f"at energy {energy:.12g}",
-            diagnostics={
-                "sector": matrix.sector.value,
-                "iterations": iterations,
-                "residual": residual,
-            },
+            diagnostics,
         )
     vector = vector / np.linalg.norm(vector)
     nonzero = np.nonzero(vector)[0]

@@ -11,7 +11,7 @@ by entry along the ladder maps, coupling_matrix and block_hamiltonian
 build V and H from sparse blocks, magnetization is <sigma_z> of a
 mixture of the two sector ground states, dense_spectrum every
 eigenvalue of a sparse symmetric matrix from one dense solve,
-sector_dense a small sector operator made dense through its own product,
+displaced_parity_dense Dt = P E' P E P as one sparse product made dense,
 and rabi_levels the exact one-mode ground pair from Braak's G-function.
 The package needs none of them.
 """
@@ -31,7 +31,7 @@ from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError
 from sbmlab.fockspace import BasisEnumeration
 from sbmlab.oracle import assemble_full
-from sbmlab.sectors import GroundStateResult, ModelParams, SectorMatrix
+from sbmlab.sectors import DisplacedParity, GroundStateResult, ModelParams
 
 
 def basis_states(enumeration: BasisEnumeration) -> list[tuple[int, ...]]:
@@ -224,9 +224,10 @@ def dense_spectrum(A: scipy.sparse.sparray) -> np.ndarray:
     )
 
 
-def sector_dense(matrix: SectorMatrix) -> np.ndarray:
-    """The sector operator as a dense array, one column per product with a unit vector."""
-    return np.column_stack([matrix.apply(column) for column in np.eye(matrix.diagonal.size)])
+def displaced_parity_dense(displaced: DisplacedParity) -> np.ndarray:
+    """Dt = P E' P E P as a new dense array, from one sparse product of its own factors."""
+    P = scipy.sparse.diags_array(displaced.parity)
+    return (P @ displaced.lowering_transposed @ P @ displaced.lowering @ P).toarray()
 
 
 def rabi_levels(omega: float, lam: float, delta: float, dps: int, terms: int) -> tuple:

@@ -898,7 +898,8 @@ def test_gap_sweep_row_that_exhausts_the_basis_is_an_accuracy_error(tmp_path, mo
     # one mode with q^2 = 4 (omega 1, lambda 2): at n_max 24 the Davidson
     # search space spans the basis with the residual at its rounding floor,
     # 2.8e-10 > tol; past the 40-vector restart (n_max 40) the solve runs
-    # out of iterations instead and stays a solver failure
+    # out of iterations instead and stays a solver failure; either way the
+    # manifest keeps the even solve's diagnostics
     import sbmlab.cli
     from sbmlab.bath import DiscretizedBath
 
@@ -915,6 +916,17 @@ def test_gap_sweep_row_that_exhausts_the_basis_is_an_accuracy_error(tmp_path, mo
         header, body = read_csv(out / "gap_sweep.csv")
         assert len(body[0]) == len(header)
         assert body[0][header.index("status")].startswith(status)
+        manifest = json.loads((out / "gap_sweep_manifest.json").read_text())
+        assert list(manifest["row_solvers"][0]) == ["even"]
+        even = manifest["row_solvers"][0]["even"]
+        assert list(even) == ["iterations", "residual", "converged"]
+        assert even["converged"] is False
+        if n_max == 24:
+            assert even["iterations"] == 25
+            assert 2.81e-10 < even["residual"] < 2.82e-10
+        else:
+            assert even["iterations"] == 500
+            assert even["residual"] > 1e-10
 
 
 def test_gap_sweep_records_underflowed_prefactor_in_row(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from helpers import basis_states, parity_phase, sector_dense
+from helpers import basis_states, displaced_parity_dense, parity_phase
 
 from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize, log_prefactor
 from sbmlab.errors import AccuracyError, CapacityError, SolverError
@@ -307,6 +307,23 @@ def test_solve_sectors_bit_identical_to_per_sector_solves():
         assert np.abs(matrix.apply(x) - entries @ x).max() <= 1e-13 * np.abs(entries @ x).max()
 
 
+def test_benchmark_reference_maker_reproduces_the_pinned_alpha_scan(tmp_path, monkeypatch):
+    # perfbench/make_reference.py solves SectorMatrix.entries densely; at
+    # seed 0 its alpha_scan energies are reference.json's (5.6e-16 apart)
+    import json
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import make_reference
+    import workloads
+
+    commands = {c.name: c for c in workloads.build("dense-sweep", 0, root, tmp_path)}
+    energies = make_reference.dense_energies(commands["alpha_scan"])
+    pinned = json.loads((root / "perfbench" / "reference.json").read_text())
+    assert np.abs(np.array(energies) - pinned["energies"]["alpha_scan"]).max() <= 1e-12
+
+
 def test_juddian_crossing_is_a_level_both_sectors_share():
     # Judd's exceptional point (J. Phys. C 12, 1685, 1979): at one mode with
     # 4 lambda^2 + (delta/2)^2 = omega^2, here omega 1, delta 0.5 and
@@ -317,7 +334,7 @@ def test_juddian_crossing_is_a_level_both_sectors_share():
     assert basis.dim == 21
     for sector in Sector:
         matrix = assemble_sector(bath, ModelParams(0.5), basis, sector)
-        levels = np.linalg.eigvalsh(sector_dense(matrix))
+        levels = np.linalg.eigvalsh(matrix.entries)
         assert abs(levels[1] - 49.0 / 64.0) <= 1e-13, sector
 
 
@@ -333,7 +350,7 @@ def test_displaced_parity_shares_one_transposed_view_of_e():
     assert np.shares_memory(view.data, E.data)
     assert np.shares_memory(view.indices, E.indices)
     x = np.random.default_rng(5).standard_normal(basis.dim)
-    reference = displaced.dense @ x
+    reference = displaced_parity_dense(displaced) @ x
     assert np.abs(displaced.apply(x) - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
@@ -569,7 +586,7 @@ def mpmath_gap(bath, params, basis):
         lowest = []
         for sector in (Sector.EVEN, Sector.ODD):
             operator = assemble_sector(bath, params, basis, sector)
-            dt = mpmath.matrix(operator.displaced_parity.dense.tolist())
+            dt = mpmath.matrix(displaced_parity_dense(operator.displaced_parity).tolist())
             matrix = mpmath.diag([mpmath.mpf(x) for x in operator.diagonal.tolist()])
             matrix += mpmath.mpf(operator.coupling) * dt
             lowest.append(min(mpmath.eigsy(matrix, eigvals_only=True)))
