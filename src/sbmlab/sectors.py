@@ -19,13 +19,13 @@ two ground states is the dot product of their coefficient vectors.
 solve_sectors is the one entry point from a bath to the pair: it owns
 the order of the refusals.
 
-Every sector, whatever its size, is solved by one thick-restart Davidson
-iteration that applies Dt as two sparse products; no solve forms a dense
-matrix.  A solve that misses its tolerance is a SolverError, or an
-AccuracyError once its search space spans the whole basis, where the
-residual left is rounding.  The dense form SectorMatrix.entries, built
-column by column from the operator's own product, is a reference for
-tests and benchmarks only.
+A pair is built in units of omega_c, and each sector is solved by one
+thick-restart Davidson iteration that takes only a product (Dt as two
+sparse products) and a diagonal; no solve forms a dense matrix.  A solve
+that misses its tolerance is a SolverError, or an AccuracyError once its
+search space spans the whole basis, where the residual left is rounding.
+SectorMatrix.entries, built column by column from the operator's own
+product, is a reference for tests and benchmarks only.
 
 Because the two sectors differ only in the tunneling term, their gap
 also follows from the two ground states without subtracting energies
@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,9 +57,9 @@ DEFAULT_MAX_ITER = 500
 # half of Ritz vectors
 _DAVIDSON_RESTART = 40
 
-# smallest |diag - theta| the Davidson preconditioner divides by, in units of
-# the solve's energy unit; on a Lambda = 2 grid boson energies coincide
-# exactly, so diag - theta can be 0
+# smallest |diag - theta| the Davidson preconditioner divides by, a plain
+# number because a pair is built in its energy unit; on a Lambda = 2 grid
+# boson energies coincide exactly, so diag - theta can be 0
 _MIN_DENOMINATOR = 1e-8
 
 # a gap below this fraction of its energy scale (the sector energies in a
@@ -118,11 +119,11 @@ class DisplacedParity:
 
 @dataclass(frozen=True, eq=False)
 class SectorMatrix:
-    """One sector as the operator diag(diagonal) + coupling * Dt.
+    """One sector as the operator diag(diagonal) + coupling * Dt, in units of unit.
 
     diagonal and displaced_parity are shared with the other sector and
     never written to; coupling is tunneling_sign * half_delta * polaron
-    factor, half_delta = delta/2.
+    factor, half_delta = delta/2 in units of unit.
     """
 
     sector: Sector
@@ -130,6 +131,7 @@ class SectorMatrix:
     displaced_parity: DisplacedParity
     coupling: float
     half_delta: float
+    unit: float
 
     @property
     def entries(self) -> np.ndarray:
@@ -202,26 +204,28 @@ def polaron_factor(bath: DiscretizedBath, params: ModelParams) -> float:
 
 
 def _sector_pair(
-    bath: DiscretizedBath, params: ModelParams, enumeration: BasisEnumeration, polaron: float
+    bath: DiscretizedBath, params: ModelParams, basis: BasisEnumeration, polaron: float, unit: float
 ) -> dict[Sector, SectorMatrix]:
     """Both sector operators over one diagonal sum omega (n - q**2) and one lowering series.
 
-    lowering_series raises CapacityError before allocating a series over
-    fockspace.MAX_OPERATOR_BYTES, and ValueError when the bath and the
-    enumeration differ in mode count.
+    omega and delta are divided by unit here, once.  lowering_series raises
+    CapacityError before allocating a series over fockspace.MAX_OPERATOR_BYTES,
+    and ValueError when the bath and the basis differ in mode count.
     """
-    lowering = lowering_series(enumeration, bath.q)
-    omega = np.asarray(bath.omega)
+    lowering = lowering_series(basis, bath.q)
+    omega = np.asarray(bath.omega) / unit
     q = np.asarray(bath.q)
-    diagonal = enumeration.occupations @ omega - float(omega @ (q * q))
-    displaced_parity = DisplacedParity(lowering, enumeration.parity)
+    diagonal = basis.occupations @ omega - float(omega @ (q * q))
+    displaced_parity = DisplacedParity(lowering, basis.parity)
+    half_delta = params.delta / 2.0 / unit
     return {
         sector: SectorMatrix(
             sector=sector,
             diagonal=diagonal,
             displaced_parity=displaced_parity,
-            coupling=sector.tunneling_sign * (params.delta / 2.0) * polaron,
-            half_delta=params.delta / 2.0,
+            coupling=sector.tunneling_sign * half_delta * polaron,
+            half_delta=half_delta,
+            unit=unit,
         )
         for sector in Sector
     }
@@ -233,38 +237,38 @@ def assemble_sector(
     enumeration: BasisEnumeration,
     sector: Sector,
 ) -> SectorMatrix:
-    """diag(sum omega(n - q**2)) -+ (delta/2) D over the enumeration."""
-    return _sector_pair(bath, params, enumeration, polaron_factor(bath, params))[sector]
+    """diag(sum omega(n - q**2)) -+ (delta/2) D over the enumeration, in absolute units."""
+    return _sector_pair(bath, params, enumeration, polaron_factor(bath, params), 1.0)[sector]
 
 
 def _davidson_lowest(
-    matrix: SectorMatrix, tol: float, max_iter: int, min_denominator: float
+    apply: Callable[[np.ndarray], np.ndarray], diag: np.ndarray, tol: float, max_iter: int
 ) -> tuple[float, np.ndarray, int, float, bool]:
-    """Lowest eigenpair by Davidson's method (J. Comput. Phys. 17, 87, 1975).
+    """Lowest eigenpair of the symmetric operator apply, whose diagonal is diag.
 
-    Starts from the coordinate vector of the smallest diagonal entry and
-    grows the search space by the residual preconditioned with
-    (diag - theta)^-1, one operator application per iteration.  The
-    projected matrix V H V' gains one row and column per new vector.  A
-    full search space restarts thick (Stathopoulos, Saad & Wu, SIAM J. Sci.
-    Comput. 19, 227, 1998): it keeps its lowest half of Ritz vectors and
-    their images, so no operator application is repeated and nearly
-    degenerate low eigenvalues stay resolved.  Convergence is declared, and
-    a residual reported, only from an explicit ||Hx - theta x||, which is
-    taken once per pair.  Returns (energy, vector, iterations, residual,
-    exhausted) of the first pair within tol, or of the best pair found when
-    max_iter runs out or the search space cannot grow; exhausted is True
-    when the search space spans the whole basis, where the Ritz pair is
-    exact up to rounding and no iteration can lower its residual.  The
-    preconditioner clamps |diag - theta| below at min_denominator.
+    Davidson's method (J. Comput. Phys. 17, 87, 1975) starts from the
+    coordinate vector of the smallest diagonal entry and grows the search
+    space by the residual preconditioned with (diag - theta)^-1, one
+    operator application per iteration.  The projected matrix V H V' gains
+    one row and column per new vector.  A full search space restarts thick
+    (Stathopoulos, Saad & Wu, SIAM J. Sci. Comput. 19, 227, 1998): it keeps
+    its lowest half of Ritz vectors and their images, so no operator
+    application is repeated and nearly degenerate low eigenvalues stay
+    resolved.  Convergence is declared, and a residual reported, only from
+    an explicit ||Hx - theta x||, which is taken once per pair.  Returns
+    (energy, vector, iterations, residual, exhausted) of the first pair
+    within tol, or of the best pair found when max_iter runs out or the
+    search space cannot grow; exhausted is True when the search space spans
+    the whole basis, where the Ritz pair is exact up to rounding and no
+    iteration can lower its residual; the preconditioner clamps
+    |diag - theta| below at _MIN_DENOMINATOR.
     """
-    diag = matrix.diagonal + matrix.coupling * matrix.displaced_parity.diagonal
     n = diag.size
     V = np.zeros((_DAVIDSON_RESTART, n))
     HV = np.empty((_DAVIDSON_RESTART, n))
     G = np.empty((_DAVIDSON_RESTART, _DAVIDSON_RESTART))
     V[0, np.argmin(diag)] = 1.0
-    HV[0] = matrix.apply(V[0])
+    HV[0] = apply(V[0])
     G[0, 0] = V[0] @ HV[0]
     size = 1
     best: tuple[float, float, np.ndarray, bool] | None = None
@@ -277,7 +281,7 @@ def _davidson_lowest(
         r_norm = float(np.linalg.norm(r))
         explicit = r_norm <= tol
         if explicit:
-            r = matrix.apply(x) - theta * x
+            r = apply(x) - theta * x
             r_norm = float(np.linalg.norm(r))
         if best is None or r_norm < best[0]:
             best = (r_norm, theta, x, explicit)
@@ -290,8 +294,8 @@ def _davidson_lowest(
             G[:keep, :keep] = np.diag(vals[:keep])
             size = keep
         denominator = diag - theta
-        small = np.abs(denominator) < min_denominator
-        denominator[small] = np.copysign(min_denominator, denominator[small])
+        small = np.abs(denominator) < _MIN_DENOMINATOR
+        denominator[small] = np.copysign(_MIN_DENOMINATOR, denominator[small])
         t = r / denominator
         scale = np.linalg.norm(t)
         for _ in range(2):
@@ -300,51 +304,49 @@ def _davidson_lowest(
         if norm <= 1e-8 * scale:
             break  # the correction lies in the search space, which cannot grow
         V[size] = t / norm
-        HV[size] = matrix.apply(V[size])
+        HV[size] = apply(V[size])
         G[size, : size + 1] = G[: size + 1, size] = V[: size + 1] @ HV[size]
         size += 1
     residual, energy, vector, explicit = best
     if not explicit:
-        residual = float(np.linalg.norm(matrix.apply(vector) - energy * vector))
+        residual = float(np.linalg.norm(apply(vector) - energy * vector))
     return energy, vector, iteration, residual, size == n
 
 
 def ground_state(
-    matrix: SectorMatrix,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    energy_unit: float = 1.0,
+    matrix: SectorMatrix, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> GroundStateResult:
     """Lowest eigenpair of a sector matrix by Davidson iteration, at any size.
 
-    tol and the preconditioner's clamp are in units of energy_unit, so a
-    model written in other units takes the same steps; the residual
-    reported stays absolute.  The residual is recomputed explicitly and
-    must meet tol * energy_unit within max_iter iterations, the vector is
+    The solve runs in units of matrix.unit, so a model written in other
+    units takes the same steps: the residual is recomputed explicitly and
+    must meet tol within max_iter iterations.  The energy, residuals and
+    diagnostics reported are multiplied by matrix.unit.  The vector is
     normalized, and the vacuum coefficient is made nonnegative.  The
     untruncated residual of the vector costs one more application of Dt,
-    whose image the result keeps.  A residual above tol * energy_unit
-    raises AccuracyError when the search space spans the whole basis,
-    where it is the rounding floor of the operator, and SolverError
-    otherwise.
+    whose image the result keeps.  A residual above tol raises
+    AccuracyError when the search space spans the whole basis, where it
+    is the rounding floor of the operator, and SolverError otherwise.
     """
-    tol = tol * energy_unit
+    diag = matrix.diagonal + matrix.coupling * matrix.displaced_parity.diagonal
     energy, vector, iterations, residual, exhausted = _davidson_lowest(
-        matrix, tol, max_iter, _MIN_DENOMINATOR * energy_unit
+        matrix.apply, diag, tol, max_iter
     )
+    unit = matrix.unit
+    converged, energy, residual = residual <= tol, energy * unit, residual * unit
     diagnostics = {"sector": matrix.sector.value, "iterations": iterations, "residual": residual}
-    if exhausted and not residual <= tol:
+    if exhausted and not converged:
         raise AccuracyError(
             f"davidson solve of the {matrix.sector.value} sector has best residual "
-            f"{residual:.3e} above tol {tol} with its search space spanning the whole "
+            f"{residual:.3e} above tol {tol * unit} with its search space spanning the whole "
             f"basis (dim {vector.size} after {iterations} iterations); the residual is the "
             "rounding floor of the operator",
             diagnostics,
         )
-    if not residual <= tol:
+    if not converged:
         raise SolverError(
             f"davidson solve of the {matrix.sector.value} sector did not reach residual "
-            f"{tol} ({iterations} iterations); best residual {residual:.3e} "
+            f"{tol * unit} ({iterations} iterations); best residual {residual:.3e} "
             f"at energy {energy:.12g}",
             diagnostics,
         )
@@ -358,7 +360,7 @@ def ground_state(
         coefficients=vector,
         residual=residual,
         iterations=iterations,
-        untruncated_residual=matrix.untruncated_residual(dt_vector),
+        untruncated_residual=matrix.untruncated_residual(dt_vector) * unit,
         dt_coefficients=dt_vector,
     )
 
@@ -373,7 +375,8 @@ def solve_sectors(
 ) -> tuple[GroundStateResult, GroundStateResult]:
     """(even, odd) ground states over the basis sum(n) <= n_max, from one diagonal and one E.
 
-    tol is in units of energy_unit, as in ground_state.
+    The pair is built in units of energy_unit, so tol is in those units
+    and the results are absolute, as in ground_state.
 
     Refusals come in this order: polaron_factor's ValueError for epsilon
     != 0 and AccuracyError for a polaron factor that no double holds, both
@@ -384,11 +387,8 @@ def solve_sectors(
     """
     polaron = polaron_factor(bath, params)
     enumeration = enumerate_basis(bath.mode_count, n_max)
-    pair = _sector_pair(bath, params, enumeration, polaron)
-    return (
-        ground_state(pair[Sector.EVEN], tol, max_iter, energy_unit),
-        ground_state(pair[Sector.ODD], tol, max_iter, energy_unit),
-    )
+    pair = _sector_pair(bath, params, enumeration, polaron, energy_unit)
+    return tuple(ground_state(pair[sector], tol, max_iter) for sector in Sector)
 
 
 def gap_identity(

@@ -899,34 +899,43 @@ def test_gap_sweep_row_that_exhausts_the_basis_is_an_accuracy_error(tmp_path, mo
     # search space spans the basis with the residual at its rounding floor,
     # 2.8e-10 > tol; past the 40-vector restart (n_max 40) the solve runs
     # out of iterations instead and stays a solver failure; either way the
-    # manifest keeps the even solve's diagnostics
+    # manifest keeps the even solve's diagnostics.  With every energy times
+    # 1e-200 or 1e200 the pair is built from the same numbers in units of
+    # omega_c, and the diagnostics are still absolute energies
     import sbmlab.cli
     from sbmlab.bath import DiscretizedBath
 
-    mode = DiscretizedBath.from_modes((1.0,), (2.0,))
-    monkeypatch.setattr(sbmlab.cli, "discretize", lambda spec, disc: mode)
-    floor = "accuracy-error: davidson solve of the even sector has best residual 2.814e-10"
-    for n_max, code, status in ((24, 1, floor), (40, 4, "solver-error: ")):
-        data = deep(
-            {"model": {"delta": 0.5}, "discretization": {"N": 0}, "truncation": {"n_max": n_max}}
-        )
-        out = tmp_path / f"nmax{n_max}"
-        path = write_config(tmp_path, data, f"nmax{n_max}.yaml")
-        assert main(["gap-sweep", "--config", path, "--out", str(out)]) == code
-        header, body = read_csv(out / "gap_sweep.csv")
-        assert len(body[0]) == len(header)
-        assert body[0][header.index("status")].startswith(status)
-        manifest = json.loads((out / "gap_sweep_manifest.json").read_text())
-        assert list(manifest["row_solvers"][0]) == ["even"]
-        even = manifest["row_solvers"][0]["even"]
-        assert list(even) == ["iterations", "residual", "converged"]
-        assert even["converged"] is False
-        if n_max == 24:
-            assert even["iterations"] == 25
-            assert 2.81e-10 < even["residual"] < 2.82e-10
-        else:
-            assert even["iterations"] == 500
-            assert even["residual"] > 1e-10
+    floor = "accuracy-error: davidson solve of the even sector has best residual "
+    for unit in (1.0, 1e-200, 1e200):
+        mode = DiscretizedBath.from_modes((unit,), (2.0 * unit,))
+        monkeypatch.setattr(sbmlab.cli, "discretize", lambda spec, disc: mode)
+        exhausted = f"{floor}{2.814e-10 * unit:.3e}"
+        for n_max, code, status in ((24, 1, exhausted), (40, 4, "solver-error: ")):
+            data = deep(
+                {
+                    "model": {"delta": 0.5 * unit},
+                    "bath": {"omega_c": unit},
+                    "discretization": {"N": 0},
+                    "truncation": {"n_max": n_max},
+                }
+            )
+            out = tmp_path / f"unit{unit:g}-nmax{n_max}"
+            path = write_config(tmp_path, data, f"unit{unit:g}-nmax{n_max}.yaml")
+            assert main(["gap-sweep", "--config", path, "--out", str(out)]) == code
+            header, body = read_csv(out / "gap_sweep.csv")
+            assert len(body[0]) == len(header)
+            assert body[0][header.index("status")].startswith(status)
+            manifest = json.loads((out / "gap_sweep_manifest.json").read_text())
+            assert list(manifest["row_solvers"][0]) == ["even"]
+            even = manifest["row_solvers"][0]["even"]
+            assert list(even) == ["iterations", "residual", "converged"]
+            assert even["converged"] is False
+            if n_max == 24:
+                assert even["iterations"] == 25
+                assert 2.81e-10 < even["residual"] / unit < 2.82e-10
+            else:
+                assert even["iterations"] == 500
+                assert even["residual"] / unit > 1e-10
 
 
 def test_gap_sweep_records_underflowed_prefactor_in_row(tmp_path):
@@ -992,12 +1001,15 @@ def test_gap_sweep_manifest_records_the_identity_gap(tmp_path):
     assert second["log10_abs_gap"] == pytest.approx(-35.492474719, abs=1e-8)
 
 
-@pytest.mark.parametrize("omega_c", [1e-100, 1e-7, 1e7, 1e100])
+@pytest.mark.parametrize("omega_c", [1e-300, 1e-160, 1e-100, 1e-7, 1e7, 1e100, 1e155, 1e300])
 def test_gap_sweep_does_not_depend_on_the_energy_unit(tmp_path, omega_c):
-    # alpha_scan.yaml with every energy in units of omega_c: solver.tol and
-    # the preconditioner clamp scale with it, so each row takes the same
-    # steps.  With both absolute, omega_c 1e7 (N 3, n_max 4) was a
-    # solver-error row (best residual 3.8e-9 after 102 iterations).
+    # alpha_scan.yaml with every energy in units of omega_c: the unit is
+    # divided out where the sector pair is built, so each row solves the
+    # same numbers and takes the same steps.  With tol and the
+    # preconditioner clamp absolute, omega_c 1e7 (N 3, n_max 4) was a
+    # solver-error row (best residual 3.8e-9 after 102 iterations); with
+    # only those two scaled, squared residual entries underflowed at 1e-160
+    # (E/omega_c off by 0.065) and (delta/2)^2 overflowed at 1e155.
     import yaml
 
     rows, solvers = {}, {}

@@ -34,7 +34,7 @@ from sbmlab.oracle import (
     rotation_defects,
     sector_blocks,
 )
-from sbmlab.sectors import ModelParams, Sector, assemble_sector, ground_state
+from sbmlab.sectors import ModelParams, Sector, _davidson_lowest, assemble_sector, ground_state
 
 
 def single_mode(q, omega=1.0):
@@ -201,14 +201,32 @@ def test_sector_blocks_meet_the_g_function_at_one_mode(lam, terms):
 
 
 @functools.cache
-def converged_f0_pair(N, n_max):
-    """(E+, E-, |phi+ . P phi-|) of the f = 0 blocks at s 0.1, alpha 0.3, Lambda 2, delta 0.5."""
+def f0_blocks(N, n_max):
+    """The CSR (even, odd) f = 0 blocks at s 0.1, alpha 0.3, Lambda 2, delta 0.5, and P."""
     bath = discretize(BathSpec(s=0.1, alpha=0.3, omega_c=1.0), DiscretizationSpec(2.0, N))
     basis = enumerate_basis(N + 1, n_max)
     even, odd, _ = sector_blocks(assemble_full(ModelParams(0.5), bath, basis))
-    (E_plus,), phi_plus = _lowest_eigenpairs(even.tocsr(), 1)
-    (E_minus,), phi_minus = _lowest_eigenpairs(odd.tocsr(), 1)
-    return E_plus, E_minus, abs(phi_plus[:, 0] @ (basis.parity * phi_minus[:, 0]))
+    return even.tocsr(), odd.tocsr(), basis.parity
+
+
+def lanczos_lowest(block):
+    (energy,), vectors = _lowest_eigenpairs(block, 1)
+    return energy, vectors[:, 0]
+
+
+def davidson_lowest(block):
+    """The sector path's Davidson solve, given only the block's product and diagonal."""
+    energy, vector, _, residual, _ = _davidson_lowest(block.__matmul__, block.diagonal(), 1e-10, 500)
+    assert residual <= 1e-10
+    return energy, vector
+
+
+@functools.cache
+def converged_f0_pair(N, n_max, lowest=lanczos_lowest):
+    """(E+, E-, |phi+ . P phi-|) of the f = 0 blocks, each solved by lowest."""
+    even, odd, parity = f0_blocks(N, n_max)
+    (E_plus, phi_plus), (E_minus, phi_minus) = lowest(even), lowest(odd)
+    return E_plus, E_minus, abs(phi_plus @ (parity * phi_minus))
 
 
 # the converged f = 0 rows of ROADMAP's "Read this first" table
@@ -221,10 +239,15 @@ def converged_f0_pair(N, n_max):
     ],
 )
 def test_sector_blocks_give_the_converged_f0_rows(N, n_max, E_plus, gap, overlap):
-    E_even, E_odd, parity_overlap = converged_f0_pair(N, n_max)
-    assert E_even == pytest.approx(E_plus, abs=1e-10)
-    assert E_odd - E_even == pytest.approx(gap, rel=1e-6)
-    assert parity_overlap == pytest.approx(overlap, abs=1e-6)
+    # ARPACK and the sector path's Davidson solve meet the same pins, and
+    # agree in E+ and E- (measured within 2.2e-15)
+    lanczos = converged_f0_pair(N, n_max)
+    davidson = converged_f0_pair(N, n_max, davidson_lowest)
+    for E_even, E_odd, parity_overlap in (lanczos, davidson):
+        assert E_even == pytest.approx(E_plus, abs=1e-10)
+        assert E_odd - E_even == pytest.approx(gap, rel=1e-6)
+        assert parity_overlap == pytest.approx(overlap, abs=1e-6)
+    assert np.abs(np.subtract(davidson[:2], lanczos[:2])).max() <= 1e-12
 
 
 @pytest.mark.parametrize("N, n_max", [(0, 30), (3, 8), (4, 20)])  # dim 31, 495, 53130
