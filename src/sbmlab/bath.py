@@ -13,8 +13,11 @@ on 0 < omega < omega_c.  Two families of quantities live here:
   s < 1 and linearly for s = 1, so the discretized displacement sum
   inherits the continuum divergence.
 
-beta0 and beta2 are evaluated in floating point; the tests check them
-against the term-by-term sum in exact rationals and in 50-digit mpmath.
+beta0, beta1 and beta2 are evaluated in floating point.  The tests check
+beta0 and beta2 against the term-by-term sum in exact rationals and in
+50-digit mpmath, and beta1 against its closed form in 50-digit mpmath
+for s > 1 from just above the ohmic boundary, with omega1 down to
+1e-300 * omega_c.
 """
 
 from __future__ import annotations
@@ -125,11 +128,10 @@ def beta1(spec: BathSpec, omega1: float) -> float:
     """Infrared integral controlling the continuum displacement sum.
 
     Equals integral of omega_c**(1-s)*omega**(s-2) d omega over
-    [omega1, omega_c], 0 < omega1 < omega_c.  Within the s != 1 expression
-    [1 - (omega_c/omega1)**(1-s)]/(s - 1) this is evaluated through expm1
-    so the s -> 1 limit ln(omega_c/omega1) is approached smoothly.  For
-    s > 1 the integral converges as omega1 -> 0; once omega1 drops below
-    1e-12*omega_c the limit value 1/(s-1) is returned outright.
+    [omega1, omega_c], 0 < omega1 < omega_c.  Every s != 1 takes the one
+    expression [1 - (omega_c/omega1)**(1-s)]/(s - 1), evaluated through
+    expm1 so the s -> 1 limit ln(omega_c/omega1) is approached smoothly;
+    s = 1 is that limit itself.
     """
     if not 0 < omega1 < spec.omega_c:
         raise ValueError(
@@ -139,8 +141,6 @@ def beta1(spec: BathSpec, omega1: float) -> float:
     log_ratio = math.log(spec.omega_c / omega1)
     if s == 1.0:
         return log_ratio
-    if s > 1.0 and omega1 <= 1e-12 * spec.omega_c:
-        return 1.0 / (s - 1.0)
     return -math.expm1((1.0 - s) * log_ratio) / (s - 1.0)
 
 

@@ -8,7 +8,10 @@ type; only Sweep.start and Sweep.stop are spelled differently in the file
 because a silently ignored typo in a physics parameter is worse than a
 crash.  All numeric constraints of the underlying domain types are
 enforced here, at parse time, with the offending field path in the
-message.  config_as_dict writes a config back in the same keys.
+message.  Sizes no run could take are a CapacityError, before anything
+is built: a grid over MAX_GRID_POINTS, and a bath of more modes than
+fockspace.MAX_BASIS_DIM, also one a sweep reaches.  config_as_dict
+writes a config back in the same keys.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ import yaml
 from .bath import BathSpec, DiscretizationSpec
 from .errors import CapacityError, ConfigError
 from .sectors import DEFAULT_MAX_ITER, DEFAULT_TOL, ModelParams
+# after .sectors, which loads fockspace itself: loaded first, it raised the
+# peak RSS of importing sbmlab.cli by about 0.2 MiB
+from .fockspace import MAX_BASIS_DIM
 
 SWEEPABLE = ("alpha", "s", "delta", "N", "n_max", "Lambda")
 
@@ -120,6 +126,17 @@ class RunConfig:
     truncation: Truncation
     solver: SolverSettings = SolverSettings()
     sweep: Sweep | None = None
+
+    def __post_init__(self) -> None:
+        # at n_max >= 1 a basis over N + 1 modes has more than N + 1 states,
+        # so no solve can take a bath past MAX_BASIS_DIM modes: refused when
+        # the config is read or its sweep expanded, before any mode is built
+        modes = self.discretization.N + 1
+        if modes > MAX_BASIS_DIM:
+            raise CapacityError(
+                f"N={self.discretization.N} gives {modes} modes, more than any basis "
+                f"holds (MAX_BASIS_DIM = {MAX_BASIS_DIM})"
+            )
 
     def with_value(self, parameter: str, value: float) -> "RunConfig":
         """Copy of this config with one sweepable parameter replaced, cast to its field's type."""

@@ -68,8 +68,29 @@ def test_spectral_density_power_law_oracle(s, alpha, omega_c, x):
 
 
 def test_beta1_superohmic_limit_value():
-    # omega1 below the 1e-12*omega_c threshold returns the limit 1/(s-1)
-    assert beta1(make_spec(s=2.0), 1e-13) == 1.0
+    # the integral at s = 2 is 1 - omega1/omega_c, not its omega1 -> 0 limit 1
+    assert beta1(make_spec(s=2.0), 1e-13) == 1.0 - 1e-13
+
+
+@pytest.mark.parametrize(
+    "s, ratio, omega_c",
+    [
+        (s, ratio, omega_c)
+        for s in (1.0001, 1.001, 1.01, 1.1, 1.5, 2.0, 4.0)
+        for ratio in (1e-13, 1e-20, 1e-100, 1e-300)
+        for omega_c in (1.0, 1.7, 1e200, 1e-200)
+        if ratio * omega_c > 0.0  # omega1 a positive double
+    ],
+)
+def test_beta1_superohmic_matches_mpmath(s, ratio, omega_c):
+    # just above the ohmic boundary the integral converges slowly: at
+    # s = 1.0001 and omega1 = 1e-13*omega_c it is 29.89, far from 1/(s-1)
+    omega1 = ratio * omega_c
+    with mpmath.workdps(50):
+        exponent = mpmath.mpf(s) - 1
+        exact = (1 - (mpmath.mpf(omega1) / mpmath.mpf(omega_c)) ** exponent) / exponent
+        value = beta1(BathSpec(s=s, alpha=0.3, omega_c=omega_c), omega1)
+        assert abs(value / exact - 1) < mpmath.mpf(10) ** -15
 
 
 def test_beta1_ohmic_log():
@@ -121,7 +142,7 @@ def test_sum_q_squared_continuous_examples():
         return 2 * spec.alpha * beta1(spec, omega1)
 
     assert sum_q_squared_continuous(make_spec(alpha=0.0), 1e-4) == 0.0
-    assert sum_q_squared_continuous(make_spec(s=2.0, alpha=0.5), 1e-13) == 1.0
+    assert sum_q_squared_continuous(make_spec(s=2.0, alpha=0.5), 1e-13) == 1.0 - 1e-13
     nearly_empty = sum_q_squared_continuous(make_spec(s=0.5, alpha=1.0), 1.0 - 1e-13)
     assert abs(nearly_empty) < 1e-9
 
@@ -274,12 +295,15 @@ def test_bin_integrals_against_quadrature():
 
 
 def test_mean_omega_tracks_continuum_integral():
-    # with a fine grid the mean-omega mode sum approaches 2*alpha*beta1
-    s, alpha, N, Lambda = 1.5, 0.3, 300, 1.05
-    spec = BathSpec(s=s, alpha=alpha, omega_c=1.0)
-    bath = discretize(spec, DiscretizationSpec(Lambda, N, Convention.MEAN_OMEGA))
-    continuum = 2 * alpha * beta1(spec, Lambda ** (-(N + 1)))  # the grid's lower edge
-    assert sum_q_squared(bath) == pytest.approx(continuum, rel=0.02)
+    # with a fine grid the mean-omega mode sum approaches 2*alpha*beta1; at
+    # s 1.01 and 1.001 the lower edge is 6.9e-14*omega_c, where the integral
+    # (2*alpha*beta1 15.68 and 17.91) is still far below its omega1 -> 0 limit
+    alpha = 0.3
+    for s, Lambda, N in [(1.5, 1.05, 300), (1.01, 1.05, 620), (1.001, 1.05, 620)]:
+        spec = BathSpec(s=s, alpha=alpha, omega_c=1.0)
+        bath = discretize(spec, DiscretizationSpec(Lambda, N, Convention.MEAN_OMEGA))
+        continuum = 2 * alpha * beta1(spec, Lambda ** (-(N + 1)))  # the grid's lower edge
+        assert sum_q_squared(bath) == pytest.approx(continuum, rel=0.02), s
 
 
 def test_divergence_for_small_s_and_convergence_above_one():

@@ -22,7 +22,7 @@ from sbmlab.config import (
     parse_config,
 )
 from sbmlab.errors import CapacityError, ConfigError
-from sbmlab.fockspace import BasisEnumeration, enumerate_basis
+from sbmlab.fockspace import MAX_BASIS_DIM, BasisEnumeration, enumerate_basis
 from sbmlab.oracle import assemble_full, ground_sigma_z
 from sbmlab.sectors import ModelParams
 
@@ -774,6 +774,57 @@ def test_gap_sweep_refuses_an_occupation_array_over_the_cap(tmp_path, capsys, mo
     )
     assert not out.exists()
     assert len(peaks) == 1 and peaks[0] < 2**20
+
+
+@pytest.mark.parametrize("N", [MAX_BASIS_DIM, 10**9])
+@pytest.mark.parametrize("command", ["discretize", "gap-sweep", "oracle-check"])
+def test_bath_with_more_modes_than_any_basis_is_refused_before_it_is_built(
+    tmp_path, capsys, command, N
+):
+    # at n_max >= 1, N + 1 modes need a basis of more than N + 1 states, so
+    # a bath past MAX_BASIS_DIM modes is exit 3 when the config is read,
+    # before any mode (about 105 bytes each) is built.  At s 0.5 gap-sweep
+    # would otherwise refuse the point for its polaron factor (exit 1);
+    # Lambda near 1 keeps every omega_k of such a bath a normal double
+    import tracemalloc
+
+    data = deep({"discretization": {"Lambda": 1.000001, "N": N}})
+    path, out = write_config(tmp_path, data), tmp_path / "wide"
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", path, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"capacity error: N={N} gives {N + 1} modes, more than any basis holds "
+        f"(MAX_BASIS_DIM = {MAX_BASIS_DIM})\n"
+    )
+    assert not out.exists()
+    assert peak < 2**20
+
+
+def test_swept_mode_count_past_any_basis_is_refused_before_the_first_point(tmp_path, capsys):
+    # the sweep's last N is checked when the sweep is expanded, so its
+    # first point (N 0) is never solved
+    import tracemalloc
+
+    sweep = {"parameter": "N", "from": 0, "to": 10**9, "steps": 2}
+    path, out = write_config(tmp_path, deep({"sweep": sweep})), tmp_path / "sweep"
+    tracemalloc.start()
+    try:
+        code = main(["gap-sweep", "--config", path, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err.startswith("capacity error: N=1000000000 gives ")
+    assert not out.exists()
+    assert peak < 2**20
+    # the largest mode count a basis can hold is still a valid config
+    widest = parse_config(deep({"discretization": {"N": MAX_BASIS_DIM - 1}}))
+    assert widest.discretization.N == MAX_BASIS_DIM - 1
 
 
 def test_oversize_operator_leaves_no_partial_pattern(tmp_path):
