@@ -445,8 +445,11 @@ def cmd_magnetization_scan(args) -> int:
     if args.epsilon_steps < 2:
         raise ConfigError(f"--epsilon-steps must be >= 2, got {args.epsilon_steps}")
     check_grid_points("--epsilon-steps", args.epsilon_steps)
-    if not (math.isfinite(args.epsilon_max) and args.epsilon_max > 0.0):
-        raise ConfigError(f"--epsilon-max must be finite and > 0, got {args.epsilon_max}")
+    # the grid's linspace forms 2 * epsilon_max, which must stay a finite double
+    if not (math.isfinite(2.0 * args.epsilon_max) and args.epsilon_max > 0.0):
+        raise ConfigError(
+            f"--epsilon-max must be > 0 with 2 * epsilon-max finite, got {args.epsilon_max}"
+        )
     cfg = load_config(args.config)
     if cfg.model.epsilon != 0.0:
         raise ConfigError(

@@ -29,10 +29,12 @@ into itself and the truncated operator is exactly
 
     Dt = P E' P E P,   E = S exp(-2q.a) S,   P = diag((-1)**|n|),
 
-with S the projection on the simplex (P E' P is S exp(2q.a') S).  E is one
-sparse matrix with C(n_max + 2M, 2M) entries for M modes.  At q = 0 it is
-the identity and Dt = P: the signed Kronecker delta, not the plain
-identity.  The polaron factor stays out of Dt, whose entries are
+with S the projection on the simplex.  P a P = -a, so G = P E P =
+S exp(2q.a) S is the lowering series at -q, and Dt = G' P G: the sectors
+build G = lowering_series(basis, -q) and apply Dt with one parity product.
+E is one sparse matrix with C(n_max + 2M, 2M) entries for M modes.  At
+q = 0 it is the identity and Dt = P: the signed Kronecker delta, not the
+plain identity.  The polaron factor stays out of Dt, whose entries are
 polynomials in q and stay in double range where the factor does not.
 """
 
@@ -204,9 +206,10 @@ def lowering_series(enumeration: BasisEnumeration, q) -> scipy.sparse.csr_array:
     the entries, and a table of these values over (m_k, r) fills them.  The
     factors commute, and their product has at most C(n_max + 2M, 2M)
     entries for M modes: one per pair of a state and a lowering that fits
-    in it.  Raises CapacityError, before allocating anything, when those
-    entries and what the enumeration keeps for them together would exceed
-    MAX_OPERATOR_BYTES.
+    in it.  The series comes with sorted indices and read-only data,
+    indices and indptr.  Raises CapacityError, before allocating anything,
+    when those entries and what the enumeration keeps for them together
+    would exceed MAX_OPERATOR_BYTES.
     """
     modes, n_max, dim = enumeration.mode_count, enumeration.n_max, enumeration.dim
     if len(q) != modes:
@@ -239,4 +242,10 @@ def lowering_series(enumeration: BasisEnumeration, q) -> scipy.sparse.csr_array:
             (table.ravel()[cells], indices, indptr), shape=(dim, dim)
         )
         series = factor if series is None else factor @ series
+    # a product of factors leaves each row's columns in no fixed order, and
+    # every later sum over a row runs in that order; sorted and frozen here,
+    # no later call (scipy's power sorts in place) can change it
+    series.sort_indices()
+    for array in (series.data, series.indices, series.indptr):
+        array.flags.writeable = False
     return series

@@ -12,18 +12,20 @@ displaced parity operator D = exp(-2 sum q**2) * Dt (fockspace):
 The odd block is represented in the boson-parity-rotated basis, under
 which it differs from the even block only by the sign of the tunneling
 term.  Both sectors therefore share one diagonal and one DisplacedParity,
-Dt = P E' P E P from the lowering series E, and negating delta exchanges
-the two matrices exactly.  The rotation also absorbs the boson parity
-exp(i pi sum a'a), so the overlap <phi+|exp(i pi sum a'a)|phi-> of the
-two ground states is the dot product of their coefficient vectors.
+Dt = G' P G with G = P E P = S exp(2q.a) S the lowering series at -q,
+and negating delta exchanges the two matrices exactly.  The rotation
+also absorbs the boson parity exp(i pi sum a'a), so the overlap
+<phi+|exp(i pi sum a'a)|phi-> of the two ground states is the dot
+product of their coefficient vectors.
 solve_sectors is the one entry point from a bath to the pair: it owns
 the order of the refusals.
 
 A pair is built in units of omega_c, and each sector is solved by one
 thick-restart Davidson iteration that takes only a product (Dt as two
-sparse products) and a diagonal; no solve forms a dense matrix.  A solve
-that misses its tolerance is a SolverError, or an AccuracyError once its
-search space spans the whole basis, where the residual left is rounding.
+sparse products around one parity product) and a diagonal; no solve
+forms a dense matrix.  A solve that misses its tolerance is a
+SolverError, or an AccuracyError once its search space spans the whole
+basis, where the residual left is rounding.
 SectorMatrix.entries, built column by column from the operator's own
 product, is a reference for tests and benchmarks only.
 
@@ -92,10 +94,12 @@ class Sector(Enum):
 
 @dataclass(frozen=True, eq=False)
 class DisplacedParity:
-    """Dt = P E' P E P, shared by the two sectors of a pair.
+    """Dt = G' P G, shared by the two sectors of a pair.
 
-    lowering is the series E of fockspace.lowering_series and parity the
-    diagonal of the boson parity P; neither is written to.
+    lowering is G = P E P = S exp(2q.a) S, fockspace.lowering_series at -q,
+    which comes sorted and read-only, and parity the read-only diagonal of
+    the boson parity P.  Nothing writes either: not apply, and not
+    diagonal, which squares a copy of G.
     """
 
     lowering: scipy.sparse.csr_array
@@ -103,17 +107,16 @@ class DisplacedParity:
 
     @functools.cached_property
     def lowering_transposed(self) -> scipy.sparse.csc_array:
-        """E' as a CSC view over E's own arrays, built once on first use."""
+        """G' as a CSC view over G's own arrays, built once on first use."""
         return self.lowering.T
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Dt x as two sparse products."""
-        p = self.parity
-        return p * (self.lowering_transposed @ (p * (self.lowering @ (p * x))))
+        """Dt x as two sparse products and one parity product."""
+        return self.lowering_transposed @ (self.parity * (self.lowering @ x))
 
     @functools.cached_property
     def diagonal(self) -> np.ndarray:
-        """diag(Dt) = (E o E)' P, taken once on first use: it squares a copy of E."""
+        """diag(Dt) = (G o G)' P, taken once on first use: it squares a copy of G."""
         return self.lowering.power(2).T @ self.parity
 
 
@@ -206,15 +209,15 @@ def polaron_factor(bath: DiscretizedBath, params: ModelParams) -> float:
 def _sector_pair(
     bath: DiscretizedBath, params: ModelParams, basis: BasisEnumeration, polaron: float, unit: float
 ) -> dict[Sector, SectorMatrix]:
-    """Both sector operators over one diagonal sum omega (n - q**2) and one lowering series.
+    """Both sector operators over one diagonal sum omega (n - q**2) and one lowering series at -q.
 
     omega and delta are divided by unit here, once.  lowering_series raises
     CapacityError before allocating a series over fockspace.MAX_OPERATOR_BYTES,
     and ValueError when the bath and the basis differ in mode count.
     """
-    lowering = lowering_series(basis, bath.q)
-    omega = np.asarray(bath.omega) / unit
     q = np.asarray(bath.q)
+    lowering = lowering_series(basis, -q)
+    omega = np.asarray(bath.omega) / unit
     diagonal = basis.occupations @ omega - float(omega @ (q * q))
     displaced_parity = DisplacedParity(lowering, basis.parity)
     half_delta = params.delta / 2.0 / unit
@@ -373,7 +376,7 @@ def solve_sectors(
     max_iter: int = DEFAULT_MAX_ITER,
     energy_unit: float = 1.0,
 ) -> tuple[GroundStateResult, GroundStateResult]:
-    """(even, odd) ground states over the basis sum(n) <= n_max, from one diagonal and one E.
+    """(even, odd) ground states over the basis sum(n) <= n_max, from one diagonal and one G.
 
     The pair is built in units of energy_unit, so tol is in those units
     and the results are absolute, as in ground_state.

@@ -11,7 +11,9 @@ by entry along the ladder maps, coupling_matrix and block_hamiltonian
 build V and H from sparse blocks, magnetization is <sigma_z> of a
 mixture of the two sector ground states, dense_spectrum every
 eigenvalue of a sparse symmetric matrix from one dense solve,
-displaced_parity_dense Dt = P E' P E P as one sparse product made dense,
+displaced_parity_dense Dt = P E' P E P from its own lowering series E at
+q as one sparse product made dense (the package applies Dt = G' P G with
+G = P E P = S exp(2q.a) S, the series at -q),
 and rabi_levels the exact one-mode ground pair from Braak's G-function.
 The package needs none of them.
 """
@@ -29,9 +31,9 @@ from scipy.linalg import expm
 
 from sbmlab.bath import DiscretizedBath
 from sbmlab.errors import AccuracyError
-from sbmlab.fockspace import BasisEnumeration
+from sbmlab.fockspace import BasisEnumeration, lowering_series
 from sbmlab.oracle import assemble_full
-from sbmlab.sectors import DisplacedParity, GroundStateResult, ModelParams
+from sbmlab.sectors import GroundStateResult, ModelParams
 
 
 def basis_states(enumeration: BasisEnumeration) -> list[tuple[int, ...]]:
@@ -224,10 +226,14 @@ def dense_spectrum(A: scipy.sparse.sparray) -> np.ndarray:
     )
 
 
-def displaced_parity_dense(displaced: DisplacedParity) -> np.ndarray:
-    """Dt = P E' P E P as a new dense array, from one sparse product of its own factors."""
-    P = scipy.sparse.diags_array(displaced.parity)
-    return (P @ displaced.lowering_transposed @ P @ displaced.lowering @ P).toarray()
+def displaced_parity_dense(enumeration: BasisEnumeration, q) -> np.ndarray:
+    """Dt = P E' P E P as a new dense array, one sparse product of E = lowering_series at q.
+
+    It builds its own E, so it reads nothing of the operator a test checks.
+    """
+    E = lowering_series(enumeration, q)
+    P = scipy.sparse.diags_array(enumeration.parity)
+    return (P @ E.T @ P @ E @ P).toarray()
 
 
 def rabi_levels(omega: float, lam: float, delta: float, dps: int, terms: int) -> tuple:

@@ -1646,6 +1646,9 @@ def test_magnetization_epsilon_mode_matches_full_eigh(tmp_path):
         (["--epsilon-steps", "5", "--epsilon-max", "0"], "--epsilon-max"),
         (["--epsilon-steps", "5", "--epsilon-max", "nan"], "--epsilon-max"),
         (["--epsilon-steps", "5", "--epsilon-max", "inf"], "--epsilon-max"),
+        # finite, but the grid's 2 * epsilon-max overflows to inf
+        (["--epsilon-steps", "4", "--epsilon-max", "9e307"], "--epsilon-max"),
+        (["--epsilon-steps", "2", "--epsilon-max", "1.7e308"], "--epsilon-max"),
     ],
 )
 def test_magnetization_scan_rejects_bad_grid_flags(tmp_path, capsys, flags, flag):

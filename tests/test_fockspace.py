@@ -290,7 +290,7 @@ def test_dt_at_the_occupation_cap_against_exact_rational_sums():
     # bound is relative, so the exact zero L_{1,1}(1/2) = 0 must come out 0
     q = 0.5
     basis = enumerate_basis(1, N_MAX_CAP)
-    dt = DisplacedParity(lowering_series(basis, [q]), basis.parity)
+    dt = DisplacedParity(lowering_series(basis, [-q]), basis.parity)
     columns = [dt.apply(column) for column in np.eye(basis.dim)]
     for m in range(basis.dim):
         for n in range(max(0, m - 2), min(basis.dim, m + 3)):
@@ -362,14 +362,11 @@ def test_dmn_table_row_blocks_equal_whole_matrix_product(omegas, lams, n_max):
     # rows of Dt from the matrix-free product, 64 at a time, are the rows of
     # the dense Dt exactly, and that is the mode-by-mode product of the
     # single-mode tables up to summation order
-    def operator(q, basis):
-        parity = np.array([float(parity_phase(n)) for n in basis_states(basis)])
-        return DisplacedParity(lowering_series(basis, q), parity)
-
     q = [lam / omega for omega, lam in zip(omegas, lams)]
     basis = enumerate_basis(len(q), n_max)
-    dt = operator(q, basis)
-    dense = displaced_parity_dense(dt)
+    parity = np.array([float(parity_phase(n)) for n in basis_states(basis)])
+    dt = DisplacedParity(lowering_series(basis, -np.asarray(q)), parity)
+    dense = displaced_parity_dense(basis, q)
     unit = np.eye(basis.dim)
     for start in range(0, basis.dim, 64):
         rows = np.array([dt.apply(e) for e in unit[start : start + 64]])
@@ -377,7 +374,7 @@ def test_dmn_table_row_blocks_equal_whole_matrix_product(omegas, lams, n_max):
     occ = basis.occupations
     whole = np.ones((basis.dim, basis.dim))
     for k, qk in enumerate(q):
-        single = displaced_parity_dense(operator([qk], enumerate_basis(1, n_max)))
+        single = displaced_parity_dense(enumerate_basis(1, n_max), [qk])
         whole *= single[occ[:, k][:, None], occ[:, k][None, :]]
     assert np.abs(dense - whole).max() <= 1e-13 * np.abs(whole).max()
 
@@ -415,12 +412,15 @@ def assert_same_csr(actual, expected):
 @settings(max_examples=60, deadline=None)
 def test_lowering_series_is_the_fill_loop_bit_for_bit(mode_count, n_max, data):
     # the value table gathered into the kept pattern gives the same CSR
-    # arrays as filling every factor along its ladder map, for zero,
-    # negative and mixed displacements and on every later call
+    # arrays as filling every factor along its ladder map, once each row's
+    # columns are sorted, for zero, negative and mixed displacements and on
+    # every later call
     basis = enumerate_basis(mode_count, n_max)
     for _ in range(3):
         q = data.draw(st.lists(displacement, min_size=mode_count, max_size=mode_count))
-        assert_same_csr(lowering_series(basis, q), lowering_series_reference(basis, q))
+        reference = lowering_series_reference(basis, q)
+        reference.sort_indices()
+        assert_same_csr(lowering_series(basis, q), reference)
 
 
 def test_kept_ladder_maps_and_pattern_are_read_only():
@@ -440,6 +440,57 @@ def test_kept_ladder_maps_and_pattern_are_read_only():
     assert np.shares_memory(E.indices, single.lowering_pattern[1][0][0])
     with pytest.raises(ValueError):
         E.indices[0] = 1
+
+
+@pytest.mark.parametrize("mode_count", range(1, 9))
+def test_lowering_series_is_sorted_and_read_only_at_every_mode_count(mode_count):
+    # every row's columns ascend, and no array of the series can be written,
+    # also where the series is a product of factors and shares nothing kept
+    basis = enumerate_basis(mode_count, 3)
+    series = lowering_series(basis, np.linspace(0.2, 0.9, mode_count))
+    starts = np.repeat(series.indptr[:-1], np.diff(series.indptr))
+    first = np.arange(series.nnz) == starts
+    assert np.all(first[1:] | (np.diff(series.indices) > 0))
+    for array in (series.data, series.indices, series.indptr):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+
+
+@pytest.mark.parametrize("mode_count,n_max", [(2, 3), (3, 4), (6, 5), (8, 6), (13, 4)])
+def test_displaced_diagonal_writes_nothing_and_moves_no_product(mode_count, n_max):
+    # diag(Dt) squares a copy of G: the series keeps its indices and data,
+    # and apply gives the same bits before and after it
+    rng = np.random.default_rng(mode_count * 100 + n_max)
+    basis = enumerate_basis(mode_count, n_max)
+    q = rng.uniform(0.05, 1.2, mode_count)
+    dt = DisplacedParity(lowering_series(basis, -q), basis.parity)
+    indices, data = dt.lowering.indices.copy(), dt.lowering.data.copy()
+    xs = rng.standard_normal((5, basis.dim))
+    before = [dt.apply(x) for x in xs]
+    dt.diagonal
+    assert np.array_equal(dt.lowering.indices, indices)
+    assert np.array_equal(dt.lowering.data, data)
+    for x, image in zip(xs, before):
+        assert np.array_equal(dt.apply(x), image)
+
+
+@given(
+    mode_count=st.integers(1, 6),
+    n_max=st.integers(0, 6),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_displaced_parity_is_p_e_p_e_p_bit_for_bit(mode_count, n_max, data):
+    # G = P E P is the series at -q with every entry's sign flipped exactly,
+    # and IEEE sums are sign-symmetric: G' P G x is P E' P E P x to the bit
+    basis = enumerate_basis(mode_count, n_max)
+    p = basis.parity
+    for _ in range(3):
+        q = data.draw(st.lists(displacement, min_size=mode_count, max_size=mode_count))
+        E = lowering_series(basis, q)
+        dt = DisplacedParity(lowering_series(basis, -np.asarray(q)), p)
+        x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(basis.dim)
+        assert np.array_equal(dt.apply(x), p * (E.T @ (p * (E @ (p * x)))))
 
 
 def test_enumerate_basis_keeps_only_the_last_basis():

@@ -339,18 +339,21 @@ def test_juddian_crossing_is_a_level_both_sectors_share():
 
 
 def test_displaced_parity_shares_one_transposed_view_of_e():
-    # apply reads E' on every Davidson step: one CSC view over E's own
-    # arrays, built once, and no copy of E
+    # apply reads G' on every Davidson step: one CSC view over the arrays
+    # of G, the lowering series at -q, built once, and no copy of G
     bath = DiscretizedBath.from_modes((1.0, 0.4, 0.16), (0.45, 0.3, 0.2))
     basis = enumerate_basis(3, 9)
     displaced = assemble_sector(bath, ModelParams(0.6), basis, Sector.EVEN).displaced_parity
-    E = displaced.lowering
+    G = displaced.lowering
+    for name in ("indptr", "indices", "data"):
+        expected = getattr(lowering_series(basis, -np.asarray(bath.q)), name)
+        assert np.array_equal(getattr(G, name), expected), name
     view = displaced.lowering_transposed
     assert displaced.lowering_transposed is view
-    assert np.shares_memory(view.data, E.data)
-    assert np.shares_memory(view.indices, E.indices)
+    assert np.shares_memory(view.data, G.data)
+    assert np.shares_memory(view.indices, G.indices)
     x = np.random.default_rng(5).standard_normal(basis.dim)
-    reference = displaced_parity_dense(displaced) @ x
+    reference = displaced_parity_dense(basis, bath.q) @ x
     assert np.abs(displaced.apply(x) - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
@@ -586,7 +589,7 @@ def mpmath_gap(bath, params, basis):
         lowest = []
         for sector in (Sector.EVEN, Sector.ODD):
             operator = assemble_sector(bath, params, basis, sector)
-            dt = mpmath.matrix(displaced_parity_dense(operator.displaced_parity).tolist())
+            dt = mpmath.matrix(displaced_parity_dense(basis, bath.q).tolist())
             matrix = mpmath.diag([mpmath.mpf(x) for x in operator.diagonal.tolist()])
             matrix += mpmath.mpf(operator.coupling) * dt
             lowest.append(min(mpmath.eigsy(matrix, eigvals_only=True)))
