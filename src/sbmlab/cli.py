@@ -440,16 +440,33 @@ def cmd_verify_appendix(args) -> int:
 # ------------------------------------------------------ magnetization-scan
 
 
+def _bias_grid_half(epsilon_max: float, steps: int) -> np.ndarray:
+    """The epsilon >= 0 half of the bias grid; the scan mirrors it exactly for the rest.
+
+    The grid's linspace forms 2 * epsilon_max, which must stay a finite
+    double, and the mirrored grid must rise strictly: at a subnormal
+    epsilon_max two points can round to one value, or to -0 and 0.
+    """
+    if math.isfinite(2.0 * epsilon_max) and epsilon_max > 0.0:
+        half = np.linspace(-epsilon_max, epsilon_max, steps)[steps // 2 :]
+        # linspace can miss 0 by an ulp (steps 7, max 0.9), which would skip the epsilon 0 check
+        if steps % 2:
+            half[0] = 0.0
+        if np.all(np.diff(np.concatenate((-half[steps % 2 :][::-1], half))) > 0.0):
+            return half
+    raise ConfigError(
+        f"--epsilon-max must be > 0 with 2 * epsilon-max finite and {steps} distinct "
+        f"grid points, got {epsilon_max}"
+    )
+
+
 def cmd_magnetization_scan(args) -> int:
     started = time.perf_counter()
     if args.epsilon_steps < 2:
         raise ConfigError(f"--epsilon-steps must be >= 2, got {args.epsilon_steps}")
     check_grid_points("--epsilon-steps", args.epsilon_steps)
-    # the grid's linspace forms 2 * epsilon_max, which must stay a finite double
-    if not (math.isfinite(2.0 * args.epsilon_max) and args.epsilon_max > 0.0):
-        raise ConfigError(
-            f"--epsilon-max must be > 0 with 2 * epsilon-max finite, got {args.epsilon_max}"
-        )
+    steps = args.epsilon_steps
+    half = _bias_grid_half(args.epsilon_max, steps)
     cfg = load_config(args.config)
     if cfg.model.epsilon != 0.0:
         raise ConfigError(
@@ -462,12 +479,6 @@ def cmd_magnetization_scan(args) -> int:
 
     bath = discretize(cfg.bath, cfg.discretization)
     enumeration = enumerate_basis(bath.mode_count, cfg.truncation.n_max)
-    steps = args.epsilon_steps
-    # the grid's nonnegative half; the rest is its exact mirror below
-    half = np.linspace(-args.epsilon_max, args.epsilon_max, steps)[steps // 2 :]
-    # linspace can miss 0 by an ulp (steps 7, max 0.9), which would skip the epsilon 0 check
-    if steps % 2:
-        half[0] = 0.0
     # one assembly; each grid point rewrites only the diagonal of H
     unbiased = assemble_full(cfg.model, bath, enumeration)
     # Pi = sigma_x (x) (-1)^sum(n) maps H(epsilon) onto H(-epsilon) and

@@ -101,7 +101,7 @@ class Sweep:
         self.values()
 
     def values(self) -> list[float]:
-        """The grid; an integer parameter's values must round exactly."""
+        """The grid; its values must be finite, and an integer parameter's must round exactly."""
         if self.steps == 1:
             grid = [float(self.start)]
         elif self.scale == "linear":
@@ -110,6 +110,9 @@ class Sweep:
         else:
             ratio = (self.stop / self.start) ** (1.0 / (self.steps - 1))
             grid = [self.start * ratio**i for i in range(self.steps)]
+        for v in grid:
+            if not math.isfinite(v):
+                raise ValueError(f"sweep over {self.parameter} produced non-finite value {v}")
         if _SWEPT[self.parameter][1] is int:
             for v in grid:
                 if abs(v - round(v)) > 1e-9:

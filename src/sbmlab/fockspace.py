@@ -7,10 +7,8 @@ lexicographic in (total, n_0, ..., n_{N-1}), and each row's total in totals.
 Its ladder maps raising(k), n -> n + e_k, and its parity vector build E and P
 below and the oracle's coupling V.  Nothing about a basis depends on q, so
 enumerate_basis keeps the last one in a one-slot memo, and a basis builds its
-ladder maps and the index pattern of E's factors (lowering_pattern) once,
-read-only: a sweep that changes only q fills one small value table per mode
-and point.  The central object is the overlap table of the parity operator
-exp(i*pi*sum a'a) between displaced number states D(-q)|n>:
+ladder maps once, read-only.  The central object is the overlap table of the
+parity operator exp(i*pi*sum a'a) between displaced number states D(-q)|n>:
 
     D_{m,n} = exp(-2 sum_k q_k**2) * Dt_{m,n},   Dt_{m,n} = prod_k L_{m_k,n_k}(q_k)
 
@@ -32,10 +30,15 @@ into itself and the truncated operator is exactly
 with S the projection on the simplex.  P a P = -a, so G = P E P =
 S exp(2q.a) S is the lowering series at -q, and Dt = G' P G: the sectors
 build G = lowering_series(basis, -q) and apply Dt with one parity product.
-E is one sparse matrix with C(n_max + 2M, 2M) entries for M modes.  At
-q = 0 it is the identity and Dt = P: the signed Kronecker delta, not the
-plain identity.  The polaron factor stays out of Dt, whose entries are
-polynomials in q and stay in double range where the factor does not.
+E is one sparse matrix with C(n_max + 2M, 2M) entries for M modes, one per
+pair of a state m and a lowering r with sum(m + r) <= n_max.  Its row m holds
+the first C(n_max - |m| + M, M) states r in basis order, so lowering_series
+writes the entries straight into sorted CSR arrays: the columns along the
+ladder maps, the values as products of one small table per mode, every entry
+stored even where it is 0, and nothing kept on the basis.  At q = 0 E is the
+identity and Dt = P: the signed Kronecker delta, not the plain identity.  The
+polaron factor stays out of Dt, whose entries are polynomials in q and stay
+in double range where the factor does not.
 """
 
 from __future__ import annotations
@@ -57,8 +60,9 @@ N_MAX_CAP = 60
 MAX_BASIS_DIM = 2_000_000
 
 # largest lowering series lowering_series builds, at a float64 value and an
-# int32 column index per entry; the build holds up to about three times this
-# at its peak, and a basis well inside MAX_BASIS_DIM can ask for far more
+# int32 column index per entry; the build's peak is 1.1 to 1.3 times the
+# series from 10**5 entries up, and a basis well inside MAX_BASIS_DIM can ask
+# for far more
 MAX_OPERATOR_BYTES = 2**30
 _ENTRY_BYTES = 12
 
@@ -122,8 +126,8 @@ class BasisEnumeration:
         return self._ladder_maps[k]
 
     @functools.cached_property
-    def _ladder_maps(self) -> tuple[np.ndarray, ...]:
-        """Every mode's ladder map, read-only int32 rows of one array, built on first use.
+    def _ladder_maps(self) -> np.ndarray:
+        """Every mode's ladder map as one read-only int32 row of an array, built on first use.
 
         For n of total t < n_max, R_i the occupation of modes i.. and p_i =
         M - 1 - i, Pascal's rule on each term of the rank that n + e_k moves
@@ -148,43 +152,7 @@ class BasisEnumeration:
             remaining = after
         maps[-1, :inner] = step
         maps.flags.writeable = False
-        return tuple(maps)
-
-    @functools.cached_property
-    def lowering_pattern(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-        """Where the entries of each factor exp(-2 q_k a_k) of lowering_series sit.
-
-        Every factor holds, in the row of m, one entry per r = 0..n_max -
-        sum(m), in the column of m + r e_k; its value depends on q_k, m_k
-        and r alone.  Returns the indptr that all factors share and, per
-        mode, the column of each entry and the cell m_k * (n_max + 1) + r
-        of the value table that supplies it.  Nothing here depends on q, so
-        it is built on first use and kept; every array is int32 (indices
-        below MAX_BASIS_DIM, entry counts under MAX_OPERATOR_BYTES) and
-        read-only.
-        """
-        indptr = np.zeros(self.dim + 1, dtype=np.int32)
-        np.cumsum(self.n_max + 1 - self.totals, out=indptr[1:])
-        indptr.flags.writeable = False
-        return indptr, tuple(self._factor_pattern(k, indptr) for k in range(self.mode_count))
-
-    def _factor_pattern(self, k: int, indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Columns and value-table cells of the factor of mode k, one ladder step in r at a time."""
-        n_max, raising = self.n_max, self.raising(k)
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        cells = np.empty(indptr[-1], dtype=np.int32)
-        first_cell = self.occupations[:, k] * (n_max + 1)
-        row = col = np.arange(self.dim, dtype=np.int32)
-        for r in range(n_max + 1):
-            if r:
-                col = raising[col]
-                kept = col >= 0
-                row, col = row[kept], col[kept]
-            position = indptr[row] + r
-            indices[position] = col
-            cells[position] = first_cell[row] + r
-        indices.flags.writeable = cells.flags.writeable = False
-        return indices, cells
+        return maps
 
 
 @functools.lru_cache(maxsize=1, typed=True)
@@ -192,7 +160,7 @@ def enumerate_basis(mode_count: int, n_max: int) -> BasisEnumeration:
     """Graded-lexicographic basis with dim = C(n_max + mode_count, mode_count).
 
     The last basis is kept and returned again for the same arguments, so a
-    sweep that changes only q reuses its ladder maps and lowering pattern.
+    sweep that changes only q reuses its ladder maps.
     """
     return BasisEnumeration(mode_count, n_max)
 
@@ -200,16 +168,22 @@ def enumerate_basis(mode_count: int, n_max: int) -> BasisEnumeration:
 def lowering_series(enumeration: BasisEnumeration, q) -> scipy.sparse.csr_array:
     """E = S exp(-2 q.a) S over the enumeration, one CSR matrix.
 
-    The factor exp(-2 q_k a_k) of mode k holds, in the row of m, the entry
-    (-2 q_k)**r sqrt((m_k + r)! / m_k!) / r! in the column of m + r e_k for
-    every r that stays in the basis; enumeration.lowering_pattern places
-    the entries, and a table of these values over (m_k, r) fills them.  The
-    factors commute, and their product has at most C(n_max + 2M, 2M)
-    entries for M modes: one per pair of a state and a lowering that fits
-    in it.  The series comes with sorted indices and read-only data,
-    indices and indptr.  Raises CapacityError, before allocating anything,
-    when those entries and what the enumeration keeps for them together
-    would exceed MAX_OPERATOR_BYTES.
+    E_{m, m+r} = prod_k t_k[m_k, r_k] for every state r with sum(m + r) <=
+    n_max, where t_k[m, r] = (-2 q_k)**r sqrt((m + r)! / m!) / r! is the
+    entry of the factor exp(-2 q_k a_k): one entry per pair of a state and
+    a lowering that fits in it, C(n_max + 2M, 2M) for M modes.  Row m holds
+    one entry for each of the first C(n_max - |m| + M, M) states r, and
+    since adding m keeps the graded-lex order its columns ascend.  The
+    columns are filled one total u of r at a time, over the rows that take
+    one (a prefix of the basis): the column of m + r is raising(k) of the
+    column of m + r - e_k, for one pair (r - e_k, k) per state found by
+    inverting the ladder maps.  The values are filled one total of m at a
+    time, as one block of rows, and rounded in the factor order
+    t_{M-1} (... (t_1 t_0)).  Every entry is stored, zeros included: a zero
+    adds nothing to a product's sums, which start at +0.  data, indices and
+    indptr are read-only.  Raises CapacityError, before allocating anything,
+    when the series, its indptr and the enumeration's ladder maps would
+    together exceed MAX_OPERATOR_BYTES.
     """
     modes, n_max, dim = enumeration.mode_count, enumeration.n_max, enumeration.dim
     if len(q) != modes:
@@ -217,17 +191,14 @@ def lowering_series(enumeration: BasisEnumeration, q) -> scipy.sparse.csr_array:
             f"{len(q)} displacements do not match the enumeration mode count {modes}"
         )
     entries = math.comb(n_max + 2 * modes, 2 * modes)
-    # the enumeration keeps an int32 ladder map per mode, and per factor an
-    # int32 column and table cell for each of its C(n_max + M + 1, M + 1)
-    # entries, next to the shared int32 indptr
-    kept = modes * (4 * dim + 8 * math.comb(n_max + modes + 1, modes + 1)) + 4 * (dim + 1)
+    # the enumeration keeps an int32 ladder map per mode, next to the int32 indptr
+    kept = 4 * modes * dim + 4 * (dim + 1)
     if entries * _ENTRY_BYTES + kept > MAX_OPERATOR_BYTES:
         raise CapacityError(
             f"the lowering series of {modes} modes at n_max={n_max} has {entries} "
-            f"entries, {entries * _ENTRY_BYTES} bytes, and its kept pattern {kept} bytes, "
-            f"above the cap MAX_OPERATOR_BYTES = {MAX_OPERATOR_BYTES}"
+            f"entries, {entries * _ENTRY_BYTES} bytes, and its indptr and ladder maps "
+            f"{kept} bytes, above the cap MAX_OPERATOR_BYTES = {MAX_OPERATOR_BYTES}"
         )
-    indptr, patterns = enumeration.lowering_pattern
     # values[k, m, r] = (-2 q_k)**r sqrt((m + r)! / m!) / r!, one ladder step at a time
     occupation = np.arange(n_max + 1)
     values = np.zeros((modes, n_max + 1, n_max + 1))
@@ -236,16 +207,32 @@ def lowering_series(enumeration: BasisEnumeration, q) -> scipy.sparse.csr_array:
     for r in range(1, n_max + 1):
         m = slice(n_max + 1 - r)
         values[:, m, r] = values[:, m, r - 1] * step * np.sqrt(occupation[m] + r) / r
-    series = None
-    for (indices, cells), table in zip(patterns, values):
-        factor = scipy.sparse.csr_array(
-            (table.ravel()[cells], indices, indptr), shape=(dim, dim)
-        )
-        series = factor if series is None else factor @ series
-    # a product of factors leaves each row's columns in no fixed order, and
-    # every later sum over a row runs in that order; sorted and frozen here,
-    # no later call (scipy's power sorts in place) can change it
-    series.sort_indices()
+    # the states of total u are starts[u]:upto[u], and upto[u] of them have total <= u
+    upto = np.cumsum(enumeration._binomial[-1]).astype(np.int32)
+    starts = np.concatenate(([0], upto[:-1]))
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(upto[n_max - enumeration.totals], out=indptr[1:])
+    # every state r != 0 is raising(mode[r]) of parent[r]
+    maps, inner = enumeration._ladder_maps, starts[n_max]
+    parent, mode = np.zeros(dim, dtype=np.int32), np.zeros(dim, dtype=np.intp)
+    for k in range(modes):
+        parent[maps[k, :inner]], mode[maps[k, :inner]] = np.arange(inner), k
+    indices = np.empty(entries, dtype=np.int32)
+    indices[indptr[:-1]] = np.arange(dim)
+    for u in range(1, n_max + 1):
+        rows = indptr[: upto[n_max - u], None]
+        r = np.arange(starts[u], upto[u], dtype=np.int32)
+        indices[rows + r] = maps[mode[r], indices[rows + parent[r]]]
+    data, occ = np.empty(entries), enumeration.occupations
+    for t in range(n_max + 1):
+        # the rows of total t, each with the first upto[n_max - t] states as r
+        width = upto[n_max - t]
+        block = data[indptr[starts[t]] : indptr[upto[t]]].reshape(-1, width)
+        m, r = occ[starts[t] : upto[t]].T, occ[:width].T
+        block[:] = values[0][m[0]][:, r[0]]
+        for k in range(1, modes):
+            block *= values[k][m[k]][:, r[k]]
+    series = scipy.sparse.csr_array((data, indices, indptr), shape=(dim, dim))
     for array in (series.data, series.indices, series.indptr):
         array.flags.writeable = False
     return series

@@ -7,7 +7,7 @@ sums the discrete tail term by term in any number type, lmn_exact is the
 single-mode overlap factor in rational arithmetic, frozen_spin_check the
 commutator of the delta = 0 Hamiltonian with sigma_z,
 lowering_series_reference fills each factor of the lowering series entry
-by entry along the ladder maps, coupling_matrix and block_hamiltonian
+by entry along the ladder maps and multiplies them, coupling_matrix and block_hamiltonian
 build V and H from sparse blocks, magnetization is <sigma_z> of a
 mixture of the two sector ground states, dense_spectrum every
 eigenvalue of a sparse symmetric matrix from one dense solve,
@@ -135,12 +135,15 @@ def frozen_spin_check(bath: DiscretizedBath, enumeration: BasisEnumeration) -> f
 
 
 def lowering_series_reference(enumeration: BasisEnumeration, q) -> scipy.sparse.csr_array:
-    """E = S exp(-2 q.a) S with every factor filled along its ladder map, no kept pattern.
+    """E = S exp(-2 q.a) S as the scipy product of its factors, each filled along its ladder map.
 
     Row m of the factor of mode k holds, at position r, the column of
     m + r e_k and the value (-2 q_k)**r sqrt((m_k + r)! / m_k!) / r!, found
     by r steps of enumeration.raising(k) and the same recurrence, in the
-    same order of operations, as fockspace.lowering_series.
+    same order of operations, as fockspace.lowering_series; the factors
+    multiply in its order, the last mode's outermost.  The product's rows
+    come unsorted, and it drops the entries that are 0, which a one-mode
+    series, being its only factor, keeps.
     """
     occ = enumeration.occupations
     dim, n_max = enumeration.dim, enumeration.n_max

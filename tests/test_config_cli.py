@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -635,6 +636,22 @@ def test_gap_sweep_convention_override_changes_q(tmp_path):
             {"model": {"delta": 10**400}},  # float() of it overflows
             "model.delta: expected a finite number, got 100000000000000000...0000000000000000000",
         ),
+        (  # finite endpoints whose span overflows: the grid is [nan, inf, inf]
+            {"sweep": {"parameter": "delta", "from": -1.7e308, "to": 1.7e308, "steps": 3}},
+            "sweep: sweep over delta produced non-finite value nan",
+        ),
+        (  # a ratio of 1e300 per step: the grid is [1e-300, inf, inf]
+            {
+                "sweep": {
+                    "parameter": "delta",
+                    "from": 1.0e-300,
+                    "to": 1.0e300,
+                    "steps": 3,
+                    "scale": "log",
+                }
+            },
+            "sweep: sweep over delta produced non-finite value inf",
+        ),
     ],
 )
 def test_gap_sweep_rejects_non_finite_config_numbers(tmp_path, capsys, overrides, message):
@@ -846,25 +863,27 @@ def test_oversize_operator_leaves_no_partial_pattern(tmp_path):
     assert code == 3
     assert peak < 2**20
     assert enumerate_basis(4, 35) is basis
-    assert "lowering_pattern" not in vars(basis) and "_ladder_maps" not in vars(basis)
+    assert "_ladder_maps" not in vars(basis)
 
 
 def test_sweep_builds_a_basis_and_its_pattern_once_per_mode_count(tmp_path, monkeypatch):
-    # an alpha sweep changes only q, so its points share one basis and one
-    # pattern per mode; an N sweep needs a new one at every point
-    built = {"bases": 0, "patterns": []}
-    init, factor_pattern = BasisEnumeration.__init__, BasisEnumeration._factor_pattern
+    # an alpha sweep changes only q, so its points share one basis and its
+    # ladder maps; an N sweep needs new ones at every point
+    built = {"bases": 0, "ladder_maps": []}
+    init, ladder_maps = BasisEnumeration.__init__, BasisEnumeration._ladder_maps.func
 
     def counted_init(self, mode_count, n_max):
         built["bases"] += 1
         init(self, mode_count, n_max)
 
-    def counted_pattern(self, k, indptr):
-        built["patterns"].append(k)
-        return factor_pattern(self, k, indptr)
+    def counted_maps(self):
+        built["ladder_maps"].append(self.mode_count)
+        return ladder_maps(self)
 
+    counted = functools.cached_property(counted_maps)
+    counted.__set_name__(BasisEnumeration, "_ladder_maps")
     monkeypatch.setattr(BasisEnumeration, "__init__", counted_init)
-    monkeypatch.setattr(BasisEnumeration, "_factor_pattern", counted_pattern)
+    monkeypatch.setattr(BasisEnumeration, "_ladder_maps", counted)
     enumerate_basis.cache_clear()
 
     def sweep(name: str, parameter: str, start, stop, steps: int) -> None:
@@ -873,9 +892,9 @@ def test_sweep_builds_a_basis_and_its_pattern_once_per_mode_count(tmp_path, monk
         assert main(["gap-sweep", "--config", path, "--out", str(tmp_path / name)]) == 0
 
     sweep("alpha", "alpha", 0.1, 0.3, 4)  # 4 modes at every point
-    assert built == {"bases": 1, "patterns": [0, 1, 2, 3]}
+    assert built == {"bases": 1, "ladder_maps": [4]}
     sweep("modes", "N", 0, 2, 3)  # 1, 2 and 3 modes
-    assert built == {"bases": 4, "patterns": [0, 1, 2, 3, 0, 0, 1, 0, 1, 2]}
+    assert built == {"bases": 4, "ladder_maps": [4, 1, 2, 3]}
     assert enumerate_basis.cache_info().currsize <= 1
 
 
@@ -1649,6 +1668,9 @@ def test_magnetization_epsilon_mode_matches_full_eigh(tmp_path):
         # finite, but the grid's 2 * epsilon-max overflows to inf
         (["--epsilon-steps", "4", "--epsilon-max", "9e307"], "--epsilon-max"),
         (["--epsilon-steps", "2", "--epsilon-max", "1.7e308"], "--epsilon-max"),
+        # subnormal: the grid repeats +-5e-324, or mirrors its 0 as -0 and 0
+        (["--epsilon-steps", "4", "--epsilon-max", "5e-324"], "--epsilon-max"),
+        (["--epsilon-steps", "4", "--epsilon-max", "1e-323"], "--epsilon-max"),
     ],
 )
 def test_magnetization_scan_rejects_bad_grid_flags(tmp_path, capsys, flags, flag):

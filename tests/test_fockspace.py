@@ -388,7 +388,7 @@ def test_dmn_validation():
         lowering_series(enumerate_basis(2, 2), [0.3])
 
 
-# ---------------------------------------------------------------- E: kept pattern
+# ---------------------------------------------------------------- E: its pattern
 
 displacement = st.one_of(
     st.just(0.0),
@@ -404,6 +404,15 @@ def assert_same_csr(actual, expected):
         assert np.array_equal(a, b), name
 
 
+def assert_full_pattern(series, basis):
+    # every pair of a state and a lowering that fits in it has its entry,
+    # placed as at a q where no entry is 0
+    generic = lowering_series(basis, np.ones(basis.mode_count))
+    assert series.nnz == math.comb(basis.n_max + 2 * basis.mode_count, 2 * basis.mode_count)
+    assert np.array_equal(series.indptr, generic.indptr)
+    assert np.array_equal(series.indices, generic.indices)
+
+
 @given(
     mode_count=st.integers(1, 6),
     n_max=st.integers(0, 6),
@@ -411,35 +420,60 @@ def assert_same_csr(actual, expected):
 )
 @settings(max_examples=60, deadline=None)
 def test_lowering_series_is_the_fill_loop_bit_for_bit(mode_count, n_max, data):
-    # the value table gathered into the kept pattern gives the same CSR
-    # arrays as filling every factor along its ladder map, once each row's
-    # columns are sorted, for zero, negative and mixed displacements and on
-    # every later call
+    # the series written along the ladder maps gives the same CSR arrays as
+    # filling every factor along its ladder map, once each row's columns
+    # are sorted, for zero, negative and mixed displacements and on every
+    # later call; where an entry is 0 (a q_k of +-0, or an underflowed
+    # product) the series keeps it and the reference's product drops it,
+    # so the two agree once both drop their zeros
     basis = enumerate_basis(mode_count, n_max)
     for _ in range(3):
         q = data.draw(st.lists(displacement, min_size=mode_count, max_size=mode_count))
+        series = lowering_series(basis, q)
         reference = lowering_series_reference(basis, q)
         reference.sort_indices()
-        assert_same_csr(lowering_series(basis, q), reference)
+        if np.all(series.data != 0.0):
+            assert_same_csr(series, reference)
+            continue
+        assert_full_pattern(series, basis)
+        nonzero = series.copy()
+        nonzero.eliminate_zeros()
+        reference.eliminate_zeros()
+        assert_same_csr(nonzero, reference)
+
+
+@pytest.mark.parametrize("mode_count,n_max", [(2, 3), (6, 5), (8, 6)])
+def test_lowering_series_pattern_does_not_depend_on_q(mode_count, n_max):
+    # a zero or underflowed displacement leaves E's pattern whole, with its
+    # zero entries stored, and the displaced parity built from it is still
+    # P R' P R P to the bit, R the sorted fill-loop reference, which drops them
+    rng = np.random.default_rng(mode_count * 100 + n_max)
+    basis = enumerate_basis(mode_count, n_max)
+    p = basis.parity
+    generic = rng.uniform(0.05, 1.2, mode_count)
+    plus_zero, minus_zero = generic.copy(), generic.copy()
+    plus_zero[mode_count // 2], minus_zero[mode_count // 2] = 0.0, -0.0
+    for q in (plus_zero, minus_zero, np.zeros(mode_count), generic * 1e-170):
+        series = lowering_series(basis, q)
+        assert_full_pattern(series, basis)
+        reference = lowering_series_reference(basis, q)
+        reference.sort_indices()
+        dt = DisplacedParity(lowering_series(basis, -q), p)
+        x = rng.standard_normal(basis.dim)
+        assert np.array_equal(dt.apply(x), p * (reference.T @ (p * (reference @ (p * x)))))
 
 
 def test_kept_ladder_maps_and_pattern_are_read_only():
     basis = BasisEnumeration(3, 3)
-    indptr, patterns = basis.lowering_pattern
-    kept = [basis.raising(k) for k in range(3)] + [indptr]
-    kept += [array for pattern in patterns for array in pattern]
-    for array in kept:
-        assert array.dtype == np.int32
+    for k in range(3):
+        assert basis.raising(k).dtype == np.int32
         with pytest.raises(ValueError):
-            array[0] = 1
-    assert basis.raising(2) is basis.raising(2)
-    assert basis.lowering_pattern is basis.lowering_pattern
-    # one mode: E is its only factor and shares the kept arrays
-    single = BasisEnumeration(1, 4)
-    E = lowering_series(single, [0.4])
-    assert np.shares_memory(E.indices, single.lowering_pattern[1][0][0])
-    with pytest.raises(ValueError):
-        E.indices[0] = 1
+            basis.raising(k)[0] = 1
+    assert np.shares_memory(basis.raising(2), basis.raising(2))
+    E = lowering_series(basis, [0.4, 0.0, -0.7])
+    for array in (E.data, E.indices, E.indptr):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
 
 
 @pytest.mark.parametrize("mode_count", range(1, 9))
@@ -506,17 +540,25 @@ def test_enumerate_basis_keeps_only_the_last_basis():
     assert enumerate_basis.cache_info().currsize == 1
 
 
-def test_kept_pattern_counts_toward_the_operator_cap():
-    # 9 modes at n_max 12: the series alone (C(30, 18) = 86493225 entries,
-    # 1.04e9 bytes) is under the cap, the 9 ladder maps and patterns it
-    # keeps (5.8e7 bytes) put it over; only the sizes are read before the
-    # refusal, so the 21 MiB enumeration need not exist
+def test_kept_pattern_counts_toward_the_operator_cap(monkeypatch):
+    # 9 modes at n_max 12: the series (C(30, 18) = 86493225 entries, 12
+    # bytes each), its int32 indptr and the 9 int32 ladder maps take
+    # 1049675904 bytes, under the cap.  Only the sizes are read before the
+    # check, so the 21 MiB enumeration need not exist: past the check the
+    # build asks the sizes for the basis itself
+    import sbmlab.fockspace
+
     modes, n_max = 9, 12
     dim = math.comb(n_max + modes, modes)
     entries = math.comb(n_max + 2 * modes, 2 * modes)
-    assert 12 * entries <= MAX_OPERATOR_BYTES
+    count = 12 * entries + 4 * (dim + 1) + 4 * modes * dim
+    assert count == 1049675904 <= MAX_OPERATOR_BYTES
     sizes = SimpleNamespace(mode_count=modes, n_max=n_max, dim=dim)
-    with pytest.raises(CapacityError, match="kept pattern 58315716 bytes"):
+    monkeypatch.setattr(sbmlab.fockspace, "MAX_OPERATOR_BYTES", count - 1)
+    with pytest.raises(CapacityError, match="indptr and ladder maps 11757204 bytes"):
+        lowering_series(sizes, [0.1] * modes)
+    monkeypatch.setattr(sbmlab.fockspace, "MAX_OPERATOR_BYTES", count)
+    with pytest.raises(AttributeError):
         lowering_series(sizes, [0.1] * modes)
 
 
