@@ -62,7 +62,10 @@ MAX_BASIS_DIM = 2_000_000
 # largest lowering series lowering_series builds, at a float64 value and an
 # int32 column index per entry; the build's peak is 1.1 to 1.3 times the
 # series from 10**5 entries up, and a basis well inside MAX_BASIS_DIM can ask
-# for far more
+# for far more.  It also caps a basis's occupation array, and what
+# oracle-check and the bias scan hold: oracle.assemble_full counts that as
+# 8 times the full H's CSR bytes, 20 bytes per state and mode for the
+# basis's arrays, and 1 MiB
 MAX_OPERATOR_BYTES = 2**30
 _ENTRY_BYTES = 12
 

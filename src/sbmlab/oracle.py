@@ -6,9 +6,10 @@ The Hamiltonian stays brute force on purpose:
         + sum_k omega_k a'_k a_k + sum_k lambda_k (a'_k + a_k) sigma_z
 
 is assembled over the undisplaced number basis (spin-up block first) as
-one sparse CSR array.  The coupling V comes from the enumeration's ladder maps
-`raising(k)` and the boson parity P below is its `parity` vector, the two
-maps the sector path builds E and P from.  The parity operator
+one sparse CSR array, from sparse blocks by scipy's block_array.  The
+coupling V comes from the enumeration's ladder maps `raising(k)` and the
+boson parity P below is its `parity` vector, the two maps the sector path
+builds E and P from.  The parity operator
 Pi = sigma_x (x) exp(i pi sum a'a) commutes with H exactly when
 epsilon = 0, and the rotation U of the 2x2 block form
 
@@ -19,13 +20,14 @@ grading survives truncation, so the off-diagonal blocks of U H U' vanish
 to rounding, not merely to truncation accuracy.
 
 H, Pi, U and every product of them stay sparse, and no dense array is
-formed anywhere: `assemble_full` refuses an H whose build would hold
-more than fockspace.MAX_OPERATOR_BYTES at its peak, and that cap is the
-only size limit of oracle-check.  H stores every diagonal entry, so
-`FullModel.with_bias` moves the local field by rewriting, with scipy's
-setdiag, the values of the diagonal of one assembly.  The
-ground states come from implicitly restarted Lanczos (ARPACK) on the
-CSR H, one routine for the ground state of a biased <sigma_z>
+formed anywhere: `assemble_full` refuses an H where what oracle-check
+and the bias scan hold at their peak, counted as 8 times its CSR bytes,
+the basis's arrays and 1 MiB, would exceed fockspace.MAX_OPERATOR_BYTES,
+and that cap is the only size limit of both commands.  H stores every
+diagonal entry, so `FullModel.with_bias` moves the local field by
+rewriting, with scipy's setdiag, the values of the diagonal of one
+assembly.  The ground states come from implicitly restarted Lanczos
+(ARPACK) on the CSR H, one routine for the ground state of a biased <sigma_z>
 (`ground_sigma_z`) and for the two lowest eigenpairs behind the parity
 label and its gap floor (`ground_parity`); ARPACK gets a bare matvec of
 the CSR H, whose products are bit-identical to the default wrapper's.  Pi
@@ -116,21 +118,20 @@ class FullModel:
 def assemble_full(
     params: ModelParams, bath: DiscretizedBath, enumeration: BasisEnumeration
 ) -> FullModel:
-    """H over spin (x) Fock as one CSR array, spin-up block first, written in place.
+    """H over spin (x) Fock as one sorted CSR array, spin-up block first, from sparse blocks.
 
-    Row n of the up block holds, in column order, V's entries at n - e_k
-    (k ascending), the diagonal b_n + epsilon/2, V's entries at n + e_k (k
-    descending) and the tunneling -delta/2; row n of the down block holds
-    the tunneling first, then -V and b_n - epsilon/2 in the same order.
-    That is the order of the graded-lex ranks, so the entries are written
-    slot by slot into the final CSR arrays, which are those of the sorted
-    block array [[b + epsilon/2 + V, -delta/2], [-delta/2, b - epsilon/2 - V]].
-    A zero entry (lambda_k = 0, or delta = 0) is not stored, except on the
-    diagonal: there FullModel.with_bias's setdiag only rewrites values,
-    where a missing entry would be inserted and the biased copy would get
-    index arrays of its own, rebuilt from all nnz entries.  Raises
-    CapacityError, before allocating anything, when the bytes the build
-    holds at its peak would exceed fockspace.MAX_OPERATOR_BYTES.
+    V = sum_k lambda_k (a'_k + a_k) comes from COO triplets along the
+    ladder maps raising(k), and H is scipy's block_array
+    [[1 + V, -delta/2], [-delta/2, 1 - V]] whose placeholder diagonal of
+    ones is then overwritten with b_n +- epsilon/2.  The block sums drop
+    the zero entries (lambda_k = 0, or a delta/2 that is 0) except on the
+    diagonal, which the placeholder keeps stored: there
+    FullModel.with_bias's setdiag only rewrites values, where a missing
+    entry would be inserted and the biased copy would get index arrays of
+    its own, rebuilt from all nnz entries.  Raises CapacityError, before
+    allocating anything, when what the full-space commands hold, 8 times
+    H's CSR bytes, 20 bytes per state and mode and 1 MiB, would exceed
+    fockspace.MAX_OPERATOR_BYTES.
     """
     modes, n_max, dim = enumeration.mode_count, enumeration.n_max, enumeration.dim
     if modes != bath.mode_count:
@@ -139,65 +140,40 @@ def assemble_full(
         )
     # each spin block holds dim diagonal and dim tunneling entries, and V two
     # entries per mode and state that the mode can raise (total below n_max);
-    # an entry is a float64 value and an int64 column index.  Next to these
-    # CSR arrays the build holds the boson energies (8 dim bytes), the
-    # enumeration's int32 ladder maps and the int64 temporaries of their
-    # build (counted as 12 dim modes bytes), at most eight int64 or float64
-    # temporaries of length dim (64 dim bytes), and about 20 KiB of Python
-    # objects, counted as 64 KiB
+    # an entry is a float64 value and an int64 column index.  oracle-check,
+    # which holds H, U, U H U', its blocks and Lanczos' basis, peaks at 7.0
+    # to 7.3 times these CSR bytes and the bias scan at 5.1 to 5.3 times
+    # (traced at Fock dims 924 to 12 341, 3 to 8 modes); the 1 MiB covers
+    # the excess at small dims.  Per state and mode the basis holds 8 bytes
+    # of occupations and 4 of ladder maps, and occ @ omega 8 more while it
+    # casts occ to float64
     entries = 4 * dim + 4 * modes * math.comb(n_max - 1 + modes, modes)
     csr_bytes = 16 * entries + 8 * (2 * dim + 1)
-    peak_bytes = csr_bytes + 72 * dim + 12 * modes * dim + 2**16
-    if peak_bytes > MAX_OPERATOR_BYTES:
+    held_bytes = 8 * csr_bytes + 20 * modes * dim + 2**20
+    if held_bytes > MAX_OPERATOR_BYTES:
         raise CapacityError(
             f"the full H of {modes} modes at n_max={n_max} (Fock dim {dim}) has {entries} "
-            f"entries, {csr_bytes} bytes as CSR and {peak_bytes} bytes at the peak of its "
-            f"build, above the cap MAX_OPERATOR_BYTES = {MAX_OPERATOR_BYTES}"
+            f"entries, {csr_bytes} bytes as CSR, and the full-space checks hold 8 times that, "
+            f"the basis's {20 * modes * dim} bytes and 1 MiB, {held_bytes} bytes in all, "
+            f"above the cap MAX_OPERATOR_BYTES = {MAX_OPERATOR_BYTES}"
         )
     occ = enumeration.occupations
     boson = occ @ np.asarray(bath.omega)
-    tunneling = -params.delta / 2.0
-    ladders = [(k, enumeration.raising(k)) for k in range(modes) if bath.lam[k] != 0.0]
-    # the up block's row sizes, summed in place into its half of indptr
-    indptr = np.zeros(2 * dim + 1, dtype=np.int64)
-    sizes = indptr[1 : dim + 1]
-    sizes += 1 + (tunneling != 0.0)
-    for k, raised in ladders:
-        sizes += occ[:, k] > 0
-        sizes += raised >= 0
-    np.cumsum(sizes, out=sizes)
-    indptr[dim + 1 :] = indptr[dim] + sizes
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.empty(indptr[-1])
-    states = np.arange(dim)
-
-    def coupling(k, raised):
-        """(n, n + e_k, lambda_k sqrt(n_k + 1)) wherever n + e_k is a state."""
-        source = np.flatnonzero(raised >= 0)
-        return source, raised[source], bath.lam[k] * np.sqrt(occ[source, k] + 1.0)
-
-    for block, sign in enumerate((1.0, -1.0)):
-        offset = block * dim
-        cursor = indptr[offset : offset + dim].copy()  # the next free slot of each row
-
-        def put(rows, columns, values):
-            at = cursor[rows]
-            indices[at] = columns
-            data[at] = values
-            cursor[rows] = at + 1
-
-        if block and tunneling:
-            put(states, states, tunneling)
-        for k, raised in ladders:
-            source, target, value = coupling(k, raised)
-            put(target, source + offset, sign * value)
-        put(states, states + offset, boson + sign * (params.epsilon / 2.0))
-        for k, raised in reversed(ladders):
-            source, target, value = coupling(k, raised)
-            put(source, target + offset, sign * value)
-        if not block and tunneling:
-            put(states, states + dim, tunneling)
-    H = scipy.sparse.csr_array((data, indices, indptr), shape=(2 * dim, 2 * dim))
+    rows, cols, values = [], [], []
+    for k, lam_k in enumerate(bath.lam):
+        raised = enumeration.raising(k)
+        source = np.flatnonzero(raised >= 0)  # -1 where n + e_k leaves the basis
+        target = raised[source]
+        value = lam_k * np.sqrt(occ[source, k] + 1.0)
+        rows += [target, source]
+        cols += [source, target]
+        values += [value, value]
+    coo = (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols)))
+    V = scipy.sparse.csr_array(coo, shape=(dim, dim))
+    eye = scipy.sparse.eye_array(dim)
+    tunneling = -params.delta / 2.0 * eye
+    H = scipy.sparse.block_array([[eye + V, tunneling], [tunneling, eye - V]], format="csr")
+    H.setdiag(np.concatenate([boson + params.epsilon / 2.0, boson - params.epsilon / 2.0]))
     return FullModel(enumeration, H)
 
 

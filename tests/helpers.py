@@ -7,9 +7,9 @@ sums the discrete tail term by term in any number type, lmn_exact is the
 single-mode overlap factor in rational arithmetic, frozen_spin_check the
 commutator of the delta = 0 Hamiltonian with sigma_z,
 lowering_series_reference fills each factor of the lowering series entry
-by entry along the ladder maps and multiplies them, coupling_matrix and block_hamiltonian
-build V and H from sparse blocks, magnetization is <sigma_z> of a
-mixture of the two sector ground states, dense_spectrum every
+by entry along the ladder maps and multiplies them, coupling_matrix
+builds V from COO triplets along the ladder maps, magnetization is
+<sigma_z> of a mixture of the two sector ground states, dense_spectrum every
 eigenvalue of a sparse symmetric matrix from one dense solve,
 displaced_parity_dense Dt = P E' P E P from its own lowering series E at
 q as one sparse product made dense (the package applies Dt = G' P G with
@@ -183,27 +183,6 @@ def coupling_matrix(bath: DiscretizedBath, enumeration: BasisEnumeration) -> sci
         values += [value, value]
     coo = (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols)))
     return scipy.sparse.csr_array(coo, shape=(enumeration.dim, enumeration.dim))
-
-
-def block_hamiltonian(
-    params: ModelParams, bath: DiscretizedBath, enumeration: BasisEnumeration
-) -> scipy.sparse.csr_array:
-    """H from sparse blocks by scipy.sparse.block_array, spin-up block first.
-
-    A placeholder diagonal of ones keeps every diagonal entry stored
-    through the block sums, which drop zero entries elsewhere; the
-    diagonal is then overwritten with b_n +- epsilon/2.
-    """
-    dim = enumeration.dim
-    boson = enumeration.occupations @ np.asarray(bath.omega)
-    V = coupling_matrix(bath, enumeration)
-    eye = scipy.sparse.eye_array(dim)
-    tunneling = -params.delta / 2.0 * eye
-    H = scipy.sparse.block_array([[eye + V, tunneling], [tunneling, eye - V]], format="csr")
-    rows = np.repeat(np.arange(2 * dim), np.diff(H.indptr))
-    half_eps = params.epsilon / 2.0
-    H.data[np.flatnonzero(H.indices == rows)] = np.concatenate([boson + half_eps, boson - half_eps])
-    return H
 
 
 def magnetization(theta: float, plus: GroundStateResult, minus: GroundStateResult) -> float:

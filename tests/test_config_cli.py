@@ -1306,6 +1306,24 @@ def test_oracle_check_report_bytes_independent_of_blas_threads(tmp_path):
     assert "spectrum partition bound: " in reports[0] and "result: pass" in reports[0]
 
 
+def _traced_peak(argv: list[str]) -> tuple[int, int]:
+    """(exit code, traced peak bytes) of main(argv); Lanczos' module is imported before.
+
+    The first import of scipy.sparse.linalg allocates about 3 MiB, once per
+    process and at any size, so it is not traced.
+    """
+    import tracemalloc
+
+    import scipy.sparse.linalg  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("epsilon", [0.0, 0.25])
 def test_oracle_check_memory_stays_below_two_dense_hamiltonians(tmp_path, capsys, epsilon):
     # Fock dim 462: H, the rotation U H U' and its blocks are sparse and
@@ -1313,8 +1331,6 @@ def test_oracle_check_memory_stays_below_two_dense_hamiltonians(tmp_path, capsys
     # bound from sparse norms and the ground pair comes from Lanczos on the
     # sparse H.  So the traced peak stays a small fraction of one dense
     # 924 x 924 H at either epsilon.
-    import tracemalloc
-
     data = deep(
         {
             "model": {"epsilon": epsilon},
@@ -1324,23 +1340,14 @@ def test_oracle_check_memory_stays_below_two_dense_hamiltonians(tmp_path, capsys
     )
     path = write_config(tmp_path, data)
     dense_bytes = (2 * 462) ** 2 * 8
-    # the Lanczos solve's first import of scipy.sparse.linalg allocates about
-    # 0.45 of dense_bytes, once per process and at any size: not traced here
-    import scipy.sparse.linalg  # noqa: F401
-
-    tracemalloc.start()
-    try:
-        assert main(["oracle-check", "--config", path]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert "result: pass" in capsys.readouterr().out
+    code, peak = _traced_peak(["oracle-check", "--config", path])
+    assert code == 0 and "result: pass" in capsys.readouterr().out
     assert peak < 0.25 * dense_bytes
 
 
 def test_oracle_check_capacity(tmp_path, monkeypatch, capsys):
-    # the one size limit is assemble_full's cap on the bytes its build of H
-    # holds at its peak
+    # the one size limit is assemble_full's cap on what the command holds,
+    # counted from the bytes of H as CSR
     import sbmlab.oracle
 
     monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", 10_000)
@@ -1353,15 +1360,38 @@ def test_oracle_check_capacity(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("modes,n_max", [(1, 40), (6, 6), (20, 2), (4, 20), (1000, 1)])
+def test_full_space_commands_peak_within_the_count_of_their_h(tmp_path, capsys, modes, n_max):
+    # the whole oracle-check (basis, build, parity algebra, partition bound,
+    # ground_parity) and the bias scan hold at most what assemble_full
+    # counts against its cap: 8 times H's CSR bytes, 20 bytes per state and
+    # mode and 1 MiB (Fock dims 41 to 10 626).  At 1000 modes, n_max 1 the
+    # basis's arrays are most of it: oracle-check peaks at 112 times the CSR
+    # bytes there
+    data = {**CHECKS_ORACLE, "discretization": {"Lambda": 2.0, "N": modes - 1}}
+    data["truncation"] = {"n_max": n_max}
+    cfg = parse_config(data)
+    basis = BasisEnumeration(modes, n_max)
+    H = assemble_full(cfg.model, discretize(cfg.bath, cfg.discretization), basis).hamiltonian
+    count = 8 * (H.data.nbytes + H.indices.nbytes + H.indptr.nbytes)
+    count += 20 * modes * basis.dim + 2**20
+    path = write_config(tmp_path, data)
+    code, peak = _traced_peak(["oracle-check", "--config", path])
+    assert code == 0 and peak < count
+    scan = ["magnetization-scan", "--config", path, "--epsilon-steps", "5"]
+    code, peak = _traced_peak([*scan, "--out", str(tmp_path / "scan")])
+    assert code == 0 and peak < count
+    capsys.readouterr()
+
+
 def test_assemble_full_peaks_within_the_cap_at_the_largest_size_it_accepts(
     tmp_path, monkeypatch, capsys
 ):
-    # the cap counts what the build of H holds at its peak, not only the
-    # finished CSR arrays, which the build once held 4.3 times over.  With
-    # the cap set to that count at 6 modes, n_max 8 (Fock dim 3003), the
-    # traced peak of a build on a fresh basis, whose ladder maps it builds,
-    # stays under the cap; n_max 9 is refused before anything is allocated,
-    # and the bias scan exits 3
+    # the cap counts what oracle-check holds at its peak, not only the build
+    # of H.  With the cap set to that count at 6 modes, n_max 8 (Fock dim
+    # 3003), the traced peak of the whole oracle-check, which builds the
+    # basis and its ladder maps, stays under the cap; n_max 9 is refused
+    # before anything is allocated, and the bias scan exits 3
     import re
     import tracemalloc
 
@@ -1373,27 +1403,25 @@ def test_assemble_full_peaks_within_the_cap_at_the_largest_size_it_accepts(
     monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", 0)
     with pytest.raises(CapacityError) as refused:
         assemble_full(cfg.model, bath, BasisEnumeration(6, 8))
-    cap = int(re.search(r"(\d+) bytes at the peak of its build", str(refused.value))[1])
+    cap = int(re.search(r"(\d+) bytes in all", str(refused.value))[1])
     monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", cap)
-    basis, bigger = BasisEnumeration(6, 8), BasisEnumeration(6, 9)
+    code, accepted_peak = _traced_peak(["oracle-check", "--config", write_config(tmp_path, data)])
+    assert code == 0 and "result: pass" in capsys.readouterr().out
+    assert accepted_peak <= cap
+    bigger = BasisEnumeration(6, 9)
     tracemalloc.start()
     try:
-        assert assemble_full(cfg.model, bath, basis).enumeration.dim == 3003
-        accepted_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
         with pytest.raises(CapacityError):
             assemble_full(cfg.model, bath, bigger)
-        refused_peak = tracemalloc.get_traced_memory()[1] - before
+        refused_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert accepted_peak <= cap
     assert refused_peak < 2**14
     path = write_config(tmp_path, {**data, "truncation": {"n_max": 9}})
     out = tmp_path / "scan"
     argv = ["magnetization-scan", "--config", path, "--epsilon-steps", "3", "--out", str(out)]
     assert main(argv) == 3
-    assert "bytes at the peak of its build, above the cap" in capsys.readouterr().err
+    assert "bytes in all, above the cap" in capsys.readouterr().err
     assert not out.exists()
 
 

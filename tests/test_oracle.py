@@ -10,7 +10,6 @@ import scipy.sparse
 
 from helpers import (
     basis_states,
-    block_hamiltonian,
     coupling_matrix,
     dense_spectrum,
     displacement_matrix,
@@ -112,22 +111,23 @@ def test_hamiltonian_is_one_csr_array_matching_a_dense_build():
 def test_assemble_capacity_and_mode_mismatch(monkeypatch):
     # the CSR arrays of H count toward MAX_OPERATOR_BYTES, by a closed form
     # that is exact where no entry of V or of the tunneling blocks is zero
-    # (every diagonal entry is stored); the count adds what the build holds
-    # next to them, so a cap of the CSR bytes alone refuses H, and a cap of
-    # the whole count is the smallest that accepts it.  Fock dim 3003 is
-    # not refused
+    # (every diagonal entry is stored); the count is 8 times them, 20 bytes
+    # per state and mode and 1 MiB, so a cap of the CSR bytes alone refuses
+    # H, and a cap of the whole count is the smallest that accepts it.  Fock
+    # dim 3003 is not refused
     bath = DiscretizedBath.from_modes((1.0, 0.4), (0.5, 0.2))
     basis = enumerate_basis(2, 3)
     params = ModelParams(0.1, epsilon=0.3)
     H = assemble_full(params, bath, basis).hamiltonian
     nbytes = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes
     monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", nbytes)
-    with pytest.raises(CapacityError, match=f"{nbytes} bytes as CSR and ") as refused:
+    with pytest.raises(CapacityError, match=f"{nbytes} bytes as CSR, ") as refused:
         assemble_full(params, bath, basis)
-    peak_bytes = int(re.search(r"and (\d+) bytes at the peak", str(refused.value))[1])
-    monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", peak_bytes)
+    count = int(re.search(r"(\d+) bytes in all", str(refused.value))[1])
+    assert count == 8 * nbytes + 20 * 2 * basis.dim + 2**20
+    monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", count)
     assemble_full(params, bath, basis)
-    monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", peak_bytes - 1)
+    monkeypatch.setattr(sbmlab.oracle, "MAX_OPERATOR_BYTES", count - 1)
     with pytest.raises(CapacityError):
         assemble_full(params, bath, basis)
     monkeypatch.undo()
@@ -137,10 +137,11 @@ def test_assemble_capacity_and_mode_mismatch(monkeypatch):
         assemble_full(ModelParams(0.1), single_mode(0.3), enumerate_basis(2, 3))
 
 
-def test_assembly_writes_the_arrays_of_the_block_array_build():
-    # H written slot by slot is the sorted CSR array that scipy's
-    # block_array makes of the blocks, bit for bit, zero entries dropped
-    # alike (lambda_k = 0, delta = 0, a delta/2 that underflows)
+def test_assembly_is_canonical_and_stores_only_the_diagonal_zeros():
+    # H is a canonical CSR array (sorted, no duplicates) that stores every
+    # diagonal entry, also a zero one, and no other zero: the entries of a
+    # silent mode (lambda_k = 0), of delta = 0 and of a delta/2 that
+    # underflows are dropped
     rng = np.random.default_rng(5)
     for modes, n_max in ((1, 0), (1, 5), (2, 4), (3, 3), (5, 2)):
         basis = enumerate_basis(modes, n_max)
@@ -152,14 +153,18 @@ def test_assembly_writes_the_arrays_of_the_block_array_build():
             bath = DiscretizedBath.from_modes(omegas, tuple(lams))
             for delta, epsilon in ((0.5, 0.0), (0.0, 0.0), (-0.3, 0.25), (5e-324, 0.1)):
                 params = ModelParams(delta, epsilon)
-                model = assemble_full(params, bath, basis)
-                H, reference = model.hamiltonian, block_hamiltonian(params, bath, basis)
-                for name in ("indptr", "indices", "data"):
-                    got, expected = getattr(H, name), getattr(reference, name)
-                    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+                H = assemble_full(params, bath, basis).hamiltonian
+                assert H.has_canonical_format
                 rows = np.repeat(np.arange(2 * basis.dim), np.diff(H.indptr))
-                # every row stores its diagonal entry, also a zero one
-                assert np.count_nonzero(H.indices == rows) == 2 * basis.dim
+                diagonal = H.indices == rows
+                assert np.count_nonzero(diagonal) == 2 * basis.dim
+                assert np.all(H.data[~diagonal] != 0.0)
+                # V stores two entries per spin block, state below n_max and
+                # mode with lambda_k != 0, and the tunneling one per row
+                raisable = np.count_nonzero(basis.totals < n_max)
+                tunneling = 2 * basis.dim * (delta / 2.0 != 0.0)
+                off = 4 * raisable * np.count_nonzero(lams) + tunneling
+                assert H.nnz == 2 * basis.dim + off
                 # the epsilon 0 assembly moved to epsilon: the same arrays,
                 # the index arrays shared with the unbiased H
                 unbiased = assemble_full(ModelParams(delta), bath, basis)

@@ -1,6 +1,11 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -262,6 +267,34 @@ def test_davidson_resolves_clustered_low_spectrum():
     for big, small in zip(larger, smaller):
         assert big.residual <= 1e-10
         assert big.energy <= small.energy + 1e-12
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_davidson_search_space_solves_the_clustered_pair_in_few_iterations(threads):
+    # s = 1, alpha = 0.05 on 20 modes at n_max 3 (dim 1771): the even and
+    # odd sectors converge in 66 and 129 iterations at one and at two
+    # OpenBLAS threads.  A search space that restarts at 20 vectors needs
+    # 439 for the odd one, and at 12 or 16 it stops unconverged at
+    # max_iter 500, its energy 1 to 5e-9 off.  The thread count is read
+    # when numpy is imported, so each count solves in a fresh interpreter
+    code = (
+        "import json\n"
+        "from sbmlab.bath import BathSpec, DiscretizationSpec, discretize\n"
+        "from sbmlab.sectors import ModelParams, solve_sectors\n"
+        "spec = BathSpec(s=1.0, alpha=0.05, omega_c=1.0)\n"
+        "bath = discretize(spec, DiscretizationSpec(Lambda=2.0, N=19))\n"
+        "pair = solve_sectors(bath, ModelParams(0.5), 3)\n"
+        "print(json.dumps([result.iterations for result in pair]))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
+    solved = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert solved.returncode == 0, solved.stderr
+    even, odd = json.loads(solved.stdout)
+    assert 0 < even <= 2 * 66 and 0 < odd <= 2 * 129
 
 
 @pytest.mark.parametrize("n_max", range(7))
