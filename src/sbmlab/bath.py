@@ -85,7 +85,11 @@ class DiscretizationSpec:
 
 @dataclass(frozen=True)
 class DiscretizedBath:
-    """Immutable (omega, lambda) mode lists; the displacements q derive from them."""
+    """Immutable (omega, lambda) mode lists; the displacements q derive from them.
+
+    Every omega_k and lambda_k is finite, and the omega_k are positive and
+    strictly decreasing.
+    """
 
     omega: tuple[float, ...]
     lam: tuple[float, ...]
@@ -95,6 +99,9 @@ class DiscretizedBath:
             raise ValueError("omega and lam must have equal length")
         if len(self.omega) == 0:
             raise ValueError("a discretized bath needs at least one mode")
+        for k, (w, l) in enumerate(zip(self.omega, self.lam)):
+            if not (math.isfinite(w) and math.isfinite(l)):
+                raise ValueError(f"mode {k} is not finite: omega={w}, lambda={l}")
         if any(w <= 0 for w in self.omega):
             raise ValueError("all mode frequencies must be positive")
         if any(b >= a for a, b in zip(self.omega, self.omega[1:])):

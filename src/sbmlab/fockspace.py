@@ -59,15 +59,13 @@ N_MAX_CAP = 60
 
 MAX_BASIS_DIM = 2_000_000
 
-# largest lowering series lowering_series builds, at a float64 value and an
-# int32 column index per entry; the build's peak is 1.1 to 1.3 times the
-# series from 10**5 entries up, and a basis well inside MAX_BASIS_DIM can ask
-# for far more.  It also caps a basis's occupation array, and what
-# oracle-check and the bias scan hold: oracle.assemble_full counts that as
-# 8 times the full H's CSR bytes, 20 bytes per state and mode for the
-# basis's arrays, and 1 MiB
+# cap on what one computation holds, where a basis well inside MAX_BASIS_DIM
+# can ask for far more: a basis's occupation array; a sector pair's solve,
+# which sectors._sector_pair counts as twice the lowering series' CSR bytes,
+# 2 x 40 + 12 length-dim vectors, the basis's arrays and 1 MiB; and what
+# oracle-check and the bias scan hold, which oracle.assemble_full counts as
+# 8 times the full H's CSR bytes, the basis's arrays and 1 MiB
 MAX_OPERATOR_BYTES = 2**30
-_ENTRY_BYTES = 12
 
 
 class BasisEnumeration:
@@ -184,9 +182,10 @@ def lowering_series(enumeration: BasisEnumeration, q) -> scipy.sparse.csr_array:
     time, as one block of rows, and rounded in the factor order
     t_{M-1} (... (t_1 t_0)).  Every entry is stored, zeros included: a zero
     adds nothing to a product's sums, which start at +0.  data, indices and
-    indptr are read-only.  Raises CapacityError, before allocating anything,
-    when the series, its indptr and the enumeration's ladder maps would
-    together exceed MAX_OPERATOR_BYTES.
+    indptr are read-only.  Like raising(k), it builds whatever it is asked
+    for: its one package caller, sectors._sector_pair, counts it against
+    MAX_OPERATOR_BYTES first, and that count keeps the entries at or below
+    2**30 / 24, far inside the int32 range of indices and indptr.
     """
     modes, n_max, dim = enumeration.mode_count, enumeration.n_max, enumeration.dim
     if len(q) != modes:
@@ -194,14 +193,6 @@ def lowering_series(enumeration: BasisEnumeration, q) -> scipy.sparse.csr_array:
             f"{len(q)} displacements do not match the enumeration mode count {modes}"
         )
     entries = math.comb(n_max + 2 * modes, 2 * modes)
-    # the enumeration keeps an int32 ladder map per mode, next to the int32 indptr
-    kept = 4 * modes * dim + 4 * (dim + 1)
-    if entries * _ENTRY_BYTES + kept > MAX_OPERATOR_BYTES:
-        raise CapacityError(
-            f"the lowering series of {modes} modes at n_max={n_max} has {entries} "
-            f"entries, {entries * _ENTRY_BYTES} bytes, and its indptr and ladder maps "
-            f"{kept} bytes, above the cap MAX_OPERATOR_BYTES = {MAX_OPERATOR_BYTES}"
-        )
     # values[k, m, r] = (-2 q_k)**r sqrt((m + r)! / m!) / r!, one ladder step at a time
     occupation = np.arange(n_max + 1)
     values = np.zeros((modes, n_max + 1, n_max + 1))

@@ -115,6 +115,9 @@ class FullModel:
         return replace(self, hamiltonian=biased)
 
 
+# an entry or a row sum past the double range is refused by its ||H||_inf
+# below, not reported as a RuntimeWarning
+@np.errstate(over="ignore", invalid="ignore")
 def assemble_full(
     params: ModelParams, bath: DiscretizedBath, enumeration: BasisEnumeration
 ) -> FullModel:
@@ -131,7 +134,8 @@ def assemble_full(
     its own, rebuilt from all nnz entries.  Raises CapacityError, before
     allocating anything, when what the full-space commands hold, 8 times
     H's CSR bytes, 20 bytes per state and mode and 1 MiB, would exceed
-    fockspace.MAX_OPERATOR_BYTES.
+    fockspace.MAX_OPERATOR_BYTES, and AccuracyError, before any check
+    runs, when ||H||_inf is not a finite double.
     """
     modes, n_max, dim = enumeration.mode_count, enumeration.n_max, enumeration.dim
     if modes != bath.mode_count:
@@ -174,6 +178,13 @@ def assemble_full(
     tunneling = -params.delta / 2.0 * eye
     H = scipy.sparse.block_array([[eye + V, tunneling], [tunneling, eye - V]], format="csr")
     H.setdiag(np.concatenate([boson + params.epsilon / 2.0, boson - params.epsilon / 2.0]))
+    scale = norm_inf(H)
+    if not math.isfinite(scale):
+        raise AccuracyError(
+            f"||H||_inf = {scale} is not a finite double: the full H is built in absolute "
+            "units, where the bath's largest mode frequency omega_0, a fixed fraction of "
+            f"omega_c, is {bath.omega[0]:.6g}"
+        )
     return FullModel(enumeration, H)
 
 

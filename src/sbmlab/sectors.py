@@ -48,8 +48,8 @@ import numpy as np
 import scipy.sparse
 
 from sbmlab.bath import DiscretizedBath, log_prefactor
-from sbmlab.errors import AccuracyError, SolverError
-from sbmlab.fockspace import BasisEnumeration, enumerate_basis, lowering_series
+from sbmlab.errors import AccuracyError, CapacityError, SolverError
+from sbmlab.fockspace import MAX_OPERATOR_BYTES, BasisEnumeration, enumerate_basis, lowering_series
 
 # residual tolerance and iteration budget of a solve; config.SolverSettings reads them
 DEFAULT_TOL = 1e-10
@@ -211,15 +211,30 @@ def _sector_pair(
 ) -> dict[Sector, SectorMatrix]:
     """Both sector operators over one diagonal sum omega (n - q**2) and one lowering series at -q.
 
-    omega and delta are divided by unit here, once.  lowering_series raises
-    CapacityError before allocating a series over fockspace.MAX_OPERATOR_BYTES,
-    and ValueError when the bath and the basis differ in mode count.
+    omega and delta are divided by unit here, once.  The sector path's one
+    byte count is made here: CapacityError, before anything is allocated,
+    when what the pair's solve holds, counted below, would exceed
+    fockspace.MAX_OPERATOR_BYTES.  lowering_series raises ValueError when
+    the bath and the basis differ in mode count.
     """
+    modes, dim = basis.mode_count, basis.dim
+    # E is a float64 value and an int32 column per entry and an int32
+    # indptr, and DisplacedParity.diagonal squares a copy of it.  Davidson
+    # holds V and HV, _DAVIDSON_RESTART rows each, and the pair 12 more
+    # length-dim vectors.  Per state and mode the basis holds 8 bytes of
+    # occupations and 4 of ladder maps, and occupations @ omega 8 more while
+    # it casts them to float64
+    series = 12 * math.comb(basis.n_max + 2 * modes, 2 * modes) + 4 * (dim + 1)
+    held = 2 * series + 8 * dim * (2 * _DAVIDSON_RESTART + 12) + 20 * modes * dim + 2**20
+    if held > MAX_OPERATOR_BYTES:
+        raise CapacityError(
+            f"the sector pair of {modes} modes at n_max={basis.n_max} (dim {dim}) holds {held} "
+            f"bytes in its solve, above the cap MAX_OPERATOR_BYTES = {MAX_OPERATOR_BYTES}"
+        )
     q = np.asarray(bath.q)
-    lowering = lowering_series(basis, -q)
+    displaced_parity = DisplacedParity(lowering_series(basis, -q), basis.parity)
     omega = np.asarray(bath.omega) / unit
     diagonal = basis.occupations @ omega - float(omega @ (q * q))
-    displaced_parity = DisplacedParity(lowering, basis.parity)
     half_delta = params.delta / 2.0 / unit
     return {
         sector: SectorMatrix(
@@ -385,8 +400,10 @@ def solve_sectors(
     != 0 and AccuracyError for a polaron factor that no double holds, both
     before the basis is enumerated, also where it would be over
     fockspace.MAX_BASIS_DIM (no basis can solve such a point);
-    CapacityError from the basis, then from the lowering series, each
-    before allocating over its cap; then the solves' errors.
+    CapacityError from the basis, before allocating over its cap, then
+    from _sector_pair's count of everything the pair's solve holds,
+    before the lowering series or any length-dim vector is allocated;
+    then the solves' errors.
     """
     polaron = polaron_factor(bath, params)
     enumeration = enumerate_basis(bath.mode_count, n_max)

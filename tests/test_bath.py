@@ -381,13 +381,15 @@ def test_prefactor_subnormal_double_is_not_returned():
 
 def test_prefactor_without_finite_exponent_raises():
     # |log_prefactor| = 2e18 and 8e18 are finite logs whose factor is 0.0;
-    # an infinite q gives -inf and a NaN q gives NaN, refused the same way
-    for q in (1e9, 2e9, math.inf, math.nan):
+    # an infinite or NaN q cannot reach the factor, since the bath refuses it
+    for q in (1e9, 2e9):
         bath = DiscretizedBath.from_modes((1.0,), (q,))
         with pytest.raises(AccuracyError):
             polaron_factor(bath, ModelParams(delta=0.5))
     assert log_prefactor(DiscretizedBath.from_modes((1.0,), (2e9,))) == -8e18
-    assert log_prefactor(DiscretizedBath.from_modes((1.0,), (math.inf,))) == -math.inf
+    for q in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="mode 0 is not finite"):
+            DiscretizedBath.from_modes((1.0,), (q,))
 
 
 # ---------------------------------------------------------------- validation
@@ -418,3 +420,20 @@ def test_discretized_bath_validation():
         DiscretizedBath(omega=(1.0, -0.5), lam=(0.1, 0.1))
     with pytest.raises(ValueError, match="omega and lam must have equal length"):
         DiscretizedBath.from_modes((1.0, 0.5), (0.1,))
+
+
+def test_discretized_bath_refuses_a_mode_outside_the_double_range():
+    # checked before the frequency order, so an infinite omega_0 is named as
+    # such and not as a break in the order
+    for omega, lam, k in [
+        ((2.0, math.inf), (0.1, 0.1), 1),
+        ((math.nan, 1.0), (0.1, 0.1), 0),
+        ((2.0, 1.0), (0.1, -math.inf), 1),
+    ]:
+        with pytest.raises(ValueError, match=f"mode {k} is not finite"):
+            DiscretizedBath.from_modes(omega, lam)
+    # near the top of the parser's omega_c range discretize itself overflows:
+    # omega_0 at omega_c 1.7e308, lambda_k at omega_c 1e303 with alpha 1e12
+    for omega_c, alpha, N in [(1.7e308, 0.1, 0), (1.7e308, 0.1, 2), (1e303, 1e12, 2)]:
+        with pytest.raises(ValueError, match="mode 0 is not finite"):
+            discretize(BathSpec(0.5, alpha, omega_c), DiscretizationSpec(2.0, N))

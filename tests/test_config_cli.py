@@ -59,12 +59,18 @@ CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.yaml"))
 
 
 def run_fresh(code: str, *args: str, threads: str = "1") -> subprocess.CompletedProcess:
-    """Run python -c code in a fresh interpreter on this checkout's src at a
-    fixed OpenBLAS thread count (the count is read when numpy is imported)."""
+    """Run python -W error -c code in a fresh interpreter on this checkout's src.
+
+    -W error keeps the suite's policy that a warning is an error, and the
+    OpenBLAS thread count is fixed (it is read when numpy is imported)."""
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
 
 
@@ -748,6 +754,48 @@ def test_gap_sweep_oversize_operator_exits_capacity(tmp_path):
     out = tmp_path / "big"
     assert main(["gap-sweep", "--config", write_config(tmp_path, data), "--out", str(out)]) == 3
     assert not (out / "gap_sweep.csv").exists()
+
+
+EDGE_COMMANDS = (
+    ["discretize"],
+    ["oracle-check"],
+    ["magnetization-scan", "--epsilon-steps", "3"],
+    ["gap-sweep"],
+)
+
+
+@pytest.mark.parametrize(
+    "bath,N,codes",
+    [
+        # discretize overflows omega_0 to inf
+        ({"omega_c": 1.7e308}, 0, (2, 2, 2, 2)),
+        ({"omega_c": 1.7e308}, 2, (2, 2, 2, 2)),
+        # and here lambda_0 = q_0 = inf
+        ({"omega_c": 1e303, "alpha": 1e12}, 2, (2, 2, 2, 2)),
+        # the modes are finite, but b = occupations . omega overflows in the
+        # full H; gap-sweep works in units of omega_c and writes its
+        # unresolved-gap row
+        ({"omega_c": 1e308}, 2, (0, 1, 1, 1)),
+    ],
+    ids=["omega-inf-N0", "omega-inf-N2", "lambda-inf", "full-h-inf"],
+)
+@pytest.mark.parametrize("command", range(len(EDGE_COMMANDS)), ids=[c[0] for c in EDGE_COMMANDS])
+def test_every_command_exits_cleanly_at_the_top_of_the_omega_c_range(
+    tmp_path, capsys, bath, N, codes, command
+):
+    # main runs in-process, where the suite turns every warning into an
+    # error: no command may print a traceback or a RuntimeWarning, and a
+    # config error writes nothing
+    data = deep({"bath": {"s": 0.5, "alpha": 0.1, **bath}, "discretization": {"N": N}})
+    out = tmp_path / "out"
+    argv = [*EDGE_COMMANDS[command], "--config", write_config(tmp_path, data)]
+    assert main([*argv, "--out", str(out)]) == codes[command]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    if codes[command] == 2:
+        assert err.startswith("config error: mode 0 is not finite") and not out.exists()
+    if codes[command] == 1 and EDGE_COMMANDS[command][0] != "gap-sweep":
+        assert err.startswith("invariant failure: ||H||_inf = inf is not a finite double")
 
 
 def test_gap_sweep_refuses_an_occupation_array_over_the_cap(tmp_path, capsys, monkeypatch):

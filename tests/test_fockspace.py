@@ -2,7 +2,6 @@ import hashlib
 import math
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from helpers import (
 from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize
 from sbmlab.errors import AccuracyError, CapacityError
 from sbmlab.fockspace import (
-    MAX_OPERATOR_BYTES,
     N_MAX_CAP,
     BasisEnumeration,
     enumerate_basis,
@@ -538,28 +536,6 @@ def test_enumerate_basis_keeps_only_the_last_basis():
     with pytest.raises(CapacityError):
         enumerate_basis(1, N_MAX_CAP + 1)
     assert enumerate_basis.cache_info().currsize == 1
-
-
-def test_kept_pattern_counts_toward_the_operator_cap(monkeypatch):
-    # 9 modes at n_max 12: the series (C(30, 18) = 86493225 entries, 12
-    # bytes each), its int32 indptr and the 9 int32 ladder maps take
-    # 1049675904 bytes, under the cap.  Only the sizes are read before the
-    # check, so the 21 MiB enumeration need not exist: past the check the
-    # build asks the sizes for the basis itself
-    import sbmlab.fockspace
-
-    modes, n_max = 9, 12
-    dim = math.comb(n_max + modes, modes)
-    entries = math.comb(n_max + 2 * modes, 2 * modes)
-    count = 12 * entries + 4 * (dim + 1) + 4 * modes * dim
-    assert count == 1049675904 <= MAX_OPERATOR_BYTES
-    sizes = SimpleNamespace(mode_count=modes, n_max=n_max, dim=dim)
-    monkeypatch.setattr(sbmlab.fockspace, "MAX_OPERATOR_BYTES", count - 1)
-    with pytest.raises(CapacityError, match="indptr and ladder maps 11757204 bytes"):
-        lowering_series(sizes, [0.1] * modes)
-    monkeypatch.setattr(sbmlab.fockspace, "MAX_OPERATOR_BYTES", count)
-    with pytest.raises(AttributeError):
-        lowering_series(sizes, [0.1] * modes)
 
 
 def test_underflowed_prefactor_refuses_d():

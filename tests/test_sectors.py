@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ import scipy.sparse
 
 from helpers import basis_states, displaced_parity_dense, parity_phase
 
+import sbmlab.sectors
 from sbmlab.bath import BathSpec, DiscretizationSpec, DiscretizedBath, discretize, log_prefactor
 from sbmlab.errors import AccuracyError, CapacityError, SolverError
 from sbmlab.fockspace import enumerate_basis, lowering_series
@@ -421,6 +423,71 @@ def test_solve_sectors_refuses_oversize_operator_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _sector_count(bath, n_max, monkeypatch):
+    """The bytes _sector_pair counts for the pair over sum(n) <= n_max, read from its refusal."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sbmlab.sectors, "MAX_OPERATOR_BYTES", 0)
+        with pytest.raises(CapacityError) as refused:
+            solve_sectors(bath, ModelParams(0.5), n_max)
+    return int(re.search(r"holds (\d+) bytes in its solve", str(refused.value))[1])
+
+
+def _traced_peak(call):
+    """Traced peak bytes of call(), with the basis cache cleared so it builds its basis."""
+    enumerate_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "modes,n_max,s,alpha",
+    [
+        (2, 60, 0.5, 0.1),
+        (4, 20, 0.5, 0.1),
+        (6, 10, 0.5, 0.1),
+        (8, 6, 1.5, 0.05),
+        (13, 4, 1.5, 0.05),
+        (30, 3, 1.5, 0.02),
+        (1000, 1, 1.5, 0.01),
+    ],
+)
+def test_solve_sectors_peaks_within_its_count(monkeypatch, modes, n_max, s, alpha):
+    # the pair's one count covers what the whole solve holds: the basis, E,
+    # the copy of E that the diagonal squares, Davidson's search space and
+    # the pair's vectors.  E dominates at few modes, the length-dim vectors
+    # in between and the basis's arrays at 1000 modes, n_max 1
+    bath = log_grid_bath(s, alpha, modes)
+    count = _sector_count(bath, n_max, monkeypatch)
+    assert _traced_peak(lambda: solve_sectors(bath, ModelParams(0.5), n_max)) <= count
+
+
+@pytest.mark.parametrize("modes,largest", [(3, 31), (4, 19)])
+def test_largest_pair_the_count_accepts_solves_within_the_cap(monkeypatch, modes, largest):
+    # at a 64 MiB cap, n_max = largest is the last size the count accepts:
+    # it solves within the cap, and the next is refused before its lowering
+    # series or any vector is allocated
+    cap = 64 * 2**20
+    bath = log_grid_bath(0.5, 0.1, modes)
+    dim = math.comb(largest + modes, modes)
+    series = 12 * math.comb(largest + 2 * modes, 2 * modes) + 4 * (dim + 1)
+    vectors = 8 * dim * (2 * _DAVIDSON_RESTART + 12)
+    count = _sector_count(bath, largest, monkeypatch)
+    assert count == 2 * series + vectors + 20 * modes * dim + 2**20
+    assert count <= cap < _sector_count(bath, largest + 1, monkeypatch)
+    monkeypatch.setattr(sbmlab.sectors, "MAX_OPERATOR_BYTES", cap)
+    assert _traced_peak(lambda: solve_sectors(bath, ModelParams(0.5), largest)) <= cap
+
+    def refused():
+        with pytest.raises(CapacityError, match="above the cap MAX_OPERATOR_BYTES = 67108864"):
+            solve_sectors(bath, ModelParams(0.5), largest + 1)
+
+    assert _traced_peak(refused) < 2**20
 
 
 def test_refused_point_never_builds_the_lowering_series(monkeypatch):
